@@ -17,7 +17,6 @@ from .evaluation import (
     accuracy,
     confusion_counts,
     equal_error_rate,
-    evaluate_method,
     f1,
     generate_score_records,
     prepare_cohort,
@@ -31,10 +30,7 @@ from .ingest import (
     RawEvent,
     Session,
     SplitDataset,
-    chronological_split,
-    filter_eligible_users,
     parse_event_log,
-    sample_foreground,
     sessionize,
 )
 from .models import (
@@ -43,7 +39,6 @@ from .models import (
     TrainConfig,
     load_model,
     save_model,
-    score_window,
     train_user_model,
 )
 from .simulate import (
@@ -71,15 +66,12 @@ __all__ = [
     "Vocabulary",
     "__version__",
     "accuracy",
-    "chronological_split",
     "confusion_counts",
     "day_flag_of",
     "detection_latency",
     "encode_sessions",
     "equal_error_rate",
-    "evaluate_method",
     "f1",
-    "filter_eligible_users",
     "generate_score_records",
     "generate_synthetic_user",
     "inject_intrusion",
@@ -89,9 +81,7 @@ __all__ = [
     "parse_event_log",
     "prepare_cohort",
     "roc_curve",
-    "sample_foreground",
     "save_model",
-    "score_window",
     "sensitivity",
     "sessionize",
     "specificity",

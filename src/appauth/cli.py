@@ -15,7 +15,6 @@ import hashlib
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -23,8 +22,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .encode import KIND_APP, encode_sessions, read_sequence_csv, write_sequence_csv
+from .encode import KIND_APP, read_sequence_csv, write_sequence_csv
 from .evaluation import (
+    DEFAULT_MIN_TEST,
+    DEFAULT_MIN_TRAIN,
+    HMM_METHODS,
     EerGrid,
     PreparedUser,
     ScoreRecord,
@@ -41,10 +43,10 @@ from .evaluation import (
     prepare_cohort,
     roc_curve,
     sensitivity,
-    sort_records,
     specificity,
     top_apps_report,
     train_cohort_models,
+    train_hmm_bases,
     unknown_app_stats,
     write_eer_grid_csv,
     write_roc_csv,
@@ -54,6 +56,7 @@ from .evaluation import (
     write_unknown_stats_csv,
 )
 from .ingest import (
+    DEFAULT_IDLE_GAP,
     FormatError,
     RawEvent,
     group_by_user,
@@ -106,12 +109,11 @@ class ExperimentConfig:
     seed: int = 0
     stride: int = 1
     out: str = "results"
-    idle_gap: float = 300.0
-    min_train: int = 500
-    min_test: int = 200
+    idle_gap: float = DEFAULT_IDLE_GAP
+    min_train: int = DEFAULT_MIN_TRAIN
+    min_test: int = DEFAULT_MIN_TEST
     segment: int = 200
     threshold_percentile: float = 5.0
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if not self.periods or not self.n_values or not self.methods:
@@ -142,7 +144,6 @@ class ExperimentConfig:
             "min_test": self.min_test,
             "segment": self.segment,
             "threshold_percentile": self.threshold_percentile,
-            "jobs": self.jobs,
         }
         return payload
 
@@ -194,8 +195,6 @@ def apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Exper
         updates["synthetic"] = replace(config.synthetic, seed=args.seed)
     if getattr(args, "out", None):
         updates["out"] = args.out
-    if getattr(args, "jobs", None):
-        updates["jobs"] = args.jobs
     return replace(config, **updates) if updates else config
 
 
@@ -230,9 +229,11 @@ def _load_cohort(config: ExperimentConfig) -> dict[str, list[RawEvent]]:
     return make_cohort(config.synthetic)
 
 
-def _prepare(config: ExperimentConfig, period: int) -> dict[str, PreparedUser]:
+def _prepare(
+    config: ExperimentConfig, events_by_user: Mapping[str, Sequence[RawEvent]], period: int
+) -> dict[str, PreparedUser]:
     return prepare_cohort(
-        _load_cohort(config),
+        events_by_user,
         period,
         train_fraction=config.train_fraction,
         idle_gap=config.idle_gap,
@@ -258,8 +259,9 @@ def cmd_synth(config: ExperimentConfig) -> int:
 def cmd_ingest(config: ExperimentConfig) -> int:
     out = _out_dir(config)
     report: dict = {"periods": {}}
+    events_by_user = _load_cohort(config)
     for period in config.periods:
-        prepared = _prepare(config, period)
+        prepared = _prepare(config, events_by_user, period)
         train_rows = []
         test_rows = []
         for user in sorted(prepared):
@@ -290,26 +292,24 @@ def _with_timestamps(observations) -> list[tuple[int, object]]:
 def cmd_train(config: ExperimentConfig) -> int:
     out = _out_dir(config)
     period = config.periods[0]
-    prepared = _prepare(config, period)
+    prepared = _prepare(config, _load_cohort(config), period)
     if not prepared:
         print("no eligible users to train on", file=sys.stderr)
         return EXIT_DATA
     model_dir = out / "models"
     model_dir.mkdir(exist_ok=True)
-
-    def _train_one(user: str) -> list[str]:
-        written = []
-        for method in config.methods:
-            model = train_cohort_models(method, {user: prepared[user]}, config.train_config)[user]
-            path = model_dir / f"{user}.{method}.npz"
-            save_model(model, path, owner=user)
-            written.append(path.name)
-        return written
-
-    with ThreadPoolExecutor(max_workers=max(1, config.jobs)) as pool:
-        results = list(pool.map(_train_one, sorted(prepared)))
+    train_config = config.train_config
+    bases = (
+        train_hmm_bases(prepared, train_config)
+        if any(m in HMM_METHODS for m in config.methods)
+        else None
+    )
+    for method in config.methods:
+        models = train_cohort_models(method, prepared, train_config, bases)
+        for user, model in models.items():
+            save_model(model, model_dir / f"{user}.{method}.npz", owner=user)
     write_manifest(config, "train", out)
-    total = sum(len(r) for r in results)
+    total = len(prepared) * len(config.methods)
     print(f"trained {total} models ({len(prepared)} users x {len(config.methods)} methods) in {model_dir}")
     return EXIT_OK
 
@@ -322,8 +322,8 @@ def cmd_score(config: ExperimentConfig, model_path: str, sequence_path: str) -> 
     by_owner: dict[str, list] = {}
     for seq_owner, _, obs in rows:
         by_owner.setdefault(seq_owner, []).append(obs)
-    n = config.n_values[0]
-    records = generate_score_records({owner: model}, by_owner, n, config.stride)
+    projections = {(owner, wo): model.vocab.project(obs) for wo, obs in by_owner.items()}
+    records = generate_score_records({owner: model}, projections, config.n_values[0], config.stride)
     write_scores_csv(records, out / "scores.csv")
     write_manifest(config, "score", out)
     print(f"wrote {len(records)} scores to {out / 'scores.csv'}")
@@ -341,8 +341,9 @@ def cmd_eval(config: ExperimentConfig) -> int:
         for m in config.methods
     }
     first_period_records: dict[tuple[str, int], list[ScoreRecord]] = {}
+    events_by_user = _load_cohort(config)
     for j, period in enumerate(config.periods):
-        prepared = _prepare(config, period)
+        prepared = _prepare(config, events_by_user, period)
         if len(prepared) < 2:
             log.warning("period %ds: fewer than 2 eligible users; skipping column", period)
             continue
@@ -399,7 +400,7 @@ def cmd_eval(config: ExperimentConfig) -> int:
 def cmd_stats(config: ExperimentConfig) -> int:
     out = _out_dir(config)
     period = config.periods[0]
-    prepared = _prepare(config, period)
+    prepared = _prepare(config, _load_cohort(config), period)
     if len(prepared) < 2:
         print("need at least 2 eligible users for statistics", file=sys.stderr)
         return EXIT_DATA
@@ -431,21 +432,16 @@ def cmd_intrude(config: ExperimentConfig) -> int:
     method = config.methods[0] if len(config.methods) == 1 else (
         "mshmm" if "mshmm" in config.methods else config.methods[0]
     )
-    prepared = _prepare(config, period)
+    prepared = _prepare(config, _load_cohort(config), period)
     if len(prepared) < 2:
         print("need at least 2 eligible users for intrusion replay", file=sys.stderr)
         return EXIT_DATA
     models = train_cohort_models(method, prepared, config.train_config)
     test_obs = {u: p.test_observations for u, p in prepared.items()}
+    genuine = {(u, u): models[u].vocab.project(test_obs[u]) for u in models}
     studies = []
     for n in config.n_values:
-        genuine_records: list[ScoreRecord] = []
-        for user in sorted(models):
-            genuine_records.extend(
-                generate_score_records(
-                    {user: models[user]}, {user: test_obs[user]}, n, config.stride
-                )
-            )
+        genuine_records = generate_score_records(models, genuine, n, config.stride)
         thresholds = genuine_score_thresholds(genuine_records, config.threshold_percentile)
         studies.append(
             intrusion_study(models, test_obs, n, thresholds, config.seed, config.segment)
@@ -482,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--period", type=int, help="restrict to one sampling period (s)")
         p.add_argument("--seed", type=int, help="override the experiment seed")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--jobs", type=int, help="max concurrent workers")
 
     for name, help_text in [
         ("synth", "generate a synthetic cohort event log"),

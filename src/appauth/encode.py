@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -272,49 +272,11 @@ class Vocabulary:
             return self.session_start_index
         return self.day_change_index
 
-    def symbol_at(self, index: int) -> Observation:
-        if not 0 <= index < self.size:
-            raise IndexError(f"symbol index {index} out of range for size {self.size}")
-        if index < self.unknown_base:
-            rank, ctx = divmod(index, CONTEXTS_PER_APP)
-            tz, day = divmod(ctx, N_DAY)
-            return Observation(KIND_APP, self.apps[rank], tz, day)
-        if index < self.session_start_index:
-            tz, day = divmod(index - self.unknown_base, N_DAY)
-            return Observation(KIND_UNKNOWN, "", tz, day)
-        if index == self.session_start_index:
-            return SESSION_START
-        return DAY_CHANGE
-
     def project(self, observations: Iterable[Observation]) -> np.ndarray:
         """Encode observations as an int64 index array."""
         return np.fromiter(
             (self.index_of(o) for o in observations), dtype=np.int64, count=-1
         )
-
-    def is_unknown_index(self, index: int) -> bool:
-        return self.unknown_base <= index < self.session_start_index
-
-    def is_app_index(self, index: int) -> bool:
-        return 0 <= index < self.unknown_base
-
-    def is_marker_index(self, index: int) -> bool:
-        return index >= self.session_start_index
-
-    def app_of_index(self, index: int) -> str:
-        if not self.is_app_index(index):
-            raise ValueError(f"index {index} is not an app symbol")
-        return self.apps[index // CONTEXTS_PER_APP]
-
-    def context_of_index(self, index: int) -> tuple[int, int]:
-        """(tz, day) of an app or unknown symbol index."""
-        if self.is_marker_index(index) or index < 0:
-            raise ValueError(f"index {index} has no time context")
-        if self.is_unknown_index(index):
-            ctx = index - self.unknown_base
-        else:
-            ctx = index % CONTEXTS_PER_APP
-        return divmod(ctx, N_DAY)
 
     def to_json(self) -> dict:
         return {"apps": list(self.apps)}
@@ -322,15 +284,6 @@ class Vocabulary:
     @classmethod
     def from_json(cls, payload: dict) -> "Vocabulary":
         return cls(payload["apps"])
-
-
-def last_n_window(symbols: Sequence, n: int) -> Sequence:
-    """The trailing n-symbol window of a sequence; errors if too short."""
-    if n < 1:
-        raise ValueError("window length must be >= 1")
-    if len(symbols) < n:
-        raise ValueError(f"sequence of length {len(symbols)} has no {n}-window")
-    return symbols[len(symbols) - n :]
 
 
 def sliding_windows(indices: np.ndarray, n: int) -> np.ndarray:
@@ -341,23 +294,3 @@ def sliding_windows(indices: np.ndarray, n: int) -> np.ndarray:
     if arr.size < n:
         return np.empty((0, n), dtype=np.int64)
     return np.lib.stride_tricks.sliding_window_view(arr, n)
-
-
-def is_unforeseen(index: int, seen: "set[int] | np.ndarray") -> bool:
-    """True when a symbol index never occurred in the training material."""
-    if isinstance(seen, np.ndarray):
-        return not bool(seen[index]) if seen.dtype == np.bool_ else index not in set(seen.tolist())
-    return index not in seen
-
-
-def seen_mask(train_indices: np.ndarray, size: int) -> np.ndarray:
-    """Boolean mask over the alphabet marking symbols present in training."""
-    mask = np.zeros(size, dtype=np.bool_)
-    mask[np.asarray(train_indices, dtype=np.int64)] = True
-    return mask
-
-
-def iter_app_indices(indices: Iterable[int], vocab: Vocabulary) -> Iterator[int]:
-    for i in indices:
-        if vocab.is_app_index(i):
-            yield i

@@ -16,13 +16,16 @@ from typing import Iterable, Mapping, Sequence, TextIO
 import numpy as np
 
 from .encode import KIND_APP, Observation, Vocabulary, encode_sessions, sliding_windows
-from .ingest import Session, resample_sessions, sessionize, split_sessions
+from .ingest import DEFAULT_IDLE_GAP, Session, resample_sessions, sessionize, split_sessions
 from .models import TrainConfig, UserModel, baum_welch, train_user_model
 from .models.hmm import HmmParams, TrainingTrace
 
 log = logging.getLogger(__name__)
 
 HMM_METHODS = ("hmm-lap", "mshmm")
+
+DEFAULT_MIN_TRAIN = 500
+DEFAULT_MIN_TEST = 200
 
 
 def format_number(x: float) -> str:
@@ -117,51 +120,41 @@ class EerGrid:
 # scoring protocol
 
 
-def _window_scores(model: UserModel, indices: np.ndarray, n: int, stride: int):
-    mat = sliding_windows(indices, n)[::stride]
-    ends = np.arange(n - 1, indices.size, stride, dtype=np.int64)
-    return ends, model.score_windows(mat)
-
-
 def generate_score_records(
     models: Mapping[str, UserModel],
-    test_observations: Mapping[str, Sequence[Observation]],
+    projections: Mapping[tuple[str, str], np.ndarray],
     n: int,
     stride: int = 1,
 ) -> list[ScoreRecord]:
-    """Score every user's test windows against every user's model.
+    """Score test windows against models, one (model owner, window owner)
+    pair per key of `projections`.
 
-    Each test sequence is projected into the scoring model's vocabulary, so
-    unknown-ness is always relative to the verifier. Windows end at indices
-    n-1, n-1+stride, ...; owners with fewer than n test symbols are skipped
-    with a warning.
+    Each projection is the window owner's test sequence already projected
+    into the model owner's vocabulary, so unknown-ness is always relative to
+    the verifier. Windows end at indices n-1, n-1+stride, ...; pairs with
+    fewer than n test symbols are skipped with a warning.
     """
     if n < 1:
         raise ValueError("window length must be >= 1")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     records: list[ScoreRecord] = []
-    too_short: set[str] = set()
-    for model_owner in sorted(models):
-        model = models[model_owner]
-        for window_owner in sorted(test_observations):
-            obs = test_observations[window_owner]
-            if len(obs) < n:
-                if window_owner not in too_short:
-                    log.warning(
-                        "skipping %s: %d test symbols < window length %d",
-                        window_owner,
-                        len(obs),
-                        n,
-                    )
-                    too_short.add(window_owner)
-                continue
-            indices = model.vocab.project(obs)
-            ends, scores = _window_scores(model, indices, n, stride)
-            records.extend(
-                ScoreRecord(model_owner, window_owner, int(e), float(s))
-                for e, s in zip(ends, scores)
+    for model_owner, window_owner in sorted(projections):
+        indices = projections[(model_owner, window_owner)]
+        if indices.size < n:
+            log.warning(
+                "skipping %s vs %s: %d test symbols < window length %d",
+                model_owner,
+                window_owner,
+                indices.size,
+                n,
             )
+            continue
+        scores = models[model_owner].score_windows(sliding_windows(indices, n)[::stride])
+        ends = range(n - 1, indices.size, stride)
+        records.extend(
+            ScoreRecord(model_owner, window_owner, e, float(s)) for e, s in zip(ends, scores)
+        )
     return records
 
 
@@ -223,6 +216,8 @@ def _split_scores(records: Iterable[ScoreRecord]) -> tuple[np.ndarray, np.ndarra
 
 def _sweep(genuine: np.ndarray, impostor: np.ndarray):
     """FAR/FRR (fractions) at every distinct score plus a top sentinel."""
+    if not (np.isfinite(genuine).all() and np.isfinite(impostor).all()):
+        raise FloatingPointError("non-finite scores cannot be ranked")
     thresholds = np.unique(np.concatenate([genuine, impostor]))
     thresholds = np.append(thresholds, thresholds[-1] + 1.0)
     far = (impostor.size - np.searchsorted(impostor, thresholds, side="left")) / impostor.size
@@ -414,11 +409,15 @@ def prepare_cohort(
     events_by_user: Mapping[str, Sequence],
     period: int,
     train_fraction: float = 0.7,
-    idle_gap: float = 300.0,
-    min_train: int = 500,
-    min_test: int = 200,
+    idle_gap: float = DEFAULT_IDLE_GAP,
+    min_train: int = DEFAULT_MIN_TRAIN,
+    min_test: int = DEFAULT_MIN_TEST,
 ) -> dict[str, PreparedUser]:
-    """Full per-user pipeline from raw events; drops ineligible users."""
+    """Full per-user pipeline from raw events; drops ineligible users.
+
+    A user is eligible with at least min_train app samples in the training
+    split and min_test in the test split; markers do not count.
+    """
     prepared: dict[str, PreparedUser] = {}
     for user in sorted(events_by_user):
         sessions = sessionize(events_by_user[user], idle_gap=idle_gap)
@@ -498,55 +497,8 @@ def evaluate_methods(
     for method in methods:
         models = train_cohort_models(method, prepared, config, bases)
         for n in n_values:
-            records: list[ScoreRecord] = []
-            for mo in users:
-                model = models[mo]
-                for wo in users:
-                    indices = projections[(mo, wo)]
-                    if indices.size < n:
-                        log.warning(
-                            "skipping %s vs %s: %d symbols < n=%d", mo, wo, indices.size, n
-                        )
-                        continue
-                    ends, scores = _window_scores(model, indices, n, stride)
-                    records.extend(
-                        ScoreRecord(mo, wo, int(e), float(s)) for e, s in zip(ends, scores)
-                    )
-            out[(method, n)] = records
+            out[(method, n)] = generate_score_records(models, projections, n, stride)
     return out
-
-
-def evaluate_method(
-    method: str,
-    events_by_user: Mapping[str, Sequence],
-    n_values: Sequence[int] = (20, 30, 40, 50, 60),
-    periods: Sequence[int] = (5, 10, 15, 20, 25, 30),
-    config: TrainConfig = TrainConfig(),
-    train_fraction: float = 0.7,
-    stride: int = 1,
-    min_train: int = 500,
-    min_test: int = 200,
-) -> EerGrid:
-    """EER grid over (window length, sampling period), re-ingesting the
-    cohort at each period."""
-    values = np.full((len(n_values), len(periods)), np.nan)
-    for j, period in enumerate(periods):
-        prepared = prepare_cohort(
-            events_by_user,
-            period,
-            train_fraction=train_fraction,
-            min_train=min_train,
-            min_test=min_test,
-        )
-        if len(prepared) < 2:
-            log.warning("period %ds: fewer than 2 eligible users; grid column empty", period)
-            continue
-        by_key = evaluate_methods([method], prepared, n_values, config, stride)
-        for i, n in enumerate(n_values):
-            records = by_key[(method, n)]
-            if records:
-                values[i, j] = equal_error_rate(records)
-    return EerGrid(tuple(n_values), tuple(periods), values)
 
 
 # ---------------------------------------------------------------------------

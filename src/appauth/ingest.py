@@ -8,12 +8,11 @@ works on usage sessions resampled at a fixed period.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 log = logging.getLogger(__name__)
 
@@ -21,8 +20,6 @@ EVENT_LOG_HEADER = ["user_id", "local_timestamp", "kind", "app_id"]
 EVENT_KINDS = ("app", "unlock", "lock")
 
 DEFAULT_IDLE_GAP = 300.0
-DEFAULT_MIN_TRAIN = 500
-DEFAULT_MIN_TEST = 200
 
 
 class FormatError(ValueError):
@@ -95,25 +92,15 @@ class ParseReport:
 
 @dataclass(slots=True)
 class SplitDataset:
-    """Chronological train/test division of one user's data.
+    """Chronological train/test division of one user's sessions."""
 
-    ``train`` and ``test`` hold either flat ``(timestamp, app_id)`` samples or
-    ``Session`` objects, depending on which splitter produced them.
-    """
-
-    train: list
-    test: list
+    train: list[Session]
+    test: list[Session]
     train_fraction: float
 
     def __post_init__(self) -> None:
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
-
-
-def _count_samples(side: Sequence) -> int:
-    if side and isinstance(side[0], Session):
-        return sum(len(s.samples) for s in side)
-    return len(side)
 
 
 def parse_event_log(source: str | Path | TextIO) -> tuple[list[RawEvent], ParseReport]:
@@ -275,32 +262,12 @@ def resample_sessions(sessions: Sequence[Session], period: int) -> list[Session]
     return out
 
 
-def sample_foreground(sessions: Sequence[Session], period: int) -> list[tuple[int, str]]:
-    """Flat fixed-period sample stream across all sessions, in time order."""
-    flat: list[tuple[int, str]] = []
-    for sess in resample_sessions(sessions, period):
-        flat.extend(sess.samples)
-    return flat
-
-
-def chronological_split(samples: Sequence, train_fraction: float) -> SplitDataset:
-    """Split a time-sorted flat sample list: earliest floor(fraction * total)
-    samples go to train, the remainder to test."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
-    if len(samples) < 2:
-        raise ValueError(f"need at least 2 samples to split, got {len(samples)}")
-    n_train = math.floor(train_fraction * len(samples))
-    n_train = min(max(n_train, 1), len(samples) - 1)
-    return SplitDataset(list(samples[:n_train]), list(samples[n_train:]), train_fraction)
-
-
 def split_sessions(sessions: Sequence[Session], train_fraction: float) -> SplitDataset:
     """Session-aware chronological split at the sample level.
 
-    The cut lands on the same sample index as chronological_split of the
-    flattened stream; a session straddling the boundary is divided into a
-    train fragment and a test fragment so no sample is lost.
+    The earliest floor(train_fraction * total) samples, clamped so each side
+    keeps at least one, go to train; a session straddling the boundary is
+    divided into a train fragment and a test fragment so no sample is lost.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
@@ -329,26 +296,3 @@ def split_sessions(sessions: Sequence[Session], train_fraction: float) -> SplitD
             test.append(Session(sess.user_id, tail[0][0], sess.end, tail))
             remaining = 0
     return SplitDataset(train, test, train_fraction)
-
-
-def filter_eligible_users(
-    splits: Mapping[str, SplitDataset],
-    min_train: int = DEFAULT_MIN_TRAIN,
-    min_test: int = DEFAULT_MIN_TEST,
-) -> list[str]:
-    """Users whose splits meet both sample-count thresholds, sorted by id.
-
-    Only app samples count; session markers added later by the encoder do
-    not contribute.
-    """
-    eligible = [
-        uid
-        for uid, split in splits.items()
-        if _count_samples(split.train) >= min_train and _count_samples(split.test) >= min_test
-    ]
-    return sorted(eligible)
-
-
-def read_event_log_text(text: str) -> tuple[list[RawEvent], ParseReport]:
-    """Convenience wrapper parsing an in-memory CSV string."""
-    return parse_event_log(io.StringIO(text))

@@ -1,8 +1,7 @@
-"""Verification models: uniform train/score dispatch over the six methods."""
+"""Verification models: the six methods and their training dispatch; every
+model scores through `score_windows`."""
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..encode import Vocabulary
 from .binary import BinaryUnforeseenModel, BinaryUnknownModel
@@ -17,7 +16,6 @@ from .hmm import (
     HmmParams,
     LaplaceHmmModel,
     TrainingTrace,
-    batched_forward_log_likelihood,
     baum_welch,
     forward_log_likelihood,
     laplace_smooth_emissions,
@@ -78,16 +76,6 @@ def train_user_model(
     raise ValueError(f"unknown method {method!r}; expected one of {METHOD_TAGS}")
 
 
-def score_window(model: UserModel, window) -> float:
-    """Score one window with any trained model (higher = more genuine)."""
-    return model.score_window(window)
-
-
-def score_windows(model: UserModel, windows) -> np.ndarray:
-    """Score a batch of equal-length windows."""
-    return model.score_windows(windows)
-
-
 __all__ = [
     "BinaryUnforeseenModel",
     "BinaryUnknownModel",
@@ -103,15 +91,12 @@ __all__ = [
     "TrainConfig",
     "TrainingTrace",
     "UserModel",
-    "batched_forward_log_likelihood",
     "baum_welch",
     "extended_emissions",
     "forward_log_likelihood",
     "laplace_smooth_emissions",
     "load_model",
     "save_model",
-    "score_window",
-    "score_windows",
     "substitution_cost",
     "train_user_model",
     "vocabulary_hash",

@@ -24,12 +24,6 @@ class BinaryUnknownModel:
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
 
-    def score_window(self, window) -> float:
-        arr = as_index_array(window)
-        check_indices(arr, self.vocab.size)
-        lo, hi = self.vocab.unknown_base, self.vocab.session_start_index
-        return 0.0 if bool(np.any((arr >= lo) & (arr < hi))) else 1.0
-
     def score_windows(self, windows) -> np.ndarray:
         mat = as_window_matrix(windows)
         check_indices(mat, self.vocab.size)
@@ -64,11 +58,6 @@ class BinaryUnforeseenModel:
         seen = np.zeros(vocab.size, dtype=np.bool_)
         seen[arr] = True
         return cls(vocab, seen)
-
-    def score_window(self, window) -> float:
-        arr = as_index_array(window)
-        check_indices(arr, self.vocab.size)
-        return 0.0 if bool(np.any(~self.seen[arr])) else 1.0
 
     def score_windows(self, windows) -> np.ndarray:
         mat = as_window_matrix(windows)

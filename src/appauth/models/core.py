@@ -46,10 +46,6 @@ class TrainConfig:
         if self.tol < 0:
             raise ValueError("tol must be >= 0")
 
-    @property
-    def delta(self) -> float:
-        return self.smoothing.delta
-
 
 def as_index_array(window) -> np.ndarray:
     """Validate and coerce a symbol-index window to a 1-D int64 array."""

@@ -87,11 +87,8 @@ class MedModel:
     def fit(cls, train_indices, vocab: Vocabulary) -> "MedModel":
         return cls(vocab, np.asarray(train_indices, dtype=np.int64))
 
-    def distance(self, window) -> int:
-        return int(self.distances(as_index_array(window)[None, :])[0])
-
-    def distances(self, windows) -> np.ndarray:
-        """Semi-global alignment distance of each window to the text.
+    def score_windows(self, windows) -> np.ndarray:
+        """Negated semi-global alignment distance of each window to the text.
 
         Dynamic program over (window position, text position); within-row
         minimization over the cost-3 gap chain is done with a running-minimum
@@ -122,10 +119,4 @@ class MedModel:
             np.minimum.accumulate(cand, axis=1, out=cand)
             cand += ramp
             prev, cand = cand, prev
-        return prev.min(axis=1)  # trailing text is free
-
-    def score_window(self, window) -> float:
-        return -float(self.distance(window))
-
-    def score_windows(self, windows) -> np.ndarray:
-        return -self.distances(windows).astype(np.float64)
+        return -prev.min(axis=1).astype(np.float64)  # trailing text is free

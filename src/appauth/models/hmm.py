@@ -62,29 +62,15 @@ class TrainingTrace:
         return self.log_likelihoods[-1] if self.log_likelihoods else float("nan")
 
 
-def forward_over_arrays(pi: np.ndarray, trans: np.ndarray, emit: np.ndarray, window) -> float:
-    """Scaled forward recursion over raw arrays; emit need not be stochastic
-    (the marginally-smoothed variant scores through a patched emission
-    table)."""
-    seq = as_index_array(window)
-    check_indices(seq, emit.shape[1])
-    alpha = pi * emit[:, seq[0]]
-    total = 0.0
-    for t in range(seq.size):
-        if t:
-            alpha = (alpha @ trans) * emit[:, seq[t]]
-        c = alpha.sum()
-        if not c > 0.0:
-            raise FloatingPointError("forward pass lost all probability mass")
-        total += float(np.log(c))
-        alpha = alpha / c
-    return total
-
-
-def batched_forward_over_arrays(
+def forward_log_likelihood(
     pi: np.ndarray, trans: np.ndarray, emit: np.ndarray, windows
 ) -> np.ndarray:
-    """Forward log-likelihood of many equal-length windows at once."""
+    """log P(window) of each row of a (W, n) window batch by the scaled
+    forward recursion; a single window is a batch of one.
+
+    emit need not be stochastic: the marginally-smoothed variant scores
+    through a patched emission table.
+    """
     mat = as_window_matrix(windows)
     check_indices(mat, emit.shape[1])
     alpha = pi[None, :] * emit[:, mat[:, 0]].T
@@ -98,15 +84,6 @@ def batched_forward_over_arrays(
         totals += np.log(c)
         alpha = alpha / c[:, None]
     return totals
-
-
-def forward_log_likelihood(params: HmmParams, window) -> float:
-    """log P(window | params) by the scaled forward recursion."""
-    return forward_over_arrays(params.pi, params.trans, params.emit, window)
-
-
-def batched_forward_log_likelihood(params: HmmParams, windows) -> np.ndarray:
-    return batched_forward_over_arrays(params.pi, params.trans, params.emit, windows)
 
 
 def _forward_backward(params: HmmParams, seq: np.ndarray):
@@ -243,8 +220,5 @@ class LaplaceHmmModel:
         params, trace = base
         return cls(vocab, laplace_smooth_emissions(params, smoothing), smoothing.delta, trace)
 
-    def score_window(self, window) -> float:
-        return forward_log_likelihood(self.params, window)
-
     def score_windows(self, windows) -> np.ndarray:
-        return batched_forward_log_likelihood(self.params, windows)
+        return forward_log_likelihood(self.params.pi, self.params.trans, self.params.emit, windows)

@@ -6,7 +6,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..encode import Vocabulary
-from .core import SmoothingConfig, as_index_array, as_window_matrix, check_indices
+from .core import (
+    SmoothingConfig,
+    as_index_array,
+    as_window_matrix,
+    assert_stochastic,
+    check_indices,
+)
 
 
 class MarkovChainModel:
@@ -19,6 +25,12 @@ class MarkovChainModel:
         size = vocab.size
         if prior.shape != (size,) or transition.shape != (size, size):
             raise ValueError("parameter shapes do not match vocabulary size")
+        # Scores are log-probabilities: a NaN or zero entry would reach the
+        # EER as a NaN or -inf score, so loaded parameters are checked here.
+        if not (np.all(prior > 0.0) and np.all(transition > 0.0)):
+            raise ValueError("prior and transition entries must be finite and positive")
+        assert_stochastic(prior[None, :])
+        assert_stochastic(transition)
         self.vocab = vocab
         self.prior = np.asarray(prior, dtype=np.float64)
         self.transition = np.asarray(transition, dtype=np.float64)
@@ -50,14 +62,6 @@ class MarkovChainModel:
         out_counts = pair_counts.sum(axis=1, keepdims=True)
         transition = (pair_counts + d) / (out_counts + d * size)
         return cls(vocab, prior, transition, d)
-
-    def score_window(self, window) -> float:
-        arr = as_index_array(window)
-        check_indices(arr, self.vocab.size)
-        total = self._log_prior[arr[0]]
-        if arr.size > 1:
-            total = total + self._log_transition[arr[:-1], arr[1:]].sum()
-        return float(total)
 
     def score_windows(self, windows) -> np.ndarray:
         mat = as_window_matrix(windows)

@@ -15,13 +15,7 @@ import numpy as np
 
 from ..encode import CONTEXTS_PER_APP, N_DAY, N_TZ, Vocabulary
 from .core import SmoothingConfig, as_index_array, check_indices
-from .hmm import (
-    HmmParams,
-    TrainingTrace,
-    batched_forward_over_arrays,
-    baum_welch,
-    forward_over_arrays,
-)
+from .hmm import HmmParams, TrainingTrace, baum_welch, forward_log_likelihood
 
 
 class MarginalTables:
@@ -49,17 +43,6 @@ class MarginalTables:
         np.add.at(tz_counts, (ranks, ctx // N_DAY), 1.0)
         np.add.at(day_counts, (ranks, ctx % N_DAY), 1.0)
         return cls(vocab, tz_counts / apps.size, day_counts / apps.size)
-
-    def app_tz_probability(self, app_id: str, tz: int) -> float:
-        """P(app, tz-block); 0 for an app outside the vocabulary."""
-        if app_id not in self.vocab:
-            return 0.0
-        return float(self.p_app_tz[self.vocab.apps.index(app_id), tz])
-
-    def app_day_probability(self, app_id: str, day: int) -> float:
-        if app_id not in self.vocab:
-            return 0.0
-        return float(self.p_app_day[self.vocab.apps.index(app_id), day])
 
 
 def extended_emissions(
@@ -143,12 +126,5 @@ class MsHmmModel:
         seen[seq] = True
         return cls(vocab, params, marginals, seen, (smoothing or SmoothingConfig()).delta, trace)
 
-    def emission(self, state: int, symbol_index: int) -> float:
-        """Effective emission probability for one (state, symbol) pair."""
-        return float(self.emit_ext[state, symbol_index])
-
-    def score_window(self, window) -> float:
-        return forward_over_arrays(self.base.pi, self.base.trans, self.emit_ext, window)
-
     def score_windows(self, windows) -> np.ndarray:
-        return batched_forward_over_arrays(self.base.pi, self.base.trans, self.emit_ext, windows)
+        return forward_log_likelihood(self.base.pi, self.base.trans, self.emit_ext, windows)

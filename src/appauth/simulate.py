@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 import numpy as np
 
 from .encode import Observation, day_flag_of, timezone_of
-from .evaluation import ScoreRecord, format_number
+from .evaluation import ScoreRecord, _open_out, format_number
 from .ingest import RawEvent
 from .models import UserModel
 
@@ -362,11 +362,3 @@ def write_latency_csv(studies: Sequence[IntrusionStudy], dest: str | Path | Text
                 )
 
     _open_out(dest, _write)
-
-
-def _open_out(dest: str | Path | TextIO, write_fn) -> None:
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_fn(fh)
-    else:
-        write_fn(dest)

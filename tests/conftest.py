@@ -9,7 +9,7 @@ import numpy as np
 
 from appauth.encode import Observation, Vocabulary
 from appauth.models.edit_distance import INDEL_COST, substitution_cost
-from appauth.models.hmm import HmmParams
+from appauth.models.hmm import HmmParams, forward_log_likelihood
 from appauth.models.core import random_simplex
 
 
@@ -25,6 +25,11 @@ PSI = Observation("psi")
 DELTA = Observation("delta")
 
 
+def score_one(model, window) -> float:
+    """Score a single window as a batch of one."""
+    return float(model.score_windows(np.asarray(window, dtype=np.int64)[None, :])[0])
+
+
 def random_hmm(rng: np.random.Generator, n_states: int, n_symbols: int) -> HmmParams:
     """A random fully-stochastic parameter set."""
     return HmmParams(
@@ -32,6 +37,11 @@ def random_hmm(rng: np.random.Generator, n_states: int, n_symbols: int) -> HmmPa
         trans=random_simplex(rng, (n_states, n_states)),
         emit=random_simplex(rng, (n_states, n_symbols)),
     )
+
+
+def forward_one(params: HmmParams, window) -> float:
+    """Forward log-likelihood of a single window under raw parameters."""
+    return float(forward_log_likelihood(params.pi, params.trans, params.emit, [window])[0])
 
 
 def enumerate_forward(params: HmmParams, window) -> float:
@@ -46,6 +56,11 @@ def enumerate_forward(params: HmmParams, window) -> float:
             p *= params.emit[path[t], window[t]]
         total += p
     return math.log(total)
+
+
+def med_distance(model, window) -> float:
+    """Alignment distance of one window: the negated matcher score."""
+    return -score_one(model, window)
 
 
 def pairwise_distance(pattern: list[Observation], text: list[Observation]) -> int:

@@ -17,14 +17,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import brute_med_distance, enumerate_forward, random_hmm, random_observation
+from conftest import (
+    brute_med_distance,
+    enumerate_forward,
+    forward_one,
+    med_distance,
+    random_hmm,
+    random_observation,
+)
 from appauth.encode import KIND_APP, Vocabulary
 from appauth.evaluation import (
     ConfusionCounts,
     accuracy,
     confusion_counts,
     equal_error_rate,
-    evaluate_method,
     evaluate_methods,
     f1,
     generate_score_records,
@@ -36,7 +42,7 @@ from appauth.evaluation import (
     unknown_app_stats,
 )
 from appauth.ingest import group_by_user, parse_event_log
-from appauth.models import MedModel, TrainConfig, baum_welch, forward_log_likelihood
+from appauth.models import MedModel, TrainConfig, baum_welch
 from appauth.simulate import CohortSpec, genuine_score_thresholds, intrusion_study, make_cohort
 
 # Frozen experiment constants for the cohort-based criteria. Changing any of
@@ -77,11 +83,8 @@ def intrusion_result():
     start = time.perf_counter()
     prepared = prepare_cohort(make_cohort(INTRUDE_SPEC), PERIOD)
     models = train_cohort_models("mshmm", prepared, TRAIN)
-    genuine_records = []
-    for user, p in prepared.items():
-        genuine_records += generate_score_records(
-            {user: models[user]}, {user: p.test_observations}, N_LONG, STRIDE
-        )
+    genuine = {(u, u): models[u].vocab.project(p.test_observations) for u, p in prepared.items()}
+    genuine_records = generate_score_records(models, genuine, N_LONG, STRIDE)
     thresholds = genuine_score_thresholds(genuine_records, THRESHOLD_PERCENTILE)
     study = intrusion_study(
         models,
@@ -109,7 +112,7 @@ def test_criterion_01_forward_matches_path_enumeration():
         n = int(rng.integers(1, 7))
         params = random_hmm(rng, n_states, n_symbols)
         window = rng.integers(0, n_symbols, size=n)
-        got = forward_log_likelihood(params, window)
+        got = forward_one(params, window)
         want = enumerate_forward(params, window)
         # Both values are logs; the likelihood-domain relative error is
         # |exp(got - want) - 1|, which expm1 computes without cancellation.
@@ -149,7 +152,7 @@ def test_criterion_03_matcher_equals_exhaustive_alignment():
         text_obs = [random_observation(rng, apps) for _ in range(text_len)]
         win_obs = [random_observation(rng, apps) for _ in range(win_len)]
         model = MedModel.fit(vocab.project(text_obs), vocab)
-        got = model.distance(vocab.project(win_obs))
+        got = med_distance(model, vocab.project(win_obs))
         want = brute_med_distance(win_obs, text_obs)
         assert got == want, (text_obs, win_obs)
     elapsed = time.perf_counter() - start
@@ -260,9 +263,8 @@ def test_criterion_11_external_dataset_reproduction():
     events = []
     for path in paths:
         events += parse_event_log(path)[0]
-    grid = evaluate_method(
-        "med", group_by_user(events), n_values=(N_SHORT,), periods=(PERIOD,), config=TRAIN
-    )
-    eer = float(grid.values[0, 0])
+    prepared = prepare_cohort(group_by_user(events), PERIOD)
+    records = evaluate_methods(("med",), prepared, (N_SHORT,), TRAIN)
+    eer = equal_error_rate(records[("med", N_SHORT)])
     print(f"criterion 11: matcher EER at period 30, n=20: {eer:.2f}%")
     assert eer == pytest.approx(43.20, abs=1.5)

@@ -6,10 +6,13 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from appauth import cli
 from appauth.cli import (
     EXIT_DATA,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     ExperimentConfig,
@@ -19,7 +22,7 @@ from appauth.cli import (
     main,
 )
 from appauth.evaluation import read_scores_csv
-from appauth.models import METHOD_TAGS
+from appauth.models import METHOD_TAGS, MarkovChainModel
 
 TINY = {
     "synthetic": {
@@ -44,7 +47,6 @@ TINY = {
     "segment": 40,
     "min_train": 50,
     "min_test": 30,
-    "jobs": 2,
 }
 
 USERS = ["user00", "user01", "user02"]
@@ -224,6 +226,56 @@ def test_malformed_sequence_file_exits_2(pipeline, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_tampered_model_exits_2(pipeline, tmp_path, capsys):
+    out, cfg = pipeline
+    with np.load(out / "models" / "user00.mc.npz", allow_pickle=False) as payload:
+        arrays = {k: payload[k] for k in payload.files}
+    arrays["transition"][0, 0] = np.nan
+    tampered = tmp_path / "user00.mc.npz"
+    np.savez(tampered, **arrays)
+    code = main(
+        [
+            "score",
+            "--config",
+            str(cfg),
+            "--out",
+            str(tmp_path / "o"),
+            "--model",
+            str(tampered),
+            "--sequence",
+            str(out / "test_period30.csv"),
+        ]
+    )
+    assert code == EXIT_DATA
+    assert "finite and positive" in capsys.readouterr().err
+
+
+def test_non_finite_scores_exit_3(tmp_path, monkeypatch, capsys):
+    def nan_scores(self, windows):
+        return np.full(len(windows), np.nan)
+
+    monkeypatch.setattr(MarkovChainModel, "score_windows", nan_scores)
+    cfg = write_config(tmp_path, out=str(tmp_path / "o"), methods=["mc"])
+    assert main(["eval", "--config", str(cfg)]) == EXIT_NUMERIC
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def test_multi_period_run_loads_input_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli.make_cohort
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(cli, "make_cohort", counting)
+    cfg = write_config(tmp_path, out=str(tmp_path / "o"), periods=[30, 60], methods=["mc"])
+    for command in ("ingest", "eval"):
+        calls.clear()
+        assert main([command, "--config", str(cfg)]) == EXIT_OK
+        assert len(calls) == 1, command
+
+
 def test_train_with_no_eligible_users_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, out=str(tmp_path / "o"), min_train=10**6)
     assert main(["train", "--config", str(cfg)]) == EXIT_DATA
@@ -257,7 +309,7 @@ def test_config_hash_tracks_content():
 def test_apply_overrides_from_argv():
     args = build_parser().parse_args(
         ["train", "--method", "mc", "--n", "40", "--period", "10",
-         "--seed", "9", "--out", "elsewhere", "--jobs", "3"]
+         "--seed", "9", "--out", "elsewhere"]
     )
     config = apply_overrides(ExperimentConfig(), args)
     assert config.methods == ("mc",)
@@ -265,6 +317,5 @@ def test_apply_overrides_from_argv():
     assert config.periods == (10,)
     assert config.seed == 9 and config.synthetic.seed == 9
     assert config.out == "elsewhere"
-    assert config.jobs == 3
     plain = ExperimentConfig()
     assert apply_overrides(plain, build_parser().parse_args(["train"])) is plain

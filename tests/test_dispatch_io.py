@@ -20,8 +20,6 @@ from appauth.models import (
     TrainConfig,
     load_model,
     save_model,
-    score_window,
-    score_windows,
     train_user_model,
 )
 
@@ -58,29 +56,20 @@ def test_dispatch_rejects_unknown_tag():
         train_user_model("gru", train, vocab, config)
 
 
-def test_free_functions_delegate_to_model_methods():
-    vocab, train, config = make_training()
-    model = train_user_model("mc", train, vocab, config)
-    window = train[:8]
-    assert score_window(model, window) == model.score_window(window)
-    windows = np.stack([train[:8], train[8:16]])
-    np.testing.assert_array_equal(score_windows(model, windows), model.score_windows(windows))
-
-
 def test_save_load_round_trip_is_bit_identical(tmp_path):
     vocab, train, config = make_training()
     rng = np.random.default_rng(42)
     windows = rng.integers(0, vocab.size, size=(40, 12))
     for tag in METHOD_TAGS:
         model = train_user_model(tag, train, vocab, config)
-        before = score_windows(model, windows)
+        before = model.score_windows(windows)
         path = tmp_path / f"model.{tag}.npz"
         save_model(model, path, owner="user42")
         loaded = load_model(path)
         assert loaded.method == tag
         assert loaded.owner == "user42"
         assert loaded.vocab == vocab
-        after = score_windows(loaded, windows)
+        after = loaded.score_windows(windows)
         np.testing.assert_array_equal(before, after)
 
 
@@ -103,6 +92,15 @@ def test_load_rejects_foreign_and_tampered_files(tmp_path):
     np.savez(tampered, **arrays)
     with pytest.raises(FormatError):
         load_model(tampered)
+
+    # a NaN prior entry would score NaN and poison the EER
+    with np.load(path, allow_pickle=False) as payload:
+        arrays = {k: payload[k] for k in payload.files}
+    arrays["prior"][0] = np.nan
+    poisoned = tmp_path / "poisoned.npz"
+    np.savez(poisoned, **arrays)
+    with pytest.raises(ValueError, match="finite and positive"):
+        load_model(poisoned)
 
 
 def test_train_config_validation():

@@ -15,9 +15,7 @@ from appauth.encode import (
     day_flag_of,
     day_ordinal,
     encode_sessions,
-    last_n_window,
     read_sequence_csv,
-    seen_mask,
     sliding_windows,
     timezone_of,
     write_sequence_csv,
@@ -130,24 +128,6 @@ def test_vocabulary_folds_unknown_apps():
     assert "alpha" in vocab and "stranger" not in vocab
 
 
-def test_vocabulary_symbol_at_inverts_index_of():
-    vocab = Vocabulary(["a", "b", "c"])
-    for idx in range(vocab.size):
-        assert vocab.index_of(vocab.symbol_at(idx)) == idx
-    with pytest.raises(IndexError):
-        vocab.symbol_at(vocab.size)
-
-
-def test_vocabulary_index_helpers():
-    vocab = Vocabulary(["a", "b"])
-    assert vocab.is_app_index(0) and not vocab.is_app_index(vocab.unknown_base)
-    assert vocab.is_unknown_index(vocab.unknown_base + 5)
-    assert vocab.is_marker_index(vocab.session_start_index)
-    assert vocab.app_of_index(7) == "b"
-    assert vocab.context_of_index(7) == (0, 1)
-    assert vocab.context_of_index(vocab.unknown_base + 4) == (2, 0)
-
-
 def test_vocabulary_project_and_json_round_trip():
     vocab = Vocabulary(["a", "b"])
     stream = [PSI, app("a", 1, 1), app("nope", 0, 0), DELTA]
@@ -171,20 +151,13 @@ def test_vocabulary_from_observations_keeps_app_ids_only():
 
 def test_window_helpers():
     idx = np.arange(5, dtype=np.int64)
-    assert list(last_n_window(idx, 3)) == [2, 3, 4]
+    assert sliding_windows(idx, 3)[-1].tolist() == [2, 3, 4]  # the trailing window
     with pytest.raises(ValueError):
-        last_n_window(idx, 6)
+        sliding_windows(idx, 0)
     mat = sliding_windows(idx, 2)
     assert mat.shape == (4, 2)
     assert mat[0].tolist() == [0, 1] and mat[-1].tolist() == [3, 4]
     assert sliding_windows(idx, 9).shape == (0, 9)
-
-
-def test_seen_mask_marks_training_symbols():
-    vocab = Vocabulary(["a"])
-    mask = seen_mask(np.array([0, 0, 3], dtype=np.int64), vocab.size)
-    assert mask[0] and mask[3] and not mask[1]
-    assert mask.sum() == 2
 
 
 def test_sequence_csv_round_trip(tmp_path):

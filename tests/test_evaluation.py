@@ -21,6 +21,7 @@ from appauth.evaluation import (
     format_number,
     generate_score_records,
     observation_similarity_matrix,
+    prepare_cohort,
     roc_curve,
     sensitivity,
     sort_records,
@@ -28,6 +29,7 @@ from appauth.evaluation import (
     top_apps_report,
     unknown_app_stats,
 )
+from appauth.ingest import RawEvent
 from appauth.models import TrainConfig, train_user_model
 
 
@@ -207,7 +209,8 @@ def test_generate_score_records_protocol():
         "a": [app("x", 0, 0)] * 10,
         "b": [app("y", 1, 0)] * 12,
     }
-    records = generate_score_records(models, test_obs, n=4, stride=2)
+    projections = {(mo, wo): models[mo].vocab.project(test_obs[wo]) for mo in models for wo in test_obs}
+    records = generate_score_records(models, projections, n=4, stride=2)
     per_pair = {}
     for r in records:
         per_pair.setdefault((r.model_owner, r.window_owner), []).append(r)
@@ -229,7 +232,7 @@ def test_generate_score_records_skips_short_owners(caplog):
     config = TrainConfig(n_states=2, max_iter=3, seed=0)
     model = train_user_model("mc", vocab.project([app("x", 0, 0)] * 30), vocab, config)
     with caplog.at_level(logging.WARNING):
-        records = generate_score_records({"a": model}, {"a": [app("x", 0, 0)] * 3}, n=5)
+        records = generate_score_records({"a": model}, {("a", "a"): vocab.project([app("x", 0, 0)] * 3)}, n=5)
     assert records == []
     assert any("window length" in m for m in caplog.messages)
 
@@ -242,3 +245,32 @@ def test_sort_records_is_deterministic():
         ("a", "a", 3),
         ("b", "a", 9),
     ]
+
+
+def app_run(user, start, count, gap=30):
+    """`count` app events `gap` seconds apart: one implicit session."""
+    return [RawEvent(user, start + gap * k, "app", "a") for k in range(count)]
+
+
+def test_prepare_cohort_applies_min_train_and_min_test():
+    # one session each at period 30: 20 samples split 14/6, 10 split 7/3
+    events = {"big": app_run("big", 3600, 20), "small": app_run("small", 3600, 10)}
+
+    def kept(min_train, min_test):
+        return sorted(prepare_cohort(events, 30, min_train=min_train, min_test=min_test))
+
+    assert kept(14, 6) == ["big"]
+    assert kept(15, 1) == []  # too little training data
+    assert kept(1, 7) == []  # too little test data
+    assert kept(7, 3) == ["big", "small"]
+
+
+def test_prepare_cohort_counts_app_samples_not_markers():
+    # four sessions of five samples, separated by more than the idle gap:
+    # 14 train / 6 test app samples, plus a session-start marker per session
+    events = {"u": [ev for k in range(4) for ev in app_run("u", 3600 + 1000 * k, 5)]}
+    p = prepare_cohort(events, 30, min_train=1, min_test=1)["u"]
+    assert (p.train_indices.size, len(p.test_observations)) == (17, 8)
+    assert list(prepare_cohort(events, 30, min_train=14, min_test=6)) == ["u"]
+    assert prepare_cohort(events, 30, min_train=15, min_test=6) == {}
+    assert prepare_cohort(events, 30, min_train=14, min_test=7) == {}

@@ -7,16 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import enumerate_forward, random_hmm
+from conftest import enumerate_forward, forward_one, random_hmm, score_one
 from appauth.encode import Vocabulary
 from appauth.models.core import DEFAULT_DELTA, SmoothingConfig
 from appauth.models.hmm import (
     HmmParams,
     LaplaceHmmModel,
-    batched_forward_log_likelihood,
     baum_welch,
     forward_log_likelihood,
-    forward_over_arrays,
     laplace_smooth_emissions,
 )
 
@@ -30,7 +28,7 @@ def test_forward_matches_path_enumeration():
         n = int(rng.integers(1, 7))
         params = random_hmm(rng, k, s)
         window = rng.integers(0, s, size=n)
-        got = forward_log_likelihood(params, window)
+        got = forward_one(params, window)
         want = enumerate_forward(params, window)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -40,23 +38,26 @@ def test_forward_single_state_is_product_of_emissions():
     params = HmmParams(np.array([1.0]), np.array([[1.0]]), emission)
     window = [0, 2, 1, 0]
     want = sum(math.log(emission[0, o]) for o in window)
-    assert forward_log_likelihood(params, window) == pytest.approx(want, rel=1e-12)
+    assert forward_one(params, window) == pytest.approx(want, rel=1e-12)
 
 
 def test_forward_stays_finite_on_long_windows():
     rng = np.random.default_rng(9)
     params = random_hmm(rng, 4, 6)
     window = rng.integers(0, 6, size=5000)
-    ll = forward_log_likelihood(params, window)
+    ll = forward_one(params, window)
     assert math.isfinite(ll) and ll < -1000
 
 
 def test_batched_forward_matches_singles():
+    """A window scored as a batch of one equals its row of a full batch."""
     rng = np.random.default_rng(17)
-    params = random_hmm(rng, 3, 5)
-    windows = rng.integers(0, 5, size=(25, 8))
-    batch = batched_forward_log_likelihood(params, windows)
-    singles = [forward_log_likelihood(params, w) for w in windows]
+    vocab = Vocabulary(["a", "b"])
+    seq = rng.integers(0, vocab.size, size=200)
+    model = LaplaceHmmModel.fit(seq, vocab, n_states=3, max_iter=8, seed=0)
+    windows = rng.integers(0, vocab.size, size=(25, 8))
+    batch = model.score_windows(windows)
+    singles = [score_one(model, w) for w in windows]
     np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
 
@@ -65,7 +66,7 @@ def test_forward_raises_when_all_mass_vanishes():
     trans = np.array([[1.0]])
     emit = np.array([[1.0, 0.0]])
     with pytest.raises(FloatingPointError):
-        forward_over_arrays(pi, trans, emit, [0, 1])
+        forward_log_likelihood(pi, trans, emit, [[0, 1]])
 
 
 def test_params_require_stochastic_rows():
@@ -129,9 +130,9 @@ def test_smoothed_model_never_scores_minus_infinity():
     seq = np.zeros(80, dtype=np.int64)  # only one symbol ever seen
     model = LaplaceHmmModel.fit(seq, vocab, n_states=3, max_iter=10, seed=0)
     window = np.array([0, 13, 13, 13])
-    score = model.score_window(window)
+    score = score_one(model, window)
     assert math.isfinite(score)
-    assert score < model.score_window(np.zeros(4, dtype=np.int64))
+    assert score < score_one(model, np.zeros(4, dtype=np.int64))
     # each never-seen symbol costs roughly the log of the smoothing floor
     assert score < 3 * (math.log(DEFAULT_DELTA) + 1)
 

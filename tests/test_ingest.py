@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 
 import pytest
 
@@ -11,13 +12,9 @@ from appauth.ingest import (
     FormatError,
     RawEvent,
     Session,
-    chronological_split,
-    filter_eligible_users,
     group_by_user,
     parse_event_log,
-    read_event_log_text,
     resample_sessions,
-    sample_foreground,
     sessionize,
     split_sessions,
     write_event_log,
@@ -78,7 +75,7 @@ def test_parse_collects_malformed_rows():
         "u1,16\n"
         "u1,-3,app,mail\n"
     )
-    events, report = read_event_log_text(text)
+    events, report = parse_event_log(io.StringIO(text))
     assert [e.local_timestamp for e in events] == [10, 15]
     assert report.rows_total == 9
     assert report.rows_ok == 2
@@ -160,22 +157,23 @@ def test_sample_foreground_flattens_in_time_order():
         Session("u", 0, 30, [(0, "a")]),
         Session("u", 100, 130, [(100, "b")]),
     ]
-    flat = sample_foreground(sessions, period=30)
+    flat = [s for sess in resample_sessions(sessions, period=30) for s in sess.samples]
     assert flat == [(0, "a"), (30, "a"), (100, "b"), (130, "b")]
 
 
 def test_chronological_split_floor_and_clamp():
-    samples = [(t, "a") for t in range(10)]
-    split = chronological_split(samples, 0.7)
-    assert (len(split.train), len(split.test)) == (7, 3)
-    tiny = chronological_split(samples[:2], 0.01)
-    assert (len(tiny.train), len(tiny.test)) == (1, 1)
-    high = chronological_split(samples[:2], 0.99)
-    assert (len(high.train), len(high.test)) == (1, 1)
+    sessions = [Session("u", t, t, [(t, "a")]) for t in range(10)]
+
+    def sizes(split):
+        return sum(len(s.samples) for s in split.train), sum(len(s.samples) for s in split.test)
+
+    assert sizes(split_sessions(sessions, 0.7)) == (7, 3)
+    assert sizes(split_sessions(sessions[:2], 0.01)) == (1, 1)
+    assert sizes(split_sessions(sessions[:2], 0.99)) == (1, 1)
     with pytest.raises(ValueError):
-        chronological_split(samples[:1], 0.5)
+        split_sessions(sessions[:1], 0.5)
     with pytest.raises(ValueError):
-        chronological_split(samples, 1.0)
+        split_sessions(sessions, 1.0)
 
 
 def test_split_sessions_divides_straddling_session():
@@ -197,33 +195,7 @@ def test_split_sessions_matches_flat_split_index():
     sessions = [Session("u", i * 100, i * 100 + 60, [(i * 100, "a"), (i * 100 + 30, "b")]) for i in range(5)]
     flat = [s for sess in sessions for s in sess.samples]
     for fraction in (0.3, 0.5, 0.7, 0.9):
-        flat_split = chronological_split(flat, fraction)
+        cut = math.floor(fraction * len(flat))
         sess_split = split_sessions(sessions, fraction)
-        assert sum(len(s.samples) for s in sess_split.train) == len(flat_split.train)
-        assert [x for s in sess_split.train for x in s.samples] == flat_split.train
-        assert [x for s in sess_split.test for x in s.samples] == flat_split.test
-
-
-def test_filter_eligible_users_thresholds():
-    def flat_split(n_train, n_test):
-        samples = [(t, "a") for t in range(n_train + n_test)]
-        return chronological_split(samples, n_train / (n_train + n_test))
-
-    splits = {
-        "big": flat_split(500, 200),
-        "small_train": flat_split(499, 300),
-        "small_test": flat_split(600, 199),
-    }
-    assert filter_eligible_users(splits) == ["big"]
-    assert filter_eligible_users(splits, min_train=10, min_test=10) == [
-        "big",
-        "small_test",
-        "small_train",
-    ]
-
-
-def test_filter_eligible_users_counts_session_samples():
-    sessions = [Session("u", 0, 90, [(0, "a"), (30, "a"), (60, "b"), (90, "b")])]
-    split = split_sessions(sessions, 0.5)
-    assert filter_eligible_users({"u": split}, min_train=2, min_test=2) == ["u"]
-    assert filter_eligible_users({"u": split}, min_train=3, min_test=2) == []
+        assert [x for s in sess_split.train for x in s.samples] == flat[:cut]
+        assert [x for s in sess_split.test for x in s.samples] == flat[cut:]

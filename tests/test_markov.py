@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import app
+from conftest import score_one
 from appauth.encode import Vocabulary
 from appauth.models.core import DEFAULT_DELTA, SmoothingConfig
 from appauth.models.markov import MarkovChainModel
@@ -55,29 +55,29 @@ def test_window_likelihood_is_prior_plus_steps():
         + math.log((1 + D) / (2 + D * S))
         + math.log((1 + D) / (1 + D * S))
     )
-    assert model.score_window(np.array([0, 1, 0])) == pytest.approx(want, rel=1e-12)
+    assert score_one(model, np.array([0, 1, 0])) == pytest.approx(want, rel=1e-12)
 
 
 def test_single_symbol_window_uses_prior_only():
     vocab, model = fit_tiny()
     S = vocab.size
-    assert model.score_window(np.array([1])) == pytest.approx(
+    assert score_one(model, np.array([1])) == pytest.approx(
         math.log((1 + D) / (4 + D * S)), rel=1e-12
     )
 
 
 def test_unseen_transition_is_floored_not_impossible():
     vocab, model = fit_tiny()
-    score = model.score_window(np.array([0, 13]))
+    score = score_one(model, np.array([0, 13]))
     assert math.isfinite(score)
-    assert score < model.score_window(np.array([0, 1]))
+    assert score < score_one(model, np.array([0, 1]))
 
 
 def test_two_symbol_window_probabilities_sum_to_one():
     vocab, model = fit_tiny()
     total = 0.0
     for i, j in itertools.product(range(vocab.size), repeat=2):
-        total += math.exp(model.score_window(np.array([i, j])))
+        total += math.exp(score_one(model, np.array([i, j])))
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -86,8 +86,12 @@ def test_batch_scores_match_singles():
     rng = np.random.default_rng(3)
     windows = rng.integers(0, vocab.size, size=(40, 5))
     batch = model.score_windows(windows)
-    singles = [model.score_window(w) for w in windows]
+    singles = [
+        math.log(model.prior[w[0]]) + sum(math.log(model.transition[a, b]) for a, b in zip(w, w[1:]))
+        for w in windows
+    ]
     np.testing.assert_allclose(batch, singles, rtol=1e-12)
+    np.testing.assert_array_equal(batch, [score_one(model, w) for w in windows])
 
 
 def test_custom_smoothing_delta_is_used():
@@ -96,6 +100,22 @@ def test_custom_smoothing_delta_is_used():
     model = MarkovChainModel.fit(seq, vocab, SmoothingConfig(delta=0.5))
     S = vocab.size
     assert model.prior[0] == pytest.approx((1 + 0.5) / (2 + 0.5 * S), rel=1e-12)
+
+
+def test_constructor_rejects_non_finite_or_non_stochastic_parameters():
+    vocab, model = fit_tiny()
+    nan_prior = model.prior.copy()
+    nan_prior[0] = np.nan
+    zero_step = model.transition.copy()
+    zero_step[0, 0] = 0.0
+    bad_rows = model.transition * 1.5
+    for prior, transition in [
+        (nan_prior, model.transition),
+        (model.prior, zero_step),
+        (model.prior, bad_rows),
+    ]:
+        with pytest.raises(ValueError):
+            MarkovChainModel(vocab, prior, transition, D)
 
 
 def test_fit_rejects_out_of_range_indices():

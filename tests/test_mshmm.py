@@ -7,10 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DELTA, PSI, app, unk
+from conftest import DELTA, PSI, app, forward_one, score_one, unk
 from appauth.encode import Vocabulary
 from appauth.models.core import DEFAULT_DELTA
-from appauth.models.hmm import forward_log_likelihood
 from appauth.models.mshmm import MarginalTables, MsHmmModel
 
 D = DEFAULT_DELTA
@@ -20,20 +19,18 @@ def test_marginals_degenerate_single_app():
     vocab = Vocabulary(["a"])
     train = vocab.project([app("a", 0, 0)] * 5)
     tables = MarginalTables.fit(train, vocab)
-    assert tables.app_tz_probability("a", 0) == 1.0
-    assert tables.app_tz_probability("a", 1) == 0.0
-    assert tables.app_day_probability("a", 0) == 1.0
-    assert tables.app_day_probability("a", 1) == 0.0
+    assert tables.p_app_tz.tolist() == [[1.0, 0.0, 0.0]]
+    assert tables.p_app_day.tolist() == [[1.0, 0.0]]
 
 
 def test_marginals_two_apps_two_blocks_symmetry():
     vocab = Vocabulary(["a", "b"])
     train = vocab.project([app("a", 0, 0), app("a", 1, 0), app("b", 0, 0), app("b", 1, 0)])
     tables = MarginalTables.fit(train, vocab)
-    for name in ("a", "b"):
+    for rank in (0, 1):
         for tz in (0, 1):
-            assert tables.app_tz_probability(name, tz) == 0.25
-        assert tables.app_day_probability(name, 0) == 0.5
+            assert tables.p_app_tz[rank, tz] == 0.25
+        assert tables.p_app_day[rank, 0] == 0.5
 
 
 def test_marginal_tables_sum_to_one():
@@ -49,16 +46,17 @@ def test_marginals_ignore_markers_and_reject_marker_only_input():
     vocab = Vocabulary(["a"])
     with_markers = vocab.project([PSI, app("a", 0, 0), PSI, app("a", 1, 0)])
     tables = MarginalTables.fit(with_markers, vocab)
-    assert tables.app_tz_probability("a", 0) == 0.5  # denominator is app samples only
+    assert tables.p_app_tz[0, 0] == 0.5  # denominator is app samples only
     with pytest.raises(ValueError):
         MarginalTables.fit(vocab.project([PSI, PSI]), vocab)
 
 
 def test_marginals_absent_app_lookup_is_zero():
-    vocab = Vocabulary(["a"])
+    vocab = Vocabulary(["a", "ghost"])  # "ghost" never occurs in training
     tables = MarginalTables.fit(vocab.project([app("a", 0, 0)]), vocab)
-    assert tables.app_tz_probability("ghost", 0) == 0.0
-    assert tables.app_day_probability("ghost", 1) == 0.0
+    ghost = vocab.apps.index("ghost")
+    assert tables.p_app_tz[ghost].tolist() == [0.0, 0.0, 0.0]
+    assert tables.p_app_day[ghost].tolist() == [0.0, 0.0]
 
 
 def fit_small(train_obs, apps, seed=0, max_iter=8, n_states=3):
@@ -76,25 +74,25 @@ def test_emission_branches_from_hand_built_marginals():
     vocab, model = fit_small(train_obs, ["a", "b"])
     idx = vocab.index_of(app("a", 0, 0))
     for state in range(3):
-        assert model.emission(state, idx) == pytest.approx(0.1 * 0.2, rel=1e-12)
+        assert model.emit_ext[state, idx] == pytest.approx(0.1 * 0.2, rel=1e-12)
 
 
 def test_emission_single_factor_floor_for_absent_marginal():
     train_obs = [app("a", 0, 0)] * 6
     vocab, model = fit_small(train_obs, ["a"])
     # unseen triple with one zero marginal: max(d, 1.0) * max(d, 0.0) = d
-    assert model.emission(0, vocab.index_of(app("a", 0, 1))) == pytest.approx(D, rel=1e-12)
-    assert model.emission(0, vocab.index_of(app("a", 1, 0))) == pytest.approx(D, rel=1e-12)
+    assert model.emit_ext[0, vocab.index_of(app("a", 0, 1))] == pytest.approx(D, rel=1e-12)
+    assert model.emit_ext[0, vocab.index_of(app("a", 1, 0))] == pytest.approx(D, rel=1e-12)
     # both marginals absent: d * d
-    assert model.emission(0, vocab.index_of(app("a", 1, 1))) == pytest.approx(D * D, rel=1e-12)
+    assert model.emit_ext[0, vocab.index_of(app("a", 1, 1))] == pytest.approx(D * D, rel=1e-12)
 
 
 def test_emission_unknown_and_unseen_markers_get_two_factor_floor():
     train_obs = [app("a", 0, 0)] * 6  # no markers in training
     vocab, model = fit_small(train_obs, ["a"])
-    assert model.emission(1, vocab.index_of(unk(2, 1))) == pytest.approx(D * D, rel=1e-12)
-    assert model.emission(1, vocab.session_start_index) == pytest.approx(D * D, rel=1e-12)
-    assert model.emission(1, vocab.day_change_index) == pytest.approx(D * D, rel=1e-12)
+    assert model.emit_ext[1, vocab.index_of(unk(2, 1))] == pytest.approx(D * D, rel=1e-12)
+    assert model.emit_ext[1, vocab.session_start_index] == pytest.approx(D * D, rel=1e-12)
+    assert model.emit_ext[1, vocab.day_change_index] == pytest.approx(D * D, rel=1e-12)
 
 
 def test_emission_seen_symbols_keep_learned_values():
@@ -106,7 +104,7 @@ def test_emission_seen_symbols_keep_learned_values():
     for state in range(4):
         for col in seen_cols:
             want = max(model.base.emit[state, col], D)
-            assert model.emission(state, col) == want
+            assert model.emit_ext[state, col] == want
 
 
 def test_emission_is_total_and_positive():
@@ -116,14 +114,14 @@ def test_emission_is_total_and_positive():
     model = MsHmmModel.fit(train, vocab, n_states=5, max_iter=50, tol=0.0, seed=2)
     for state in range(5):
         for col in range(vocab.size):
-            assert model.emission(state, col) > 0.0
+            assert model.emit_ext[state, col] > 0.0
 
 
 def test_unseen_emission_is_state_independent():
     train_obs = [app("a", 0, 0), app("a", 1, 0)] * 10
     vocab, model = fit_small(train_obs, ["a"], n_states=4)
     idx = vocab.index_of(app("a", 2, 1))
-    values = {model.emission(s, idx) for s in range(4)}
+    values = {model.emit_ext[s, idx] for s in range(4)}
     assert len(values) == 1
 
 
@@ -133,8 +131,8 @@ def test_fully_seen_window_matches_base_forward():
     train = rng.integers(0, vocab.unknown_base, size=300)
     model = MsHmmModel.fit(train, vocab, n_states=3, max_iter=10, seed=4)
     window = train[rng.integers(0, train.size, size=15)]
-    base_ll = forward_log_likelihood(model.base, window)
-    assert model.score_window(window) == pytest.approx(base_ll, rel=1e-9)
+    base_ll = forward_one(model.base, window)
+    assert score_one(model, window) == pytest.approx(base_ll, rel=1e-9)
 
 
 def test_appending_unknown_costs_at_least_the_double_floor():
@@ -143,7 +141,7 @@ def test_appending_unknown_costs_at_least_the_double_floor():
     train = rng.integers(0, vocab.unknown_base, size=300)
     model = MsHmmModel.fit(train, vocab, n_states=3, max_iter=10, seed=0)
     window = train[:12]
-    drop = model.score_window(np.append(window, vocab.unknown_base)) - model.score_window(window)
+    drop = score_one(model, np.append(window, vocab.unknown_base)) - score_one(model, window)
     assert drop <= 2 * math.log(D) + 1e-9
 
 
@@ -151,9 +149,9 @@ def test_scores_stay_finite_on_hostile_windows():
     train_obs = [app("a", 0, 0)] * 50
     vocab, model = fit_small(train_obs, ["a"], max_iter=50)
     all_unknown = np.full(30, vocab.unknown_base, dtype=np.int64)
-    assert math.isfinite(model.score_window(all_unknown))
+    assert math.isfinite(score_one(model, all_unknown))
     mixed = np.array([vocab.size - 1, vocab.unknown_base, 0] * 10)
-    assert math.isfinite(model.score_window(mixed))
+    assert math.isfinite(score_one(model, mixed))
 
 
 def test_batch_scores_match_singles():
@@ -164,7 +162,7 @@ def test_batch_scores_match_singles():
     windows = rng.integers(0, vocab.size, size=(20, 10))
     np.testing.assert_allclose(
         model.score_windows(windows),
-        [model.score_window(w) for w in windows],
+        [score_one(model, w) for w in windows],
         rtol=1e-12,
     )
 
