@@ -15,7 +15,8 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,7 +27,6 @@ from .encode import KIND_APP, read_sequence_csv, write_sequence_csv
 from .evaluation import (
     DEFAULT_MIN_TEST,
     DEFAULT_MIN_TRAIN,
-    HMM_METHODS,
     EerGrid,
     PreparedUser,
     ScoreRecord,
@@ -125,27 +125,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHOD_TAGS}")
 
     def to_json(self) -> dict:
-        payload = {
-            "data": self.data,
-            "synthetic": self.synthetic.to_json(),
-            "periods": list(self.periods),
-            "n_values": list(self.n_values),
-            "train_fraction": self.train_fraction,
-            "methods": list(self.methods),
-            "delta": self.delta,
-            "n_states": self.n_states,
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-            "seed": self.seed,
-            "stride": self.stride,
-            "out": self.out,
-            "idle_gap": self.idle_gap,
-            "min_train": self.min_train,
-            "min_test": self.min_test,
-            "segment": self.segment,
-            "threshold_percentile": self.threshold_percentile,
-        }
-        return payload
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "ExperimentConfig":
@@ -266,8 +246,8 @@ def cmd_ingest(config: ExperimentConfig) -> int:
         test_rows = []
         for user in sorted(prepared):
             p = prepared[user]
-            train_rows.extend((user, ts, obs) for ts, obs in _with_timestamps(p.train_observations))
-            test_rows.extend((user, ts, obs) for ts, obs in _with_timestamps(p.test_observations))
+            train_rows.extend(zip(repeat(user), p.train_timestamps.tolist(), p.train_observations))
+            test_rows.extend(zip(repeat(user), p.test_timestamps.tolist(), p.test_observations))
         write_sequence_csv(train_rows, out / f"train_period{period}.csv")
         write_sequence_csv(test_rows, out / f"test_period{period}.csv")
         report["periods"][str(period)] = {
@@ -283,12 +263,6 @@ def cmd_ingest(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _with_timestamps(observations) -> list[tuple[int, object]]:
-    # Sequence CSVs need a timestamp column; encoded observations kept only
-    # their order, so synthesize a stable 0..T-1 position column.
-    return list(enumerate(observations))
-
-
 def cmd_train(config: ExperimentConfig) -> int:
     out = _out_dir(config)
     period = config.periods[0]
@@ -299,11 +273,7 @@ def cmd_train(config: ExperimentConfig) -> int:
     model_dir = out / "models"
     model_dir.mkdir(exist_ok=True)
     train_config = config.train_config
-    bases = (
-        train_hmm_bases(prepared, train_config)
-        if any(m in HMM_METHODS for m in config.methods)
-        else None
-    )
+    bases = train_hmm_bases(config.methods, prepared, train_config)
     for method in config.methods:
         models = train_cohort_models(method, prepared, train_config, bases)
         for user, model in models.items():

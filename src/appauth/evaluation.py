@@ -17,8 +17,8 @@ import numpy as np
 
 from .encode import KIND_APP, Observation, Vocabulary, encode_sessions, sliding_windows
 from .ingest import DEFAULT_IDLE_GAP, Session, resample_sessions, sessionize, split_sessions
-from .models import TrainConfig, UserModel, baum_welch, train_user_model
-from .models.hmm import HmmParams, TrainingTrace
+from .models import TrainConfig, UserModel, train_user_model
+from .models.hmm import HmmParams, TrainingTrace, train_base
 
 log = logging.getLogger(__name__)
 
@@ -374,13 +374,16 @@ def top_apps_report(samples_by_user: Mapping[str, Sequence[str]], k: int = 20) -
 
 @dataclass(slots=True)
 class PreparedUser:
-    """One user's data after resampling, splitting and encoding."""
+    """One user's data after resampling, splitting and encoding; each
+    observation keeps the resampled timestamp it was encoded from."""
 
     user_id: str
     vocab: Vocabulary
     train_indices: np.ndarray
     train_observations: list[Observation]
     test_observations: list[Observation]
+    train_timestamps: np.ndarray
+    test_timestamps: np.ndarray
 
     @property
     def train_apps(self) -> tuple[str, ...]:
@@ -396,13 +399,23 @@ def prepare_user(
     from the training half."""
     resampled = resample_sessions(sessions, period)
     split = split_sessions(resampled, train_fraction)
-    train_obs = [obs for _, obs in encode_sessions(split.train)]
-    test_obs = [obs for _, obs in encode_sessions(split.test)]
+    train = encode_sessions(split.train)
+    test = encode_sessions(split.test)
+    train_obs = [obs for _, obs in train]
+    test_obs = [obs for _, obs in test]
     if not any(o.kind == KIND_APP for o in train_obs):
         raise ValueError("training split contains no app observations")
     vocab = Vocabulary.from_observations(train_obs)
     user_id = sessions[0].user_id if sessions else ""
-    return PreparedUser(user_id, vocab, vocab.project(train_obs), train_obs, test_obs)
+    return PreparedUser(
+        user_id,
+        vocab,
+        vocab.project(train_obs),
+        train_obs,
+        test_obs,
+        np.array([ts for ts, _ in train], dtype=np.int64),
+        np.array([ts for ts, _ in test], dtype=np.int64),
+    )
 
 
 def prepare_cohort(
@@ -458,15 +471,13 @@ def train_cohort_models(
 
 
 def train_hmm_bases(
-    prepared: Mapping[str, PreparedUser], config: TrainConfig
-) -> dict[str, tuple[HmmParams, TrainingTrace]]:
-    """One Baum-Welch run per user, shared by both HMM variants."""
-    return {
-        user: baum_welch(
-            p.train_indices, p.vocab.size, config.n_states, config.max_iter, config.tol, config.seed
-        )
-        for user, p in prepared.items()
-    }
+    methods: Sequence[str], prepared: Mapping[str, PreparedUser], config: TrainConfig
+) -> dict[str, tuple[HmmParams, TrainingTrace]] | None:
+    """One Baum-Welch run per user, shared by both HMM variants; None when
+    no method in `methods` is one of them."""
+    if not any(m in HMM_METHODS for m in methods):
+        return None
+    return {user: train_base(p.train_indices, p.vocab, config) for user, p in prepared.items()}
 
 
 def evaluate_methods(
@@ -488,11 +499,7 @@ def evaluate_methods(
         for mo in users
         for wo in users
     }
-    bases = (
-        train_hmm_bases(prepared, config)
-        if any(m in HMM_METHODS for m in methods)
-        else None
-    )
+    bases = train_hmm_bases(methods, prepared, config)
     out: dict[tuple[str, int], list[ScoreRecord]] = {}
     for method in methods:
         models = train_cohort_models(method, prepared, config, bases)
@@ -523,15 +530,6 @@ def write_scores_csv(records: Iterable[ScoreRecord], dest: str | Path | TextIO) 
             )
 
     _open_out(dest, _write)
-
-
-def read_scores_csv(source: str | Path) -> list[ScoreRecord]:
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["model_owner", "window_owner", "end_index", "score"]:
-            raise ValueError(f"bad scores header {header!r}")
-        return [ScoreRecord(mo, wo, int(e), float(s)) for mo, wo, e, s in reader]
 
 
 def write_eer_grid_csv(grid: EerGrid, dest: str | Path | TextIO) -> None:

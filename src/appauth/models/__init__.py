@@ -1,16 +1,14 @@
-"""Verification models: the six methods and their training dispatch; every
-model scores through `score_windows`."""
+"""Verification models: the six methods and the one tag -> class table that
+training and model files go through; every model scores through
+`score_windows`."""
 
 from __future__ import annotations
 
+from typing import get_args
+
 from ..encode import Vocabulary
 from .binary import BinaryUnforeseenModel, BinaryUnknownModel
-from .core import (
-    DEFAULT_DELTA,
-    METHOD_TAGS,
-    SmoothingConfig,
-    TrainConfig,
-)
+from .core import DEFAULT_DELTA, SmoothingConfig, TrainConfig
 from .edit_distance import MedModel, substitution_cost
 from .hmm import (
     HmmParams,
@@ -33,6 +31,11 @@ UserModel = (
     | MsHmmModel
 )
 
+# The one tag -> class table: each class trains, scores and (de)serializes
+# its own method, and the union's order is the reporting order of outputs.
+MODEL_CLASSES: dict[str, type[UserModel]] = {cls.method: cls for cls in get_args(UserModel)}
+METHOD_TAGS = tuple(MODEL_CLASSES)
+
 
 def train_user_model(
     method: str,
@@ -42,38 +45,10 @@ def train_user_model(
     base: tuple[HmmParams, TrainingTrace] | None = None,
 ) -> UserModel:
     """Train one verification model; `base` lets the two HMM variants share
-    a single Baum-Welch run."""
-    if method == "bin-unk":
-        return BinaryUnknownModel(vocab)
-    if method == "bin-unfore":
-        return BinaryUnforeseenModel.fit(train_indices, vocab)
-    if method == "med":
-        return MedModel.fit(train_indices, vocab)
-    if method == "mc":
-        return MarkovChainModel.fit(train_indices, vocab, config.smoothing)
-    if method == "hmm-lap":
-        return LaplaceHmmModel.fit(
-            train_indices,
-            vocab,
-            config.smoothing,
-            n_states=config.n_states,
-            max_iter=config.max_iter,
-            tol=config.tol,
-            seed=config.seed,
-            base=base,
-        )
-    if method == "mshmm":
-        return MsHmmModel.fit(
-            train_indices,
-            vocab,
-            config.smoothing,
-            n_states=config.n_states,
-            max_iter=config.max_iter,
-            tol=config.tol,
-            seed=config.seed,
-            base=base,
-        )
-    raise ValueError(f"unknown method {method!r}; expected one of {METHOD_TAGS}")
+    a single Baum-Welch run, and the other methods ignore it."""
+    if method not in MODEL_CLASSES:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHOD_TAGS}")
+    return MODEL_CLASSES[method].fit(train_indices, vocab, config, base)
 
 
 __all__ = [
@@ -86,6 +61,7 @@ __all__ = [
     "MarkovChainModel",
     "MedModel",
     "METHOD_TAGS",
+    "MODEL_CLASSES",
     "MsHmmModel",
     "SmoothingConfig",
     "TrainConfig",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..encode import Vocabulary
-from .core import as_index_array, as_window_matrix, check_indices
+from .core import TrainConfig, as_index_array, as_window_matrix, check_indices
 
 
 class BinaryUnknownModel:
@@ -23,6 +23,19 @@ class BinaryUnknownModel:
 
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
+
+    @classmethod
+    def fit(
+        cls, train_indices, vocab: Vocabulary, config: TrainConfig = TrainConfig(), base=None
+    ) -> "BinaryUnknownModel":
+        return cls(vocab)
+
+    def to_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:
+        return {}, {}
+
+    @classmethod
+    def from_arrays(cls, vocab: Vocabulary, meta: dict, arrays) -> "BinaryUnknownModel":
+        return cls(vocab)
 
     def score_windows(self, windows) -> np.ndarray:
         mat = as_window_matrix(windows)
@@ -52,12 +65,21 @@ class BinaryUnforeseenModel:
         self.seen[vocab.day_change_index] = True
 
     @classmethod
-    def fit(cls, train_indices, vocab: Vocabulary) -> "BinaryUnforeseenModel":
+    def fit(
+        cls, train_indices, vocab: Vocabulary, config: TrainConfig = TrainConfig(), base=None
+    ) -> "BinaryUnforeseenModel":
         arr = as_index_array(train_indices)
         check_indices(arr, vocab.size)
         seen = np.zeros(vocab.size, dtype=np.bool_)
         seen[arr] = True
         return cls(vocab, seen)
+
+    def to_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:
+        return {}, {"seen": self.seen}
+
+    @classmethod
+    def from_arrays(cls, vocab: Vocabulary, meta: dict, arrays) -> "BinaryUnforeseenModel":
+        return cls(vocab, arrays["seen"])
 
     def score_windows(self, windows) -> np.ndarray:
         mat = as_window_matrix(windows)

@@ -9,8 +9,6 @@ import numpy as np
 # Probability floor used by every smoothed model.
 DEFAULT_DELTA = float(np.exp(-20.0))
 
-METHOD_TAGS = ("bin-unk", "bin-unfore", "med", "mc", "hmm-lap", "mshmm")
-
 DEFAULT_N_STATES = 20
 DEFAULT_MAX_ITER = 50
 DEFAULT_TOL = 1e-6

@@ -20,7 +20,7 @@ from ..encode import (
     Observation,
     Vocabulary,
 )
-from .core import as_index_array, as_window_matrix, check_indices
+from .core import TrainConfig, as_index_array, as_window_matrix, check_indices
 
 INDEL_COST = 3
 MISMATCH_COST = 3
@@ -84,8 +84,17 @@ class MedModel:
         self._text_attrs = symbol_attributes(self.train_indices, vocab)
 
     @classmethod
-    def fit(cls, train_indices, vocab: Vocabulary) -> "MedModel":
+    def fit(
+        cls, train_indices, vocab: Vocabulary, config: TrainConfig = TrainConfig(), base=None
+    ) -> "MedModel":
         return cls(vocab, np.asarray(train_indices, dtype=np.int64))
+
+    def to_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:
+        return {}, {"train_indices": self.train_indices}
+
+    @classmethod
+    def from_arrays(cls, vocab: Vocabulary, meta: dict, arrays) -> "MedModel":
+        return cls(vocab, arrays["train_indices"])
 
     def score_windows(self, windows) -> np.ndarray:
         """Negated semi-global alignment distance of each window to the text.

@@ -15,6 +15,7 @@ import numpy as np
 from ..encode import Vocabulary
 from .core import (
     SmoothingConfig,
+    TrainConfig,
     as_index_array,
     as_window_matrix,
     assert_stochastic,
@@ -48,6 +49,13 @@ class HmmParams:
     def n_symbols(self) -> int:
         return self.emit.shape[1]
 
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        return {"pi": self.pi, "trans": self.trans, "emit": self.emit}
+
+    @classmethod
+    def from_arrays(cls, arrays) -> "HmmParams":
+        return cls(pi=arrays["pi"], trans=arrays["trans"], emit=arrays["emit"])
+
 
 @dataclass(slots=True)
 class TrainingTrace:
@@ -60,6 +68,22 @@ class TrainingTrace:
     @property
     def final_log_likelihood(self) -> float:
         return self.log_likelihoods[-1] if self.log_likelihoods else float("nan")
+
+    def to_json(self) -> dict:
+        return {
+            "seed": self.seed,
+            "iterations": self.iterations,
+            "final_log_likelihood": self.final_log_likelihood,
+            "log_likelihoods": list(self.log_likelihoods),
+        }
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "TrainingTrace":
+        return cls(
+            seed=int(payload["seed"]),
+            iterations=int(payload["iterations"]),
+            log_likelihoods=[float(x) for x in payload["log_likelihoods"]],
+        )
 
 
 def forward_log_likelihood(
@@ -170,6 +194,20 @@ def baum_welch(
     return params, trace
 
 
+def train_base(
+    train_indices, vocab: Vocabulary, config: TrainConfig
+) -> tuple[HmmParams, TrainingTrace]:
+    """The unsmoothed Baum-Welch fit both HMM variants start from."""
+    return baum_welch(
+        train_indices, vocab.size, config.n_states, config.max_iter, config.tol, config.seed
+    )
+
+
+def hmm_meta(params: HmmParams, delta: float, trace: TrainingTrace) -> dict:
+    """Metadata both HMM variants store next to their arrays."""
+    return {"delta": delta, "n_states": params.n_states, "training": trace.to_json()}
+
+
 def laplace_smooth_emissions(params: HmmParams, smoothing: SmoothingConfig) -> HmmParams:
     """Additive-smooth every emission row: (b + d) / (1 + d*S)."""
     d = smoothing.delta
@@ -206,19 +244,21 @@ class LaplaceHmmModel:
         cls,
         train_indices,
         vocab: Vocabulary,
-        smoothing: SmoothingConfig | None = None,
-        n_states: int = 20,
-        max_iter: int = 50,
-        tol: float = 1e-6,
-        seed: int = 0,
+        config: TrainConfig = TrainConfig(),
         base: tuple[HmmParams, TrainingTrace] | None = None,
     ) -> "LaplaceHmmModel":
         """Train (or reuse a pre-trained base) and smooth the emissions."""
-        smoothing = smoothing or SmoothingConfig()
-        if base is None:
-            base = baum_welch(train_indices, vocab.size, n_states, max_iter, tol, seed)
-        params, trace = base
+        params, trace = base if base is not None else train_base(train_indices, vocab, config)
+        smoothing = config.smoothing
         return cls(vocab, laplace_smooth_emissions(params, smoothing), smoothing.delta, trace)
+
+    def to_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:
+        return hmm_meta(self.params, self.delta, self.trace), self.params.to_arrays()
+
+    @classmethod
+    def from_arrays(cls, vocab: Vocabulary, meta: dict, arrays) -> "LaplaceHmmModel":
+        params = HmmParams.from_arrays(arrays)
+        return cls(vocab, params, meta["delta"], TrainingTrace.from_json(meta["training"]))
 
     def score_windows(self, windows) -> np.ndarray:
         return forward_log_likelihood(self.params.pi, self.params.trans, self.params.emit, windows)

@@ -1,9 +1,11 @@
 """Model persistence: one .npz container per trained model.
 
-The container is self-describing — a JSON metadata blob (method tag, floor,
-vocabulary and its hash, training provenance) plus the parameter arrays at
-full double precision, so a save/load round trip reproduces scores
-bit-for-bit.
+The container is self-describing — a JSON metadata blob (method tag, owner,
+vocabulary and its hash, then the class's own fields such as the floor and
+training provenance) plus the parameter arrays at full double precision, so
+a save/load round trip reproduces scores bit-for-bit. Each model class
+lays out its own fields and arrays (`to_arrays`/`from_arrays`); this module
+owns only the container around them.
 """
 
 from __future__ import annotations
@@ -16,11 +18,6 @@ import numpy as np
 
 from ..encode import Vocabulary
 from ..ingest import FormatError
-from .binary import BinaryUnforeseenModel, BinaryUnknownModel
-from .edit_distance import MedModel
-from .hmm import HmmParams, LaplaceHmmModel, TrainingTrace
-from .markov import MarkovChainModel
-from .mshmm import MarginalTables, MsHmmModel
 
 FORMAT_NAME = "appauth-model"
 FORMAT_VERSION = 1
@@ -30,23 +27,17 @@ def vocabulary_hash(vocab: Vocabulary) -> str:
     return hashlib.sha256("\n".join(vocab.apps).encode("utf-8")).hexdigest()
 
 
-def _trace_meta(trace: TrainingTrace) -> dict:
-    return {
-        "seed": trace.seed,
-        "iterations": trace.iterations,
-        "final_log_likelihood": trace.final_log_likelihood,
-        "log_likelihoods": list(trace.log_likelihoods),
-    }
+def _model_classes() -> dict:
+    from . import MODEL_CLASSES  # the package imports this module first
 
-
-def _trace_from_meta(payload: dict) -> TrainingTrace:
-    trace = TrainingTrace(seed=int(payload["seed"]), iterations=int(payload["iterations"]))
-    trace.log_likelihoods = [float(x) for x in payload["log_likelihoods"]]
-    return trace
+    return MODEL_CLASSES
 
 
 def save_model(model, path: str | Path, owner: str | None = None) -> None:
     """Write any of the six trained model kinds to an .npz container."""
+    if _model_classes().get(getattr(model, "method", None)) is not type(model):
+        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    extras, arrays = model.to_arrays()
     meta: dict = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -54,45 +45,14 @@ def save_model(model, path: str | Path, owner: str | None = None) -> None:
         "owner": owner if owner is not None else getattr(model, "owner", None),
         "vocab": model.vocab.to_json(),
         "vocab_hash": vocabulary_hash(model.vocab),
+        **extras,
     }
-    arrays: dict[str, np.ndarray] = {}
-
-    if isinstance(model, BinaryUnknownModel):
-        pass
-    elif isinstance(model, BinaryUnforeseenModel):
-        arrays["seen"] = model.seen
-    elif isinstance(model, MedModel):
-        arrays["train_indices"] = model.train_indices
-    elif isinstance(model, MarkovChainModel):
-        meta["delta"] = model.delta
-        arrays["prior"] = model.prior
-        arrays["transition"] = model.transition
-    elif isinstance(model, LaplaceHmmModel):
-        meta["delta"] = model.delta
-        meta["n_states"] = model.params.n_states
-        meta["training"] = _trace_meta(model.trace)
-        arrays["pi"] = model.params.pi
-        arrays["trans"] = model.params.trans
-        arrays["emit"] = model.params.emit
-    elif isinstance(model, MsHmmModel):
-        meta["delta"] = model.delta
-        meta["n_states"] = model.base.n_states
-        meta["training"] = _trace_meta(model.trace)
-        arrays["pi"] = model.base.pi
-        arrays["trans"] = model.base.trans
-        arrays["emit"] = model.base.emit
-        arrays["seen"] = model.seen
-        arrays["p_app_tz"] = model.marginals.p_app_tz
-        arrays["p_app_day"] = model.marginals.p_app_day
-    else:
-        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-
     with open(path, "wb") as fh:
         np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
 
 def load_model(path: str | Path):
-    """Read a model container back into the matching model class."""
+    """Read a model container back into the class its method tag names."""
     with np.load(path, allow_pickle=False) as data:
         try:
             meta = json.loads(str(data["meta"]))
@@ -106,30 +66,12 @@ def load_model(path: str | Path):
         if vocabulary_hash(vocab) != meta["vocab_hash"]:
             raise FormatError(f"{path}: vocabulary hash mismatch (corrupt container)")
         method = meta["method"]
-
-        if method == "bin-unk":
-            model = BinaryUnknownModel(vocab)
-        elif method == "bin-unfore":
-            model = BinaryUnforeseenModel(vocab, data["seen"])
-        elif method == "med":
-            model = MedModel(vocab, data["train_indices"])
-        elif method == "mc":
-            model = MarkovChainModel(vocab, data["prior"], data["transition"], meta["delta"])
-        elif method == "hmm-lap":
-            params = HmmParams(pi=data["pi"], trans=data["trans"], emit=data["emit"])
-            model = LaplaceHmmModel(vocab, params, meta["delta"], _trace_from_meta(meta["training"]))
-        elif method == "mshmm":
-            params = HmmParams(pi=data["pi"], trans=data["trans"], emit=data["emit"])
-            marginals = MarginalTables(vocab, data["p_app_tz"], data["p_app_day"])
-            model = MsHmmModel(
-                vocab,
-                params,
-                marginals,
-                data["seen"],
-                meta["delta"],
-                _trace_from_meta(meta["training"]),
-            )
-        else:
+        cls = _model_classes().get(method)
+        if cls is None:
             raise FormatError(f"{path}: unknown method tag {method!r}")
+        try:
+            model = cls.from_arrays(vocab, meta, data)
+        except KeyError as exc:
+            raise FormatError(f"{path}: incomplete {method} container ({exc.args[0]})") from None
         model.owner = meta.get("owner")
         return model

@@ -7,7 +7,7 @@ import numpy as np
 
 from ..encode import Vocabulary
 from .core import (
-    SmoothingConfig,
+    TrainConfig,
     as_index_array,
     as_window_matrix,
     assert_stochastic,
@@ -40,7 +40,7 @@ class MarkovChainModel:
 
     @classmethod
     def fit(
-        cls, train_indices, vocab: Vocabulary, smoothing: SmoothingConfig | None = None
+        cls, train_indices, vocab: Vocabulary, config: TrainConfig = TrainConfig(), base=None
     ) -> "MarkovChainModel":
         """Estimate smoothed prior and transition rows from one sequence.
 
@@ -51,7 +51,7 @@ class MarkovChainModel:
         seq = as_index_array(train_indices)
         size = vocab.size
         check_indices(seq, size)
-        d = (smoothing or SmoothingConfig()).delta
+        d = config.smoothing.delta
 
         occ = np.bincount(seq, minlength=size).astype(np.float64)
         prior = (occ + d) / (seq.size + d * size)
@@ -62,6 +62,13 @@ class MarkovChainModel:
         out_counts = pair_counts.sum(axis=1, keepdims=True)
         transition = (pair_counts + d) / (out_counts + d * size)
         return cls(vocab, prior, transition, d)
+
+    def to_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:
+        return {"delta": self.delta}, {"prior": self.prior, "transition": self.transition}
+
+    @classmethod
+    def from_arrays(cls, vocab: Vocabulary, meta: dict, arrays) -> "MarkovChainModel":
+        return cls(vocab, arrays["prior"], arrays["transition"], meta["delta"])
 
     def score_windows(self, windows) -> np.ndarray:
         mat = as_window_matrix(windows)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..encode import CONTEXTS_PER_APP, N_DAY, N_TZ, Vocabulary
-from .core import SmoothingConfig, as_index_array, check_indices
-from .hmm import HmmParams, TrainingTrace, baum_welch, forward_log_likelihood
+from .core import TrainConfig, as_index_array, check_indices
+from .hmm import HmmParams, TrainingTrace, forward_log_likelihood, hmm_meta, train_base
 
 
 class MarginalTables:
@@ -25,6 +25,11 @@ class MarginalTables:
     def __init__(self, vocab: Vocabulary, p_app_tz: np.ndarray, p_app_day: np.ndarray):
         if p_app_tz.shape != (vocab.n_apps, N_TZ) or p_app_day.shape != (vocab.n_apps, N_DAY):
             raise ValueError("marginal table shapes do not match vocabulary")
+        # The tables become emission probabilities: a NaN or negative entry
+        # would surface only when a window holds an unseen app symbol.
+        for table in (p_app_tz, p_app_day):
+            if not (np.all(np.isfinite(table)) and np.all(table >= 0.0)):
+                raise ValueError("marginal table entries must be finite and non-negative")
         self.vocab = vocab
         self.p_app_tz = np.asarray(p_app_tz, dtype=np.float64)
         self.p_app_day = np.asarray(p_app_day, dtype=np.float64)
@@ -94,10 +99,12 @@ class MsHmmModel:
     ):
         if base.n_symbols != vocab.size:
             raise ValueError("emission width does not match vocabulary size")
+        if seen.shape != (vocab.size,) or seen.dtype != np.bool_:
+            raise ValueError("seen must be a boolean mask over the vocabulary")
         self.vocab = vocab
         self.base = base
         self.marginals = marginals
-        self.seen = seen.astype(np.bool_)
+        self.seen = seen
         self.delta = float(delta)
         self.trace = trace if trace is not None else TrainingTrace(seed=-1, iterations=0)
         self.emit_ext = extended_emissions(base.emit, self.seen, marginals, self.delta)
@@ -107,24 +114,38 @@ class MsHmmModel:
         cls,
         train_indices,
         vocab: Vocabulary,
-        smoothing: SmoothingConfig | None = None,
-        n_states: int = 20,
-        max_iter: int = 50,
-        tol: float = 1e-6,
-        seed: int = 0,
+        config: TrainConfig = TrainConfig(),
         base: tuple[HmmParams, TrainingTrace] | None = None,
     ) -> "MsHmmModel":
         """Train the unsmoothed base HMM (or reuse one) and attach the
         marginal fallback tables."""
         seq = as_index_array(train_indices)
         check_indices(seq, vocab.size)
-        if base is None:
-            base = baum_welch(seq, vocab.size, n_states, max_iter, tol, seed)
-        params, trace = base
+        params, trace = base if base is not None else train_base(seq, vocab, config)
         marginals = MarginalTables.fit(seq, vocab)
         seen = np.zeros(vocab.size, dtype=np.bool_)
         seen[seq] = True
-        return cls(vocab, params, marginals, seen, (smoothing or SmoothingConfig()).delta, trace)
+        return cls(vocab, params, marginals, seen, config.smoothing.delta, trace)
+
+    def to_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:
+        arrays = {
+            **self.base.to_arrays(),
+            "seen": self.seen,
+            "p_app_tz": self.marginals.p_app_tz,
+            "p_app_day": self.marginals.p_app_day,
+        }
+        return hmm_meta(self.base, self.delta, self.trace), arrays
+
+    @classmethod
+    def from_arrays(cls, vocab: Vocabulary, meta: dict, arrays) -> "MsHmmModel":
+        return cls(
+            vocab,
+            HmmParams.from_arrays(arrays),
+            MarginalTables(vocab, arrays["p_app_tz"], arrays["p_app_day"]),
+            arrays["seen"],
+            meta["delta"],
+            TrainingTrace.from_json(meta["training"]),
+        )
 
     def score_windows(self, windows) -> np.ndarray:
         return forward_log_likelihood(self.base.pi, self.base.trans, self.emit_ext, windows)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -73,22 +73,14 @@ class CohortSpec:
             raise ValueError("overlap must be in [0, 1]")
 
     def to_json(self) -> dict:
-        return {
-            "n_users": self.n_users,
-            "days": self.days,
-            "overlap": self.overlap,
-            "apps_per_user": self.apps_per_user,
-            "session_rate": self.session_rate,
-            "session_length": self.session_length,
-            "dwell": self.dwell,
-            "concentration": self.concentration,
-            "context_spread": self.context_spread,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "CohortSpec":
-        return cls(**{k: payload[k] for k in cls.__dataclass_fields__ if k in payload})
+        unknown = set(payload) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown synthetic config keys: {sorted(unknown)}")
+        return cls(**payload)
 
 
 def generate_synthetic_user(profile: UserProfile, days: int) -> list[RawEvent]:

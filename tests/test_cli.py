@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -21,8 +22,10 @@ from appauth.cli import (
     load_config,
     main,
 )
-from appauth.evaluation import read_scores_csv
+from appauth.encode import encode_sessions
+from appauth.ingest import resample_sessions, sessionize, split_sessions
 from appauth.models import METHOD_TAGS, MarkovChainModel
+from appauth.simulate import CohortSpec, make_cohort
 
 TINY = {
     "synthetic": {
@@ -117,6 +120,22 @@ def test_ingest_report_lists_eligible_users(pipeline):
         assert entry["test_symbols"][user] >= TINY["min_test"]
 
 
+def test_ingest_csv_carries_encoded_timestamps(pipeline):
+    out, _ = pipeline
+    cohort = make_cohort(CohortSpec.from_json(TINY["synthetic"]))
+    for user in USERS:
+        resampled = resample_sessions(sessionize(cohort[user]), TINY["periods"][0])
+        split = split_sessions(resampled, ExperimentConfig().train_fraction)
+        for name, sessions in [("train", split.train), ("test", split.test)]:
+            with open(out / f"{name}_period30.csv", encoding="utf-8", newline="") as fh:
+                rows = [r for r in csv.DictReader(fh) if r["owner"] == user]
+            times = [int(r["timestamp"]) for r in rows]
+            assert times == sorted(times)
+            encoded = encode_sessions(sessions)
+            assert times == [ts for ts, _ in encoded]
+            assert [r["symbol"] for r in rows] == [obs.to_text() for _, obs in encoded]
+
+
 def test_manifest_has_config_hash_and_no_timestamps(pipeline):
     out, cfg = pipeline
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
@@ -153,10 +172,11 @@ def test_eer_grid_shape(pipeline):
 
 def test_score_output_covers_genuine_and_impostor_windows(pipeline):
     out, _ = pipeline
-    records = read_scores_csv(out / "scores.csv")
-    assert records
-    assert {r.model_owner for r in records} == {"user00"}
-    owners = {r.window_owner for r in records}
+    with open(out / "scores.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    assert {r["model_owner"] for r in rows} == {"user00"}
+    owners = {r["window_owner"] for r in rows}
     assert "user00" in owners and len(owners) == len(USERS)
 
 
@@ -226,14 +246,15 @@ def test_malformed_sequence_file_exits_2(pipeline, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-def test_tampered_model_exits_2(pipeline, tmp_path, capsys):
+def score_tampered(pipeline, tmp_path, method: str, array: str) -> int:
+    """Exit code of `appauth score` on user00's model with one NaN entry."""
     out, cfg = pipeline
-    with np.load(out / "models" / "user00.mc.npz", allow_pickle=False) as payload:
+    with np.load(out / "models" / f"user00.{method}.npz", allow_pickle=False) as payload:
         arrays = {k: payload[k] for k in payload.files}
-    arrays["transition"][0, 0] = np.nan
-    tampered = tmp_path / "user00.mc.npz"
+    arrays[array][0, 0] = np.nan
+    tampered = tmp_path / f"user00.{method}.npz"
     np.savez(tampered, **arrays)
-    code = main(
+    return main(
         [
             "score",
             "--config",
@@ -246,8 +267,16 @@ def test_tampered_model_exits_2(pipeline, tmp_path, capsys):
             str(out / "test_period30.csv"),
         ]
     )
-    assert code == EXIT_DATA
+
+
+def test_tampered_model_exits_2(pipeline, tmp_path, capsys):
+    assert score_tampered(pipeline, tmp_path, "mc", "transition") == EXIT_DATA
     assert "finite and positive" in capsys.readouterr().err
+
+
+def test_tampered_mshmm_model_exits_2(pipeline, tmp_path, capsys):
+    assert score_tampered(pipeline, tmp_path, "mshmm", "p_app_tz") == EXIT_DATA
+    assert "finite and non-negative" in capsys.readouterr().err
 
 
 def test_non_finite_scores_exit_3(tmp_path, monkeypatch, capsys):
@@ -298,6 +327,22 @@ def test_config_rejects_unknown_keys_and_bad_values():
         ExperimentConfig(methods=("mshmm", "nope"))
     with pytest.raises(ValueError):
         ExperimentConfig(periods=())
+
+
+def test_synthetic_key_typo_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"synthetic": {"n_user": 3}, "out": str(tmp_path / "o")}))
+    assert main(["synth", "--config", str(cfg)]) == EXIT_DATA
+    assert "n_user" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_hash_is_stable():
+    # manifests written by earlier versions name these hashes
+    default = "7a31303c020b4f8256b058827604c258f7e47e232c25bc5121e7fc56e6d43e20"
+    tiny = "77119db2cefaf2fdccab822c89ded3b94e8818ed644e51a7edbf0705b180f489"
+    assert ExperimentConfig().config_hash() == default
+    assert ExperimentConfig.from_json(TINY).config_hash() == tiny
 
 
 def test_config_hash_tracks_content():

@@ -102,6 +102,31 @@ def test_load_rejects_foreign_and_tampered_files(tmp_path):
     with pytest.raises(ValueError, match="finite and positive"):
         load_model(poisoned)
 
+    # a missing array is a format error, not a crash
+    del arrays["transition"]
+    np.savez(poisoned, **arrays)
+    with pytest.raises(FormatError, match="incomplete"):
+        load_model(poisoned)
+
+    # mshmm: a NaN marginal would surface only at scoring; a non-boolean
+    # seen mask would be silently reinterpreted
+    mshmm_path = tmp_path / "model.mshmm.npz"
+    save_model(train_user_model("mshmm", train, vocab, config), mshmm_path)
+    for name, value, message in [
+        ("p_app_tz", np.nan, "finite and non-negative"),
+        ("p_app_day", -0.5, "finite and non-negative"),
+        ("seen", None, "boolean mask"),
+    ]:
+        with np.load(mshmm_path, allow_pickle=False) as payload:
+            arrays = {k: payload[k] for k in payload.files}
+        if value is None:
+            arrays[name] = arrays[name].astype(np.int64)
+        else:
+            arrays[name][0, 0] = value
+        np.savez(poisoned, **arrays)
+        with pytest.raises(ValueError, match=message):
+            load_model(poisoned)
+
 
 def test_train_config_validation():
     assert TrainConfig().n_states == 20

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import enumerate_forward, forward_one, random_hmm, score_one
 from appauth.encode import Vocabulary
-from appauth.models.core import DEFAULT_DELTA, SmoothingConfig
+from appauth.models.core import DEFAULT_DELTA, SmoothingConfig, TrainConfig
 from appauth.models.hmm import (
     HmmParams,
     LaplaceHmmModel,
@@ -54,7 +54,7 @@ def test_batched_forward_matches_singles():
     rng = np.random.default_rng(17)
     vocab = Vocabulary(["a", "b"])
     seq = rng.integers(0, vocab.size, size=200)
-    model = LaplaceHmmModel.fit(seq, vocab, n_states=3, max_iter=8, seed=0)
+    model = LaplaceHmmModel.fit(seq, vocab, TrainConfig(n_states=3, max_iter=8, seed=0))
     windows = rng.integers(0, vocab.size, size=(25, 8))
     batch = model.score_windows(windows)
     singles = [score_one(model, w) for w in windows]
@@ -128,7 +128,7 @@ def test_laplace_smoothing_formula():
 def test_smoothed_model_never_scores_minus_infinity():
     vocab = Vocabulary(["a"])
     seq = np.zeros(80, dtype=np.int64)  # only one symbol ever seen
-    model = LaplaceHmmModel.fit(seq, vocab, n_states=3, max_iter=10, seed=0)
+    model = LaplaceHmmModel.fit(seq, vocab, TrainConfig(n_states=3, max_iter=10, seed=0))
     window = np.array([0, 13, 13, 13])
     score = score_one(model, window)
     assert math.isfinite(score)
@@ -142,6 +142,6 @@ def test_fit_with_shared_base_matches_fresh_fit():
     seq = np.random.default_rng(6).integers(0, vocab.size, size=250)
     base = baum_welch(seq, vocab.size, n_states=4, max_iter=10, tol=1e-6, seed=3)
     reused = LaplaceHmmModel.fit(seq, vocab, base=base)
-    fresh = LaplaceHmmModel.fit(seq, vocab, n_states=4, max_iter=10, tol=1e-6, seed=3)
+    fresh = LaplaceHmmModel.fit(seq, vocab, TrainConfig(n_states=4, max_iter=10, tol=1e-6, seed=3))
     windows = np.random.default_rng(7).integers(0, vocab.size, size=(10, 6))
     np.testing.assert_array_equal(reused.score_windows(windows), fresh.score_windows(windows))

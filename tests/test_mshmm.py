@@ -9,7 +9,7 @@ import pytest
 
 from conftest import DELTA, PSI, app, forward_one, score_one, unk
 from appauth.encode import Vocabulary
-from appauth.models.core import DEFAULT_DELTA
+from appauth.models.core import DEFAULT_DELTA, TrainConfig
 from appauth.models.mshmm import MarginalTables, MsHmmModel
 
 D = DEFAULT_DELTA
@@ -62,7 +62,8 @@ def test_marginals_absent_app_lookup_is_zero():
 def fit_small(train_obs, apps, seed=0, max_iter=8, n_states=3):
     vocab = Vocabulary(apps)
     train = vocab.project(train_obs)
-    model = MsHmmModel.fit(train, vocab, n_states=n_states, max_iter=max_iter, seed=seed)
+    config = TrainConfig(n_states=n_states, max_iter=max_iter, seed=seed)
+    model = MsHmmModel.fit(train, vocab, config)
     return vocab, model
 
 
@@ -99,7 +100,7 @@ def test_emission_seen_symbols_keep_learned_values():
     rng = np.random.default_rng(3)
     vocab = Vocabulary(["a", "b"])
     train = rng.integers(0, vocab.unknown_base, size=300)
-    model = MsHmmModel.fit(train, vocab, n_states=4, max_iter=10, seed=1)
+    model = MsHmmModel.fit(train, vocab, TrainConfig(n_states=4, max_iter=10, seed=1))
     seen_cols = sorted(set(train.tolist()))
     for state in range(4):
         for col in seen_cols:
@@ -111,7 +112,7 @@ def test_emission_is_total_and_positive():
     rng = np.random.default_rng(5)
     vocab = Vocabulary(["a", "b", "c"])
     train = rng.integers(0, vocab.unknown_base, size=400)
-    model = MsHmmModel.fit(train, vocab, n_states=5, max_iter=50, tol=0.0, seed=2)
+    model = MsHmmModel.fit(train, vocab, TrainConfig(n_states=5, max_iter=50, tol=0.0, seed=2))
     for state in range(5):
         for col in range(vocab.size):
             assert model.emit_ext[state, col] > 0.0
@@ -129,7 +130,7 @@ def test_fully_seen_window_matches_base_forward():
     rng = np.random.default_rng(8)
     vocab = Vocabulary(["a", "b"])
     train = rng.integers(0, vocab.unknown_base, size=300)
-    model = MsHmmModel.fit(train, vocab, n_states=3, max_iter=10, seed=4)
+    model = MsHmmModel.fit(train, vocab, TrainConfig(n_states=3, max_iter=10, seed=4))
     window = train[rng.integers(0, train.size, size=15)]
     base_ll = forward_one(model.base, window)
     assert score_one(model, window) == pytest.approx(base_ll, rel=1e-9)
@@ -139,7 +140,7 @@ def test_appending_unknown_costs_at_least_the_double_floor():
     rng = np.random.default_rng(9)
     vocab = Vocabulary(["a", "b"])
     train = rng.integers(0, vocab.unknown_base, size=300)
-    model = MsHmmModel.fit(train, vocab, n_states=3, max_iter=10, seed=0)
+    model = MsHmmModel.fit(train, vocab, TrainConfig(n_states=3, max_iter=10, seed=0))
     window = train[:12]
     drop = score_one(model, np.append(window, vocab.unknown_base)) - score_one(model, window)
     assert drop <= 2 * math.log(D) + 1e-9
@@ -158,7 +159,7 @@ def test_batch_scores_match_singles():
     rng = np.random.default_rng(10)
     vocab = Vocabulary(["a", "b"])
     train = rng.integers(0, vocab.unknown_base, size=250)
-    model = MsHmmModel.fit(train, vocab, n_states=3, max_iter=8, seed=1)
+    model = MsHmmModel.fit(train, vocab, TrainConfig(n_states=3, max_iter=8, seed=1))
     windows = rng.integers(0, vocab.size, size=(20, 10))
     np.testing.assert_allclose(
         model.score_windows(windows),
@@ -175,6 +176,6 @@ def test_fit_with_shared_base_matches_fresh_fit():
     train = rng.integers(0, vocab.unknown_base, size=250)
     base = baum_welch(train, vocab.size, n_states=3, max_iter=8, tol=1e-6, seed=5)
     reused = MsHmmModel.fit(train, vocab, base=base)
-    fresh = MsHmmModel.fit(train, vocab, n_states=3, max_iter=8, tol=1e-6, seed=5)
+    fresh = MsHmmModel.fit(train, vocab, TrainConfig(n_states=3, max_iter=8, tol=1e-6, seed=5))
     windows = rng.integers(0, vocab.size, size=(10, 8))
     np.testing.assert_array_equal(reused.score_windows(windows), fresh.score_windows(windows))
