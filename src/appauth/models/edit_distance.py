@@ -25,6 +25,9 @@ from .core import TrainConfig, as_index_array, as_window_matrix, check_indices
 INDEL_COST = 3
 MISMATCH_COST = 3
 
+# DP cells (windows x (T + 1)) aligned at once; bounds `med` scoring memory.
+CHUNK_CELLS = 1 << 20
+
 # sentinel "app values" so that symbol families compare with plain ==
 _APP_UNKNOWN = -2
 _APP_SESSION_START = -3
@@ -99,33 +102,47 @@ class MedModel:
     def score_windows(self, windows) -> np.ndarray:
         """Negated semi-global alignment distance of each window to the text.
 
-        Dynamic program over (window position, text position); within-row
-        minimization over the cost-3 gap chain is done with a running-minimum
-        transform so each row is a handful of whole-array operations.
+        Only the batch's distinct windows are aligned, in chunks of at most
+        CHUNK_CELLS DP cells, against one int8 substitution-cost row of
+        length T per distinct symbol of the batch. Memory is O(chunk x T)
+        plus those rows, not O(windows x T); the DP is exact int32 arithmetic.
         """
         mat = as_window_matrix(windows)
-        n_win, n = mat.shape
+        n = mat.shape[1]
         text_len = self.train_indices.size
         if n > text_len:
             raise ValueError(f"window length {n} exceeds training sequence length {text_len}")
+        # Distinct windows, each compared as one raw-bytes value: equal bytes
+        # are equal windows, and np.unique(axis=0) is ~10x slower here.
+        as_bytes = np.ascontiguousarray(mat).view(np.dtype((np.void, mat.itemsize * n)))
+        unique, inverse = np.unique(as_bytes.ravel(), return_inverse=True)
+        symbols, rows = np.unique(unique.view(np.int64), return_inverse=True)
+        rows = rows.reshape(len(unique), n)
         t_app, t_tz, t_day = self._text_attrs
-        w_app, w_tz, w_day = symbol_attributes(mat, self.vocab)
+        s_app, s_tz, s_day = (a[:, None] for a in symbol_attributes(symbols, self.vocab))
+        cost = (s_tz != t_tz).astype(np.int8)
+        cost += s_day != t_day
+        cost[s_app != t_app] = MISMATCH_COST
+        cost -= 2 * INDEL_COST
 
-        ramp = INDEL_COST * np.arange(text_len + 1, dtype=np.int64)
-        prev = np.zeros((n_win, text_len + 1), dtype=np.int64)  # leading text is free
-        cand = np.empty_like(prev)
-        for i in range(n):
-            same = w_app[:, i, None] == t_app[None, :]
-            sub = np.where(
-                same,
-                (w_tz[:, i, None] != t_tz[None, :]).astype(np.int64)
-                + (w_day[:, i, None] != t_day[None, :]),
-                MISMATCH_COST,
-            )
-            cand[:, 0] = INDEL_COST * (i + 1)
-            np.minimum(prev[:, :-1] + sub, prev[:, 1:] + INDEL_COST, out=cand[:, 1:])
-            cand -= ramp
-            np.minimum.accumulate(cand, axis=1, out=cand)
-            cand += ramp
-            prev, cand = cand, prev
-        return -prev.min(axis=1).astype(np.float64)  # trailing text is free
+        # The DP runs on E[i, j] = D[i, j] - INDEL_COST * (i + j), where D is
+        # the distance of window prefix i to text ending at j. In that frame
+        # both gap moves cost 0 and a substitution costs cost - 2 * INDEL_COST,
+        # so a row is E[i - 1] shifted plus the cost row, a minimum with
+        # E[i - 1], and a running minimum along the text. E[i, 0] = 0 in
+        # every row, so column 0 of both buffers keeps its initial 0.
+        dist = np.empty(len(unique), dtype=np.int32)
+        step = max(1, CHUNK_CELLS // (text_len + 1))
+        ramp = INDEL_COST * np.arange(text_len + 1, dtype=np.int32)
+        for start in range(0, len(unique), step):
+            chunk = rows[start : start + step]
+            prev = np.tile(-ramp, (len(chunk), 1))  # leading text is free
+            cand = np.zeros_like(prev)
+            for i in range(n):
+                np.add(prev[:, :-1], cost[chunk[:, i]], out=cand[:, 1:])
+                np.minimum(cand[:, 1:], prev[:, 1:], out=cand[:, 1:])
+                np.minimum.accumulate(cand, axis=1, out=cand)
+                prev, cand = cand, prev
+            # trailing text is free
+            dist[start : start + step] = (prev + ramp).min(axis=1) + INDEL_COST * n
+        return -dist[inverse].astype(np.float64)

@@ -73,6 +73,20 @@ def test_save_load_round_trip_is_bit_identical(tmp_path):
         np.testing.assert_array_equal(before, after)
 
 
+def test_every_model_guards_its_window_batch():
+    """An empty batch scores to nothing; an out-of-range symbol is an error,
+    never a silently wrapped index."""
+    vocab, train, config = make_training()
+    for tag in METHOD_TAGS:
+        model = train_user_model(tag, train, vocab, config)
+        assert model.score_windows(np.zeros((0, 12), dtype=np.int64)).shape == (0,)
+        for bad in (-1, vocab.size):
+            windows = np.zeros((3, 12), dtype=np.int64)
+            windows[1, 4] = bad
+            with pytest.raises(ValueError):
+                model.score_windows(windows)
+
+
 def test_load_rejects_foreign_and_tampered_files(tmp_path):
     vocab, train, config = make_training()
     path = tmp_path / "model.npz"

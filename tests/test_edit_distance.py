@@ -9,7 +9,7 @@ import pytest
 
 from conftest import DELTA, PSI, app, brute_med_distance, med_distance, random_observation, score_one, unk
 from appauth.encode import Vocabulary
-from appauth.models.edit_distance import MedModel, substitution_cost
+from appauth.models.edit_distance import CHUNK_CELLS, MedModel, substitution_cost
 
 
 def test_substitution_cost_table():
@@ -115,3 +115,32 @@ def test_score_is_negated_distance():
     window = vocab.project([app("a", 1, 0)])
     assert score_one(model, window) == -1.0
     assert model.score_windows(np.stack([window, window])).tolist() == [-1.0, -1.0]
+
+
+def test_repeated_windows_across_chunks_match_singles():
+    """Dedupe and chunking leave every distance, in input order, unchanged."""
+    vocab = Vocabulary(["a", "b", "c", "d"])
+    rng = np.random.default_rng(31)
+    text_len = 4095
+    per_chunk = CHUNK_CELLS // (text_len + 1)
+    train = rng.integers(0, vocab.size, size=text_len).astype(np.int64)
+    model = MedModel.fit(train, vocab)
+    distinct = np.unique(rng.integers(0, vocab.size, size=(3 * per_chunk, 6)), axis=0)
+    assert len(distinct) > 2 * per_chunk  # the unique rows span three chunks
+    windows = distinct[rng.permutation(np.repeat(np.arange(len(distinct)), 2))]
+    windows[::7] = train[100:106]  # one row shared by many, distance 0
+    batch = -model.score_windows(windows)
+    assert batch.tolist() == [med_distance(model, w) for w in windows]
+
+
+def test_repeated_windows_match_exhaustive_oracle():
+    apps = ["a", "b"]
+    vocab = Vocabulary(apps)
+    rng = np.random.default_rng(37)
+    text_obs = [random_observation(rng, apps) for _ in range(7)]
+    model = MedModel.fit(vocab.project(text_obs), vocab)
+    distinct = [[random_observation(rng, apps) for _ in range(3)] for _ in range(5)]
+    order = [0, 3, 0, 1, 4, 3, 2, 0, 4]
+    windows = np.stack([vocab.project(distinct[k]) for k in order])
+    got = -model.score_windows(windows)
+    assert got.tolist() == [brute_med_distance(distinct[k], text_obs) for k in order]
