@@ -31,8 +31,8 @@ models = train_cohort_models("mshmm", prepared, config)
 # Each user's threshold is a low percentile of their own genuine window
 # scores: almost all of the owner's activity stays above it.
 genuine = {(u, u): models[u].vocab.project(p.test_observations) for u, p in prepared.items()}
-genuine_records = generate_score_records(models, genuine, WINDOW, STRIDE)
-thresholds = genuine_score_thresholds(genuine_records, percentile=5.0)
+genuine_table = generate_score_records(models, genuine, WINDOW, STRIDE)
+thresholds = genuine_score_thresholds(genuine_table, percentile=5.0)
 for user in sorted(thresholds):
     print(f"{user}: threshold {thresholds[user]:.1f}")
 

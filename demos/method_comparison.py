@@ -20,14 +20,14 @@ prepared = prepare_cohort(make_cohort(spec), period=30)
 print(f"{len(prepared)} eligible users at a 30 s sampling period")
 
 config = TrainConfig(n_states=10, max_iter=20, seed=0)
-records = evaluate_methods(METHOD_TAGS, prepared, N_VALUES, config, STRIDE)
+tables = evaluate_methods(METHOD_TAGS, prepared, N_VALUES, config, STRIDE)
 
 print(f"\nEER% by method and window length (stride {STRIDE}):")
 header = "".join(f"  n={n:<6}" for n in N_VALUES)
 print(f"{'method':<12}{header}")
 for method in METHOD_TAGS:
-    cells = "".join(f"  {equal_error_rate(records[(method, n)]):<7.2f}" for n in N_VALUES)
+    cells = "".join(f"  {equal_error_rate(tables[(method, n)]):<7.2f}" for n in N_VALUES)
     print(f"{method:<12}{cells}")
 
-counts = {n: len(records[(METHOD_TAGS[0], n)]) for n in N_VALUES}
-print(f"\nscore records per method: {counts} (all user pairs, both directions)")
+counts = {n: len(tables[(METHOD_TAGS[0], n)]) for n in N_VALUES}
+print(f"\nscored windows per method: {counts} (all user pairs, both directions)")

@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .encode import Observation, Vocabulary, day_flag_of, encode_sessions, timezone_of
 from .evaluation import (
     ConfusionCounts,
-    ScoreRecord,
+    ScoreTable,
     accuracy,
     confusion_counts,
     equal_error_rate,
@@ -35,7 +35,6 @@ from .ingest import (
 )
 from .models import (
     METHOD_TAGS,
-    SmoothingConfig,
     TrainConfig,
     load_model,
     save_model,
@@ -58,9 +57,8 @@ __all__ = [
     "METHOD_TAGS",
     "Observation",
     "RawEvent",
-    "ScoreRecord",
+    "ScoreTable",
     "Session",
-    "SmoothingConfig",
     "SplitDataset",
     "TrainConfig",
     "Vocabulary",

@@ -29,7 +29,8 @@ from .evaluation import (
     DEFAULT_MIN_TRAIN,
     EerGrid,
     PreparedUser,
-    ScoreRecord,
+    ScoreTable,
+    _write_csv,
     accuracy,
     app_similarity_matrix,
     confusion_counts,
@@ -66,7 +67,6 @@ from .ingest import (
 from .models import (
     DEFAULT_DELTA,
     METHOD_TAGS,
-    SmoothingConfig,
     TrainConfig,
     load_model,
     save_model,
@@ -143,7 +143,7 @@ class ExperimentConfig:
     @property
     def train_config(self) -> TrainConfig:
         return TrainConfig(
-            smoothing=SmoothingConfig(self.delta),
+            delta=self.delta,
             n_states=self.n_states,
             max_iter=self.max_iter,
             tol=self.tol,
@@ -293,10 +293,10 @@ def cmd_score(config: ExperimentConfig, model_path: str, sequence_path: str) -> 
     for seq_owner, _, obs in rows:
         by_owner.setdefault(seq_owner, []).append(obs)
     projections = {(owner, wo): model.vocab.project(obs) for wo, obs in by_owner.items()}
-    records = generate_score_records({owner: model}, projections, config.n_values[0], config.stride)
-    write_scores_csv(records, out / "scores.csv")
+    table = generate_score_records({owner: model}, projections, config.n_values[0], config.stride)
+    write_scores_csv(table, out / "scores.csv")
     write_manifest(config, "score", out)
-    print(f"wrote {len(records)} scores to {out / 'scores.csv'}")
+    print(f"wrote {len(table)} scores to {out / 'scores.csv'}")
     return EXIT_OK
 
 
@@ -310,7 +310,7 @@ def cmd_eval(config: ExperimentConfig) -> int:
         )
         for m in config.methods
     }
-    first_period_records: dict[tuple[str, int], list[ScoreRecord]] = {}
+    first_period: dict[tuple[str, int], ScoreTable] = {}
     events_by_user = _load_cohort(config)
     for j, period in enumerate(config.periods):
         prepared = _prepare(config, events_by_user, period)
@@ -322,29 +322,29 @@ def cmd_eval(config: ExperimentConfig) -> int:
         )
         for method in config.methods:
             for i, n in enumerate(config.n_values):
-                records = by_key[(method, n)]
-                if records:
-                    grids[method].values[i, j] = equal_error_rate(records)
+                table = by_key[(method, n)]
+                if table:
+                    grids[method].values[i, j] = equal_error_rate(table)
         if j == 0:
-            first_period_records = by_key
+            first_period = by_key
 
     for method in config.methods:
         write_eer_grid_csv(grids[method], out / f"eer_grid_{method}.csv")
-    if first_period_records:
+    if first_period:
         period = config.periods[0]
         n0 = config.n_values[0]
-        metric_rows: list[list[str]] = []
+        metric_rows = ["method,n,period,threshold,eer,sensitivity,specificity,accuracy,f1".split(",")]
         for method in config.methods:
-            records = first_period_records[(method, n0)]
-            if records:
-                write_scores_csv(records, out / f"scores_{method}.csv")
-                write_roc_csv(roc_curve(records), out / f"roc_{method}.csv")
+            table = first_period[(method, n0)]
+            if table:
+                write_scores_csv(table, out / f"scores_{method}.csv")
+                write_roc_csv(roc_curve(table), out / f"roc_{method}.csv")
             for n in config.n_values:
-                recs = first_period_records[(method, n)]
-                if not recs:
+                table = first_period[(method, n)]
+                if not table:
                     continue
-                eer, thr = eer_threshold(recs)
-                cc = confusion_counts(recs, thr)
+                eer, thr = eer_threshold(table)
+                cc = confusion_counts(table, thr)
                 metric_rows.append(
                     [
                         method,
@@ -358,10 +358,7 @@ def cmd_eval(config: ExperimentConfig) -> int:
                         format_number(f1(cc)),
                     ]
                 )
-        with open(out / "metrics.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("method,n,period,threshold,eer,sensitivity,specificity,accuracy,f1\n")
-            for row in metric_rows:
-                fh.write(",".join(row) + "\n")
+        _write_csv(out / "metrics.csv", metric_rows)
     write_manifest(config, "eval", out)
     print(f"wrote EER grids for {len(config.methods)} method(s) to {out}")
     return EXIT_OK
@@ -411,8 +408,8 @@ def cmd_intrude(config: ExperimentConfig) -> int:
     genuine = {(u, u): models[u].vocab.project(test_obs[u]) for u in models}
     studies = []
     for n in config.n_values:
-        genuine_records = generate_score_records(models, genuine, n, config.stride)
-        thresholds = genuine_score_thresholds(genuine_records, config.threshold_percentile)
+        genuine_table = generate_score_records(models, genuine, n, config.stride)
+        thresholds = genuine_score_thresholds(genuine_table, config.threshold_percentile)
         studies.append(
             intrusion_study(models, test_obs, n, thresholds, config.seed, config.segment)
         )

@@ -1,8 +1,10 @@
 """Verification protocol and reporting.
 
 Every user's model scores every user's test windows (genuine pairs on the
-diagonal, impostor pairs off it); the resulting score records feed the
-confusion metrics, ROC/EER estimation, and the dataset-statistics reports.
+diagonal, impostor pairs off it) into one columnar `ScoreTable`; the
+confusion metrics, ROC/EER estimation and the intrusion thresholds work on
+its columns with masks and numpy reductions. The dataset-statistics reports
+live here too.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -33,17 +36,26 @@ def format_number(x: float) -> str:
     return format(float(x), ".6g")
 
 
-@dataclass(frozen=True, slots=True)
-class ScoreRecord:
-    """One scored window: which model judged whose window, and the score."""
+@dataclass(frozen=True, slots=True, eq=False)
+class ScoreTable:
+    """Scored windows as parallel columns, one row per window.
 
-    model_owner: str
-    window_owner: str
-    window_end_index: int
-    score: float
+    `model_owner` and `window_owner` are codes into the sorted `users`
+    tuple; a row is genuine when the two match. `generate_score_records`
+    emits rows in (model owner, window owner, end index) order.
+    """
+
+    users: tuple[str, ...]
+    model_owner: np.ndarray  # int64 codes into users
+    window_owner: np.ndarray  # int64 codes into users
+    end_index: np.ndarray  # int64 index of each window's last symbol
+    score: np.ndarray  # float64
+
+    def __len__(self) -> int:
+        return self.score.size
 
     @property
-    def genuine(self) -> bool:
+    def genuine(self) -> np.ndarray:
         return self.model_owner == self.window_owner
 
 
@@ -125,20 +137,24 @@ def generate_score_records(
     projections: Mapping[tuple[str, str], np.ndarray],
     n: int,
     stride: int = 1,
-) -> list[ScoreRecord]:
+) -> ScoreTable:
     """Score test windows against models, one (model owner, window owner)
     pair per key of `projections`.
 
     Each projection is the window owner's test sequence already projected
     into the model owner's vocabulary, so unknown-ness is always relative to
     the verifier. Windows end at indices n-1, n-1+stride, ...; pairs with
-    fewer than n test symbols are skipped with a warning.
+    fewer than n test symbols are skipped with a warning. Pairs are walked
+    in sorted order, so the table's rows come out sorted.
     """
     if n < 1:
         raise ValueError("window length must be >= 1")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    records: list[ScoreRecord] = []
+    users = tuple(sorted({u for pair in projections for u in pair}))
+    code = {u: i for i, u in enumerate(users)}
+    empty = np.empty(0, dtype=np.int64)
+    columns = [(empty, empty, empty, np.empty(0, dtype=np.float64))]
     for model_owner, window_owner in sorted(projections):
         indices = projections[(model_owner, window_owner)]
         if indices.size < n:
@@ -151,29 +167,26 @@ def generate_score_records(
             )
             continue
         scores = models[model_owner].score_windows(sliding_windows(indices, n)[::stride])
-        ends = range(n - 1, indices.size, stride)
-        records.extend(
-            ScoreRecord(model_owner, window_owner, e, float(s)) for e, s in zip(ends, scores)
+        ends = np.arange(n - 1, indices.size, stride, dtype=np.int64)
+        columns.append(
+            (
+                np.full(ends.size, code[model_owner], dtype=np.int64),
+                np.full(ends.size, code[window_owner], dtype=np.int64),
+                ends,
+                np.asarray(scores, dtype=np.float64),
+            )
         )
-    return records
+    return ScoreTable(users, *(np.concatenate(col) for col in zip(*columns)))
 
 
-def sort_records(records: Iterable[ScoreRecord]) -> list[ScoreRecord]:
-    return sorted(records, key=lambda r: (r.model_owner, r.window_owner, r.window_end_index))
-
-
-def confusion_counts(records: Iterable[ScoreRecord], threshold: float) -> ConfusionCounts:
+def confusion_counts(table: ScoreTable, threshold: float) -> ConfusionCounts:
     """Accept iff score >= threshold; genuine iff owner matches."""
-    tp = fp = tn = fn = 0
-    for rec in records:
-        accept = rec.score >= threshold
-        if rec.genuine:
-            tp += accept
-            fn += not accept
-        else:
-            fp += accept
-            tn += not accept
-    return ConfusionCounts(tp, fp, tn, fn)
+    accept = table.score >= threshold
+    genuine = table.genuine
+    tp = int(np.count_nonzero(accept & genuine))
+    fn = int(np.count_nonzero(genuine)) - tp
+    fp = int(np.count_nonzero(accept)) - tp
+    return ConfusionCounts(tp, fp, len(table) - tp - fn - fp, fn)
 
 
 def _ratio(name: str, num: float, den: float) -> float:
@@ -204,14 +217,12 @@ def f1(cc: ConfusionCounts) -> float:
 # ROC / EER
 
 
-def _split_scores(records: Iterable[ScoreRecord]) -> tuple[np.ndarray, np.ndarray]:
-    genuine = []
-    impostor = []
-    for rec in records:
-        (genuine if rec.genuine else impostor).append(rec.score)
-    if not genuine or not impostor:
-        raise ValueError("need at least one genuine and one impostor record")
-    return np.sort(np.asarray(genuine)), np.sort(np.asarray(impostor))
+def _split_scores(table: ScoreTable) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted genuine and impostor scores; masks keep the row order."""
+    genuine = table.genuine
+    if genuine.all() or not genuine.any():
+        raise ValueError("need at least one genuine and one impostor row")
+    return np.sort(table.score[genuine]), np.sort(table.score[~genuine])
 
 
 def _sweep(genuine: np.ndarray, impostor: np.ndarray):
@@ -225,44 +236,45 @@ def _sweep(genuine: np.ndarray, impostor: np.ndarray):
     return thresholds, far, frr
 
 
-def roc_curve(records: Iterable[ScoreRecord]) -> RocCurve:
-    genuine, impostor = _split_scores(records)
+def roc_curve(table: ScoreTable) -> RocCurve:
+    thresholds, far, frr = _sweep(*_split_scores(table))
+    points = zip(thresholds.tolist(), (100.0 * far).tolist(), (100.0 * frr).tolist())
+    return RocCurve(tuple(points))
+
+
+def _crossing(genuine: np.ndarray, impostor: np.ndarray) -> tuple[float, float]:
+    """(EER %, threshold) from sorted scores.
+
+    The EER is FAR at the FAR/FRR crossing, linearly interpolated between
+    adjacent thresholds when they cross between grid points; the threshold
+    is the swept one nearest the crossing.
+    """
     thresholds, far, frr = _sweep(genuine, impostor)
-    return RocCurve(
-        tuple((float(t), 100.0 * f, 100.0 * r) for t, f, r in zip(thresholds, far, frr))
-    )
-
-
-def eer_from_scores(genuine: np.ndarray, impostor: np.ndarray) -> float:
-    """EER percentage: FAR at the FAR/FRR crossing, linearly interpolated
-    between adjacent thresholds when they cross between grid points."""
-    genuine = np.sort(np.asarray(genuine, dtype=np.float64))
-    impostor = np.sort(np.asarray(impostor, dtype=np.float64))
-    if genuine.size == 0 or impostor.size == 0:
-        raise ValueError("need at least one genuine and one impostor score")
-    _, far, frr = _sweep(genuine, impostor)
     diff = frr - far
     above = int(np.argmax(diff > 0.0))  # first strictly positive; exists via sentinel
     k = above - 1
     lam = -diff[k] / (diff[above] - diff[k]) if diff[above] != diff[k] else 0.0
-    return float(100.0 * (far[k] + lam * (far[above] - far[k])))
+    pick = k if abs(diff[k]) <= abs(diff[above]) else above
+    return float(100.0 * (far[k] + lam * (far[above] - far[k]))), float(thresholds[pick])
 
 
-def equal_error_rate(records: Iterable[ScoreRecord]) -> float:
-    genuine, impostor = _split_scores(records)
-    return eer_from_scores(genuine, impostor)
+def eer_from_scores(genuine: np.ndarray, impostor: np.ndarray) -> float:
+    """EER percentage of raw genuine and impostor score arrays."""
+    genuine = np.sort(np.asarray(genuine, dtype=np.float64))
+    impostor = np.sort(np.asarray(impostor, dtype=np.float64))
+    if genuine.size == 0 or impostor.size == 0:
+        raise ValueError("need at least one genuine and one impostor score")
+    return _crossing(genuine, impostor)[0]
 
 
-def eer_threshold(records: Iterable[ScoreRecord]) -> tuple[float, float]:
+def equal_error_rate(table: ScoreTable) -> float:
+    return _crossing(*_split_scores(table))[0]
+
+
+def eer_threshold(table: ScoreTable) -> tuple[float, float]:
     """(EER %, operating threshold): the swept threshold nearest the
     FAR/FRR crossing."""
-    genuine, impostor = _split_scores(records)
-    thresholds, far, frr = _sweep(genuine, impostor)
-    diff = frr - far
-    above = int(np.argmax(diff > 0.0))
-    k = above - 1
-    pick = k if abs(diff[k]) <= abs(diff[above]) else above
-    return eer_from_scores(genuine, impostor), float(thresholds[pick])
+    return _crossing(*_split_scores(table))
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +498,8 @@ def evaluate_methods(
     n_values: Sequence[int],
     config: TrainConfig = TrainConfig(),
     stride: int = 1,
-) -> dict[tuple[str, int], list[ScoreRecord]]:
-    """Score records for every (method, window length) combination.
+) -> dict[tuple[str, int], ScoreTable]:
+    """A score table for every (method, window length) combination.
 
     Projections of each test sequence into each model owner's vocabulary
     are computed once, and the two HMM variants share one Baum-Welch run
@@ -500,7 +512,7 @@ def evaluate_methods(
         for wo in users
     }
     bases = train_hmm_bases(methods, prepared, config)
-    out: dict[tuple[str, int], list[ScoreRecord]] = {}
+    out: dict[tuple[str, int], ScoreTable] = {}
     for method in methods:
         models = train_cohort_models(method, prepared, config, bases)
         for n in n_values:
@@ -512,93 +524,67 @@ def evaluate_methods(
 # report files
 
 
-def _open_out(dest: str | Path | TextIO, write_fn) -> None:
+def _write_csv(dest: str | Path | TextIO, rows: Iterable[Sequence]) -> None:
+    """Write CSV rows with "\\n" line ends to a path or an open text stream."""
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_fn(fh)
+            csv.writer(fh, lineterminator="\n").writerows(rows)
     else:
-        write_fn(dest)
+        csv.writer(dest, lineterminator="\n").writerows(rows)
 
 
-def write_scores_csv(records: Iterable[ScoreRecord], dest: str | Path | TextIO) -> None:
-    def _write(fh: TextIO) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["model_owner", "window_owner", "end_index", "score"])
-        for rec in sort_records(records):
-            w.writerow(
-                [rec.model_owner, rec.window_owner, rec.window_end_index, format_number(rec.score)]
-            )
-
-    _open_out(dest, _write)
+def write_scores_csv(table: ScoreTable, dest: str | Path | TextIO) -> None:
+    """One row per scored window, in the table's (sorted) row order."""
+    users = np.asarray(table.users, dtype=object)
+    body = zip(
+        users[table.model_owner].tolist(),
+        users[table.window_owner].tolist(),
+        table.end_index.tolist(),
+        map(format_number, table.score.tolist()),
+    )
+    _write_csv(dest, chain([["model_owner", "window_owner", "end_index", "score"]], body))
 
 
 def write_eer_grid_csv(grid: EerGrid, dest: str | Path | TextIO) -> None:
-    def _write(fh: TextIO) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n"] + [f"period_{p}" for p in grid.periods])
-        for i, n in enumerate(grid.n_values):
-            row: list[str] = [str(n)]
-            for j in range(len(grid.periods)):
-                v = grid.values[i, j]
-                row.append("" if np.isnan(v) else format_number(v))
-            w.writerow(row)
-
-    _open_out(dest, _write)
+    header = ["n"] + [f"period_{p}" for p in grid.periods]
+    body = (
+        [n] + ["" if np.isnan(v) else format_number(v) for v in grid.values[i]]
+        for i, n in enumerate(grid.n_values)
+    )
+    _write_csv(dest, chain([header], body))
 
 
 def write_roc_csv(curve: RocCurve, dest: str | Path | TextIO) -> None:
-    def _write(fh: TextIO) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["threshold", "far", "frr"])
-        for t, far, frr in curve.points:
-            w.writerow([format_number(t), format_number(far), format_number(frr)])
-
-    _open_out(dest, _write)
+    body = ([format_number(x) for x in point] for point in curve.points)
+    _write_csv(dest, chain([["threshold", "far", "frr"]], body))
 
 
 def write_similarity_csv(
     users: Sequence[str], matrix: np.ndarray, dest: str | Path | TextIO
 ) -> None:
-    def _write(fh: TextIO) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["user"] + list(users))
-        for i, user in enumerate(users):
-            w.writerow([user] + [format_number(x) for x in matrix[i]])
-
-    _open_out(dest, _write)
+    body = ([user] + [format_number(x) for x in matrix[i]] for i, user in enumerate(users))
+    _write_csv(dest, chain([["user"] + list(users)], body))
 
 
 def write_unknown_stats_csv(stats: UnknownAppStats, dest: str | Path | TextIO) -> None:
-    def _write(fh: TextIO) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["model_owner", "test_user", "kind", "unknown_pct"])
-        for mo, tu, pct in stats.pairs:
-            kind = "genuine" if mo == tu else "impostor"
-            w.writerow([mo, tu, kind, format_number(pct)])
-        w.writerow([])
-        w.writerow(["summary", "mean", "min", "q1", "median", "q3", "max"])
-        for name, s in (("genuine", stats.genuine), ("impostor", stats.impostor)):
-            w.writerow(
-                [name]
-                + [format_number(x) for x in (s.mean, s.minimum, s.q1, s.median, s.q3, s.maximum)]
-            )
-
-    _open_out(dest, _write)
+    pairs = (
+        [mo, tu, "genuine" if mo == tu else "impostor", format_number(pct)]
+        for mo, tu, pct in stats.pairs
+    )
+    summary = (
+        [name] + [format_number(x) for x in (s.mean, s.minimum, s.q1, s.median, s.q3, s.maximum)]
+        for name, s in (("genuine", stats.genuine), ("impostor", stats.impostor))
+    )
+    header = ["model_owner", "test_user", "kind", "unknown_pct"]
+    summary_header = ["summary", "mean", "min", "q1", "median", "q3", "max"]
+    _write_csv(dest, chain([header], pairs, [[], summary_header], summary))
 
 
 def write_top_apps_csv(rows: Sequence[TopAppRow], dest: str | Path | TextIO) -> None:
-    def _write(fh: TextIO) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["rank", "app_id", "user_count", "per_user_usage", "overall_usage"])
-        for r in rows:
-            w.writerow(
-                [
-                    r.rank,
-                    r.app_id,
-                    r.user_count,
-                    format_number(r.per_user_usage),
-                    format_number(r.overall_usage),
-                ]
-            )
-
-    _open_out(dest, _write)
+    header = ["rank", "app_id", "user_count", "per_user_usage", "overall_usage"]
+    body = (
+        [r.rank, r.app_id, r.user_count]
+        + [format_number(r.per_user_usage), format_number(r.overall_usage)]
+        for r in rows
+    )
+    _write_csv(dest, chain([header], body))

@@ -8,7 +8,7 @@ from typing import get_args
 
 from ..encode import Vocabulary
 from .binary import BinaryUnforeseenModel, BinaryUnknownModel
-from .core import DEFAULT_DELTA, SmoothingConfig, TrainConfig
+from .core import DEFAULT_DELTA, TrainConfig
 from .edit_distance import MedModel, substitution_cost
 from .hmm import (
     HmmParams,
@@ -63,7 +63,6 @@ __all__ = [
     "METHOD_TAGS",
     "MODEL_CLASSES",
     "MsHmmModel",
-    "SmoothingConfig",
     "TrainConfig",
     "TrainingTrace",
     "UserModel",

@@ -15,28 +15,19 @@ DEFAULT_TOL = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
-class SmoothingConfig:
-    """Probability floor applied wherever counts can be zero."""
-
-    delta: float = DEFAULT_DELTA
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-
-
-@dataclass(frozen=True, slots=True)
 class TrainConfig:
     """Knobs shared by the model trainers; only the relevant ones apply to
     each method."""
 
-    smoothing: SmoothingConfig = SmoothingConfig()
+    delta: float = DEFAULT_DELTA  # probability floor wherever counts can be zero
     n_states: int = DEFAULT_N_STATES
     max_iter: int = DEFAULT_MAX_ITER
     tol: float = DEFAULT_TOL
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.n_states < 1:
             raise ValueError("n_states must be >= 1")
         if self.max_iter < 1:

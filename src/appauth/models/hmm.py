@@ -14,7 +14,6 @@ import numpy as np
 
 from ..encode import Vocabulary
 from .core import (
-    SmoothingConfig,
     TrainConfig,
     as_index_array,
     as_window_matrix,
@@ -208,14 +207,12 @@ def hmm_meta(params: HmmParams, delta: float, trace: TrainingTrace) -> dict:
     return {"delta": delta, "n_states": params.n_states, "training": trace.to_json()}
 
 
-def laplace_smooth_emissions(params: HmmParams, smoothing: SmoothingConfig) -> HmmParams:
-    """Additive-smooth every emission row: (b + d) / (1 + d*S)."""
-    d = smoothing.delta
-    s = params.n_symbols
+def laplace_smooth_emissions(params: HmmParams, delta: float) -> HmmParams:
+    """Additive-smooth every emission row: (b + delta) / (1 + delta*S)."""
     return HmmParams(
         pi=params.pi.copy(),
         trans=params.trans.copy(),
-        emit=(params.emit + d) / (1.0 + d * s),
+        emit=(params.emit + delta) / (1.0 + delta * params.n_symbols),
     )
 
 
@@ -249,8 +246,7 @@ class LaplaceHmmModel:
     ) -> "LaplaceHmmModel":
         """Train (or reuse a pre-trained base) and smooth the emissions."""
         params, trace = base if base is not None else train_base(train_indices, vocab, config)
-        smoothing = config.smoothing
-        return cls(vocab, laplace_smooth_emissions(params, smoothing), smoothing.delta, trace)
+        return cls(vocab, laplace_smooth_emissions(params, config.delta), config.delta, trace)
 
     def to_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:
         return hmm_meta(self.params, self.delta, self.trace), self.params.to_arrays()

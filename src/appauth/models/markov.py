@@ -51,7 +51,7 @@ class MarkovChainModel:
         seq = as_index_array(train_indices)
         size = vocab.size
         check_indices(seq, size)
-        d = config.smoothing.delta
+        d = config.delta
 
         occ = np.bincount(seq, minlength=size).astype(np.float64)
         prior = (occ + d) / (seq.size + d * size)

@@ -125,7 +125,7 @@ class MsHmmModel:
         marginals = MarginalTables.fit(seq, vocab)
         seen = np.zeros(vocab.size, dtype=np.bool_)
         seen[seq] = True
-        return cls(vocab, params, marginals, seen, config.smoothing.delta, trace)
+        return cls(vocab, params, marginals, seen, config.delta, trace)
 
     def to_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:
         arrays = {

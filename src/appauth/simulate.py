@@ -10,16 +10,16 @@ measures how quickly windowed scores fall below threshold.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .encode import Observation, day_flag_of, timezone_of
-from .evaluation import ScoreRecord, _open_out, format_number
+from .evaluation import ScoreTable, _write_csv, format_number
 from .ingest import RawEvent
 from .models import UserModel
 
@@ -234,18 +234,15 @@ def detection_latency(trace: IntrusionTrace, threshold: float) -> int | None:
     return None
 
 
-def genuine_score_thresholds(
-    records: Iterable[ScoreRecord], percentile: float = 5.0
-) -> dict[str, float]:
+def genuine_score_thresholds(table: ScoreTable, percentile: float = 5.0) -> dict[str, float]:
     """Per-user decision threshold: a low percentile of the user's own
     genuine window scores."""
-    by_user: dict[str, list[float]] = {}
-    for rec in records:
-        if rec.genuine:
-            by_user.setdefault(rec.model_owner, []).append(rec.score)
+    genuine = table.genuine
+    owners = table.model_owner[genuine]
+    scores = table.score[genuine]
     return {
-        user: float(np.percentile(np.asarray(scores), percentile))
-        for user, scores in by_user.items()
+        table.users[code]: float(np.percentile(scores[owners == code], percentile))
+        for code in np.unique(owners).tolist()
     }
 
 
@@ -327,30 +324,19 @@ def intrusion_study(
 def write_intrusion_curve_csv(
     studies: Sequence[IntrusionStudy], dest: str | Path | TextIO
 ) -> None:
-    def _write(fh: TextIO) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "window_index", "mean_score"])
-        for study in studies:
-            for offset, score in enumerate(study.mean_scores):
-                w.writerow([study.n, study.n - 1 + offset, format_number(score)])
-
-    _open_out(dest, _write)
+    body = (
+        [study.n, study.n - 1 + offset, format_number(score)]
+        for study in studies
+        for offset, score in enumerate(study.mean_scores)
+    )
+    _write_csv(dest, chain([["n", "window_index", "mean_score"]], body))
 
 
 def write_latency_csv(studies: Sequence[IntrusionStudy], dest: str | Path | TextIO) -> None:
-    def _write(fh: TextIO) -> None:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["model_owner", "intruder", "n", "latency_windows", "detected"])
-        for study in studies:
-            for r in study.rows:
-                w.writerow(
-                    [
-                        r.model_owner,
-                        r.intruder,
-                        r.n,
-                        "" if r.latency is None else r.latency,
-                        int(r.detected),
-                    ]
-                )
-
-    _open_out(dest, _write)
+    body = (
+        [r.model_owner, r.intruder, r.n, "" if r.latency is None else r.latency, int(r.detected)]
+        for study in studies
+        for r in study.rows
+    )
+    header = ["model_owner", "intruder", "n", "latency_windows", "detected"]
+    _write_csv(dest, chain([header], body))

@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from appauth.encode import Observation, Vocabulary
+from appauth.evaluation import ScoreTable
 from appauth.models.edit_distance import INDEL_COST, substitution_cost
 from appauth.models.hmm import HmmParams, forward_log_likelihood
 from appauth.models.core import random_simplex
@@ -23,6 +24,23 @@ def unk(tz: int = 0, day: int = 0) -> Observation:
 
 PSI = Observation("psi")
 DELTA = Observation("delta")
+
+
+def score_table(rows) -> ScoreTable:
+    """A score table from (model owner, window owner, score[, end index])
+    rows, stably sorted into the (model owner, window owner, end index)
+    order that `generate_score_records` emits."""
+    full = sorted(
+        ((r[0], r[1], r[3] if len(r) > 3 else 0, float(r[2])) for r in rows), key=lambda r: r[:3]
+    )
+    users = tuple(sorted({u for r in full for u in r[:2]}))
+    return ScoreTable(
+        users,
+        np.array([users.index(r[0]) for r in full], dtype=np.int64),
+        np.array([users.index(r[1]) for r in full], dtype=np.int64),
+        np.array([r[2] for r in full], dtype=np.int64),
+        np.array([r[3] for r in full], dtype=np.float64),
+    )
 
 
 def score_one(model, window) -> float:

@@ -211,6 +211,19 @@ def test_eval_rerun_is_byte_identical(pipeline, tmp_path):
         assert (tmp_path / "run2" / name).read_bytes() == (out / name).read_bytes()
 
 
+PINNED = Path(__file__).parent / "data" / "cli_tiny"
+
+
+def test_reports_match_pinned_outputs(pipeline):
+    # written by tests/data/make_cli_outputs.py from the same TINY config
+    out, _ = pipeline
+    names = ["metrics.csv", "latency.csv", "intrusion_curve.csv", "scores.csv"]
+    names += [f"{kind}_{m}.csv" for m in METHOD_TAGS for kind in ("scores", "eer_grid", "roc")]
+    assert sorted(p.name for p in PINNED.iterdir()) == sorted(names)
+    for name in names:
+        assert (out / name).read_bytes() == (PINNED / name).read_bytes(), name
+
+
 def test_usage_errors_exit_1(capsys):
     for argv in [["synth", "--method", "bogus"], [], ["score", "--config", "x.json"]]:
         with pytest.raises(SystemExit) as info:

@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import app, unk
+from conftest import app, score_table, unk
 from appauth.encode import Vocabulary
 from appauth.evaluation import (
     BoxplotSummary,
     ConfusionCounts,
-    ScoreRecord,
     accuracy,
     app_similarity_matrix,
     confusion_counts,
@@ -24,7 +23,6 @@ from appauth.evaluation import (
     prepare_cohort,
     roc_curve,
     sensitivity,
-    sort_records,
     specificity,
     top_apps_report,
     unknown_app_stats,
@@ -33,17 +31,14 @@ from appauth.ingest import RawEvent
 from appauth.models import TrainConfig, train_user_model
 
 
-def rec(owner, window_owner, score, end=0):
-    return ScoreRecord(owner, window_owner, end, float(score))
-
-
 def test_genuine_flag():
-    assert rec("u", "u", 1.0).genuine
-    assert not rec("u", "v", 1.0).genuine
+    table = score_table([("u", "u", 1.0), ("u", "v", 1.0), ("v", "u", 1.0), ("v", "v", 1.0)])
+    assert table.users == ("u", "v")
+    assert table.genuine.tolist() == [True, False, False, True]
 
 
 def test_confusion_counts_accept_at_threshold():
-    records = [rec("u", "u", 2.0), rec("u", "u", 1.0), rec("u", "v", 2.0), rec("u", "v", 0.5)]
+    records = score_table([("u", "u", 2.0), ("u", "u", 1.0), ("u", "v", 2.0), ("u", "v", 0.5)])
     cc = confusion_counts(records, threshold=2.0)
     assert (cc.tp, cc.fn, cc.fp, cc.tn) == (1, 1, 1, 1)
 
@@ -104,14 +99,14 @@ def test_eer_interpolates_between_sweep_points():
 
 
 def test_equal_error_rate_reads_records():
-    records = [rec("u", "u", 3.0), rec("u", "u", 4.0), rec("u", "v", 1.0), rec("u", "v", 2.0)]
+    records = score_table([("u", "u", 3.0), ("u", "u", 4.0), ("u", "v", 1.0), ("u", "v", 2.0)])
     assert equal_error_rate(records) == 0.0
     with pytest.raises(ValueError):
-        equal_error_rate([rec("u", "u", 1.0)])  # no impostor side
+        equal_error_rate(score_table([("u", "u", 1.0)]))  # no impostor side
 
 
 def test_eer_threshold_sits_at_the_crossing():
-    records = [rec("u", "u", 3.0), rec("u", "u", 4.0), rec("u", "v", 1.0), rec("u", "v", 2.0)]
+    records = score_table([("u", "u", 3.0), ("u", "u", 4.0), ("u", "v", 1.0), ("u", "v", 2.0)])
     eer, threshold = eer_threshold(records)
     assert eer == 0.0
     assert 2.0 < threshold <= 3.0
@@ -121,9 +116,10 @@ def test_eer_threshold_sits_at_the_crossing():
 
 def test_roc_curve_rates_are_monotone():
     rng = np.random.default_rng(0)
-    records = [rec("u", "u", s) for s in rng.normal(1.0, 1.0, 60)] + [
-        rec("u", "v", s) for s in rng.normal(-1.0, 1.0, 60)
-    ]
+    records = score_table(
+        [("u", "u", s) for s in rng.normal(1.0, 1.0, 60)]
+        + [("u", "v", s) for s in rng.normal(-1.0, 1.0, 60)]
+    )
     curve = roc_curve(records)
     thresholds, far, frr = (np.array(col) for col in zip(*curve.points))
     assert np.all(np.diff(thresholds) > 0)
@@ -210,18 +206,22 @@ def test_generate_score_records_protocol():
         "b": [app("y", 1, 0)] * 12,
     }
     projections = {(mo, wo): models[mo].vocab.project(test_obs[wo]) for mo in models for wo in test_obs}
-    records = generate_score_records(models, projections, n=4, stride=2)
-    per_pair = {}
-    for r in records:
-        per_pair.setdefault((r.model_owner, r.window_owner), []).append(r)
+    table = generate_score_records(models, projections, n=4, stride=2)
+    assert table.users == ("a", "b")
+
+    def pair(model_owner, window_owner):
+        return (table.model_owner == table.users.index(model_owner)) & (
+            table.window_owner == table.users.index(window_owner)
+        )
+
     # window ends 3, 5, 7, 9 for a (10 symbols) and 3..11 for b
-    assert len(per_pair[("a", "a")]) == 4
-    assert len(per_pair[("b", "b")]) == 5
-    assert [r.window_end_index for r in per_pair[("a", "a")]] == [3, 5, 7, 9]
+    assert np.count_nonzero(pair("a", "a")) == 4
+    assert np.count_nonzero(pair("b", "b")) == 5
+    assert table.end_index[pair("a", "a")].tolist() == [3, 5, 7, 9]
     # cross scoring projects into the model's vocabulary: all-unknown, still scored
-    assert len(per_pair[("a", "b")]) == 5
-    genuine_mean = np.mean([r.score for r in per_pair[("a", "a")]])
-    impostor_mean = np.mean([r.score for r in per_pair[("a", "b")]])
+    assert np.count_nonzero(pair("a", "b")) == 5
+    genuine_mean = table.score[pair("a", "a")].mean()
+    impostor_mean = table.score[pair("a", "b")].mean()
     assert genuine_mean > impostor_mean
 
 
@@ -233,18 +233,30 @@ def test_generate_score_records_skips_short_owners(caplog):
     model = train_user_model("mc", vocab.project([app("x", 0, 0)] * 30), vocab, config)
     with caplog.at_level(logging.WARNING):
         records = generate_score_records({"a": model}, {("a", "a"): vocab.project([app("x", 0, 0)] * 3)}, n=5)
-    assert records == []
+    assert len(records) == 0
     assert any("window length" in m for m in caplog.messages)
 
 
-def test_sort_records_is_deterministic():
-    records = [rec("b", "a", 1.0, end=9), rec("a", "a", 2.0, end=3), rec("a", "a", 0.0, end=1)]
-    ordered = sort_records(records)
-    assert [(r.model_owner, r.window_owner, r.window_end_index) for r in ordered] == [
-        ("a", "a", 1),
-        ("a", "a", 3),
-        ("b", "a", 9),
-    ]
+def test_generate_score_records_returns_sorted_rows():
+    vocab = Vocabulary(["x", "y"])
+    config = TrainConfig(n_states=2, max_iter=3, seed=0)
+    train = vocab.project([app("x", 0, 0), app("y", 1, 0)] * 20)
+    models = {u: train_user_model("mc", train, vocab, config) for u in ("b", "a")}
+    test_obs = {"b": [app("y", 0, 1)] * 9, "a": [app("x", 2, 0)] * 7}
+    keys = [("b", "a"), ("a", "b"), ("b", "b"), ("a", "a")]  # unsorted insertion order
+    projections = {(mo, wo): vocab.project(test_obs[wo]) for mo, wo in keys}
+    table = generate_score_records(models, projections, n=3, stride=2)
+    columns = (table.model_owner, table.window_owner, table.end_index)
+    rows = list(zip(*(c.tolist() for c in columns)))
+    assert table.users == ("a", "b")
+    assert rows == sorted(rows)
+    assert {(mo, wo) for mo, wo, _ in rows} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    # rows of one pair hold that pair's scores, in end-index order
+    ba = (table.model_owner == 1) & (table.window_owner == 0)
+    windows = np.lib.stride_tricks.sliding_window_view(projections[("b", "a")], 3)[::2]
+    want = models["b"].score_windows(windows)
+    np.testing.assert_array_equal(table.score[ba], want)
+    assert table.end_index[ba].tolist() == [2, 4, 6]
 
 
 def app_run(user, start, count, gap=30):

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import enumerate_forward, forward_one, random_hmm, score_one
 from appauth.encode import Vocabulary
-from appauth.models.core import DEFAULT_DELTA, SmoothingConfig, TrainConfig
+from appauth.models.core import DEFAULT_DELTA, TrainConfig
 from appauth.models.hmm import (
     HmmParams,
     LaplaceHmmModel,
@@ -117,7 +117,7 @@ def test_laplace_smoothing_formula():
     rng = np.random.default_rng(1)
     params = random_hmm(rng, 3, 4)
     d = 0.25
-    smoothed = laplace_smooth_emissions(params, SmoothingConfig(delta=d))
+    smoothed = laplace_smooth_emissions(params, d)
     want = (params.emit + d) / (1 + d * 4)
     np.testing.assert_allclose(smoothed.emit, want, rtol=1e-12)
     np.testing.assert_array_equal(smoothed.pi, params.pi)

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import score_one
 from appauth.encode import Vocabulary
-from appauth.models.core import DEFAULT_DELTA, SmoothingConfig, TrainConfig
+from appauth.models.core import DEFAULT_DELTA, TrainConfig
 from appauth.models.markov import MarkovChainModel
 
 D = DEFAULT_DELTA
@@ -97,7 +97,7 @@ def test_batch_scores_match_singles():
 def test_custom_smoothing_delta_is_used():
     vocab = Vocabulary(["a"])
     seq = np.array([0, 1], dtype=np.int64)
-    model = MarkovChainModel.fit(seq, vocab, TrainConfig(SmoothingConfig(delta=0.5)))
+    model = MarkovChainModel.fit(seq, vocab, TrainConfig(delta=0.5))
     S = vocab.size
     assert model.prior[0] == pytest.approx((1 + 0.5) / (2 + 0.5 * S), rel=1e-12)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import app
+from conftest import app, score_table
 from appauth.encode import Vocabulary
 from appauth.models import TrainConfig, train_user_model
 from appauth.simulate import (
@@ -22,7 +22,6 @@ from appauth.simulate import (
     intrusion_study,
     make_cohort,
 )
-from appauth.evaluation import ScoreRecord
 
 
 def test_cohort_spec_validation_and_json_round_trip():
@@ -148,9 +147,9 @@ def test_detection_latency_hand_case():
 
 
 def test_genuine_score_thresholds_percentile():
-    records = [ScoreRecord("u", "u", i, float(i)) for i in range(101)]
-    records += [ScoreRecord("u", "v", 0, -100.0)]  # impostor records are ignored
-    thresholds = genuine_score_thresholds(records, percentile=5.0)
+    rows = [("u", "u", float(i), i) for i in range(101)]
+    rows += [("u", "v", -100.0)]  # impostor rows are ignored
+    thresholds = genuine_score_thresholds(score_table(rows), percentile=5.0)
     assert thresholds == {"u": 5.0}
 
 
