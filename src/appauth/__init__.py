@@ -42,18 +42,14 @@ from .models import (
 )
 from .simulate import (
     CohortSpec,
-    IntrusionTrace,
-    detection_latency,
     generate_synthetic_user,
     inject_intrusion,
-    intrusion_experiment,
     make_cohort,
 )
 
 __all__ = [
     "CohortSpec",
     "ConfusionCounts",
-    "IntrusionTrace",
     "METHOD_TAGS",
     "Observation",
     "RawEvent",
@@ -66,14 +62,12 @@ __all__ = [
     "accuracy",
     "confusion_counts",
     "day_flag_of",
-    "detection_latency",
     "encode_sessions",
     "equal_error_rate",
     "f1",
     "generate_score_records",
     "generate_synthetic_user",
     "inject_intrusion",
-    "intrusion_experiment",
     "load_model",
     "make_cohort",
     "parse_event_log",

@@ -120,6 +120,8 @@ class ExperimentConfig:
             raise ValueError("periods, n_values and methods must be non-empty")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
+        if self.segment < 1:
+            raise ValueError("segment must be >= 1")
         for m in self.methods:
             if m not in METHOD_TAGS:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHOD_TAGS}")
@@ -396,9 +398,7 @@ def cmd_stats(config: ExperimentConfig) -> int:
 def cmd_intrude(config: ExperimentConfig) -> int:
     out = _out_dir(config)
     period = config.periods[0]
-    method = config.methods[0] if len(config.methods) == 1 else (
-        "mshmm" if "mshmm" in config.methods else config.methods[0]
-    )
+    method = "mshmm" if "mshmm" in config.methods else config.methods[0]
     prepared = _prepare(config, _load_cohort(config), period)
     if len(prepared) < 2:
         print("need at least 2 eligible users for intrusion replay", file=sys.stderr)

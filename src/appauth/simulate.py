@@ -19,7 +19,7 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 
 from .encode import Observation, day_flag_of, timezone_of
-from .evaluation import ScoreTable, _write_csv, format_number
+from .evaluation import ScoreTable, _write_csv, format_number, generate_score_records
 from .ingest import RawEvent
 from .models import UserModel
 
@@ -162,24 +162,6 @@ def make_cohort(spec: CohortSpec) -> dict[str, list[RawEvent]]:
 # intrusion experiment
 
 
-@dataclass(slots=True)
-class IntrusionTrace:
-    """Scores of every window across one genuine+intruder spliced stream."""
-
-    genuine_segment: list[Observation]
-    intruder_segment: list[Observation]
-    scores: list[float]
-    n: int
-
-    @property
-    def splice_index(self) -> int:
-        return len(self.genuine_segment)
-
-    def window_end_indices(self) -> range:
-        total = len(self.genuine_segment) + len(self.intruder_segment)
-        return range(self.n - 1, total)
-
-
 def inject_intrusion(
     genuine_test: Sequence[Observation],
     intruder_test: Sequence[Observation],
@@ -202,36 +184,19 @@ def inject_intrusion(
     return list(genuine_test[gi : gi + segment]) + list(intruder_test[ii : ii + segment])
 
 
-def intrusion_experiment(
-    model: UserModel,
-    spliced: Sequence[Observation],
-    n: int,
-    segment: int = DEFAULT_SEGMENT,
-) -> IntrusionTrace:
-    """Score the trailing-n window at every position of a spliced stream."""
-    if len(spliced) != 2 * segment:
-        raise ValueError(f"expected {2 * segment} observations, got {len(spliced)}")
-    if n > len(spliced):
-        raise ValueError(f"window length {n} exceeds stream length {len(spliced)}")
-    indices = model.vocab.project(spliced)
-    windows = np.lib.stride_tricks.sliding_window_view(indices, n)
-    scores = model.score_windows(windows)
-    return IntrusionTrace(
-        genuine_segment=list(spliced[:segment]),
-        intruder_segment=list(spliced[segment:]),
-        scores=[float(s) for s in scores],
-        n=n,
-    )
-
-
-def detection_latency(trace: IntrusionTrace, threshold: float) -> int | None:
-    """Windows needed after the splice before the score drops below
-    threshold; None when no post-splice window ever does."""
-    splice = trace.splice_index
-    for end, score in zip(trace.window_end_indices(), trace.scores):
-        if end >= splice and score < threshold:
-            return end - splice + 1
-    return None
+def detection_latency(
+    scores: np.ndarray, end_index: np.ndarray, splice: int, thresholds: np.ndarray
+) -> list[int | None]:
+    """Per row of a (pairs, windows) score block, the number of windows
+    from the first one ending at `splice` up to the first score below that
+    row's threshold; None when no window ending at or after the splice
+    drops below it."""
+    hit = (end_index >= splice) & (scores < thresholds[:, None])
+    first = hit.argmax(axis=1)
+    return [
+        int(end_index[k]) - splice + 1 if found else None
+        for k, found in zip(first.tolist(), hit.any(axis=1).tolist())
+    ]
 
 
 def genuine_score_thresholds(table: ScoreTable, percentile: float = 5.0) -> dict[str, float]:
@@ -284,41 +249,50 @@ def intrusion_study(
 ) -> IntrusionStudy:
     """Run the splice experiment for every ordered (genuine, intruder) pair.
 
-    Pairs whose test sequences are shorter than the segment are skipped
-    with a warning. Slice positions are derived deterministically from the
-    study seed and the pair of user ids.
+    Each pair's 2 * segment spliced stream, projected into the genuine
+    user's vocabulary, is scored at stride 1 by `generate_score_records`.
+    Users whose test sequences are shorter than the segment are skipped, as
+    are genuine users without a threshold, with a warning. Slice positions
+    are derived deterministically from the study seed and the pair of user
+    ids.
     """
+    if n > 2 * segment:
+        raise ValueError(
+            f"window length n={n} exceeds the 2 x segment={segment} symbols of a spliced stream"
+        )
     users = sorted(u for u in models if u in test_observations)
-    score_sum = np.zeros(2 * segment - n + 1)
-    rows: list[LatencyRow] = []
-    n_traces = 0
+    long_enough = [len(test_observations[u]) >= segment for u in users]
+    projections: dict[tuple[str, str], np.ndarray] = {}
     for g_pos, genuine_user in enumerate(users):
-        if len(test_observations[genuine_user]) < segment:
+        if not long_enough[g_pos]:
             log.warning("skipping %s as genuine: test sequence too short", genuine_user)
             continue
+        if genuine_user not in thresholds:
+            log.warning("skipping %s as genuine: no decision threshold", genuine_user)
+            continue
         for i_pos, intruder in enumerate(users):
-            if intruder == genuine_user:
-                continue
-            if len(test_observations[intruder]) < segment:
+            if intruder == genuine_user or not long_enough[i_pos]:
                 continue
             pair_seed = np.random.SeedSequence(entropy=(seed, g_pos, i_pos))
             spliced = inject_intrusion(
                 test_observations[genuine_user], test_observations[intruder], pair_seed, segment
             )
-            trace = intrusion_experiment(models[genuine_user], spliced, n, segment)
-            score_sum += np.asarray(trace.scores)
-            n_traces += 1
-            rows.append(
-                LatencyRow(
-                    genuine_user,
-                    intruder,
-                    n,
-                    detection_latency(trace, thresholds[genuine_user]),
-                )
-            )
-    if n_traces == 0:
+            projections[(genuine_user, intruder)] = models[genuine_user].vocab.project(spliced)
+    if not projections:
         raise ValueError("no (genuine, intruder) pair had enough test data")
-    return IntrusionStudy(n, segment, score_sum / n_traces, rows)
+    pairs = sorted(projections)  # the table's row order
+    table = generate_score_records(models, projections, n)
+    scores = table.score.reshape(len(pairs), -1)
+    ends = table.end_index[: scores.shape[1]]
+    owner_thresholds = np.array([thresholds[genuine_user] for genuine_user, _ in pairs])
+    latencies = detection_latency(scores, ends, segment, owner_thresholds)
+    # Rows are added one at a time in pair order, which fixes the curve's
+    # bits; scores.sum(axis=0) sums pairwise when each pair has one window.
+    score_sum = np.zeros(scores.shape[1])
+    for row in scores:
+        score_sum += row
+    rows = [LatencyRow(g, i, n, latency) for (g, i), latency in zip(pairs, latencies)]
+    return IntrusionStudy(n, segment, score_sum / len(pairs), rows)
 
 
 def write_intrusion_curve_csv(

@@ -12,6 +12,7 @@ from appauth.evaluation import ScoreTable
 from appauth.models.edit_distance import INDEL_COST, substitution_cost
 from appauth.models.hmm import HmmParams, forward_log_likelihood
 from appauth.models.core import random_simplex
+from appauth.simulate import inject_intrusion
 
 
 def app(app_id: str, tz: int = 0, day: int = 0) -> Observation:
@@ -127,3 +128,36 @@ def random_observation(rng: np.random.Generator, apps: list[str]) -> Observation
 
 def small_vocab() -> Vocabulary:
     return Vocabulary(["chat", "mail", "maps"])
+
+
+def replay_reference(models, test_observations, n, thresholds, seed, segment):
+    """The intrusion replay one pair at a time: (latency rows, mean curve).
+
+    Each ordered (genuine, intruder) pair is spliced, projected and scored
+    at every window end on its own; its latency is the first window ending
+    at or after the splice whose score is below the owner's threshold, and
+    the curve adds the pairs' scores in pair order."""
+    users = sorted(u for u in models if u in test_observations)
+    score_sum = np.zeros(2 * segment - n + 1)
+    rows = []
+    for g_pos, genuine_user in enumerate(users):
+        if len(test_observations[genuine_user]) < segment:
+            continue
+        for i_pos, intruder in enumerate(users):
+            if intruder == genuine_user or len(test_observations[intruder]) < segment:
+                continue
+            pair_seed = np.random.SeedSequence(entropy=(seed, g_pos, i_pos))
+            spliced = inject_intrusion(
+                test_observations[genuine_user], test_observations[intruder], pair_seed, segment
+            )
+            indices = models[genuine_user].vocab.project(spliced)
+            windows = np.lib.stride_tricks.sliding_window_view(indices, n)
+            scores = models[genuine_user].score_windows(windows)
+            score_sum += scores
+            latency = None
+            for end, score in zip(range(n - 1, 2 * segment), scores):
+                if end >= segment and score < thresholds[genuine_user]:
+                    latency = end - segment + 1
+                    break
+            rows.append((genuine_user, intruder, n, latency))
+    return rows, score_sum / len(rows)

@@ -203,6 +203,24 @@ def test_intrusion_curve_window_indices(pipeline):
     assert indices == list(range(4, 2 * TINY["segment"]))
 
 
+def test_intrude_skips_owner_without_threshold(tmp_path, caplog):
+    # user02 has 53 test symbols: enough for a 48-symbol segment, too few
+    # for one genuine window of 58, so it gets no threshold.
+    cfg = write_config(tmp_path, out=str(tmp_path / "o"), n_values=[58], segment=48)
+    assert main(["intrude", "--config", str(cfg)]) == EXIT_OK
+    assert "skipping user02 as genuine: no decision threshold" in caplog.text
+    with open(tmp_path / "o" / "latency.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and "user02" not in {r["model_owner"] for r in rows}
+    assert "user02" in {r["intruder"] for r in rows}
+
+
+def test_intrude_window_longer_than_splice_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, out=str(tmp_path / "o"), n_values=[50], segment=20)
+    assert main(["intrude", "--config", str(cfg)]) == EXIT_DATA
+    assert "window length n=50 exceeds the 2 x segment=20" in capsys.readouterr().err
+
+
 def test_eval_rerun_is_byte_identical(pipeline, tmp_path):
     out, _ = pipeline
     cfg = write_config(tmp_path, out=str(tmp_path / "run2"))
@@ -340,6 +358,8 @@ def test_config_rejects_unknown_keys_and_bad_values():
         ExperimentConfig(methods=("mshmm", "nope"))
     with pytest.raises(ValueError):
         ExperimentConfig(periods=())
+    with pytest.raises(ValueError, match="segment"):
+        ExperimentConfig(segment=0)
 
 
 def test_synthetic_key_typo_exits_2(tmp_path, capsys):

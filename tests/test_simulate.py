@@ -5,20 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import app, score_table
+from conftest import app, random_observation, replay_reference, score_table
 from appauth.encode import Vocabulary
-from appauth.models import TrainConfig, train_user_model
+from appauth.evaluation import generate_score_records
+from appauth.models import METHOD_TAGS, TrainConfig, train_user_model
 from appauth.simulate import (
     CohortSpec,
     IntrusionStudy,
-    IntrusionTrace,
     LatencyRow,
     UserProfile,
     detection_latency,
     generate_synthetic_user,
     genuine_score_thresholds,
     inject_intrusion,
-    intrusion_experiment,
     intrusion_study,
     make_cohort,
 )
@@ -118,32 +117,14 @@ def test_inject_intrusion_composition():
         inject_intrusion(genuine[:50], intruder, np.random.SeedSequence(0), segment=100)
 
 
-def test_intrusion_experiment_scores_every_window():
-    vocab = Vocabulary(["g"])
-    config = TrainConfig(n_states=2, max_iter=3, seed=0)
-    model = train_user_model("mc", vocab.project(obs_stream(["g"] * 60)), vocab, config)
-    spliced = obs_stream(["g"] * 30 + ["x"] * 30)
-    trace = intrusion_experiment(model, spliced, n=10, segment=30)
-    assert len(trace.scores) == 60 - 10 + 1
-    assert trace.splice_index == 30
-    assert list(trace.window_end_indices()) == list(range(9, 60))
-    with pytest.raises(ValueError):
-        intrusion_experiment(model, spliced[:59], n=10, segment=30)
-    with pytest.raises(ValueError):
-        intrusion_experiment(model, spliced, n=61, segment=30)
-
-
 def test_detection_latency_hand_case():
-    trace = IntrusionTrace(
-        genuine_segment=obs_stream(["g"] * 5),
-        intruder_segment=obs_stream(["i"] * 5),
-        scores=[9.0, 0.0, 9.0, 9.0, 2.0, 9.0, 1.0, 1.0],  # window ends 2..9
-        n=3,
-    )
+    scores = np.tile([9.0, 0.0, 9.0, 9.0, 2.0, 9.0, 1.0, 1.0], (3, 1))
+    ends = np.arange(2, 10)  # n = 3 over a 5 + 5 splice
+    latency = detection_latency(scores, ends, splice=5, thresholds=np.array([3.0, 1.5, -1.0]))
     # pre-splice dip at end=3 must not count; first post-splice hit is end=6
-    assert detection_latency(trace, threshold=3.0) == 2
-    assert detection_latency(trace, threshold=1.5) == 4  # only ends 8, 9 qualify
-    assert detection_latency(trace, threshold=-1.0) is None
+    assert latency[0] == 2
+    assert latency[1] == 4  # only ends 8, 9 qualify
+    assert latency[2] is None
 
 
 def test_genuine_score_thresholds_percentile():
@@ -181,3 +162,42 @@ def test_intrusion_study_runs_all_pairs():
     assert study.mean_scores.shape == (200 - 20 + 1,)
     assert all(row.latency is None for row in study.rows)
     assert study.detection_rate(within=5) == 0.0
+    with pytest.raises(ValueError, match="n=201 .* segment=100"):
+        intrusion_study(models, test_obs, n=201, thresholds=thresholds, segment=100)
+
+
+REPLAY_SEGMENT = 20
+
+
+@pytest.fixture(scope="module")
+def replay_cohort():
+    """Six users over shared and private apps; user05's test stream is
+    shorter than the segment, so it takes part in no pair, and the other
+    five make 20 ordered pairs."""
+    rng = np.random.default_rng(23)
+    train, test = {}, {}
+    for k in range(6):
+        apps = ["chat", "mail", "maps"] + [f"u{k}.{j}" for j in range(3)]
+        train[f"user{k:02d}"] = [random_observation(rng, apps) for _ in range(90)]
+        size = REPLAY_SEGMENT - 5 if k == 5 else 50 + 7 * k
+        test[f"user{k:02d}"] = [random_observation(rng, apps) for _ in range(size)]
+    return train, test
+
+
+@pytest.mark.parametrize("method", METHOD_TAGS)
+def test_intrusion_study_matches_per_pair_replay(replay_cohort, method):
+    train, test = replay_cohort
+    config = TrainConfig(n_states=3, max_iter=4, seed=0)
+    models = {}
+    for user, stream in train.items():
+        vocab = Vocabulary.from_observations(stream)
+        models[user] = train_user_model(method, vocab.project(stream), vocab, config)
+    genuine = {(u, u): models[u].vocab.project(test[u]) for u in models}
+    for n in (1, 5, 20, 2 * REPLAY_SEGMENT):
+        thresholds = genuine_score_thresholds(generate_score_records(models, genuine, n))
+        study = intrusion_study(models, test, n, thresholds, seed=3, segment=REPLAY_SEGMENT)
+        rows, mean_scores = replay_reference(models, test, n, thresholds, 3, REPLAY_SEGMENT)
+        assert len(rows) == 20
+        assert [(r.model_owner, r.intruder, r.n, r.latency) for r in study.rows] == rows
+        assert study.mean_scores.shape == (2 * REPLAY_SEGMENT - n + 1,)
+        assert study.mean_scores.tobytes() == mean_scores.tobytes()
