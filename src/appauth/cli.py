@@ -413,6 +413,13 @@ def cmd_intrude(config: ExperimentConfig) -> int:
         studies.append(
             intrusion_study(models, test_obs, n, thresholds, config.seed, config.segment)
         )
+    for study in studies:
+        if not any(row.detected for row in study.rows):
+            print(
+                f"warning: {method} at n={study.n} detected none of the "
+                f"{len(study.rows)} intrusion pairs",
+                file=sys.stderr,
+            )
     write_intrusion_curve_csv(studies, out / "intrusion_curve.csv")
     write_latency_csv(studies, out / "latency.csv")
     write_manifest(config, "intrude", out)

@@ -21,7 +21,7 @@ import numpy as np
 from .encode import KIND_APP, Observation, Vocabulary, encode_sessions, sliding_windows
 from .ingest import DEFAULT_IDLE_GAP, Session, resample_sessions, sessionize, split_sessions
 from .models import TrainConfig, UserModel, train_user_model
-from .models.hmm import HmmParams, TrainingTrace, train_base
+from .models.hmm import HmmParams, TrainingTrace, baum_welch_cohort
 
 log = logging.getLogger(__name__)
 
@@ -470,14 +470,14 @@ def train_cohort_models(
     config: TrainConfig = TrainConfig(),
     bases: Mapping[str, tuple[HmmParams, TrainingTrace]] | None = None,
 ) -> dict[str, UserModel]:
+    """One model per user; an HMM method first trains the users missing
+    from `bases` in one lock-step Baum-Welch cohort."""
+    bases = dict(bases or {})
+    missing = {user: p for user, p in prepared.items() if user not in bases}
+    if missing:
+        bases.update(train_hmm_bases([method], missing, config) or {})
     return {
-        user: train_user_model(
-            method,
-            p.train_indices,
-            p.vocab,
-            config,
-            base=bases.get(user) if bases else None,
-        )
+        user: train_user_model(method, p.train_indices, p.vocab, config, base=bases.get(user))
         for user, p in prepared.items()
     }
 
@@ -485,11 +485,20 @@ def train_cohort_models(
 def train_hmm_bases(
     methods: Sequence[str], prepared: Mapping[str, PreparedUser], config: TrainConfig
 ) -> dict[str, tuple[HmmParams, TrainingTrace]] | None:
-    """One Baum-Welch run per user, shared by both HMM variants; None when
-    no method in `methods` is one of them."""
+    """One Baum-Welch fit per user, shared by both HMM variants and run for
+    all users in lock-step; None when no method in `methods` is one of them."""
     if not any(m in HMM_METHODS for m in methods):
         return None
-    return {user: train_base(p.train_indices, p.vocab, config) for user, p in prepared.items()}
+    users = list(prepared)
+    fits = baum_welch_cohort(
+        [prepared[u].train_indices for u in users],
+        [prepared[u].vocab.size for u in users],
+        config.n_states,
+        config.max_iter,
+        config.tol,
+        config.seed,
+    )
+    return dict(zip(users, fits))
 
 
 def evaluate_methods(

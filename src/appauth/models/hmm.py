@@ -1,5 +1,6 @@
 """Discrete hidden Markov model: scaled forward/backward, Baum-Welch
-training, and Laplace emission smoothing.
+training (every user of a cohort in lock-step), and Laplace emission
+smoothing.
 
 All likelihood work is done in the scaled domain (per-step normalization
 constants whose logs accumulate into the log-likelihood), which stays exact
@@ -8,6 +9,7 @@ for windows far longer than raw products would allow.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,41 +111,165 @@ def forward_log_likelihood(
     return totals
 
 
-def _forward_backward(params: HmmParams, seq: np.ndarray):
-    """Scaled forward/backward pass.
+# Cells (users x longest sequence x states) of one lock-step Baum-Welch
+# batch. alpha and beta are one float64 array of this many cells each
+# (4 MiB), which bounds training memory like CHUNK_CELLS bounds `med`.
+COHORT_CELLS = 1 << 19
 
-    Returns (log_likelihood, gamma, xi_sum): gamma[t, i] is the posterior
-    state occupancy, xi_sum[i, j] the posterior transition count summed over
-    time.
+
+def _expectations(params: Sequence[HmmParams], seqs: Sequence[np.ndarray], work: np.ndarray):
+    """Scaled forward/backward pass (Rabiner 1989) of every sequence under
+    its own parameters, run for the whole batch at once.
+
+    Time-major (T_max, B, K) arrays carry every sequence, and each step is
+    one batched vector-matrix product. alpha and beta live in `work`, a
+    float64 scratch array of at least 2 x T_max x B x K cells that the
+    caller allocates once per batch and reuses every iteration.
+
+    Yields (log_likelihood, gamma, xi_sum) per sequence, in order:
+    gamma[t, i] is the posterior state occupancy, xi_sum[i, j] the
+    posterior transition count summed over time. Each sequence's
+    statistics come from contiguous copies of its own slices, by the same
+    expressions as a single-sequence pass, so they are bit-identical to it.
+    A sequence that loses all forward mass raises FloatingPointError at its
+    first such position.
     """
-    t_len = seq.size
-    k = params.n_states
-    emit_obs = params.emit[:, seq].T  # (T, K)
+    lengths = [seq.size for seq in seqs]
+    t_max, n, k = max(lengths), len(seqs), params[0].n_states
+    trans = np.stack([p.trans for p in params])  # (B, K, K)
 
-    alpha = np.empty((t_len, k))
-    scale = np.empty(t_len)
-    a = params.pi * emit_obs[0]
-    for t in range(t_len):
-        if t:
-            a = (alpha[t - 1] @ params.trans) * emit_obs[t]
-        c = a.sum()
-        if not c > 0.0:
-            raise FloatingPointError(f"zero forward mass at position {t}")
-        scale[t] = c
-        alpha[t] = a / c
+    # alpha overwrites the emissions it reads: alpha[t] replaces emission
+    # t, padded with 1.0 past each sequence's end.
+    cells = t_max * n * k
+    alpha = work[:cells].reshape(t_max, n, k)
+    alpha.fill(1.0)
+    for b, (p, seq) in enumerate(zip(params, seqs)):
+        alpha[: seq.size, b] = p.emit[:, seq].T
+    scale = np.empty((t_max, n))
+    scale_col = scale[:, :, None]
+    step = np.empty((n, 1, k))
+    row = step[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply(np.stack([p.pi for p in params]), alpha[0], out=row)
+        np.add.reduce(row, axis=1, out=scale[0])
+        np.divide(row, scale_col[0], out=alpha[0])
+        for prev, a, c, c_col in zip(alpha[:, :, None], alpha[1:], scale[1:], scale_col[1:]):
+            np.matmul(prev, trans, out=step)
+            np.multiply(row, a, out=row)
+            np.add.reduce(row, axis=1, out=c)
+            np.divide(row, c_col, out=a)
+    for b, t_len in enumerate(lengths):
+        bad = np.flatnonzero(~(scale[:t_len, b] > 0.0))
+        if bad.size:
+            raise FloatingPointError(f"zero forward mass at position {bad[0]}")
 
-    beta = np.empty((t_len, k))
-    beta[t_len - 1] = 1.0
-    for t in range(t_len - 2, -1, -1):
-        beta[t] = (params.trans @ (emit_obs[t + 1] * beta[t + 1])) / scale[t + 1]
+    # beta is right-aligned, so each sequence's beta starts at 1.0 at its
+    # own end, and overwrites the emissions it reads: slot t holds emission
+    # t + 1 until beta[t] replaces it.
+    beta = work[cells : 2 * cells].reshape(t_max, n, k)
+    beta.fill(1.0)
+    scale_right = np.ones_like(scale)
+    for b, (p, seq) in enumerate(zip(params, seqs)):
+        beta[t_max - seq.size : -1, b] = p.emit[:, seq[1:]].T
+        scale_right[t_max - seq.size :, b] = scale[: seq.size, b]
+    col = np.empty((n, k, 1))
+    out = np.empty((n, k, 1))
+    for cur, nxt, c_col in zip(beta[-2::-1], beta[:0:-1], scale_right[:0:-1, :, None]):
+        np.multiply(cur, nxt, out=col[:, :, 0])
+        np.matmul(trans, col, out=out)
+        np.divide(out[:, :, 0], c_col, out=cur)
 
-    gamma = alpha * beta
-    if t_len > 1:
-        weighted = emit_obs[1:] * beta[1:] / scale[1:, None]  # (T-1, K)
-        xi_sum = params.trans * (alpha[:-1].T @ weighted)
-    else:
-        xi_sum = np.zeros((k, k))
-    return float(np.log(scale).sum()), gamma, xi_sum
+    # Few, in-place temporaries: freed ones stay resident in the malloc
+    # heap and add to later peaks (eval-p5's peak RSS was 4 MB higher with
+    # a per-iteration `work` and two more temporaries per sequence).
+    for b, (p, seq) in enumerate(zip(params, seqs)):
+        t_len = seq.size
+        al = np.ascontiguousarray(alpha[:t_len, b])
+        be = np.ascontiguousarray(beta[t_max - t_len :, b])
+        sc = np.ascontiguousarray(scale[:t_len, b])
+        weighted = p.emit[:, seq[1:]].T * be[1:]
+        weighted /= sc[1:, None]  # (T-1, K)
+        xi_sum = p.trans * (al[:-1].T @ weighted)
+        del weighted
+        al *= be  # gamma
+        yield float(np.log(sc).sum()), al, xi_sum
+
+
+def _cohort_batches(lengths: Sequence[int], n_states: int):
+    """Sequence indices sorted by length, cut into batches of at most
+    COHORT_CELLS cells; a sequence over the budget is a batch of one."""
+    batch: list[int] = []
+    for u in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if batch and (len(batch) + 1) * lengths[u] * n_states > COHORT_CELLS:
+            yield batch
+            batch = []
+        batch.append(u)
+    if batch:
+        yield batch
+
+
+def baum_welch_cohort(
+    sequences: Sequence,
+    n_symbols: Sequence[int],
+    n_states: int,
+    max_iter: int,
+    tol: float,
+    seed: int,
+) -> list[tuple[HmmParams, TrainingTrace]]:
+    """Fit one HMM per training sequence by EM, all sequences in lock-step.
+
+    Each sequence starts from its own seeded random-simplex draw over its
+    own n_symbols and runs expectation/maximization rounds until max_iter,
+    or earlier once its per-symbol log-likelihood gain drops below tol
+    (tol = 0 disables early stopping); a sequence leaves the batch when it
+    stops. Every result is bit-identical to fitting that sequence alone:
+    only the forward and backward recursions are batched. The recorded
+    log-likelihood sequence is non-decreasing up to floating-point slack —
+    that is the EM guarantee and the tests hold it to 1e-8.
+    """
+    seqs = [as_index_array(s) for s in sequences]
+    if len(seqs) != len(n_symbols):
+        raise ValueError("one symbol count per training sequence is required")
+    for seq, size in zip(seqs, n_symbols):
+        if seq.size < 2:
+            raise ValueError("training sequence must have at least 2 symbols")
+        check_indices(seq, size)
+    params: list[HmmParams] = []
+    for size in n_symbols:
+        rng = np.random.default_rng(seed)
+        params.append(
+            HmmParams(
+                pi=random_simplex(rng, (n_states,)),
+                trans=random_simplex(rng, (n_states, n_states)),
+                emit=random_simplex(rng, (n_states, size)),
+            )
+        )
+    traces = [TrainingTrace(seed=seed, iterations=0) for _ in seqs]
+    prev_ll: list[float | None] = [None] * len(seqs)
+
+    for active in _cohort_batches([seq.size for seq in seqs], n_states):
+        work = np.empty(2 * len(active) * seqs[active[-1]].size * n_states)
+        while active and max_iter > 0:
+            stats = _expectations([params[u] for u in active], [seqs[u] for u in active], work)
+            still = []
+            for u, (ll, gamma, xi_sum) in zip(active, stats):
+                seq, trace = seqs[u], traces[u]
+                trace.log_likelihoods.append(ll)
+                trace.iterations += 1
+                if prev_ll[u] is not None and tol > 0.0 and (ll - prev_ll[u]) / seq.size < tol:
+                    continue
+                prev_ll[u] = ll
+                emit_counts = np.zeros((n_symbols[u], n_states))
+                np.add.at(emit_counts, seq, gamma)
+                params[u] = HmmParams(
+                    pi=gamma[0] / gamma[0].sum(),
+                    trans=normalize_rows(xi_sum),
+                    emit=normalize_rows(emit_counts.T),
+                )
+                if trace.iterations < max_iter:
+                    still.append(u)
+            active = still
+    return list(zip(params, traces))
 
 
 def baum_welch(
@@ -154,43 +280,9 @@ def baum_welch(
     tol: float,
     seed: int,
 ) -> tuple[HmmParams, TrainingTrace]:
-    """Fit HMM parameters by EM from a seeded random-simplex start.
-
-    Stops after max_iter expectation/maximization rounds, or earlier once
-    the per-symbol log-likelihood gain drops below tol (tol = 0 disables
-    early stopping). The recorded log-likelihood sequence is non-decreasing
-    up to floating-point slack — that is the EM guarantee and the tests hold
-    it to 1e-8.
-    """
-    seq = as_index_array(train_indices)
-    if seq.size < 2:
-        raise ValueError("training sequence must have at least 2 symbols")
-    check_indices(seq, n_symbols)
-    rng = np.random.default_rng(seed)
-    params = HmmParams(
-        pi=random_simplex(rng, (n_states,)),
-        trans=random_simplex(rng, (n_states, n_states)),
-        emit=random_simplex(rng, (n_states, n_symbols)),
-    )
-    trace = TrainingTrace(seed=seed, iterations=0)
-
-    prev_ll: float | None = None
-    for _ in range(max_iter):
-        ll, gamma, xi_sum = _forward_backward(params, seq)
-        trace.log_likelihoods.append(ll)
-        trace.iterations += 1
-        if prev_ll is not None and tol > 0.0 and (ll - prev_ll) / seq.size < tol:
-            break
-        prev_ll = ll
-
-        emit_counts = np.zeros((n_symbols, n_states))
-        np.add.at(emit_counts, seq, gamma)
-        params = HmmParams(
-            pi=gamma[0] / gamma[0].sum(),
-            trans=normalize_rows(xi_sum),
-            emit=normalize_rows(emit_counts.T),
-        )
-    return params, trace
+    """Fit HMM parameters by EM from a seeded random-simplex start: a
+    cohort of one for `baum_welch_cohort`."""
+    return baum_welch_cohort([train_indices], [n_symbols], n_states, max_iter, tol, seed)[0]
 
 
 def train_base(

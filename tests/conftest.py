@@ -10,8 +10,8 @@ import numpy as np
 from appauth.encode import Observation, Vocabulary
 from appauth.evaluation import ScoreTable
 from appauth.models.edit_distance import INDEL_COST, substitution_cost
-from appauth.models.hmm import HmmParams, forward_log_likelihood
-from appauth.models.core import random_simplex
+from appauth.models.hmm import HmmParams, TrainingTrace, forward_log_likelihood
+from appauth.models.core import normalize_rows, random_simplex
 from appauth.simulate import inject_intrusion
 
 
@@ -61,6 +61,69 @@ def random_hmm(rng: np.random.Generator, n_states: int, n_symbols: int) -> HmmPa
 def forward_one(params: HmmParams, window) -> float:
     """Forward log-likelihood of a single window under raw parameters."""
     return float(forward_log_likelihood(params.pi, params.trans, params.emit, [window])[0])
+
+
+def reference_forward_backward(params: HmmParams, seq: np.ndarray):
+    """Scaled forward/backward pass of one sequence, one step at a time.
+
+    Returns (log_likelihood, gamma, xi_sum): gamma[t, i] is the posterior
+    state occupancy, xi_sum[i, j] the posterior transition count summed over
+    time.
+    """
+    t_len = seq.size
+    k = params.n_states
+    emit_obs = params.emit[:, seq].T  # (T, K)
+
+    alpha = np.empty((t_len, k))
+    scale = np.empty(t_len)
+    a = params.pi * emit_obs[0]
+    for t in range(t_len):
+        if t:
+            a = (alpha[t - 1] @ params.trans) * emit_obs[t]
+        c = a.sum()
+        if not c > 0.0:
+            raise FloatingPointError(f"zero forward mass at position {t}")
+        scale[t] = c
+        alpha[t] = a / c
+
+    beta = np.empty((t_len, k))
+    beta[t_len - 1] = 1.0
+    for t in range(t_len - 2, -1, -1):
+        beta[t] = (params.trans @ (emit_obs[t + 1] * beta[t + 1])) / scale[t + 1]
+
+    gamma = alpha * beta
+    weighted = emit_obs[1:] * beta[1:] / scale[1:, None]  # (T-1, K)
+    xi_sum = params.trans * (alpha[:-1].T @ weighted)
+    return float(np.log(scale).sum()), gamma, xi_sum
+
+
+def reference_baum_welch(seq, n_symbols, n_states, max_iter, tol, seed):
+    """Baum-Welch on one sequence with the per-step recursion above: the
+    oracle the lock-step cohort trainer must equal bit for bit."""
+    seq = np.asarray(seq, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    params = HmmParams(
+        pi=random_simplex(rng, (n_states,)),
+        trans=random_simplex(rng, (n_states, n_states)),
+        emit=random_simplex(rng, (n_states, n_symbols)),
+    )
+    trace = TrainingTrace(seed=seed, iterations=0)
+    prev_ll = None
+    for _ in range(max_iter):
+        ll, gamma, xi_sum = reference_forward_backward(params, seq)
+        trace.log_likelihoods.append(ll)
+        trace.iterations += 1
+        if prev_ll is not None and tol > 0.0 and (ll - prev_ll) / seq.size < tol:
+            break
+        prev_ll = ll
+        emit_counts = np.zeros((n_symbols, n_states))
+        np.add.at(emit_counts, seq, gamma)
+        params = HmmParams(
+            pi=gamma[0] / gamma[0].sum(),
+            trans=normalize_rows(xi_sum),
+            emit=normalize_rows(emit_counts.T),
+        )
+    return params, trace
 
 
 def enumerate_forward(params: HmmParams, window) -> float:

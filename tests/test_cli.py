@@ -221,6 +221,26 @@ def test_intrude_window_longer_than_splice_exits_2(tmp_path, capsys):
     assert "window length n=50 exceeds the 2 x segment=20" in capsys.readouterr().err
 
 
+def test_intrude_warns_when_no_pair_is_detected(tmp_path, capsys):
+    # Synthetic seed 3 at n=20: every user rejects over 5% of its own
+    # windows under the 0/1 bin-unk rule, so every 5th-percentile threshold
+    # is 0 and `score < threshold` never fires.
+    synthetic = dict(TINY["synthetic"], seed=3)
+    cfg = write_config(
+        tmp_path, out=str(tmp_path / "o"), synthetic=synthetic, methods=["bin-unk"], n_values=[20]
+    )
+    assert main(["intrude", "--config", str(cfg)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "warning: bin-unk at n=20 detected none of the 6 intrusion pairs" in err
+    with open(tmp_path / "o" / "latency.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6 and {r["detected"] for r in rows} == {"0"}
+
+    cfg = write_config(tmp_path, out=str(tmp_path / "mshmm"), synthetic=synthetic, n_values=[20])
+    assert main(["intrude", "--config", str(cfg)]) == EXIT_OK
+    assert "detected none" not in capsys.readouterr().err
+
+
 def test_eval_rerun_is_byte_identical(pipeline, tmp_path):
     out, _ = pipeline
     cfg = write_config(tmp_path, out=str(tmp_path / "run2"))

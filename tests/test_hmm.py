@@ -7,13 +7,22 @@ import math
 import numpy as np
 import pytest
 
-from conftest import enumerate_forward, forward_one, random_hmm, score_one
+from conftest import (
+    enumerate_forward,
+    forward_one,
+    random_hmm,
+    reference_baum_welch,
+    reference_forward_backward,
+    score_one,
+)
 from appauth.encode import Vocabulary
+from appauth.models import hmm
 from appauth.models.core import DEFAULT_DELTA, TrainConfig
 from appauth.models.hmm import (
     HmmParams,
     LaplaceHmmModel,
     baum_welch,
+    baum_welch_cohort,
     forward_log_likelihood,
     laplace_smooth_emissions,
 )
@@ -111,6 +120,76 @@ def test_baum_welch_early_stop_respects_tolerance():
     _, loose = baum_welch(seq, 4, 3, max_iter=50, tol=1e-2, seed=0)
     _, tight = baum_welch(seq, 4, 3, max_iter=50, tol=0.0, seed=0)
     assert len(loose.log_likelihoods) < len(tight.log_likelihoods) == 50
+
+
+def assert_same_fits(got, want):
+    """Fits equal bit for bit: parameters, iteration count, likelihoods."""
+    (params, trace), (ref_params, ref_trace) = got, want
+    for name in ("pi", "trans", "emit"):
+        assert np.array_equal(getattr(params, name), getattr(ref_params, name)), name
+    assert trace.seed == ref_trace.seed
+    assert trace.iterations == ref_trace.iterations
+    assert trace.log_likelihoods == ref_trace.log_likelihoods
+
+
+def test_cohort_training_equals_per_user_reference():
+    """Unequal lengths given in shuffled order, a length-2 sequence, and
+    users that stop early on tol while the rest run to max_iter."""
+    rng = np.random.default_rng(11)
+    seqs = [
+        rng.integers(0, 6, 180),
+        np.tile([0, 1, 2], 30),
+        rng.integers(0, 9, 57),
+        np.array([3, 1]),
+        rng.integers(0, 4, 120),
+    ]
+    sizes = [6, 3, 9, 4, 4]
+    fits = baum_welch_cohort(seqs, sizes, n_states=3, max_iter=15, tol=1e-4, seed=5)
+    iterations = [trace.iterations for _, trace in fits]
+    assert min(iterations) < 15 == max(iterations)
+    for seq, size, fit in zip(seqs, sizes, fits):
+        assert_same_fits(fit, reference_baum_welch(seq, size, 3, 15, 1e-4, 5))
+        assert_same_fits(baum_welch(seq, size, 3, 15, 1e-4, 5), fit)
+
+
+def test_cohort_split_by_cell_budget_equals_per_user_reference():
+    k = 64
+    short, long = hmm.COHORT_CELLS // (4 * k), hmm.COHORT_CELLS // (2 * k)
+    # The short user and one long user fill a batch; the other long user
+    # would push it over the budget, so it runs in a second batch.
+    assert 2 * long * k <= hmm.COHORT_CELLS < 3 * long * k
+    rng = np.random.default_rng(3)
+    seqs = [rng.integers(0, 5, long), rng.integers(0, 5, short), rng.integers(0, 5, long)]
+    fits = baum_welch_cohort(seqs, [5, 5, 5], n_states=k, max_iter=2, tol=0.0, seed=2)
+    for seq, fit in zip(seqs, fits):
+        assert_same_fits(fit, reference_baum_welch(seq, 5, k, 2, 0.0, 2))
+
+
+def test_batched_expectations_equal_single_sequence_pass():
+    rng = np.random.default_rng(8)
+    seqs = [rng.integers(0, 7, t) for t in (40, 2, 75, 13)]
+    params = [random_hmm(rng, 4, 7) for _ in seqs]
+    work = np.empty(2 * 75 * len(seqs) * 4)
+    for (ll, gamma, xi_sum), p, seq in zip(hmm._expectations(params, seqs, work), params, seqs):
+        ref_ll, ref_gamma, ref_xi = reference_forward_backward(p, seq)
+        assert ll == ref_ll
+        assert np.array_equal(gamma, ref_gamma)
+        assert np.array_equal(xi_sum, ref_xi)
+
+
+def test_zero_forward_mass_raises_at_first_bad_position():
+    rng = np.random.default_rng(9)
+    healthy = random_hmm(rng, 3, 4)
+    emit = healthy.emit.copy()
+    emit[:, 2] = 0.0  # symbol 2 is impossible from every state
+    emit[:, 0] += 1.0 - emit.sum(axis=1)
+    dead = HmmParams(healthy.pi, healthy.trans, emit)
+    seq = np.array([0, 1, 3, 2, 1, 2, 0])
+    with pytest.raises(FloatingPointError, match="zero forward mass at position 3"):
+        reference_forward_backward(dead, seq)
+    long_seq = rng.integers(0, 4, 30)
+    with pytest.raises(FloatingPointError, match="zero forward mass at position 3"):
+        list(hmm._expectations([healthy, dead], [long_seq, seq], np.empty(2 * 30 * 2 * 3)))
 
 
 def test_laplace_smoothing_formula():
