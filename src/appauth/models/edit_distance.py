@@ -25,8 +25,10 @@ from .core import TrainConfig, as_index_array, as_window_matrix, check_indices
 INDEL_COST = 3
 MISMATCH_COST = 3
 
-# DP cells (windows x (T + 1)) aligned at once; bounds `med` scoring memory.
-CHUNK_CELLS = 1 << 20
+# DP cells (windows x (lead + T)) aligned at once; bounds `med` scoring
+# memory and keeps a chunk's two int32 rows (512 KiB each) and its int8 cost
+# rows within a 2 MiB per-core L2 cache.
+CHUNK_CELLS = 1 << 17
 
 # sentinel "app values" so that symbol families compare with plain ==
 _APP_UNKNOWN = -2
@@ -103,9 +105,23 @@ class MedModel:
         """Negated semi-global alignment distance of each window to the text.
 
         Only the batch's distinct windows are aligned, in chunks of at most
-        CHUNK_CELLS DP cells, against one int8 substitution-cost row of
-        length T per distinct symbol of the batch. Memory is O(chunk x T)
-        plus those rows, not O(windows x T); the DP is exact int32 arithmetic.
+        CHUNK_CELLS DP cells, against one int8 substitution-cost row per
+        distinct symbol of the batch. Memory is O(chunk x T) plus those rows,
+        not O(windows x T); the DP is exact int32 arithmetic.
+
+        The running minimum along the text (a text gap) is a few shifted
+        minimum passes over flat buffers instead of a cumulative scan. Two
+        facts about D[i, j], the distance of window prefix i to text ending
+        at j, make that exact:
+
+        - D[i, j] <= INDEL_COST * i (delete the whole prefix), and a text
+          gap of length L costs INDEL_COST * L. So in DP row i no gap longer
+          than i wins, and passes with shifts 1, 2, 4, ... up to a total
+          reach of at least i cover every gap that can.
+        - E = D - INDEL_COST * (i + j) is <= 0, so a zero cell never lowers
+          a minimum. Each window's row is padded in front with `lead` zero
+          cells, more than any row's total shift, so the passes never carry
+          a value from one window's row into the next.
         """
         mat = as_window_matrix(windows)
         n = mat.shape[1]
@@ -118,31 +134,56 @@ class MedModel:
         unique, inverse = np.unique(as_bytes.ravel(), return_inverse=True)
         symbols, rows = np.unique(unique.view(np.int64), return_inverse=True)
         rows = rows.reshape(len(unique), n)
+
+        # A window's DP row is `width` flat cells: `lead` zero cells, the
+        # last of them column 0, then text columns 1..T. Row i shifts by at
+        # most 2 ** i.bit_length() - 1 <= lead - 1 cells in total.
+        lead = 1 << n.bit_length()
+        width = lead + text_len
         t_app, t_tz, t_day = self._text_attrs
         s_app, s_tz, s_day = (a[:, None] for a in symbol_attributes(symbols, self.vocab))
-        cost = (s_tz != t_tz).astype(np.int8)
-        cost += s_day != t_day
-        cost[s_app != t_app] = MISMATCH_COST
-        cost -= 2 * INDEL_COST
+        cost = np.zeros((len(symbols), width), dtype=np.int8)
+        body = cost[:, lead:]
+        body += s_tz != t_tz
+        body += s_day != t_day
+        body[s_app != t_app] = MISMATCH_COST
+        body -= 2 * INDEL_COST
 
-        # The DP runs on E[i, j] = D[i, j] - INDEL_COST * (i + j), where D is
-        # the distance of window prefix i to text ending at j. In that frame
-        # both gap moves cost 0 and a substitution costs cost - 2 * INDEL_COST,
-        # so a row is E[i - 1] shifted plus the cost row, a minimum with
-        # E[i - 1], and a running minimum along the text. E[i, 0] = 0 in
-        # every row, so column 0 of both buffers keeps its initial 0.
+        # The DP runs on E[i, j] = D[i, j] - INDEL_COST * (i + j). In that
+        # frame both gap moves cost 0 and a substitution costs
+        # cost - 2 * INDEL_COST, so a row is E[i - 1] shifted plus the cost
+        # row, a minimum with E[i - 1], and a running minimum along the
+        # text that needs to reach only i cells back. E[i, 0] = 0 and, as
+        # D[i, j] <= INDEL_COST * i, E <= 0 everywhere: the zero lead cells
+        # are neutral. The flat add and the passes write the previous
+        # window's values into a window's lead cells, so those are zeroed
+        # again before each row's passes; nothing precedes the first
+        # window, so its lead cells stay 0 in both buffers and a pass need
+        # not write the first `shift` cells.
         dist = np.empty(len(unique), dtype=np.int32)
-        step = max(1, CHUNK_CELLS // (text_len + 1))
+        step = max(1, CHUNK_CELLS // width)
         ramp = INDEL_COST * np.arange(text_len + 1, dtype=np.int32)
+        first_row = np.zeros(width, dtype=np.int32)
+        first_row[lead - 1 :] = -ramp  # leading text is free
         for start in range(0, len(unique), step):
             chunk = rows[start : start + step]
-            prev = np.tile(-ramp, (len(chunk), 1))  # leading text is free
+            prev = np.tile(first_row, len(chunk))
             cand = np.zeros_like(prev)
-            for i in range(n):
-                np.add(prev[:, :-1], cost[chunk[:, i]], out=cand[:, 1:])
-                np.minimum(cand[:, 1:], prev[:, 1:], out=cand[:, 1:])
-                np.minimum.accumulate(cand, axis=1, out=cand)
-                prev, cand = cand, prev
+            costs = np.empty((len(chunk), width), dtype=np.int8)
+            flat_costs = costs.ravel()
+            for i in range(1, n + 1):
+                # indices are in range; "clip" skips the buffered copy "raise" makes
+                np.take(cost, chunk[:, i - 1], axis=0, out=costs, mode="clip")
+                np.add(prev[:-1], flat_costs[1:], out=cand[1:])
+                np.minimum(cand, prev, out=cand)
+                cand.reshape(-1, width)[:, :lead] = 0
+                src, dst = cand, prev
+                for k in range(i.bit_length()):
+                    shift = 1 << k
+                    np.minimum(src[shift:], src[:-shift], out=dst[shift:])
+                    src, dst = dst, src
+                prev, cand = src, dst
             # trailing text is free
-            dist[start : start + step] = (prev + ramp).min(axis=1) + INDEL_COST * n
+            last = prev.reshape(len(chunk), width)[:, lead - 1 :]
+            dist[start : start + step] = (last + ramp).min(axis=1) + INDEL_COST * n
         return -dist[inverse].astype(np.float64)

@@ -9,7 +9,7 @@ import numpy as np
 
 from appauth.encode import Observation, Vocabulary
 from appauth.evaluation import ScoreTable
-from appauth.models.edit_distance import INDEL_COST, substitution_cost
+from appauth.models.edit_distance import INDEL_COST, MISMATCH_COST, substitution_cost, symbol_attributes
 from appauth.models.hmm import HmmParams, TrainingTrace, forward_log_likelihood
 from appauth.models.core import normalize_rows, random_simplex
 from appauth.simulate import inject_intrusion
@@ -171,6 +171,49 @@ def brute_med_distance(pattern: list[Observation], text: list[Observation]) -> i
         for j in range(i + 1, len(text) + 1):
             best = min(best, pairwise_distance(pattern, text[i:j]))
     return best
+
+
+def semi_global_distance(pattern: list[Observation], text: list[Observation]) -> int:
+    """Semi-global weighted edit distance, one cell at a time in O(n * T):
+    the pattern aligns against its best substring of text, so leading and
+    trailing text are free."""
+    prev = [0] * (len(text) + 1)
+    for i, u in enumerate(pattern, 1):
+        row = [i * INDEL_COST]
+        for j, v in enumerate(text, 1):
+            row.append(
+                min(
+                    prev[j - 1] + substitution_cost(u, v),
+                    prev[j] + INDEL_COST,
+                    row[j - 1] + INDEL_COST,
+                )
+            )
+        prev = row
+    return min(prev)
+
+
+def reference_med_distances(model, windows) -> np.ndarray:
+    """Distances of a (W, n) window batch to a `MedModel`'s text with a full
+    running minimum along the text in every DP row: the kernel that
+    `score_windows` must equal bit for bit, with no dedupe or chunking.
+
+    The DP runs on E[i, j] = D[i, j] - INDEL_COST * (i + j), in which both
+    gap moves cost 0 and a substitution costs cost - 2 * INDEL_COST."""
+    mat = np.asarray(windows, dtype=np.int64)
+    n = mat.shape[1]
+    t_app, t_tz, t_day = symbol_attributes(model.train_indices, model.vocab)
+    w_app, w_tz, w_day = (a[:, :, None] for a in symbol_attributes(mat, model.vocab))
+    ramp = INDEL_COST * np.arange(model.train_indices.size + 1, dtype=np.int64)
+    prev = np.tile(-ramp, (len(mat), 1))  # leading text is free
+    cand = np.zeros_like(prev)
+    for i in range(n):
+        cost = (w_tz[:, i] != t_tz).astype(np.int64) + (w_day[:, i] != t_day)
+        cost[w_app[:, i] != t_app] = MISMATCH_COST
+        np.add(prev[:, :-1], cost - 2 * INDEL_COST, out=cand[:, 1:])
+        np.minimum(cand[:, 1:], prev[:, 1:], out=cand[:, 1:])
+        np.minimum.accumulate(cand, axis=1, out=cand)
+        prev, cand = cand, prev
+    return (prev + ramp).min(axis=1) + INDEL_COST * n  # trailing text is free
 
 
 def random_observation(rng: np.random.Generator, apps: list[str]) -> Observation:

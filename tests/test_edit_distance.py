@@ -7,7 +7,18 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import DELTA, PSI, app, brute_med_distance, med_distance, random_observation, score_one, unk
+from conftest import (
+    DELTA,
+    PSI,
+    app,
+    brute_med_distance,
+    med_distance,
+    random_observation,
+    reference_med_distances,
+    score_one,
+    semi_global_distance,
+    unk,
+)
 from appauth.encode import Vocabulary
 from appauth.models.edit_distance import CHUNK_CELLS, MedModel, substitution_cost
 
@@ -144,3 +155,74 @@ def test_repeated_windows_match_exhaustive_oracle():
     windows = np.stack([vocab.project(distinct[k]) for k in order])
     got = -model.score_windows(windows)
     assert got.tolist() == [brute_med_distance(distinct[k], text_obs) for k in order]
+
+
+LONG_APPS = ["a", "b", "c", "d", "e", "f"]
+
+
+def mixed_observation(rng: np.random.Generator, marker_share: float, unknown_share: float):
+    u = rng.random()
+    if u < marker_share:
+        return PSI if rng.random() < 0.5 else DELTA
+    tz, day = int(rng.integers(0, 3)), int(rng.integers(0, 2))
+    if u < marker_share + unknown_share:
+        return unk(tz, day)
+    return app(LONG_APPS[int(rng.integers(0, len(LONG_APPS)))], tz, day)
+
+
+def gapped_slice(rng: np.random.Generator, text: list, n: int) -> list:
+    """n symbols of the text with a stretch of it left out after the first
+    `split`, so the best alignment may cross a text gap in DP row `split`.
+    Where the text allows, the gap is long enough (at least
+    2 ** (split.bit_length() - 1)) that only that row's last shift pass
+    reaches it."""
+    split = int(rng.integers(1, n))
+    gap = min(len(text) - n, int(rng.integers(1 << (split.bit_length() - 1), split + 1)))
+    start = int(rng.integers(0, len(text) - n - gap + 1))
+    piece = text[start : start + n + gap]
+    return piece[:split] + piece[split + gap :]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65])
+def test_long_windows_match_reference_kernel_and_plain_dp(n):
+    """Windows long enough to need every shift pass, checked against the
+    full running-minimum kernel and the cell-by-cell DP: texts as long as
+    the window, shorter than the zero lead pad (2 ** n.bit_length()), and
+    longer than it, with marker-, unknown- and gap-heavy windows batched
+    together so that each row's passes run over several windows."""
+    vocab = Vocabulary(LONG_APPS)
+    rng = np.random.default_rng(n)
+    lead = 1 << n.bit_length()
+    for text_len in sorted({n, max(n, lead - 1), lead + n}):
+        text = [mixed_observation(rng, 0.1, 0.1) for _ in range(text_len)]
+        model = MedModel.fit(vocab.project(text), vocab)
+        windows = [text[:n], text[-n:]]
+        windows += [[mixed_observation(rng, 0.6, 0.1) for _ in range(n)] for _ in range(3)]
+        windows += [[mixed_observation(rng, 0.1, 0.6) for _ in range(n)] for _ in range(3)]
+        if n > 1 and text_len > n:
+            windows += [gapped_slice(rng, text, n) for _ in range(6)]
+        windows.append(windows[-1])
+        batch = np.stack([vocab.project(w) for w in windows])
+        got = -model.score_windows(batch)
+        assert got.tolist() == [semi_global_distance(w, text) for w in windows], (n, text_len)
+        assert np.array_equal(got, reference_med_distances(model, batch))
+
+
+def test_text_longer_than_a_chunk_matches_reference_kernel():
+    """A text of CHUNK_CELLS symbols puts each window in a chunk of its own."""
+    vocab = Vocabulary(LONG_APPS)
+    rng = np.random.default_rng(41)
+    n = 33
+    text = rng.integers(0, vocab.size, size=CHUNK_CELLS).astype(np.int64)
+    model = MedModel.fit(text, vocab)
+    windows = np.stack(
+        [
+            text[-n:],
+            np.concatenate([text[5000:5020], text[5040:5053]]),
+            rng.integers(0, vocab.size, size=n),
+            rng.integers(0, vocab.size, size=n),
+        ]
+    )
+    got = -model.score_windows(windows)
+    assert got[0] == 0
+    assert np.array_equal(got, reference_med_distances(model, windows))
