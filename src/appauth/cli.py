@@ -35,7 +35,6 @@ from .evaluation import (
     app_similarity_matrix,
     confusion_counts,
     eer_threshold,
-    equal_error_rate,
     evaluate_methods,
     f1,
     format_number,
@@ -313,6 +312,7 @@ def cmd_eval(config: ExperimentConfig) -> int:
         for m in config.methods
     }
     first_period: dict[tuple[str, int], ScoreTable] = {}
+    first_crossings: dict[tuple[str, int], tuple[float, float]] = {}
     events_by_user = _load_cohort(config)
     for j, period in enumerate(config.periods):
         prepared = _prepare(config, events_by_user, period)
@@ -322,13 +322,15 @@ def cmd_eval(config: ExperimentConfig) -> int:
         by_key = evaluate_methods(
             config.methods, prepared, config.n_values, config.train_config, config.stride
         )
+        # (EER %, threshold) of each non-empty table, from one sweep: the
+        # grid takes the EER, metrics.csv the first period's pair.
+        crossings = {key: eer_threshold(table) for key, table in by_key.items() if table}
         for method in config.methods:
             for i, n in enumerate(config.n_values):
-                table = by_key[(method, n)]
-                if table:
-                    grids[method].values[i, j] = equal_error_rate(table)
+                if (method, n) in crossings:
+                    grids[method].values[i, j] = crossings[(method, n)][0]
         if j == 0:
-            first_period = by_key
+            first_period, first_crossings = by_key, crossings
 
     for method in config.methods:
         write_eer_grid_csv(grids[method], out / f"eer_grid_{method}.csv")
@@ -342,11 +344,10 @@ def cmd_eval(config: ExperimentConfig) -> int:
                 write_scores_csv(table, out / f"scores_{method}.csv")
                 write_roc_csv(roc_curve(table), out / f"roc_{method}.csv")
             for n in config.n_values:
-                table = first_period[(method, n)]
-                if not table:
+                if (method, n) not in first_crossings:
                     continue
-                eer, thr = eer_threshold(table)
-                cc = confusion_counts(table, thr)
+                eer, thr = first_crossings[(method, n)]
+                cc = confusion_counts(first_period[(method, n)], thr)
                 metric_rows.append(
                     [
                         method,

@@ -117,82 +117,125 @@ def forward_log_likelihood(
 COHORT_CELLS = 1 << 19
 
 
-def _expectations(params: Sequence[HmmParams], seqs: Sequence[np.ndarray], work: np.ndarray):
-    """Scaled forward/backward pass (Rabiner 1989) of every sequence under
-    its own parameters, run for the whole batch at once.
+class _BatchLayout:
+    """Buffers of one lock-step layout: the sequences still training, in
+    batch order. The caller builds one when that set changes and reuses it
+    every EM iteration until then.
+
+    alpha and beta are time-major (T_max, B, K) views of `work`, a float64
+    scratch array of at least 2 x T_max x B x K cells that the caller
+    allocates once per batch. Every iteration copies each sequence's
+    emission table, transposed so that a symbol's K probabilities are one
+    contiguous row, into `table` below a row of 1.0. `alpha_rows` and
+    `beta_rows` are the (T_max, B) table rows one np.take gathers into alpha
+    and beta, padding included.
+    """
+
+    def __init__(
+        self, seqs: Sequence[np.ndarray], n_symbols: Sequence[int], n_states: int, work: np.ndarray
+    ):
+        self.seqs = seqs
+        lengths = [seq.size for seq in seqs]
+        t_max, n, k = max(lengths), len(seqs), n_states
+        cells = t_max * n * k
+        self.alpha = work[:cells].reshape(t_max, n, k)
+        self.beta = work[cells : 2 * cells].reshape(t_max, n, k)
+        self.offsets = np.cumsum([1, *n_symbols[:-1]])
+        self.table = np.empty((1 + sum(n_symbols), k))
+        self.table[0] = 1.0
+        # alpha overwrites the emissions it reads: alpha[t] replaces emission
+        # t, padded with 1.0 past each sequence's end. beta is right-aligned,
+        # so each sequence's beta starts at 1.0 at its own end, and slot t
+        # holds emission t + 1 until beta[t] replaces it.
+        self.alpha_rows = np.zeros((t_max, n), dtype=np.intp)
+        self.beta_rows = np.zeros((t_max, n), dtype=np.intp)
+        for b, (seq, offset) in enumerate(zip(seqs, self.offsets)):
+            self.alpha_rows[: seq.size, b] = seq + offset
+            self.beta_rows[t_max - seq.size : -1, b] = seq[1:] + offset
+        self.valid = np.arange(t_max)[:, None] < np.array(lengths)
+        self.pi = np.empty((n, k))
+        self.trans = np.empty((n, k, k))
+        self.scale = np.empty((t_max, n))
+        self.scale_right = np.ones((t_max, n))
+        self.step = np.empty((n, 1, k))
+        self.col = np.empty((n, k, 1))
+        self.out = np.empty((n, k, 1))
+        self.weighted = np.empty((t_max - 1, k))
+
+
+def _expectations(params: Sequence[HmmParams], lay: _BatchLayout):
+    """Scaled forward/backward pass (Rabiner 1989) of every sequence of a
+    batch layout under its own parameters, run for the whole batch at once.
 
     Time-major (T_max, B, K) arrays carry every sequence, and each step is
-    one batched vector-matrix product. alpha and beta live in `work`, a
-    float64 scratch array of at least 2 x T_max x B x K cells that the
-    caller allocates once per batch and reuses every iteration.
+    one batched vector-matrix product. One np.take per pass gathers every
+    sequence's emission rows from the contiguous transposed tables straight
+    into alpha and beta, and one more per sequence into the xi term. The
+    per-step buffers belong to the layout, so the recursions allocate
+    nothing.
 
     Yields (log_likelihood, gamma, xi_sum) per sequence, in order:
     gamma[t, i] is the posterior state occupancy, xi_sum[i, j] the
-    posterior transition count summed over time. Each sequence's
-    statistics come from contiguous copies of its own slices, by the same
-    expressions as a single-sequence pass, so they are bit-identical to it.
+    posterior transition count summed over time. Each sequence's gamma and
+    xi product come from contiguous arrays of its own, by the same
+    expressions as a single-sequence pass, so they are bit-identical to it;
+    the M-step in `baum_welch_cohort` counts emissions from gamma with one
+    np.bincount per state.
     A sequence that loses all forward mass raises FloatingPointError at its
-    first such position.
+    first such position; the first such sequence in batch order raises.
     """
-    lengths = [seq.size for seq in seqs]
-    t_max, n, k = max(lengths), len(seqs), params[0].n_states
-    trans = np.stack([p.trans for p in params])  # (B, K, K)
+    matmul, multiply, add_reduce, divide = np.matmul, np.multiply, np.add.reduce, np.divide
+    alpha, beta, scale, table, trans = lay.alpha, lay.beta, lay.scale, lay.table, lay.trans
+    t_max = alpha.shape[0]
+    np.concatenate([p.emit.T for p in params], out=table[1:])
+    np.stack([p.pi for p in params], out=lay.pi)
+    np.stack([p.trans for p in params], out=trans)
 
-    # alpha overwrites the emissions it reads: alpha[t] replaces emission
-    # t, padded with 1.0 past each sequence's end.
-    cells = t_max * n * k
-    alpha = work[:cells].reshape(t_max, n, k)
-    alpha.fill(1.0)
-    for b, (p, seq) in enumerate(zip(params, seqs)):
-        alpha[: seq.size, b] = p.emit[:, seq].T
-    scale = np.empty((t_max, n))
+    np.take(table, lay.alpha_rows, 0, alpha, "clip")
     scale_col = scale[:, :, None]
-    step = np.empty((n, 1, k))
+    step = lay.step
     row = step[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(np.stack([p.pi for p in params]), alpha[0], out=row)
-        np.add.reduce(row, axis=1, out=scale[0])
-        np.divide(row, scale_col[0], out=alpha[0])
+        multiply(lay.pi, alpha[0], row)
+        add_reduce(row, 1, None, scale[0])
+        divide(row, scale_col[0], alpha[0])
         for prev, a, c, c_col in zip(alpha[:, :, None], alpha[1:], scale[1:], scale_col[1:]):
-            np.matmul(prev, trans, out=step)
-            np.multiply(row, a, out=row)
-            np.add.reduce(row, axis=1, out=c)
-            np.divide(row, c_col, out=a)
-    for b, t_len in enumerate(lengths):
-        bad = np.flatnonzero(~(scale[:t_len, b] > 0.0))
-        if bad.size:
-            raise FloatingPointError(f"zero forward mass at position {bad[0]}")
+            matmul(prev, trans, step)
+            multiply(row, a, row)
+            add_reduce(row, 1, None, c)
+            divide(row, c_col, a)
+    bad = lay.valid & ~(scale > 0.0)
+    if bad.any():
+        first = bad[:, int(bad.any(axis=0).argmax())]
+        raise FloatingPointError(f"zero forward mass at position {int(first.argmax())}")
 
-    # beta is right-aligned, so each sequence's beta starts at 1.0 at its
-    # own end, and overwrites the emissions it reads: slot t holds emission
-    # t + 1 until beta[t] replaces it.
-    beta = work[cells : 2 * cells].reshape(t_max, n, k)
-    beta.fill(1.0)
-    scale_right = np.ones_like(scale)
-    for b, (p, seq) in enumerate(zip(params, seqs)):
-        beta[t_max - seq.size : -1, b] = p.emit[:, seq[1:]].T
+    np.take(table, lay.beta_rows, 0, beta, "clip")
+    scale_right = lay.scale_right
+    for b, seq in enumerate(lay.seqs):
         scale_right[t_max - seq.size :, b] = scale[: seq.size, b]
-    col = np.empty((n, k, 1))
-    out = np.empty((n, k, 1))
-    for cur, nxt, c_col in zip(beta[-2::-1], beta[:0:-1], scale_right[:0:-1, :, None]):
-        np.multiply(cur, nxt, out=col[:, :, 0])
-        np.matmul(trans, col, out=out)
-        np.divide(out[:, :, 0], c_col, out=cur)
+    col, out = lay.col, lay.out
+    col_row, out_row = col[:, :, 0], out[:, :, 0]
+    nxt = beta[-1]
+    for cur, c_col in zip(beta[-2::-1], scale_right[:0:-1, :, None]):
+        multiply(cur, nxt, col_row)
+        matmul(trans, col, out)
+        divide(out_row, c_col, cur)
+        nxt = cur
 
-    # Few, in-place temporaries: freed ones stay resident in the malloc
-    # heap and add to later peaks (eval-p5's peak RSS was 4 MB higher with
-    # a per-iteration `work` and two more temporaries per sequence).
-    for b, (p, seq) in enumerate(zip(params, seqs)):
+    # Few temporaries: freed ones stay resident in the malloc heap and add
+    # to later peaks (eval-p5's peak RSS was 4 MB higher with a
+    # per-iteration `work` and two more temporaries per sequence).
+    for b, (p, seq, offset) in enumerate(zip(params, lay.seqs, lay.offsets)):
         t_len = seq.size
         al = np.ascontiguousarray(alpha[:t_len, b])
-        be = np.ascontiguousarray(beta[t_max - t_len :, b])
-        sc = np.ascontiguousarray(scale[:t_len, b])
-        weighted = p.emit[:, seq[1:]].T * be[1:]
-        weighted /= sc[1:, None]  # (T-1, K)
+        be = beta[t_max - t_len :, b]
+        weighted = lay.weighted[: t_len - 1]  # (T-1, K)
+        np.take(table[offset:], seq[1:], 0, weighted, "clip")
+        multiply(weighted, be[1:], weighted)
+        divide(weighted, scale[1:t_len, b, None], weighted)
         xi_sum = p.trans * (al[:-1].T @ weighted)
-        del weighted
         al *= be  # gamma
-        yield float(np.log(sc).sum()), al, xi_sum
+        yield float(np.log(scale[:t_len, b]).sum()), al, xi_sum
 
 
 def _cohort_batches(lengths: Sequence[int], n_states: int):
@@ -249,8 +292,13 @@ def baum_welch_cohort(
 
     for active in _cohort_batches([seq.size for seq in seqs], n_states):
         work = np.empty(2 * len(active) * seqs[active[-1]].size * n_states)
+        lay = None
         while active and max_iter > 0:
-            stats = _expectations([params[u] for u in active], [seqs[u] for u in active], work)
+            if lay is None:
+                lay = _BatchLayout(
+                    [seqs[u] for u in active], [n_symbols[u] for u in active], n_states, work
+                )
+            stats = _expectations([params[u] for u in active], lay)
             still = []
             for u, (ll, gamma, xi_sum) in zip(active, stats):
                 seq, trace = seqs[u], traces[u]
@@ -259,8 +307,13 @@ def baum_welch_cohort(
                 if prev_ll[u] is not None and tol > 0.0 and (ll - prev_ll[u]) / seq.size < tol:
                     continue
                 prev_ll[u] = ll
-                emit_counts = np.zeros((n_symbols[u], n_states))
-                np.add.at(emit_counts, seq, gamma)
+                # np.bincount adds each state's gamma in t order from 0.0,
+                # like the reference's np.add.at, so the counts are
+                # bit-identical. They fill the columns of an (S, K) array:
+                # normalize_rows must sum the same transposed layout.
+                emit_counts = np.empty((n_symbols[u], n_states))
+                for i, weights in enumerate(gamma.T):
+                    emit_counts[:, i] = np.bincount(seq, weights, n_symbols[u])
                 params[u] = HmmParams(
                     pi=gamma[0] / gamma[0].sum(),
                     trans=normalize_rows(xi_sum),
@@ -268,6 +321,8 @@ def baum_welch_cohort(
                 )
                 if trace.iterations < max_iter:
                     still.append(u)
+            if len(still) < len(active):
+                lay = None
             active = still
     return list(zip(params, traces))
 

@@ -165,12 +165,26 @@ def test_cohort_split_by_cell_budget_equals_per_user_reference():
         assert_same_fits(fit, reference_baum_welch(seq, 5, k, 2, 0.0, 2))
 
 
+def test_longest_user_leaving_early_shrinks_the_batch():
+    """The longest sequence stops on tol while the shorter ones run to
+    max_iter, so the batch is laid out again with a shorter T_max."""
+    rng = np.random.default_rng(21)
+    seqs = [rng.integers(0, 5, 90), np.tile([0, 1, 2], 70), rng.integers(0, 6, 40)]
+    sizes = [5, 3, 6]
+    fits = baum_welch_cohort(seqs, sizes, n_states=3, max_iter=20, tol=1e-4, seed=4)
+    iterations = [trace.iterations for _, trace in fits]
+    assert iterations[1] < 20 and iterations[0] == iterations[2] == 20
+    for seq, size, fit in zip(seqs, sizes, fits):
+        assert_same_fits(fit, reference_baum_welch(seq, size, 3, 20, 1e-4, 4))
+
+
 def test_batched_expectations_equal_single_sequence_pass():
     rng = np.random.default_rng(8)
     seqs = [rng.integers(0, 7, t) for t in (40, 2, 75, 13)]
     params = [random_hmm(rng, 4, 7) for _ in seqs]
     work = np.empty(2 * 75 * len(seqs) * 4)
-    for (ll, gamma, xi_sum), p, seq in zip(hmm._expectations(params, seqs, work), params, seqs):
+    lay = hmm._BatchLayout(seqs, [7] * len(seqs), 4, work)
+    for (ll, gamma, xi_sum), p, seq in zip(hmm._expectations(params, lay), params, seqs):
         ref_ll, ref_gamma, ref_xi = reference_forward_backward(p, seq)
         assert ll == ref_ll
         assert np.array_equal(gamma, ref_gamma)
@@ -189,7 +203,45 @@ def test_zero_forward_mass_raises_at_first_bad_position():
         reference_forward_backward(dead, seq)
     long_seq = rng.integers(0, 4, 30)
     with pytest.raises(FloatingPointError, match="zero forward mass at position 3"):
-        list(hmm._expectations([healthy, dead], [long_seq, seq], np.empty(2 * 30 * 2 * 3)))
+        lay = hmm._BatchLayout([long_seq, seq], [4, 4], 3, np.empty(2 * 30 * 2 * 3))
+        list(hmm._expectations([healthy, dead], lay))
+
+
+def test_zero_mass_names_first_dead_user_in_batch_order():
+    """Two dead users: the first in batch order is reported, at its own
+    first bad position, although the second one dies earlier."""
+    rng = np.random.default_rng(10)
+    healthy = random_hmm(rng, 3, 4)
+    emit = healthy.emit.copy()
+    emit[:, 2] = 0.0  # symbol 2 is impossible from every state
+    emit[:, 0] += 1.0 - emit.sum(axis=1)
+    dead = HmmParams(healthy.pi, healthy.trans, emit)
+    late, early = np.array([0, 1, 3, 1, 0, 2, 1, 2]), np.array([1, 2, 0, 2])
+    for params, seq, pos in [(dead, late, 5), (dead, early, 1)]:
+        with pytest.raises(FloatingPointError, match=f"zero forward mass at position {pos}$"):
+            reference_forward_backward(params, seq)
+    seqs = [rng.integers(0, 4, 12), late, early]
+    lay = hmm._BatchLayout(seqs, [4, 4, 4], 3, np.empty(2 * 12 * 3 * 3))
+    with pytest.raises(FloatingPointError, match="zero forward mass at position 5$"):
+        list(hmm._expectations([healthy, dead, dead], lay))
+
+
+def test_short_user_padding_never_trips_zero_mass_check():
+    """Padding past a short sequence's end is not read from its emission
+    table, so a symbol it can never emit does not count as lost mass."""
+    rng = np.random.default_rng(12)
+    emit = random_hmm(rng, 3, 4).emit
+    emit[:, 0] = 0.0
+    emit[:, 1] += 1.0 - emit.sum(axis=1)
+    short = HmmParams(np.full(3, 1 / 3), np.full((3, 3), 1 / 3), emit)
+    params = [short, random_hmm(rng, 3, 4)]
+    seqs = [np.array([1, 3]), rng.integers(0, 4, 50)]
+    lay = hmm._BatchLayout(seqs, [4, 4], 3, np.empty(2 * 50 * 2 * 3))
+    for (ll, gamma, xi_sum), p, seq in zip(hmm._expectations(params, lay), params, seqs):
+        ref_ll, ref_gamma, ref_xi = reference_forward_backward(p, seq)
+        assert ll == ref_ll
+        assert np.array_equal(gamma, ref_gamma)
+        assert np.array_equal(xi_sum, ref_xi)
 
 
 def test_laplace_smoothing_formula():
