@@ -30,7 +30,6 @@ from .evaluation import (
     EerGrid,
     PreparedUser,
     ScoreTable,
-    _write_csv,
     accuracy,
     app_similarity_matrix,
     confusion_counts,
@@ -61,6 +60,7 @@ from .ingest import (
     RawEvent,
     group_by_user,
     parse_event_log,
+    write_csv,
     write_event_log,
 )
 from .models import (
@@ -179,6 +179,11 @@ def apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Exper
     return replace(config, **updates) if updates else config
 
 
+def _write_json(path: Path, payload: Mapping) -> None:
+    """Indented JSON with sorted keys and a trailing newline."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def write_manifest(config: ExperimentConfig, command: str, out_dir: Path) -> None:
     manifest = {
         "command": command,
@@ -190,9 +195,7 @@ def write_manifest(config: ExperimentConfig, command: str, out_dir: Path) -> Non
             "appauth": __version__,
         },
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
@@ -256,9 +259,7 @@ def cmd_ingest(config: ExperimentConfig) -> int:
             "train_symbols": {u: int(prepared[u].train_indices.size) for u in sorted(prepared)},
             "test_symbols": {u: len(prepared[u].test_observations) for u in sorted(prepared)},
         }
-    with open(out / "ingest_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "ingest_report.json", report)
     write_manifest(config, "ingest", out)
     print(f"ingested {len(config.periods)} period(s) into {out}")
     return EXIT_OK
@@ -361,7 +362,7 @@ def cmd_eval(config: ExperimentConfig) -> int:
                         format_number(f1(cc)),
                     ]
                 )
-        _write_csv(out / "metrics.csv", metric_rows)
+        write_csv(out / "metrics.csv", metric_rows)
     write_manifest(config, "eval", out)
     print(f"wrote EER grids for {len(config.methods)} method(s) to {out}")
     return EXIT_OK

@@ -9,14 +9,14 @@ symbols, keeping the alphabet closed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .ingest import FormatError, Session
+from .ingest import FormatError, Session, read_csv_rows, write_csv
 
 SECONDS_PER_DAY = 86400
 
@@ -163,15 +163,8 @@ def write_sequence_csv(
     rows: Iterable[tuple[str, int, Observation]], dest: str | Path | TextIO
 ) -> None:
     """Write an encoded stream as ``owner,timestamp,symbol`` CSV rows."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            write_sequence_csv(rows, fh)
-        return
-    dest.write(",".join(SEQUENCE_HEADER) + "\n")
-    for owner, ts, obs in rows:
-        if "," in owner:
-            raise ValueError(f"owner {owner!r} contains a comma")
-        dest.write(f"{owner},{ts},{obs.to_text()}\n")
+    body = ((owner, ts, obs.to_text()) for owner, ts, obs in rows)
+    write_csv(dest, chain([SEQUENCE_HEADER], body))
 
 
 def read_sequence_csv(source: str | Path | TextIO) -> list[tuple[str, int, Observation]]:
@@ -180,28 +173,13 @@ def read_sequence_csv(source: str | Path | TextIO) -> list[tuple[str, int, Obser
     Unlike the raw event-log parser this is strict: any malformed row raises
     FormatError, since these files are produced by the pipeline itself.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return read_sequence_csv(fh)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("empty file: missing header row") from None
-    if [h.strip() for h in header] != SEQUENCE_HEADER:
-        raise FormatError(f"bad header {header!r}, expected {SEQUENCE_HEADER}")
     out: list[tuple[str, int, Observation]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise FormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        owner, ts_text, symbol = (f.strip() for f in row)
+    for lineno, fields in read_csv_rows(source, SEQUENCE_HEADER):
         try:
-            ts = int(ts_text)
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad timestamp {ts_text!r}") from None
-        out.append((owner, ts, Observation.from_text(symbol)))
+            owner, ts, symbol = fields
+            out.append((owner, int(ts), Observation.from_text(symbol)))
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
     return out
 
 

@@ -9,7 +9,6 @@ live here too.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from itertools import chain
@@ -19,7 +18,14 @@ from typing import Iterable, Mapping, Sequence, TextIO
 import numpy as np
 
 from .encode import KIND_APP, Observation, Vocabulary, encode_sessions, sliding_windows
-from .ingest import DEFAULT_IDLE_GAP, Session, resample_sessions, sessionize, split_sessions
+from .ingest import (
+    DEFAULT_IDLE_GAP,
+    Session,
+    resample_sessions,
+    sessionize,
+    split_sessions,
+    write_csv,
+)
 from .models import TrainConfig, UserModel, train_user_model
 from .models.hmm import HmmParams, TrainingTrace, baum_welch_cohort
 
@@ -258,15 +264,6 @@ def _crossing(genuine: np.ndarray, impostor: np.ndarray) -> tuple[float, float]:
     return float(100.0 * (far[k] + lam * (far[above] - far[k]))), float(thresholds[pick])
 
 
-def eer_from_scores(genuine: np.ndarray, impostor: np.ndarray) -> float:
-    """EER percentage of raw genuine and impostor score arrays."""
-    genuine = np.sort(np.asarray(genuine, dtype=np.float64))
-    impostor = np.sort(np.asarray(impostor, dtype=np.float64))
-    if genuine.size == 0 or impostor.size == 0:
-        raise ValueError("need at least one genuine and one impostor score")
-    return _crossing(genuine, impostor)[0]
-
-
 def equal_error_rate(table: ScoreTable) -> float:
     return _crossing(*_split_scores(table))[0]
 
@@ -396,10 +393,6 @@ class PreparedUser:
     test_observations: list[Observation]
     train_timestamps: np.ndarray
     test_timestamps: np.ndarray
-
-    @property
-    def train_apps(self) -> tuple[str, ...]:
-        return self.vocab.apps
 
 
 def prepare_user(
@@ -533,15 +526,6 @@ def evaluate_methods(
 # report files
 
 
-def _write_csv(dest: str | Path | TextIO, rows: Iterable[Sequence]) -> None:
-    """Write CSV rows with "\\n" line ends to a path or an open text stream."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-    else:
-        csv.writer(dest, lineterminator="\n").writerows(rows)
-
-
 def write_scores_csv(table: ScoreTable, dest: str | Path | TextIO) -> None:
     """One row per scored window, in the table's (sorted) row order."""
     users = np.asarray(table.users, dtype=object)
@@ -551,7 +535,7 @@ def write_scores_csv(table: ScoreTable, dest: str | Path | TextIO) -> None:
         table.end_index.tolist(),
         map(format_number, table.score.tolist()),
     )
-    _write_csv(dest, chain([["model_owner", "window_owner", "end_index", "score"]], body))
+    write_csv(dest, chain([["model_owner", "window_owner", "end_index", "score"]], body))
 
 
 def write_eer_grid_csv(grid: EerGrid, dest: str | Path | TextIO) -> None:
@@ -560,19 +544,19 @@ def write_eer_grid_csv(grid: EerGrid, dest: str | Path | TextIO) -> None:
         [n] + ["" if np.isnan(v) else format_number(v) for v in grid.values[i]]
         for i, n in enumerate(grid.n_values)
     )
-    _write_csv(dest, chain([header], body))
+    write_csv(dest, chain([header], body))
 
 
 def write_roc_csv(curve: RocCurve, dest: str | Path | TextIO) -> None:
     body = ([format_number(x) for x in point] for point in curve.points)
-    _write_csv(dest, chain([["threshold", "far", "frr"]], body))
+    write_csv(dest, chain([["threshold", "far", "frr"]], body))
 
 
 def write_similarity_csv(
     users: Sequence[str], matrix: np.ndarray, dest: str | Path | TextIO
 ) -> None:
     body = ([user] + [format_number(x) for x in matrix[i]] for i, user in enumerate(users))
-    _write_csv(dest, chain([["user"] + list(users)], body))
+    write_csv(dest, chain([["user"] + list(users)], body))
 
 
 def write_unknown_stats_csv(stats: UnknownAppStats, dest: str | Path | TextIO) -> None:
@@ -586,7 +570,7 @@ def write_unknown_stats_csv(stats: UnknownAppStats, dest: str | Path | TextIO) -
     )
     header = ["model_owner", "test_user", "kind", "unknown_pct"]
     summary_header = ["summary", "mean", "min", "q1", "median", "q3", "max"]
-    _write_csv(dest, chain([header], pairs, [[], summary_header], summary))
+    write_csv(dest, chain([header], pairs, [[], summary_header], summary))
 
 
 def write_top_apps_csv(rows: Sequence[TopAppRow], dest: str | Path | TextIO) -> None:
@@ -596,4 +580,4 @@ def write_top_apps_csv(rows: Sequence[TopAppRow], dest: str | Path | TextIO) -> 
         + [format_number(r.per_user_usage), format_number(r.overall_usage)]
         for r in rows
     )
-    _write_csv(dest, chain([header], body))
+    write_csv(dest, chain([header], body))

@@ -11,8 +11,9 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 log = logging.getLogger(__name__)
 
@@ -24,6 +25,41 @@ DEFAULT_IDLE_GAP = 300.0
 
 class FormatError(ValueError):
     """Input file does not match the documented schema."""
+
+
+def read_csv_rows(source: str | Path | TextIO, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, stripped fields)`` for each non-empty data row.
+
+    The line number is the file line on which the row ends (the header is
+    line 1), so a quoted field spanning lines does not shift later rows.
+    Raises FormatError if the header row is missing or differs from
+    ``header``.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            yield from read_csv_rows(fh, header)
+        return
+    reader = csv.reader(source)
+    first = next(reader, None)
+    if first is None:
+        raise FormatError("empty file: missing header row")
+    if [h.strip() for h in first] != header:
+        raise FormatError(f"bad header {first!r}, expected {header}")
+    for row in reader:
+        if row:
+            yield reader.line_num, [f.strip() for f in row]
+
+
+def write_csv(dest: str | Path | TextIO, rows: Iterable[Sequence]) -> None:
+    """Write CSV rows with "\\n" line ends to a path or an open text stream.
+
+    Fields holding a comma, a quote or a line break are quoted.
+    """
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    else:
+        csv.writer(dest, lineterminator="\n").writerows(rows)
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,12 +77,17 @@ class RawEvent:
     app_id: str = ""
 
     def __post_init__(self) -> None:
+        if not self.user_id:
+            raise ValueError("empty user_id")
         if self.local_timestamp < 0:
             raise ValueError(f"negative timestamp {self.local_timestamp}")
-        if self.kind not in EVENT_KINDS:
+        if self.kind == "app":
+            if not self.app_id:
+                raise ValueError("app event without app_id")
+        elif self.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.kind == "app" and not self.app_id:
-            raise ValueError("app event without app_id")
+        elif self.app_id:
+            raise ValueError(f"{self.kind} event carries app_id {self.app_id!r}")
 
 
 @dataclass(slots=True)
@@ -65,10 +106,6 @@ class Session:
     def __post_init__(self) -> None:
         if self.end < self.start:
             raise ValueError("session end precedes start")
-
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
 
 
 @dataclass(slots=True)
@@ -96,80 +133,35 @@ class SplitDataset:
 
     train: list[Session]
     test: list[Session]
-    train_fraction: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
 
 
 def parse_event_log(source: str | Path | TextIO) -> tuple[list[RawEvent], ParseReport]:
     """Parse an event-log CSV into events, in file order.
 
     The schema is ``user_id,local_timestamp,kind,app_id`` with kind in
-    {app, unlock, lock} and an empty app_id on unlock/lock rows. Malformed
-    rows are dropped and recorded in the returned report.
+    {app, unlock, lock} and an empty app_id on unlock/lock rows. A row that
+    does not make a valid RawEvent is dropped and recorded in the returned
+    report.
 
     Raises FormatError if the header row is missing or wrong.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return parse_event_log(fh)
-
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("empty file: missing header row") from None
-    if [h.strip() for h in header] != EVENT_LOG_HEADER:
-        raise FormatError(f"bad header {header!r}, expected {EVENT_LOG_HEADER}")
-
     events: list[RawEvent] = []
     report = ParseReport()
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for lineno, fields in read_csv_rows(source, EVENT_LOG_HEADER):
         report.rows_total += 1
-        if len(row) != 4:
-            report.add_error(lineno, f"expected 4 fields, got {len(row)}")
-            continue
-        user_id, ts_text, kind, app_id = (f.strip() for f in row)
-        if not user_id:
-            report.add_error(lineno, "empty user_id")
-            continue
         try:
-            ts = int(ts_text)
-        except ValueError:
-            report.add_error(lineno, f"bad timestamp {ts_text!r}")
-            continue
-        if ts < 0:
-            report.add_error(lineno, f"negative timestamp {ts}")
-            continue
-        if kind not in EVENT_KINDS:
-            report.add_error(lineno, f"unknown kind {kind!r}")
-            continue
-        if kind == "app" and not app_id:
-            report.add_error(lineno, "app event with empty app_id")
-            continue
-        if kind != "app" and app_id:
-            report.add_error(lineno, f"{kind} event carries app_id {app_id!r}")
-            continue
-        events.append(RawEvent(user_id, ts, kind, app_id))
-        report.rows_ok += 1
+            user_id, ts, kind, app_id = fields
+            events.append(RawEvent(user_id, int(ts), kind, app_id))
+        except ValueError as exc:
+            report.add_error(lineno, str(exc))
+    report.rows_ok = len(events)
     return events, report
 
 
 def write_event_log(events: Iterable[RawEvent], dest: str | Path | TextIO) -> None:
     """Write events as an event-log CSV (inverse of parse_event_log)."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-            write_event_log(events, fh)
-        return
-    dest.write(",".join(EVENT_LOG_HEADER) + "\n")
-    for ev in events:
-        if "," in ev.app_id:
-            raise ValueError(f"app_id {ev.app_id!r} contains a comma")
-        dest.write(f"{ev.user_id},{ev.local_timestamp},{ev.kind},{ev.app_id}\n")
+    body = ((ev.user_id, ev.local_timestamp, ev.kind, ev.app_id) for ev in events)
+    write_csv(dest, chain([EVENT_LOG_HEADER], body))
 
 
 def group_by_user(events: Iterable[RawEvent]) -> dict[str, list[RawEvent]]:
@@ -200,13 +192,9 @@ def sessionize(events: Sequence[RawEvent], idle_gap: float = DEFAULT_IDLE_GAP) -
 
     def close(end: int | None = None) -> None:
         nonlocal cur
-        if cur is None:
-            return
-        if cur.samples:
+        if cur is not None and cur.samples:
             last = cur.samples[-1][0]
-            cur.end = max(last, end if end is not None else last)
-            if end is not None and end < last:
-                cur.end = last
+            cur.end = last if end is None else max(last, end)
             sessions.append(cur)
         cur = None
 
@@ -229,8 +217,6 @@ def sessionize(events: Sequence[RawEvent], idle_gap: float = DEFAULT_IDLE_GAP) -
                 cur = Session(ev.user_id, ev.local_timestamp, ev.local_timestamp)
                 explicit = False
             cur.samples.append((ev.local_timestamp, ev.app_id))
-            if ev.local_timestamp > cur.end:
-                cur.end = ev.local_timestamp
     close()
     return sessions
 
@@ -295,4 +281,4 @@ def split_sessions(sessions: Sequence[Session], train_fraction: float) -> SplitD
             train.append(Session(sess.user_id, sess.start, head[-1][0], head))
             test.append(Session(sess.user_id, tail[0][0], sess.end, tail))
             remaining = 0
-    return SplitDataset(train, test, train_fraction)
+    return SplitDataset(train, test)

@@ -19,8 +19,8 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 
 from .encode import Observation, day_flag_of, timezone_of
-from .evaluation import ScoreTable, _write_csv, format_number, generate_score_records
-from .ingest import RawEvent
+from .evaluation import ScoreTable, format_number, generate_score_records
+from .ingest import RawEvent, write_csv
 from .models import UserModel
 
 log = logging.getLogger(__name__)
@@ -303,7 +303,7 @@ def write_intrusion_curve_csv(
         for study in studies
         for offset, score in enumerate(study.mean_scores)
     )
-    _write_csv(dest, chain([["n", "window_index", "mean_score"]], body))
+    write_csv(dest, chain([["n", "window_index", "mean_score"]], body))
 
 
 def write_latency_csv(studies: Sequence[IntrusionStudy], dest: str | Path | TextIO) -> None:
@@ -313,4 +313,4 @@ def write_latency_csv(studies: Sequence[IntrusionStudy], dest: str | Path | Text
         for r in study.rows
     )
     header = ["model_owner", "intruder", "n", "latency_windows", "detected"]
-    _write_csv(dest, chain([header], body))
+    write_csv(dest, chain([header], body))

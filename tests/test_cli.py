@@ -24,7 +24,7 @@ from appauth.cli import (
 )
 from appauth.encode import encode_sessions
 from appauth.ingest import resample_sessions, sessionize, split_sessions
-from appauth.models import METHOD_TAGS, MarkovChainModel
+from appauth.models import METHOD_TAGS, MarkovChainModel, load_model
 from appauth.simulate import CohortSpec, make_cohort
 
 TINY = {
@@ -354,6 +354,30 @@ def test_multi_period_run_loads_input_once(tmp_path, monkeypatch):
         calls.clear()
         assert main([command, "--config", str(cfg)]) == EXIT_OK
         assert len(calls) == 1, command
+
+
+def test_app_ids_with_commas_pass_ingest_and_score(tmp_path):
+    cohort = make_cohort(CohortSpec.from_json(TINY["synthetic"]))
+    log = tmp_path / "events.csv"
+    with open(log, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["user_id", "local_timestamp", "kind", "app_id"])
+        for user in sorted(cohort):
+            for ev in cohort[user]:
+                app_id = f"{ev.app_id},beta" if ev.kind == "app" else ""
+                writer.writerow([ev.user_id, ev.local_timestamp, ev.kind, app_id])
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, out=str(out), data=str(log), methods=["mc"])
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    assert main(["train", "--config", str(cfg)]) == EXIT_OK
+    model = out / "models" / "user00.mc.npz"
+    assert all(a.endswith(",beta") for a in load_model(model).vocab.apps)
+    code = main(
+        ["score", "--config", str(cfg), "--model", str(model), "--sequence", str(out / "test_period30.csv")]
+    )
+    assert code == EXIT_OK
+    with open(out / "scores.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) > 1
 
 
 def test_train_with_no_eligible_users_exits_2(tmp_path, capsys):

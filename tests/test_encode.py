@@ -167,6 +167,13 @@ def test_sequence_csv_round_trip(tmp_path):
     assert read_sequence_csv(path) == rows
 
 
+def test_sequence_csv_round_trips_app_ids_with_commas():
+    rows = [("u,1", 0, PSI), ("u,1", 0, app("com.a,b", 0, 0)), ("u,1", 30, app('say "hi"', 2, 1))]
+    buf = io.StringIO()
+    write_sequence_csv(rows, buf)
+    assert read_sequence_csv(io.StringIO(buf.getvalue())) == rows
+
+
 def test_sequence_csv_reader_is_strict():
     with pytest.raises(FormatError):
         read_sequence_csv(io.StringIO("owner,timestamp\nu,0\n"))

@@ -13,7 +13,6 @@ from appauth.evaluation import (
     accuracy,
     app_similarity_matrix,
     confusion_counts,
-    eer_from_scores,
     eer_threshold,
     equal_error_rate,
     f1,
@@ -73,26 +72,31 @@ def test_metrics_refuse_empty_denominators():
         f1(ConfusionCounts(tp=0, fp=0, tn=1, fn=0))
 
 
+def genuine_impostor_table(genuine, impostor):
+    """Genuine rows for u's model on u, impostor rows for u's model on v."""
+    return score_table([("u", "u", g) for g in genuine] + [("u", "v", s) for s in impostor])
+
+
 def test_eer_perfectly_separated_is_zero():
-    assert eer_from_scores(np.array([3.0, 4.0]), np.array([1.0, 2.0])) == 0.0
+    assert equal_error_rate(genuine_impostor_table([3.0, 4.0], [1.0, 2.0])) == 0.0
 
 
 def test_eer_identical_distributions_is_fifty():
-    assert eer_from_scores(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == pytest.approx(50.0)
+    assert equal_error_rate(genuine_impostor_table([1.0, 2.0], [1.0, 2.0])) == pytest.approx(50.0)
 
 
 def test_eer_interleaved_is_fifty():
-    assert eer_from_scores(np.array([1.0, 3.0]), np.array([0.0, 2.0])) == pytest.approx(50.0)
+    assert equal_error_rate(genuine_impostor_table([1.0, 3.0], [0.0, 2.0])) == pytest.approx(50.0)
 
 
 def test_eer_reversed_scores_worse_than_chance():
-    assert eer_from_scores(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == pytest.approx(100.0)
+    assert equal_error_rate(genuine_impostor_table([1.0, 2.0], [3.0, 4.0])) == pytest.approx(100.0)
 
 
 def test_eer_interpolates_between_sweep_points():
-    genuine = np.array([1.0, 2.0, 3.0, 4.0])
-    impostor = np.array([0.5, 1.5, 1.6, 1.7])
-    eer = eer_from_scores(genuine, impostor)
+    genuine = [1.0, 2.0, 3.0, 4.0]
+    impostor = [0.5, 1.5, 1.6, 1.7]
+    eer = equal_error_rate(genuine_impostor_table(genuine, impostor))
     assert 0.0 < eer < 50.0
     # crossing is where FRR rises past FAR: between 25% and 50% FRR here
     assert eer == pytest.approx(25.0, abs=10.0)

@@ -34,6 +34,16 @@ def test_raw_event_validation():
         RawEvent("u", 0, "app", "")
 
 
+def test_raw_event_is_the_event_rule():
+    with pytest.raises(ValueError, match="empty user_id"):
+        RawEvent("", 1, "app", "mail")
+    with pytest.raises(ValueError, match="carries app_id"):
+        RawEvent("u", 1, "lock", "x")
+    with pytest.raises(ValueError, match="carries app_id"):
+        RawEvent("u", 1, "unlock", "x")
+    assert RawEvent("u", 1, "lock").app_id == ""
+
+
 def test_session_validation():
     with pytest.raises(ValueError):
         Session("u", 10, 5)
@@ -53,6 +63,37 @@ def test_event_log_round_trip(tmp_path):
     assert parsed == events
     assert report.rows_ok == report.rows_total == len(events)
     assert report.errors == []
+
+
+def test_event_log_round_trips_commas_and_quotes():
+    events = [
+        RawEvent("u,2", 1, "unlock"),
+        RawEvent("u,2", 2, "app", "com.a,b"),
+        RawEvent("u,2", 3, "app", 'say "hi"'),
+        RawEvent("u,2", 4, "lock"),
+    ]
+    buf = io.StringIO()
+    write_event_log(events, buf)
+    assert buf.getvalue().splitlines()[2:4] == ['"u,2",2,app,"com.a,b"', '"u,2",3,app,"say ""hi"""']
+    parsed, report = parse_event_log(io.StringIO(buf.getvalue()))
+    assert parsed == events
+    assert report.errors == []
+
+
+def test_parse_reports_the_raw_event_error():
+    text = "user_id,local_timestamp,kind,app_id\nu1,13,lock,mail\n,14,app,mail\n"
+    _, report = parse_event_log(io.StringIO(text))
+    assert [(e.line, e.message) for e in report.errors] == [
+        (2, "lock event carries app_id 'mail'"),
+        (3, "empty user_id"),
+    ]
+
+
+def test_parse_numbers_rows_by_file_line():
+    text = 'user_id,local_timestamp,kind,app_id\nu1,10,app,"two\nlines"\n\nu1,oops,app,mail\n'
+    events, report = parse_event_log(io.StringIO(text))
+    assert [e.app_id for e in events] == ["two\nlines"]
+    assert [e.line for e in report.errors] == [5]
 
 
 def test_parse_rejects_bad_header():
