@@ -93,9 +93,7 @@ class Observation:
             raise ValueError(f"unknown observation kind {self.kind!r}")
 
     def to_text(self) -> str:
-        if self.kind == KIND_APP:
-            if ":" in self.app_id:
-                raise ValueError(f"app_id {self.app_id!r} contains ':'")
+        if self.kind == KIND_APP:  # from_text splits off the last two fields only
             return f"app:{self.app_id}:{TZ_NAMES[self.tz]}:{DAY_NAMES[self.day]}"
         if self.kind == KIND_UNKNOWN:
             return f"unk:{TZ_NAMES[self.tz]}:{DAY_NAMES[self.day]}"
@@ -190,15 +188,27 @@ class Vocabulary:
     app (time-zone major, then weekday/weekend), then the six unknown-app
     context symbols, then the session-start and day-change markers — a total
     of 6N + 8 indices.
+
+    The layout is decoded here only, into three read-only int64 arrays
+    indexed by symbol: `symbol_app` holds the app rank, or -1 for the
+    unknown app, -2 for session start and -3 for day change; `symbol_tz`
+    and `symbol_day` hold the time block and the day flag, -1 on markers.
     """
 
-    __slots__ = ("apps", "_app_rank")
+    __slots__ = ("apps", "_app_rank", "symbol_app", "symbol_tz", "symbol_day")
 
     def __init__(self, apps: Iterable[str]):
         self.apps: tuple[str, ...] = tuple(sorted(set(apps)))
         if not self.apps:
             raise ValueError("vocabulary needs at least one app")
         self._app_rank = {a: i for i, a in enumerate(self.apps)}
+        families = np.append(np.arange(self.n_apps), [-1, -2, -3])
+        self.symbol_app = np.repeat(families, [CONTEXTS_PER_APP] * (self.n_apps + 1) + [1, 1])
+        context = np.arange(self.session_start_index) % CONTEXTS_PER_APP
+        self.symbol_tz = np.append(context // N_DAY, [-1, -1])
+        self.symbol_day = np.append(context % N_DAY, [-1, -1])
+        for table in (self.symbol_app, self.symbol_tz, self.symbol_day):
+            table.flags.writeable = False
 
     @classmethod
     def from_observations(cls, observations: Iterable[Observation]) -> "Vocabulary":

@@ -79,6 +79,10 @@ class RawEvent:
     def __post_init__(self) -> None:
         if not self.user_id:
             raise ValueError("empty user_id")
+        # the CSV reader strips fields, so such ids could not round-trip
+        for name, value in (("user_id", self.user_id), ("app_id", self.app_id)):
+            if value != value.strip():
+                raise ValueError(f"{name} {value!r} has leading or trailing whitespace")
         if self.local_timestamp < 0:
             raise ValueError(f"negative timestamp {self.local_timestamp}")
         if self.kind == "app":

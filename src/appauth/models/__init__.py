@@ -9,7 +9,7 @@ from typing import get_args
 from ..encode import Vocabulary
 from .binary import BinaryUnforeseenModel, BinaryUnknownModel
 from .core import DEFAULT_DELTA, TrainConfig
-from .edit_distance import MedModel, substitution_cost
+from .edit_distance import MedModel
 from .hmm import (
     HmmParams,
     LaplaceHmmModel,
@@ -72,7 +72,6 @@ __all__ = [
     "laplace_smooth_emissions",
     "load_model",
     "save_model",
-    "substitution_cost",
     "train_user_model",
     "vocabulary_hash",
 ]

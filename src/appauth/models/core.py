@@ -77,7 +77,7 @@ def random_simplex(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
 
 
 def assert_stochastic(matrix: np.ndarray, tol: float = 1e-9) -> None:
-    sums = np.asarray(matrix, dtype=np.float64).sum(axis=-1)
-    if not np.allclose(sums, 1.0, rtol=0.0, atol=tol):
-        worst = float(np.max(np.abs(sums - 1.0)))
+    """Raise unless every row sums to 1 within tol; NaN and inf rows fail."""
+    worst = np.abs(np.asarray(matrix, dtype=np.float64).sum(axis=-1) - 1.0).max(initial=0.0)
+    if not worst <= tol:
         raise ValueError(f"rows not stochastic (max deviation {worst:.3e})")

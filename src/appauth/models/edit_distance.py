@@ -12,14 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..encode import (
-    CONTEXTS_PER_APP,
-    KIND_APP,
-    KIND_UNKNOWN,
-    N_DAY,
-    Observation,
-    Vocabulary,
-)
+from ..encode import Vocabulary
 from .core import TrainConfig, as_index_array, as_window_matrix, check_indices
 
 INDEL_COST = 3
@@ -29,51 +22,6 @@ MISMATCH_COST = 3
 # memory and keeps a chunk's two int32 rows (512 KiB each) and its int8 cost
 # rows within a 2 MiB per-core L2 cache.
 CHUNK_CELLS = 1 << 17
-
-# sentinel "app values" so that symbol families compare with plain ==
-_APP_UNKNOWN = -2
-_APP_SESSION_START = -3
-_APP_DAY_CHANGE = -4
-
-
-def substitution_cost(u: Observation, v: Observation) -> int:
-    """Cost of substituting one observation for another, in {0, 1, 2, 3}.
-
-    Zero for identical symbols. When both symbols refer to the same app
-    (the unknown-app placeholder counts as one shared app), each mismatched
-    context attribute — time-of-day block, weekday flag — adds one. Anything
-    else, including marker-vs-other, is a full mismatch at 3.
-    """
-    if u == v:
-        return 0
-    contextual = (KIND_APP, KIND_UNKNOWN)
-    if u.kind in contextual and v.kind in contextual and (u.kind, u.app_id) == (v.kind, v.app_id):
-        return int(u.tz != v.tz) + int(u.day != v.day)
-    return MISMATCH_COST
-
-
-def symbol_attributes(indices: np.ndarray, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-index (app value, tz, day) arrays for vectorized cost evaluation.
-
-    App value is the app rank for app symbols and a distinct negative
-    sentinel per non-app family; markers get tz = day = -1 so equal markers
-    compare as full matches.
-    """
-    arr = np.asarray(indices, dtype=np.int64)
-    check_indices(arr.ravel(), vocab.size)
-    ub = vocab.unknown_base
-    psi = vocab.session_start_index
-    is_app = arr < ub
-    is_unk = (arr >= ub) & (arr < psi)
-    appv = np.where(
-        is_app,
-        arr // CONTEXTS_PER_APP,
-        np.where(is_unk, _APP_UNKNOWN, np.where(arr == psi, _APP_SESSION_START, _APP_DAY_CHANGE)),
-    )
-    ctx = np.where(is_app, arr % CONTEXTS_PER_APP, np.where(is_unk, arr - ub, -1))
-    tz = np.where(ctx >= 0, ctx // N_DAY, -1)
-    day = np.where(ctx >= 0, ctx % N_DAY, -1)
-    return appv, tz, day
 
 
 class MedModel:
@@ -86,7 +34,8 @@ class MedModel:
         check_indices(arr, vocab.size)
         self.vocab = vocab
         self.train_indices = arr.copy()
-        self._text_attrs = symbol_attributes(self.train_indices, vocab)
+        tables = (vocab.symbol_app, vocab.symbol_tz, vocab.symbol_day)
+        self._text_attrs = [a[self.train_indices] for a in tables]
 
     @classmethod
     def fit(
@@ -141,7 +90,9 @@ class MedModel:
         lead = 1 << n.bit_length()
         width = lead + text_len
         t_app, t_tz, t_day = self._text_attrs
-        s_app, s_tz, s_day = (a[:, None] for a in symbol_attributes(symbols, self.vocab))
+        check_indices(symbols, self.vocab.size)  # a gather would wrap -1
+        tables = (self.vocab.symbol_app, self.vocab.symbol_tz, self.vocab.symbol_day)
+        s_app, s_tz, s_day = (a[symbols, None] for a in tables)
         cost = np.zeros((len(symbols), width), dtype=np.int8)
         body = cost[:, lead:]
         body += s_tz != t_tz

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..encode import CONTEXTS_PER_APP, N_DAY, N_TZ, Vocabulary
+from ..encode import N_DAY, N_TZ, Vocabulary
 from .core import TrainConfig, as_index_array, check_indices
 from .hmm import HmmParams, TrainingTrace, forward_log_likelihood, hmm_meta, train_base
 
@@ -41,12 +41,11 @@ class MarginalTables:
         apps = seq[seq < vocab.unknown_base]
         if apps.size == 0:
             raise ValueError("training sequence contains no app symbols")
-        ranks = apps // CONTEXTS_PER_APP
-        ctx = apps % CONTEXTS_PER_APP
+        ranks = vocab.symbol_app[apps]
         tz_counts = np.zeros((vocab.n_apps, N_TZ))
         day_counts = np.zeros((vocab.n_apps, N_DAY))
-        np.add.at(tz_counts, (ranks, ctx // N_DAY), 1.0)
-        np.add.at(day_counts, (ranks, ctx % N_DAY), 1.0)
+        np.add.at(tz_counts, (ranks, vocab.symbol_tz[apps]), 1.0)
+        np.add.at(day_counts, (ranks, vocab.symbol_day[apps]), 1.0)
         return cls(vocab, tz_counts / apps.size, day_counts / apps.size)
 
 
@@ -69,11 +68,10 @@ def extended_emissions(
 
     floor = delta * delta
     fallback = np.full(size, floor)
-    app_idx = np.arange(vocab.unknown_base)
-    ranks = app_idx // CONTEXTS_PER_APP
-    ctx = app_idx % CONTEXTS_PER_APP
-    fallback[app_idx] = np.maximum(delta, marginals.p_app_tz[ranks, ctx // N_DAY]) * np.maximum(
-        delta, marginals.p_app_day[ranks, ctx % N_DAY]
+    apps = slice(0, vocab.unknown_base)
+    ranks = vocab.symbol_app[apps]
+    fallback[apps] = np.maximum(delta, marginals.p_app_tz[ranks, vocab.symbol_tz[apps]]) * np.maximum(
+        delta, marginals.p_app_day[ranks, vocab.symbol_day[apps]]
     )
     # Long EM runs underflow some learned emissions to exact zero; floor seen
     # columns at delta so the lookup stays a total, strictly positive function.

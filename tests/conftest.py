@@ -7,11 +7,11 @@ import math
 
 import numpy as np
 
-from appauth.encode import Observation, Vocabulary
+from appauth.encode import CONTEXTS_PER_APP, KIND_APP, KIND_UNKNOWN, N_DAY, Observation, Vocabulary
 from appauth.evaluation import ScoreTable
-from appauth.models.edit_distance import INDEL_COST, MISMATCH_COST, substitution_cost, symbol_attributes
+from appauth.models.edit_distance import INDEL_COST, MISMATCH_COST
 from appauth.models.hmm import HmmParams, TrainingTrace, forward_log_likelihood
-from appauth.models.core import normalize_rows, random_simplex
+from appauth.models.core import check_indices, normalize_rows, random_simplex
 from appauth.simulate import inject_intrusion
 
 
@@ -143,6 +143,55 @@ def enumerate_forward(params: HmmParams, window) -> float:
 def med_distance(model, window) -> float:
     """Alignment distance of one window: the negated matcher score."""
     return -score_one(model, window)
+
+
+# The oracles' own decode of the symbol layout, apart from the attribute
+# tables of `Vocabulary` that `MedModel` and `mshmm` read.
+
+# sentinel "app values" so that symbol families compare with plain ==
+_APP_UNKNOWN = -2
+_APP_SESSION_START = -3
+_APP_DAY_CHANGE = -4
+
+
+def substitution_cost(u: Observation, v: Observation) -> int:
+    """Cost of substituting one observation for another, in {0, 1, 2, 3}.
+
+    Zero for identical symbols. When both symbols refer to the same app
+    (the unknown-app placeholder counts as one shared app), each mismatched
+    context attribute — time-of-day block, weekday flag — adds one. Anything
+    else, including marker-vs-other, is a full mismatch at 3.
+    """
+    if u == v:
+        return 0
+    contextual = (KIND_APP, KIND_UNKNOWN)
+    if u.kind in contextual and v.kind in contextual and (u.kind, u.app_id) == (v.kind, v.app_id):
+        return int(u.tz != v.tz) + int(u.day != v.day)
+    return MISMATCH_COST
+
+
+def symbol_attributes(indices: np.ndarray, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-index (app value, tz, day) arrays for vectorized cost evaluation.
+
+    App value is the app rank for app symbols and a distinct negative
+    sentinel per non-app family; markers get tz = day = -1 so equal markers
+    compare as full matches.
+    """
+    arr = np.asarray(indices, dtype=np.int64)
+    check_indices(arr.ravel(), vocab.size)
+    ub = vocab.unknown_base
+    psi = vocab.session_start_index
+    is_app = arr < ub
+    is_unk = (arr >= ub) & (arr < psi)
+    appv = np.where(
+        is_app,
+        arr // CONTEXTS_PER_APP,
+        np.where(is_unk, _APP_UNKNOWN, np.where(arr == psi, _APP_SESSION_START, _APP_DAY_CHANGE)),
+    )
+    ctx = np.where(is_app, arr % CONTEXTS_PER_APP, np.where(is_unk, arr - ub, -1))
+    tz = np.where(ctx >= 0, ctx // N_DAY, -1)
+    day = np.where(ctx >= 0, ctx % N_DAY, -1)
+    return appv, tz, day
 
 
 def pairwise_distance(pattern: list[Observation], text: list[Observation]) -> int:

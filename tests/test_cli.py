@@ -358,26 +358,29 @@ def test_multi_period_run_loads_input_once(tmp_path, monkeypatch):
 
 def test_app_ids_with_commas_pass_ingest_and_score(tmp_path):
     cohort = make_cohort(CohortSpec.from_json(TINY["synthetic"]))
-    log = tmp_path / "events.csv"
-    with open(log, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "local_timestamp", "kind", "app_id"])
-        for user in sorted(cohort):
-            for ev in cohort[user]:
-                app_id = f"{ev.app_id},beta" if ev.kind == "app" else ""
-                writer.writerow([ev.user_id, ev.local_timestamp, ev.kind, app_id])
-    out = tmp_path / "o"
-    cfg = write_config(tmp_path, out=str(out), data=str(log), methods=["mc"])
-    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
-    assert main(["train", "--config", str(cfg)]) == EXIT_OK
-    model = out / "models" / "user00.mc.npz"
-    assert all(a.endswith(",beta") for a in load_model(model).vocab.apps)
-    code = main(
-        ["score", "--config", str(cfg), "--model", str(model), "--sequence", str(out / "test_period30.csv")]
-    )
-    assert code == EXIT_OK
-    with open(out / "scores.csv", newline="") as fh:
-        assert len(list(csv.reader(fh))) > 1
+    # the CSV field separator, and the one of the symbol text in sequence files
+    for name, suffix in (("comma", ",beta"), ("colon", ":beta")):
+        run = tmp_path / name
+        run.mkdir()
+        log = run / "events.csv"
+        with open(log, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["user_id", "local_timestamp", "kind", "app_id"])
+            for user in sorted(cohort):
+                for ev in cohort[user]:
+                    app_id = f"{ev.app_id}{suffix}" if ev.kind == "app" else ""
+                    writer.writerow([ev.user_id, ev.local_timestamp, ev.kind, app_id])
+        out = run / "o"
+        cfg = write_config(run, out=str(out), data=str(log), methods=["mc"])
+        assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+        assert main(["train", "--config", str(cfg)]) == EXIT_OK
+        model = out / "models" / "user00.mc.npz"
+        assert all(a.endswith(suffix) for a in load_model(model).vocab.apps)
+        sequence = out / "test_period30.csv"
+        code = main(["score", "--config", str(cfg), "--model", str(model), "--sequence", str(sequence)])
+        assert code == EXIT_OK
+        with open(out / "scores.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) > 1
 
 
 def test_train_with_no_eligible_users_exits_2(tmp_path, capsys):

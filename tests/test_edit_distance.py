@@ -17,10 +17,11 @@ from conftest import (
     reference_med_distances,
     score_one,
     semi_global_distance,
+    substitution_cost,
     unk,
 )
 from appauth.encode import Vocabulary
-from appauth.models.edit_distance import CHUNK_CELLS, MedModel, substitution_cost
+from appauth.models.edit_distance import CHUNK_CELLS, MedModel
 
 
 def test_substitution_cost_table():

@@ -52,8 +52,8 @@ def test_observation_text_round_trip():
 
 
 def test_observation_rejects_bad_input():
-    with pytest.raises(ValueError):
-        app("has:colon").to_text()
+    colon = app("com:x", 2, 1)  # from_text splits off the context from the right
+    assert Observation.from_text(colon.to_text()) == colon
     with pytest.raises(ValueError):
         Observation("app", app_id="", tz=0, day=0)
     with pytest.raises(ValueError):
@@ -126,6 +126,33 @@ def test_vocabulary_folds_unknown_apps():
     vocab = Vocabulary(["alpha"])
     assert vocab.index_of(app("stranger", 2, 0)) == vocab.unknown_index(2, 0)
     assert "alpha" in vocab and "stranger" not in vocab
+
+
+def test_vocabulary_attribute_tables_agree_with_index_of():
+    vocab = Vocabulary(["maps", "chat", "mail"])
+    expected = {vocab.index_of(PSI): ("psi", -1, -1), vocab.index_of(DELTA): ("delta", -1, -1)}
+    for tz in range(3):
+        for day in range(2):
+            for rank, app_id in enumerate(vocab.apps):
+                expected[vocab.index_of(app(app_id, tz, day))] = (rank, tz, day)
+            expected[vocab.index_of(unk(tz, day))] = ("unk", tz, day)
+            assert vocab.index_of(app("stranger", tz, day)) == vocab.index_of(unk(tz, day))
+    assert sorted(expected) == list(range(vocab.size))  # every index decoded once
+    tables = (vocab.symbol_app, vocab.symbol_tz, vocab.symbol_day)
+    assert all(t.shape == (vocab.size,) and t.dtype == np.int64 for t in tables)
+    family_values: dict[str, set[int]] = {}
+    for index, (family, tz, day) in expected.items():
+        assert (vocab.symbol_tz[index], vocab.symbol_day[index]) == (tz, day)
+        if isinstance(family, int):
+            assert vocab.symbol_app[index] == family
+        else:
+            assert vocab.symbol_app[index] < 0
+            family_values.setdefault(family, set()).add(int(vocab.symbol_app[index]))
+    # one negative value per non-app family, and a different one for each
+    assert all(len(v) == 1 for v in family_values.values())
+    assert len(set().union(*family_values.values())) == 3
+    with pytest.raises(ValueError):
+        vocab.symbol_tz[0] = 1  # shared by every model on this vocabulary
 
 
 def test_vocabulary_project_and_json_round_trip():

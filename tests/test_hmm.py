@@ -17,7 +17,7 @@ from conftest import (
 )
 from appauth.encode import Vocabulary
 from appauth.models import hmm
-from appauth.models.core import DEFAULT_DELTA, TrainConfig
+from appauth.models.core import DEFAULT_DELTA, TrainConfig, assert_stochastic
 from appauth.models.hmm import (
     HmmParams,
     LaplaceHmmModel,
@@ -81,6 +81,12 @@ def test_forward_raises_when_all_mass_vanishes():
 def test_params_require_stochastic_rows():
     with pytest.raises(ValueError):
         HmmParams(np.array([0.5, 0.4]), np.eye(2), np.full((2, 3), 1 / 3))
+    # the rule: every |row sum - 1| <= tol, and NaN or inf fails it
+    assert_stochastic(np.array([[0.25, 0.75], [1.0 + 4e-7, 0.0]]), tol=5e-7)
+    assert_stochastic(np.empty((0, 3)))
+    for bad in (1.0 + 6e-7, 1.0 - 6e-7, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="not stochastic"):
+            assert_stochastic(np.array([[0.25, 0.75], [bad, 0.0]]), tol=5e-7)
 
 
 def test_baum_welch_monotone_and_traced():

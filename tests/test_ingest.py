@@ -42,6 +42,11 @@ def test_raw_event_is_the_event_rule():
     with pytest.raises(ValueError, match="carries app_id"):
         RawEvent("u", 1, "unlock", "x")
     assert RawEvent("u", 1, "lock").app_id == ""
+    # the reader strips fields: ids with outer whitespace could not round-trip
+    for user_id, app_id in ((" u", "mail"), ("u", "mail "), (" ", "mail"), ("u\t", "mail")):
+        with pytest.raises(ValueError, match="whitespace"):
+            RawEvent(user_id, 1, "app", app_id)
+    assert RawEvent("u 1", 1, "app", "my mail").app_id == "my mail"
 
 
 def test_session_validation():
