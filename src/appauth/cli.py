@@ -73,6 +73,7 @@ from .models import (
 from .models.core import DEFAULT_MAX_ITER, DEFAULT_N_STATES, DEFAULT_TOL
 from .simulate import (
     CohortSpec,
+    config_kwargs,
     genuine_score_thresholds,
     intrusion_study,
     make_cohort,
@@ -130,16 +131,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "ExperimentConfig":
-        kwargs = dict(payload)
-        if "synthetic" in kwargs and isinstance(kwargs["synthetic"], Mapping):
-            kwargs["synthetic"] = CohortSpec.from_json(kwargs["synthetic"])
-        for key in ("periods", "n_values", "methods"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        unknown = set(kwargs) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**kwargs)
+        return cls(**config_kwargs(cls, payload, "config"))
 
     @property
     def train_config(self) -> TrainConfig:

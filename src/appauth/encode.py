@@ -9,6 +9,7 @@ symbols, keeping the alphabet closed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -37,34 +38,23 @@ KIND_SESSION_START = "psi"
 KIND_DAY_CHANGE = "delta"
 
 
-def seconds_of_day(timestamp: int) -> int:
-    return timestamp % SECONDS_PER_DAY
+def day_ordinal(timestamp: int) -> int:
+    """Calendar day of a timestamp. Second 0 of a day, midnight itself,
+    belongs to the previous day, so each day is the half-open (0, 24h]."""
+    return (timestamp - 1) // SECONDS_PER_DAY
+
 
 def timezone_of(timestamp: int) -> int:
-    """Index of the 8-hour block the timestamp falls in: 0, 1 or 2.
-
-    Blocks are half-open from above, so second 28800 is still block 0 and
-    midnight itself (second 0) belongs to the last block of the previous day.
-    """
-    s = seconds_of_day(timestamp)
-    if s == 0:
-        return 2
-    if s <= TZ_EDGES[0]:
-        return 0
-    if s <= TZ_EDGES[1]:
-        return 1
-    return 2
+    """Index of the 8-hour block the timestamp falls in: 0, 1 or 2, for
+    (0, 8h], (8h, 16h] or (16h, 24h] of the day `day_ordinal` assigns it."""
+    return bisect_left(TZ_EDGES, timestamp - SECONDS_PER_DAY * day_ordinal(timestamp))
 
 
 def day_flag_of(timestamp: int) -> int:
     """0 on Monday..Friday, 1 on Saturday/Sunday (device-local time)."""
     # epoch day 0 is a Thursday: weekday 3 with Monday == 0
-    weekday = (timestamp // SECONDS_PER_DAY + 3) % 7
+    weekday = (day_ordinal(timestamp) + 3) % 7
     return 1 if weekday >= 5 else 0
-
-
-def day_ordinal(timestamp: int) -> int:
-    return timestamp // SECONDS_PER_DAY
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,7 +20,7 @@ import numpy as np
 from .encode import KIND_APP, Observation, Vocabulary, encode_sessions, sliding_windows
 from .ingest import (
     DEFAULT_IDLE_GAP,
-    Session,
+    SplitDataset,
     resample_sessions,
     sessionize,
     split_sessions,
@@ -395,23 +395,14 @@ class PreparedUser:
     test_timestamps: np.ndarray
 
 
-def prepare_user(
-    sessions: Sequence[Session],
-    period: int,
-    train_fraction: float,
-) -> PreparedUser:
-    """Resample, split chronologically, encode, and build the vocabulary
-    from the training half."""
-    resampled = resample_sessions(sessions, period)
-    split = split_sessions(resampled, train_fraction)
+def prepare_user(user_id: str, split: SplitDataset) -> PreparedUser:
+    """Encode a chronological split and build the vocabulary from its
+    training half."""
     train = encode_sessions(split.train)
     test = encode_sessions(split.test)
     train_obs = [obs for _, obs in train]
     test_obs = [obs for _, obs in test]
-    if not any(o.kind == KIND_APP for o in train_obs):
-        raise ValueError("training split contains no app observations")
     vocab = Vocabulary.from_observations(train_obs)
-    user_id = sessions[0].user_id if sessions else ""
     return PreparedUser(
         user_id,
         vocab,
@@ -433,27 +424,26 @@ def prepare_cohort(
 ) -> dict[str, PreparedUser]:
     """Full per-user pipeline from raw events; drops ineligible users.
 
-    A user is eligible with at least min_train app samples in the training
-    split and min_test in the test split; markers do not count.
+    The one eligibility rule: a user is kept iff the chronological split of
+    its resampled samples leaves at least max(1, min_train) of them in
+    training and max(1, min_test) in test. Each sample encodes to one app
+    observation, so markers never count. A dropped user is logged with both
+    counts and never encoded.
     """
     prepared: dict[str, PreparedUser] = {}
     for user in sorted(events_by_user):
-        sessions = sessionize(events_by_user[user], idle_gap=idle_gap)
-        if not sessions:
-            log.warning("user %s has no sessions; dropped", user)
+        resampled = resample_sessions(sessionize(events_by_user[user], idle_gap=idle_gap), period)
+        total = sum(len(s.samples) for s in resampled)
+        # a single sample cannot be split; it counts as a test sample
+        split = SplitDataset([], resampled)
+        if total > 1:
+            split = split_sessions(resampled, train_fraction)
+        n_train = sum(len(s.samples) for s in split.train)
+        n_test = total - n_train
+        if n_train < max(1, min_train) or n_test < max(1, min_test):
+            log.warning("user %s ineligible: %d train / %d test samples", user, n_train, n_test)
             continue
-        p = prepare_user(sessions, period, train_fraction)
-        n_train_apps = int(np.sum(p.train_indices < p.vocab.unknown_base))
-        n_test_apps = sum(1 for o in p.test_observations if o.kind == KIND_APP)
-        if n_train_apps < min_train or n_test_apps < min_test:
-            log.warning(
-                "user %s ineligible: %d train / %d test app samples",
-                user,
-                n_train_apps,
-                n_test_apps,
-            )
-            continue
-        prepared[user] = p
+        prepared[user] = prepare_user(user, split)
     return prepared
 
 

@@ -11,7 +11,7 @@ measures how quickly windowed scores fall below threshold.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence, TextIO
@@ -72,15 +72,41 @@ class CohortSpec:
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError("overlap must be in [0, 1]")
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_json(cls, payload: Mapping) -> "CohortSpec":
-        unknown = set(payload) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown synthetic config keys: {sorted(unknown)}")
-        return cls(**payload)
+        return cls(**config_kwargs(cls, payload, "synthetic config"))
+
+
+# JSON type names by Python type; any other value, a bool included, is an object
+_JSON_TYPES = {type(None): "null", int: "integer", float: "number", str: "string"}
+_JSON_TYPES.update({list: "list", tuple: "list"})
+# a float field takes any number, and the None default (`data`) a string too
+_ACCEPTED = {"number": ("integer", "number"), "null": ("null", "string")}
+
+
+def _from_json(value, default, what: str):
+    """`value`, of the default's JSON type or one `_ACCEPTED` allows, for its
+    field: a list becomes a tuple, an object goes through a `from_json`."""
+    want = _JSON_TYPES.get(type(default), "object")
+    accepted = _ACCEPTED.get(want, (want,))
+    if _JSON_TYPES.get(type(value), "object") not in accepted:
+        raise ValueError(f"{what} takes {' or '.join(accepted)}, got {value!r}")
+    if want == "list":
+        return tuple(_from_json(v, default[0], f"{what} element") for v in value)
+    return type(default).from_json(value) if want == "object" else value
+
+
+def config_kwargs(cls, payload, what: str) -> dict:
+    """Constructor keywords for the dataclass `cls`, whose fields all have
+    defaults, from a parsed JSON object. Raises ValueError on an unknown key,
+    and on a value whose JSON type differs from its field default's."""
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {payload!r}")
+    unknown = set(payload) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    default = cls()
+    return {k: _from_json(v, getattr(default, k), f"{what} key {k!r}") for k, v in payload.items()}
 
 
 def generate_synthetic_user(profile: UserProfile, days: int) -> list[RawEvent]:

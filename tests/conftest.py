@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from appauth.encode import CONTEXTS_PER_APP, KIND_APP, KIND_UNKNOWN, N_DAY, Observation, Vocabulary
 from appauth.evaluation import ScoreTable
+from appauth.ingest import EVENT_LOG_HEADER, RawEvent
 from appauth.models.edit_distance import INDEL_COST, MISMATCH_COST
 from appauth.models.hmm import HmmParams, TrainingTrace, forward_log_likelihood
 from appauth.models.core import check_indices, normalize_rows, random_simplex
@@ -316,3 +319,63 @@ def replay_reference(models, test_observations, n, thresholds, seed, segment):
                     break
             rows.append((genuine_user, intruder, n, latency))
     return rows, score_sum / len(rows)
+
+
+DAY = 86400
+
+# rows that parse_event_log must drop, one error each
+MALFORMED_ROWS = [
+    ["u", "noon", "app", "mail"],  # timestamp not an integer
+    ["u", "-5", "app", "mail"],  # negative timestamp
+    ["u", "10", "swipe", ""],  # unknown kind
+    ["u", "10", "app", ""],  # app event without an app
+    ["u", "10", "lock", "mail"],  # lock carrying an app
+    ["", "10", "unlock", ""],  # empty user id
+    ["u", "10", "app"],  # missing field
+]
+
+
+def hostile_event_log(
+    seed: int, cohort: Mapping[str, Sequence[RawEvent]]
+) -> tuple[list[list], int]:
+    """Event-log CSV rows, header first, built to trip a pipeline, and the
+    number of malformed rows among them.
+
+    `cohort`'s users keep their events under ids holding ',', '"', ':' or an
+    inner space, and so do their apps. Each gets sessions straddling
+    midnight with an app event on second 0. Added users have no session,
+    one sample, or two sessions. Some rows are duplicated, stray locks and
+    malformed rows are mixed in, and every row is shuffled.
+    """
+    rng = random.Random(seed)
+    odd = [",", '"', ":", " "]
+    apps = sorted({ev.app_id for events in cohort.values() for ev in events if ev.app_id})
+    rename = {a: f"{a}{rng.choice(odd)}{k}" for k, a in enumerate(apps)}
+    events: list[RawEvent] = []
+
+    def straddle(user: str, day: int, app_ids: Sequence[str]) -> None:
+        midnight = day * DAY
+        events.append(RawEvent(user, midnight - 45, "unlock"))
+        for ts in (midnight - 45, midnight, midnight + 40):
+            events.append(RawEvent(user, ts, "app", rng.choice(app_ids)))
+        events.append(RawEvent(user, midnight + 75, "lock"))
+
+    for k, user in enumerate(sorted(cohort)):
+        uid = f"{user}{odd[k % len(odd)]}{seed}"
+        for ev in cohort[user]:
+            events.append(RawEvent(uid, ev.local_timestamp, ev.kind, rename.get(ev.app_id, "")))
+        for day in rng.sample(range(1, 6), 2):
+            straddle(uid, day, [rename[a] for a in apps])
+        # locks at random instants: most fall between sessions
+        events += [RawEvent(uid, rng.randrange(6 * DAY), "lock") for _ in range(4)]
+    events += [RawEvent("no session", 1000, "unlock"), RawEvent("no session", 1060, "lock")]
+    for kind, app_id in [("unlock", ""), ("app", "x:y"), ("lock", "")]:
+        events.append(RawEvent('one "sample"', 1000, kind, app_id))
+    for day in (1, 2):
+        straddle("two: sessions", day, ["a,b", "c d"])
+    events += rng.sample(events, len(events) // 50)
+    rows = [[ev.user_id, ev.local_timestamp, ev.kind, ev.app_id] for ev in events]
+    malformed = rng.sample(MALFORMED_ROWS, 4)
+    rows += malformed
+    rng.shuffle(rows)
+    return [EVENT_LOG_HEADER, *rows], len(malformed)

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import hostile_event_log
 from appauth import cli
 from appauth.cli import (
     EXIT_DATA,
@@ -23,7 +26,14 @@ from appauth.cli import (
     main,
 )
 from appauth.encode import encode_sessions
-from appauth.ingest import resample_sessions, sessionize, split_sessions
+from appauth.ingest import (
+    parse_event_log,
+    resample_sessions,
+    sessionize,
+    split_sessions,
+    write_csv,
+    write_event_log,
+)
 from appauth.models import METHOD_TAGS, MarkovChainModel, load_model
 from appauth.simulate import CohortSpec, make_cohort
 
@@ -383,6 +393,28 @@ def test_app_ids_with_commas_pass_ingest_and_score(tmp_path):
             assert len(list(csv.reader(fh))) > 1
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hostile_event_log_passes_every_command(tmp_path, seed):
+    cohort = make_cohort(CohortSpec.from_json(TINY["synthetic"]))
+    rows, n_malformed = hostile_event_log(seed, cohort)
+    log = tmp_path / "events.csv"
+    write_csv(log, rows)
+    events, report = parse_event_log(log)
+    assert len(report.errors) == n_malformed
+    copy = io.StringIO()
+    write_event_log(events, copy)
+    copy.seek(0)
+    assert parse_event_log(copy) == (events, replace(report, rows_total=len(events), errors=[]))
+    # period 600 leaves no user eligible, so its grid column is empty
+    cfg = write_config(tmp_path, out=str(tmp_path / "o"), data=str(log), periods=[30, 600])
+    for command in ("ingest", "train", "eval", "stats", "intrude"):
+        assert main([command, "--config", str(cfg)]) == EXIT_OK, command
+    for method in METHOD_TAGS:
+        with open(tmp_path / "o" / f"eer_grid_{method}.csv", encoding="utf-8", newline="") as fh:
+            (_, *cells), = list(csv.reader(fh))[1:]
+        assert cells[0] and math.isfinite(float(cells[0])) and cells[1] == "", (method, cells)
+
+
 def test_train_with_no_eligible_users_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, out=str(tmp_path / "o"), min_train=10**6)
     assert main(["train", "--config", str(cfg)]) == EXIT_DATA
@@ -399,6 +431,27 @@ def test_config_json_round_trip():
 def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_json({"not_a_field": 1})
+    # a value of another JSON type than its field's default names the key
+    wrong_types = [
+        ("periods", 30),
+        ("periods", ["30"]),
+        ("n_values", [2.5]),
+        ("n_states", "3"),
+        ("min_train", "10"),
+        ("stride", "5"),
+        ("seed", True),
+        ("data", 5),
+        ("synthetic", 5),
+        ("synthetic", {"n_users": "3"}),
+    ]
+    for key, value in wrong_types:
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_json({key: value})
+    with pytest.raises(ValueError, match="JSON object"):
+        ExperimentConfig.from_json([1, 2])
+    # a float field takes an integer, and `data` a string
+    config = ExperimentConfig.from_json({"threshold_percentile": 10, "data": "events.csv"})
+    assert (config.threshold_percentile, config.data) == (10, "events.csv")
     with pytest.raises(ValueError, match="train_fraction"):
         ExperimentConfig(train_fraction=1.5)
     with pytest.raises(ValueError, match="unknown method"):
@@ -415,6 +468,22 @@ def test_synthetic_key_typo_exits_2(tmp_path, capsys):
     assert main(["synth", "--config", str(cfg)]) == EXIT_DATA
     assert "n_user" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+    # values of the wrong JSON type exit 2 too
+    for payload, key in [
+        ({"periods": 30}, "periods"),
+        ({"periods": ["30"]}, "periods"),
+        ({"n_values": [2.5]}, "n_values"),
+        ({"n_states": "3"}, "n_states"),
+        ({"min_train": "10"}, "min_train"),
+        ({"stride": "5"}, "stride"),
+        ({"synthetic": 5}, "synthetic"),
+        ({"synthetic": {"n_users": "3"}}, "n_users"),
+        ([1, 2], "JSON object"),
+    ]:
+        cfg.write_text(json.dumps(payload))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_config_hash_is_stable():

@@ -94,8 +94,8 @@ def test_encode_sessions_single_day_change_within_session():
         Session("u", DAY - 30, DAY + 30, [(DAY - 30, "a"), (DAY, "a"), (DAY + 30, "b")])
     ]
     encoded = [obs.to_text() for _, obs in encode_sessions(sessions)]
-    # the midnight sample itself flips the day; later samples do not repeat it
-    assert encoded == ["psi", "app:a:TZ3:WD", "delta", "app:a:TZ3:WD", "app:b:TZ1:WD"]
+    # the midnight sample still belongs to the old day; the next one flips it
+    assert encoded == ["psi", "app:a:TZ3:WD", "app:a:TZ3:WD", "delta", "app:b:TZ1:WD"]
 
 
 def test_encode_sessions_one_marker_per_multi_day_jump():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -268,7 +270,7 @@ def app_run(user, start, count, gap=30):
     return [RawEvent(user, start + gap * k, "app", "a") for k in range(count)]
 
 
-def test_prepare_cohort_applies_min_train_and_min_test():
+def test_prepare_cohort_applies_min_train_and_min_test(caplog):
     # one session each at period 30: 20 samples split 14/6, 10 split 7/3
     events = {"big": app_run("big", 3600, 20), "small": app_run("small", 3600, 10)}
 
@@ -279,6 +281,22 @@ def test_prepare_cohort_applies_min_train_and_min_test():
     assert kept(15, 1) == []  # too little training data
     assert kept(1, 7) == []  # too little test data
     assert kept(7, 3) == ["big", "small"]
+
+    # no sessions, and one sample that cannot be split: dropped at any bounds
+    short = {
+        "locks": [RawEvent("locks", 1000, "unlock"), RawEvent("locks", 1060, "lock")],
+        "one": [RawEvent("one", 1000, "unlock"), *app_run("one", 1000, 1)],
+    }
+    for min_train, min_test in [(0, 0), (7, 3)]:
+        caplog.clear()
+        alone = prepare_cohort(events, 30, min_train=min_train, min_test=min_test)
+        mixed = prepare_cohort({**short, **events}, 30, min_train=min_train, min_test=min_test)
+        assert "user locks ineligible: 0 train / 0 test samples" in caplog.text
+        assert "user one ineligible: 0 train / 1 test samples" in caplog.text
+        assert list(mixed) == list(alone)
+        for user, p in alone.items():
+            for f in fields(p):
+                np.testing.assert_equal(getattr(mixed[user], f.name), getattr(p, f.name))
 
 
 def test_prepare_cohort_counts_app_samples_not_markers():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from appauth.simulate import (
 
 def test_cohort_spec_validation_and_json_round_trip():
     spec = CohortSpec(n_users=3, days=5, overlap=0.25, seed=9)
-    assert CohortSpec.from_json(spec.to_json()) == spec
+    assert CohortSpec.from_json(asdict(spec)) == spec
     with pytest.raises(ValueError):
         CohortSpec(overlap=1.5)
     with pytest.raises(ValueError):
