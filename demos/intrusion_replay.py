@@ -26,7 +26,7 @@ SEGMENT = 100
 spec = CohortSpec(n_users=4, days=14, overlap=0.0, apps_per_user=12, seed=5)
 prepared = prepare_cohort(make_cohort(spec), period=30)
 config = TrainConfig(n_states=10, max_iter=20, seed=0)
-models = train_cohort_models("mshmm", prepared, config)
+models = train_cohort_models(["mshmm"], prepared, config)["mshmm"]
 
 # Each user's threshold is a low percentile of their own genuine window
 # scores: almost all of the owner's activity stays above it.

@@ -31,8 +31,9 @@ foreign = prepared[owner].vocab.project(prepared[impostor].test_observations)
 
 print(f"\nmean log-style score over {WINDOW}-symbol windows (stride {STRIDE}):")
 print(f"{'method':<12} {'genuine':>10} {'impostor':>10} {'margin':>10}")
+models = train_cohort_models(METHOD_TAGS, {owner: prepared[owner]}, config)
 for method in METHOD_TAGS:
-    model = train_cohort_models(method, {owner: prepared[owner]}, config)[owner]
+    model = models[method][owner]
     own = model.score_windows(sliding_windows(genuine, WINDOW)[::STRIDE]).mean()
     other = model.score_windows(sliding_windows(foreign, WINDOW)[::STRIDE]).mean()
     print(f"{method:<12} {own:>10.2f} {other:>10.2f} {own - other:>10.2f}")

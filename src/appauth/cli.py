@@ -29,7 +29,6 @@ from .evaluation import (
     DEFAULT_MIN_TRAIN,
     EerGrid,
     PreparedUser,
-    ScoreTable,
     accuracy,
     app_similarity_matrix,
     confusion_counts,
@@ -45,7 +44,6 @@ from .evaluation import (
     specificity,
     top_apps_report,
     train_cohort_models,
-    train_hmm_bases,
     unknown_app_stats,
     write_eer_grid_csv,
     write_roc_csv,
@@ -266,10 +264,8 @@ def cmd_train(config: ExperimentConfig) -> int:
         return EXIT_DATA
     model_dir = out / "models"
     model_dir.mkdir(exist_ok=True)
-    train_config = config.train_config
-    bases = train_hmm_bases(config.methods, prepared, train_config)
-    for method in config.methods:
-        models = train_cohort_models(method, prepared, train_config, bases)
+    trained = train_cohort_models(config.methods, prepared, config.train_config)
+    for method, models in trained.items():
         for user, model in models.items():
             save_model(model, model_dir / f"{user}.{method}.npz", owner=user)
     write_manifest(config, "train", out)
@@ -304,8 +300,7 @@ def cmd_eval(config: ExperimentConfig) -> int:
         )
         for m in config.methods
     }
-    first_period: dict[tuple[str, int], ScoreTable] = {}
-    first_crossings: dict[tuple[str, int], tuple[float, float]] = {}
+    metric_rows = ["method,n,period,threshold,eer,sensitivity,specificity,accuracy,f1".split(",")]
     events_by_user = _load_cohort(config)
     for j, period in enumerate(config.periods):
         prepared = _prepare(config, events_by_user, period)
@@ -315,32 +310,21 @@ def cmd_eval(config: ExperimentConfig) -> int:
         by_key = evaluate_methods(
             config.methods, prepared, config.n_values, config.train_config, config.stride
         )
-        # (EER %, threshold) of each non-empty table, from one sweep: the
-        # grid takes the EER, metrics.csv the first period's pair.
-        crossings = {key: eer_threshold(table) for key, table in by_key.items() if table}
+        # One sweep per table gives its (EER %, threshold): the grid takes
+        # the EER, and the first period also reports metrics and curves.
         for method in config.methods:
             for i, n in enumerate(config.n_values):
-                if (method, n) in crossings:
-                    grids[method].values[i, j] = crossings[(method, n)][0]
-        if j == 0:
-            first_period, first_crossings = by_key, crossings
-
-    for method in config.methods:
-        write_eer_grid_csv(grids[method], out / f"eer_grid_{method}.csv")
-    if first_period:
-        period = config.periods[0]
-        n0 = config.n_values[0]
-        metric_rows = ["method,n,period,threshold,eer,sensitivity,specificity,accuracy,f1".split(",")]
-        for method in config.methods:
-            table = first_period[(method, n0)]
-            if table:
-                write_scores_csv(table, out / f"scores_{method}.csv")
-                write_roc_csv(roc_curve(table), out / f"roc_{method}.csv")
-            for n in config.n_values:
-                if (method, n) not in first_crossings:
+                table = by_key[(method, n)]
+                if not table:
                     continue
-                eer, thr = first_crossings[(method, n)]
-                cc = confusion_counts(first_period[(method, n)], thr)
+                eer, thr = eer_threshold(table)
+                grids[method].values[i, j] = eer
+                if j > 0:
+                    continue
+                if i == 0:
+                    write_scores_csv(table, out / f"scores_{method}.csv")
+                    write_roc_csv(roc_curve(table), out / f"roc_{method}.csv")
+                cc = confusion_counts(table, thr)
                 metric_rows.append(
                     [
                         method,
@@ -354,7 +338,11 @@ def cmd_eval(config: ExperimentConfig) -> int:
                         format_number(f1(cc)),
                     ]
                 )
-        write_csv(out / "metrics.csv", metric_rows)
+        if j == 0:
+            write_csv(out / "metrics.csv", metric_rows)
+
+    for method in config.methods:
+        write_eer_grid_csv(grids[method], out / f"eer_grid_{method}.csv")
     write_manifest(config, "eval", out)
     print(f"wrote EER grids for {len(config.methods)} method(s) to {out}")
     return EXIT_OK
@@ -397,7 +385,7 @@ def cmd_intrude(config: ExperimentConfig) -> int:
     if len(prepared) < 2:
         print("need at least 2 eligible users for intrusion replay", file=sys.stderr)
         return EXIT_DATA
-    models = train_cohort_models(method, prepared, config.train_config)
+    models = train_cohort_models([method], prepared, config.train_config)[method]
     test_obs = {u: p.test_observations for u, p in prepared.items()}
     genuine = {(u, u): models[u].vocab.project(test_obs[u]) for u in models}
     studies = []

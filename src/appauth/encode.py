@@ -224,9 +224,6 @@ class Vocabulary:
     def day_change_index(self) -> int:
         return self.session_start_index + 1
 
-    def __contains__(self, app_id: str) -> bool:
-        return app_id in self._app_rank
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Vocabulary) and self.apps == other.apps
 

@@ -448,30 +448,29 @@ def prepare_cohort(
 
 
 def train_cohort_models(
-    method: str,
+    methods: Sequence[str],
     prepared: Mapping[str, PreparedUser],
     config: TrainConfig = TrainConfig(),
-    bases: Mapping[str, tuple[HmmParams, TrainingTrace]] | None = None,
-) -> dict[str, UserModel]:
-    """One model per user; an HMM method first trains the users missing
-    from `bases` in one lock-step Baum-Welch cohort."""
-    bases = dict(bases or {})
-    missing = {user: p for user, p in prepared.items() if user not in bases}
-    if missing:
-        bases.update(train_hmm_bases([method], missing, config) or {})
+) -> dict[str, dict[str, UserModel]]:
+    """One model per (method, user); the two HMM variants share one
+    Baum-Welch fit per user, run for the whole cohort in lock-step."""
+    bases = train_hmm_bases(methods, prepared, config)
     return {
-        user: train_user_model(method, p.train_indices, p.vocab, config, base=bases.get(user))
-        for user, p in prepared.items()
+        method: {
+            user: train_user_model(method, p.train_indices, p.vocab, config, base=bases.get(user))
+            for user, p in prepared.items()
+        }
+        for method in methods
     }
 
 
 def train_hmm_bases(
     methods: Sequence[str], prepared: Mapping[str, PreparedUser], config: TrainConfig
-) -> dict[str, tuple[HmmParams, TrainingTrace]] | None:
+) -> dict[str, tuple[HmmParams, TrainingTrace]]:
     """One Baum-Welch fit per user, shared by both HMM variants and run for
-    all users in lock-step; None when no method in `methods` is one of them."""
+    all users in lock-step; empty when no method in `methods` is one of them."""
     if not any(m in HMM_METHODS for m in methods):
-        return None
+        return {}
     users = list(prepared)
     fits = baum_welch_cohort(
         [prepared[u].train_indices for u in users],
@@ -503,13 +502,12 @@ def evaluate_methods(
         for mo in users
         for wo in users
     }
-    bases = train_hmm_bases(methods, prepared, config)
-    out: dict[tuple[str, int], ScoreTable] = {}
-    for method in methods:
-        models = train_cohort_models(method, prepared, config, bases)
-        for n in n_values:
-            out[(method, n)] = generate_score_records(models, projections, n, stride)
-    return out
+    models = train_cohort_models(methods, prepared, config)
+    return {
+        (method, n): generate_score_records(models[method], projections, n, stride)
+        for method in methods
+        for n in n_values
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -181,9 +181,10 @@ def sessionize(events: Sequence[RawEvent], idle_gap: float = DEFAULT_IDLE_GAP) -
 
     Sessions are bounded by unlock/lock pairs where those events exist.
     App events outside any unlock/lock bracket open an implicit session,
-    which is split whenever the gap between consecutive app events exceeds
-    ``idle_gap`` seconds. Sessions containing no app samples are dropped, so
-    the app events partition exactly over the returned sessions.
+    which ends at its last app event when the next app event or lock comes
+    more than ``idle_gap`` seconds later. Sessions containing no app
+    samples are dropped, so the app events partition exactly over the
+    returned sessions.
     """
     users = {ev.user_id for ev in events}
     if len(users) > 1:
@@ -203,6 +204,8 @@ def sessionize(events: Sequence[RawEvent], idle_gap: float = DEFAULT_IDLE_GAP) -
         cur = None
 
     for ev in ordered:
+        if cur is not None and not explicit and ev.local_timestamp - cur.samples[-1][0] > idle_gap:
+            close()  # the implicit session went idle before this event
         if ev.kind == "unlock":
             close()
             cur = Session(ev.user_id, ev.local_timestamp, ev.local_timestamp)
@@ -214,10 +217,6 @@ def sessionize(events: Sequence[RawEvent], idle_gap: float = DEFAULT_IDLE_GAP) -
             close(end=ev.local_timestamp)
         else:  # app
             if cur is None:
-                cur = Session(ev.user_id, ev.local_timestamp, ev.local_timestamp)
-                explicit = False
-            elif not explicit and cur.samples and ev.local_timestamp - cur.samples[-1][0] > idle_gap:
-                close()
                 cur = Session(ev.user_id, ev.local_timestamp, ev.local_timestamp)
                 explicit = False
             cur.samples.append((ev.local_timestamp, ev.app_id))

@@ -117,8 +117,6 @@ def generate_synthetic_user(profile: UserProfile, days: int) -> list[RawEvent]:
     app at each switch is drawn from the preference vector of the current
     (time block, day flag) context. Deterministic given the profile seed.
     """
-    if days == 0:
-        return []
     rng = np.random.default_rng(profile.seed)
     horizon = days * 86400.0
     mean_gap = 86400.0 / profile.session_rate

@@ -82,7 +82,7 @@ def intrusion_result():
     """Disjoint-pool splice study at n=60 with 5th-percentile thresholds."""
     start = time.perf_counter()
     prepared = prepare_cohort(make_cohort(INTRUDE_SPEC), PERIOD)
-    models = train_cohort_models("mshmm", prepared, TRAIN)
+    models = train_cohort_models(["mshmm"], prepared, TRAIN)["mshmm"]
     genuine = {(u, u): models[u].vocab.project(p.test_observations) for u, p in prepared.items()}
     genuine_records = generate_score_records(models, genuine, N_LONG, STRIDE)
     thresholds = genuine_score_thresholds(genuine_records, THRESHOLD_PERCENTILE)

@@ -413,6 +413,22 @@ def test_hostile_event_log_passes_every_command(tmp_path, seed):
         with open(tmp_path / "o" / f"eer_grid_{method}.csv", encoding="utf-8", newline="") as fh:
             (_, *cells), = list(csv.reader(fh))[1:]
         assert cells[0] and math.isfinite(float(cells[0])) and cells[1] == "", (method, cells)
+    # the file path (ingest -> train -> score) gives eval's in-memory scores
+    out = tmp_path / "o"
+    report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
+    eligible = report["periods"]["30"]["eligible_users"]
+    assert len(eligible) >= 2
+    for method in METHOD_TAGS:
+        with open(out / f"scores_{method}.csv", encoding="utf-8", newline="") as fh:
+            header, *eval_rows = csv.reader(fh)
+        for user in eligible:
+            score_out = tmp_path / "score" / f"{user}.{method}"
+            model = out / "models" / f"{user}.{method}.npz"
+            args = ["--model", str(model), "--sequence", str(out / "test_period30.csv")]
+            assert main(["score", "--config", str(cfg), *args, "--out", str(score_out)]) == EXIT_OK
+            with open(score_out / "scores.csv", encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows == [header] + [r for r in eval_rows if r[0] == user], (method, user)
 
 
 def test_train_with_no_eligible_users_exits_2(tmp_path, capsys):

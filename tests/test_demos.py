@@ -1,7 +1,9 @@
-"""The demo scripts run to completion, and the public name lists resolve."""
+"""The demo scripts run to completion, the public name lists resolve, and
+the package imports no name it never uses."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -33,3 +35,31 @@ def test_star_import_resolves_all(module):
     namespace: dict = {}
     exec(f"from {module} import *", namespace)
     assert sorted(set(names) - set(namespace)) == []
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_package_has_no_unused_imports():
+    unused = []
+    for path in sorted((ROOT / "src" / "appauth").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported: dict[str, int] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _exported(tree)
+        rel = path.relative_to(ROOT)
+        unused += [f"{rel}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

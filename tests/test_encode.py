@@ -125,7 +125,7 @@ def test_vocabulary_layout():
 def test_vocabulary_folds_unknown_apps():
     vocab = Vocabulary(["alpha"])
     assert vocab.index_of(app("stranger", 2, 0)) == vocab.unknown_index(2, 0)
-    assert "alpha" in vocab and "stranger" not in vocab
+    assert "alpha" in vocab.apps and "stranger" not in vocab.apps
 
 
 def test_vocabulary_attribute_tables_agree_with_index_of():

@@ -146,10 +146,12 @@ def test_sessionize_explicit_session():
 
 def test_sessionize_implicit_sessions_split_on_idle_gap():
     events = [ev(0, "app", "a"), ev(100, "app", "b"), ev(1000, "app", "c")]
-    sessions = sessionize(events, idle_gap=300)
-    assert [(s.start, s.end) for s in sessions] == [(0, 100), (1000, 1000)]
-    assert sessions[0].samples == [(0, "a"), (100, "b")]
-    assert sessions[1].samples == [(1000, "c")]
+    # a lock past the idle gap does not stretch the implicit session to it
+    for tail in ([], [ev(1400, "lock")]):
+        sessions = sessionize(events + tail, idle_gap=300)
+        assert [(s.start, s.end) for s in sessions] == [(0, 100), (1000, 1000)]
+        assert sessions[0].samples == [(0, "a"), (100, "b")]
+        assert sessions[1].samples == [(1000, "c")]
 
 
 def test_sessionize_explicit_session_ignores_idle_gap():
