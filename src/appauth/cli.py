@@ -27,7 +27,6 @@ from .encode import KIND_APP, read_sequence_csv, write_sequence_csv
 from .evaluation import (
     DEFAULT_MIN_TEST,
     DEFAULT_MIN_TRAIN,
-    EerGrid,
     PreparedUser,
     accuracy,
     app_similarity_matrix,
@@ -292,14 +291,8 @@ def cmd_score(config: ExperimentConfig, model_path: str, sequence_path: str) -> 
 
 def cmd_eval(config: ExperimentConfig) -> int:
     out = _out_dir(config)
-    grids: dict[str, EerGrid] = {
-        m: EerGrid(
-            config.n_values,
-            config.periods,
-            np.full((len(config.n_values), len(config.periods)), np.nan),
-        )
-        for m in config.methods
-    }
+    shape = (len(config.n_values), len(config.periods))
+    grids = {m: np.full(shape, np.nan) for m in config.methods}
     metric_rows = ["method,n,period,threshold,eer,sensitivity,specificity,accuracy,f1".split(",")]
     events_by_user = _load_cohort(config)
     for j, period in enumerate(config.periods):
@@ -318,7 +311,7 @@ def cmd_eval(config: ExperimentConfig) -> int:
                 if not table:
                     continue
                 eer, thr = eer_threshold(table)
-                grids[method].values[i, j] = eer
+                grids[method][i, j] = eer
                 if j > 0:
                     continue
                 if i == 0:
@@ -342,7 +335,9 @@ def cmd_eval(config: ExperimentConfig) -> int:
             write_csv(out / "metrics.csv", metric_rows)
 
     for method in config.methods:
-        write_eer_grid_csv(grids[method], out / f"eer_grid_{method}.csv")
+        write_eer_grid_csv(
+            config.n_values, config.periods, grids[method], out / f"eer_grid_{method}.csv"
+        )
     write_manifest(config, "eval", out)
     print(f"wrote EER grids for {len(config.methods)} method(s) to {out}")
     return EXIT_OK

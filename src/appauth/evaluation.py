@@ -82,14 +82,6 @@ class ConfusionCounts:
 
 
 @dataclass(frozen=True, slots=True)
-class RocCurve:
-    """Threshold sweep: (threshold, false-accept %, false-reject %) rows,
-    sorted by threshold ascending."""
-
-    points: tuple[tuple[float, float, float], ...]
-
-
-@dataclass(frozen=True, slots=True)
 class BoxplotSummary:
     mean: float
     minimum: float
@@ -123,15 +115,6 @@ class TopAppRow:
     user_count: int
     per_user_usage: float
     overall_usage: float
-
-
-@dataclass(frozen=True, slots=True)
-class EerGrid:
-    """EER (percent) per (window length, sampling period) cell."""
-
-    n_values: tuple[int, ...]
-    periods: tuple[int, ...]
-    values: np.ndarray  # shape (len(n_values), len(periods))
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +225,11 @@ def _sweep(genuine: np.ndarray, impostor: np.ndarray):
     return thresholds, far, frr
 
 
-def roc_curve(table: ScoreTable) -> RocCurve:
+def roc_curve(table: ScoreTable) -> np.ndarray:
+    """Threshold sweep as (N, 3) rows of (threshold, false-accept %,
+    false-reject %), sorted by threshold ascending."""
     thresholds, far, frr = _sweep(*_split_scores(table))
-    points = zip(thresholds.tolist(), (100.0 * far).tolist(), (100.0 * frr).tolist())
-    return RocCurve(tuple(points))
+    return np.column_stack([thresholds, 100.0 * far, 100.0 * frr])
 
 
 def _crossing(genuine: np.ndarray, impostor: np.ndarray) -> tuple[float, float]:
@@ -353,8 +337,6 @@ def top_apps_report(samples_by_user: Mapping[str, Sequence[str]], k: int = 20) -
     overall = per_user * user_count / total_users.
     """
     n_users = len(samples_by_user)
-    if n_users == 0:
-        return []
     totals: dict[str, int] = {}
     user_counts: dict[str, int] = {}
     for user in samples_by_user:
@@ -386,7 +368,6 @@ class PreparedUser:
     """One user's data after resampling, splitting and encoding; each
     observation keeps the resampled timestamp it was encoded from."""
 
-    user_id: str
     vocab: Vocabulary
     train_indices: np.ndarray
     train_observations: list[Observation]
@@ -395,7 +376,7 @@ class PreparedUser:
     test_timestamps: np.ndarray
 
 
-def prepare_user(user_id: str, split: SplitDataset) -> PreparedUser:
+def prepare_user(split: SplitDataset) -> PreparedUser:
     """Encode a chronological split and build the vocabulary from its
     training half."""
     train = encode_sessions(split.train)
@@ -404,7 +385,6 @@ def prepare_user(user_id: str, split: SplitDataset) -> PreparedUser:
     test_obs = [obs for _, obs in test]
     vocab = Vocabulary.from_observations(train_obs)
     return PreparedUser(
-        user_id,
         vocab,
         vocab.project(train_obs),
         train_obs,
@@ -443,7 +423,7 @@ def prepare_cohort(
         if n_train < max(1, min_train) or n_test < max(1, min_test):
             log.warning("user %s ineligible: %d train / %d test samples", user, n_train, n_test)
             continue
-        prepared[user] = prepare_user(user, split)
+        prepared[user] = prepare_user(split)
     return prepared
 
 
@@ -526,18 +506,22 @@ def write_scores_csv(table: ScoreTable, dest: str | Path | TextIO) -> None:
     write_csv(dest, chain([["model_owner", "window_owner", "end_index", "score"]], body))
 
 
-def write_eer_grid_csv(grid: EerGrid, dest: str | Path | TextIO) -> None:
-    header = ["n"] + [f"period_{p}" for p in grid.periods]
+def write_eer_grid_csv(
+    n_values: Sequence[int], periods: Sequence[int], grid: np.ndarray, dest: str | Path | TextIO
+) -> None:
+    """EER (percent) per (window length, sampling period) cell; grid has
+    shape (len(n_values), len(periods)) and a NaN cell is left empty."""
+    header = ["n"] + [f"period_{p}" for p in periods]
     body = (
-        [n] + ["" if np.isnan(v) else format_number(v) for v in grid.values[i]]
-        for i, n in enumerate(grid.n_values)
+        [n] + ["" if np.isnan(v) else format_number(v) for v in grid[i]]
+        for i, n in enumerate(n_values)
     )
     write_csv(dest, chain([header], body))
 
 
-def write_roc_csv(curve: RocCurve, dest: str | Path | TextIO) -> None:
-    body = ([format_number(x) for x in point] for point in curve.points)
-    write_csv(dest, chain([["threshold", "far", "frr"]], body))
+def write_roc_csv(curve: np.ndarray, dest: str | Path | TextIO) -> None:
+    columns = (map(format_number, col) for col in curve.T.tolist())
+    write_csv(dest, chain([["threshold", "far", "frr"]], zip(*columns)))
 
 
 def write_similarity_csv(

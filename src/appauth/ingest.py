@@ -124,7 +124,6 @@ class ParseReport:
     never silently: each one lands here."""
 
     rows_total: int = 0
-    rows_ok: int = 0
     errors: list[RowError] = field(default_factory=list)
 
     def add_error(self, line: int, message: str) -> None:
@@ -158,7 +157,6 @@ def parse_event_log(source: str | Path | TextIO) -> tuple[list[RawEvent], ParseR
             events.append(RawEvent(user_id, int(ts), kind, app_id))
         except ValueError as exc:
             report.add_error(lineno, str(exc))
-    report.rows_ok = len(events)
     return events, report
 
 

@@ -26,14 +26,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        check_floor(self.delta)
         if self.n_states < 1:
             raise ValueError("n_states must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.tol < 0:
             raise ValueError("tol must be >= 0")
+
+
+def check_floor(delta: float) -> float:
+    """The probability floor, which every smoothed model needs in (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    return delta
 
 
 def as_index_array(window) -> np.ndarray:
@@ -77,7 +83,11 @@ def random_simplex(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
 
 
 def assert_stochastic(matrix: np.ndarray, tol: float = 1e-9) -> None:
-    """Raise unless every row sums to 1 within tol; NaN and inf rows fail."""
-    worst = np.abs(np.asarray(matrix, dtype=np.float64).sum(axis=-1) - 1.0).max(initial=0.0)
+    """Raise unless every entry is >= 0 and every row sums to 1 within tol;
+    NaN and inf fail."""
+    m = np.asarray(matrix, dtype=np.float64)
+    worst = np.abs(m.sum(axis=-1) - 1.0).max(initial=0.0)
     if not worst <= tol:
         raise ValueError(f"rows not stochastic (max deviation {worst:.3e})")
+    if not m.min(initial=0.0) >= 0.0:
+        raise ValueError("rows not stochastic (negative entry)")

@@ -288,7 +288,6 @@ def baum_welch_cohort(
             )
         )
     traces = [TrainingTrace(seed=seed, iterations=0) for _ in seqs]
-    prev_ll: list[float | None] = [None] * len(seqs)
 
     for active in _cohort_batches([seq.size for seq in seqs], n_states):
         work = np.empty(2 * len(active) * seqs[active[-1]].size * n_states)
@@ -302,11 +301,11 @@ def baum_welch_cohort(
             still = []
             for u, (ll, gamma, xi_sum) in zip(active, stats):
                 seq, trace = seqs[u], traces[u]
-                trace.log_likelihoods.append(ll)
+                lls = trace.log_likelihoods
+                lls.append(ll)
                 trace.iterations += 1
-                if prev_ll[u] is not None and tol > 0.0 and (ll - prev_ll[u]) / seq.size < tol:
+                if len(lls) > 1 and tol > 0.0 and (ll - lls[-2]) / seq.size < tol:
                     continue
-                prev_ll[u] = ll
                 # np.bincount adds each state's gamma in t order from 0.0,
                 # like the reference's np.add.at, so the counts are
                 # bit-identical. They fill the columns of an (S, K) array:
@@ -369,19 +368,13 @@ class LaplaceHmmModel:
 
     method = "hmm-lap"
 
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        params: HmmParams,
-        delta: float,
-        trace: TrainingTrace | None = None,
-    ):
+    def __init__(self, vocab: Vocabulary, params: HmmParams, delta: float, trace: TrainingTrace):
         if params.n_symbols != vocab.size:
             raise ValueError("emission width does not match vocabulary size")
         self.vocab = vocab
         self.params = params
         self.delta = float(delta)
-        self.trace = trace if trace is not None else TrainingTrace(seed=-1, iterations=0)
+        self.trace = trace
 
     @classmethod
     def fit(

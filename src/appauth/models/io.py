@@ -58,20 +58,26 @@ def load_model(path: str | Path):
             meta = json.loads(str(data["meta"]))
         except KeyError:
             raise FormatError(f"{path}: not a model container (no metadata)") from None
+        if not isinstance(meta, dict):
+            raise FormatError(f"{path}: model metadata is not a JSON object")
         if meta.get("format") != FORMAT_NAME:
             raise FormatError(f"{path}: unrecognized container format")
         if meta.get("version") != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported container version {meta.get('version')}")
-        vocab = Vocabulary.from_json(meta["vocab"])
-        if vocabulary_hash(vocab) != meta["vocab_hash"]:
-            raise FormatError(f"{path}: vocabulary hash mismatch (corrupt container)")
-        method = meta["method"]
-        cls = _model_classes().get(method)
+        method = meta.get("method")
+        cls = _model_classes().get(method) if isinstance(method, str) else None
         if cls is None:
             raise FormatError(f"{path}: unknown method tag {method!r}")
         try:
+            vocab = Vocabulary.from_json(meta["vocab"])
+            if vocabulary_hash(vocab) != meta["vocab_hash"]:
+                raise FormatError(f"{path}: vocabulary hash mismatch (corrupt container)")
             model = cls.from_arrays(vocab, meta, data)
         except KeyError as exc:
             raise FormatError(f"{path}: incomplete {method} container ({exc.args[0]})") from None
+        except (TypeError, AttributeError) as exc:
+            raise FormatError(f"{path}: malformed {method} metadata ({exc})") from None
         model.owner = meta.get("owner")
+        if not isinstance(model.owner, (str, type(None))):
+            raise FormatError(f"{path}: model owner {model.owner!r} is not a string")
         return model

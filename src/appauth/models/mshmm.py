@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..encode import N_DAY, N_TZ, Vocabulary
-from .core import TrainConfig, as_index_array, check_indices
+from .core import TrainConfig, as_index_array, check_floor, check_indices
 from .hmm import HmmParams, TrainingTrace, forward_log_likelihood, hmm_meta, train_base
 
 
@@ -93,7 +93,7 @@ class MsHmmModel:
         marginals: MarginalTables,
         seen: np.ndarray,
         delta: float,
-        trace: TrainingTrace | None = None,
+        trace: TrainingTrace,
     ):
         if base.n_symbols != vocab.size:
             raise ValueError("emission width does not match vocabulary size")
@@ -103,8 +103,8 @@ class MsHmmModel:
         self.base = base
         self.marginals = marginals
         self.seen = seen
-        self.delta = float(delta)
-        self.trace = trace if trace is not None else TrainingTrace(seed=-1, iterations=0)
+        self.delta = check_floor(float(delta))
+        self.trace = trace
         self.emit_ext = extended_emissions(base.emit, self.seen, marginals, self.delta)
 
     @classmethod

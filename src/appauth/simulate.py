@@ -11,7 +11,7 @@ measures how quickly windowed scores fall below threshold.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence, TextIO
@@ -239,7 +239,6 @@ def genuine_score_thresholds(table: ScoreTable, percentile: float = 5.0) -> dict
 class LatencyRow:
     model_owner: str
     intruder: str
-    n: int
     latency: int | None
 
     @property
@@ -252,9 +251,8 @@ class IntrusionStudy:
     """All (genuine, intruder) pairings at one window length."""
 
     n: int
-    segment: int
     mean_scores: np.ndarray  # mean score per window end index
-    rows: list[LatencyRow] = field(default_factory=list)
+    rows: list[LatencyRow]
 
     def detection_rate(self, within: int) -> float:
         if not self.rows:
@@ -315,8 +313,8 @@ def intrusion_study(
     score_sum = np.zeros(scores.shape[1])
     for row in scores:
         score_sum += row
-    rows = [LatencyRow(g, i, n, latency) for (g, i), latency in zip(pairs, latencies)]
-    return IntrusionStudy(n, segment, score_sum / len(pairs), rows)
+    rows = [LatencyRow(g, i, latency) for (g, i), latency in zip(pairs, latencies)]
+    return IntrusionStudy(n, score_sum / len(pairs), rows)
 
 
 def write_intrusion_curve_csv(
@@ -332,7 +330,7 @@ def write_intrusion_curve_csv(
 
 def write_latency_csv(studies: Sequence[IntrusionStudy], dest: str | Path | TextIO) -> None:
     body = (
-        [r.model_owner, r.intruder, r.n, "" if r.latency is None else r.latency, int(r.detected)]
+        [r.model_owner, r.intruder, study.n, "" if r.latency is None else r.latency, int(r.detected)]
         for study in studies
         for r in study.rows
     )

@@ -307,12 +307,16 @@ def test_malformed_sequence_file_exits_2(pipeline, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-def score_tampered(pipeline, tmp_path, method: str, array: str) -> int:
-    """Exit code of `appauth score` on user00's model with one NaN entry."""
+def score_tampered(pipeline, tmp_path, method: str, array: str | None, meta=None) -> int:
+    """Exit code of `appauth score` on user00's model with one NaN entry in
+    `array`, or with its metadata replaced by `meta(metadata)`."""
     out, cfg = pipeline
     with np.load(out / "models" / f"user00.{method}.npz", allow_pickle=False) as payload:
         arrays = {k: payload[k] for k in payload.files}
-    arrays[array][0, 0] = np.nan
+    if array is not None:
+        arrays[array][0, 0] = np.nan
+    if meta is not None:
+        arrays["meta"] = np.array(json.dumps(meta(json.loads(str(arrays["meta"])))))
     tampered = tmp_path / f"user00.{method}.npz"
     np.savez(tampered, **arrays)
     return main(
@@ -333,6 +337,10 @@ def score_tampered(pipeline, tmp_path, method: str, array: str) -> int:
 def test_tampered_model_exits_2(pipeline, tmp_path, capsys):
     assert score_tampered(pipeline, tmp_path, "mc", "transition") == EXIT_DATA
     assert "finite and positive" in capsys.readouterr().err
+    # wrongly typed metadata is a data error too, not a TypeError traceback
+    code = score_tampered(pipeline, tmp_path, "hmm-lap", None, lambda m: {**m, "training": "x"})
+    assert code == EXIT_DATA
+    assert "malformed hmm-lap metadata" in capsys.readouterr().err
 
 
 def test_tampered_mshmm_model_exits_2(pipeline, tmp_path, capsys):

@@ -141,6 +141,50 @@ def test_load_rejects_foreign_and_tampered_files(tmp_path):
         with pytest.raises(ValueError, match=message):
             load_model(poisoned)
 
+    # a floor outside (0, 1) would reshape every unseen symbol's emission
+    for delta in (5.0, -0.5, 0.0):
+        tampered_copy(mshmm_path, poisoned, meta=lambda m: {**m, "delta": delta})
+        with pytest.raises(ValueError, match="delta must be in"):
+            load_model(poisoned)
+
+    # hmm-lap: a negative emission entry in rows that still sum to 1
+    hmm_path = tmp_path / "model.hmm-lap.npz"
+    save_model(train_user_model("hmm-lap", train, vocab, config), hmm_path)
+
+    def negative_column(arrays):
+        emit = arrays["emit"]
+        emit[:, 1:] *= 2.0 / emit[:, 1:].sum(axis=1, keepdims=True)
+        emit[:, 0] = -1.0
+
+    tampered_copy(hmm_path, poisoned, arrays=negative_column)
+    with pytest.raises(ValueError, match="negative entry"):
+        load_model(poisoned)
+
+    # wrongly typed metadata is a format error, not a TypeError traceback
+    for path, edit in [
+        (hmm_path, lambda m: {**m, "training": {**m["training"], "log_likelihoods": 5}}),
+        (hmm_path, lambda m: {**m, "training": "x"}),
+        (mshmm_path, lambda m: {**m, "vocab": {**m["vocab"], "apps": 5}}),
+        (mshmm_path, lambda m: {**m, "delta": [1]}),
+        (hmm_path, lambda m: [m]),
+        (hmm_path, lambda m: {**m, "owner": 5}),
+    ]:
+        tampered_copy(path, poisoned, meta=edit)
+        with pytest.raises(FormatError):
+            load_model(poisoned)
+
+
+def tampered_copy(src, dest, arrays=None, meta=None) -> None:
+    """Copy a model file, editing its arrays in place with `arrays` or
+    replacing its metadata by `meta(metadata)`."""
+    with np.load(src, allow_pickle=False) as payload:
+        contents = {k: payload[k] for k in payload.files}
+    if arrays is not None:
+        arrays(contents)
+    if meta is not None:
+        contents["meta"] = np.array(json.dumps(meta(json.loads(str(contents["meta"])))))
+    np.savez(dest, **contents)
+
 
 def test_train_config_validation():
     assert TrainConfig().n_states == 20

@@ -126,8 +126,7 @@ def test_roc_curve_rates_are_monotone():
         [("u", "u", s) for s in rng.normal(1.0, 1.0, 60)]
         + [("u", "v", s) for s in rng.normal(-1.0, 1.0, 60)]
     )
-    curve = roc_curve(records)
-    thresholds, far, frr = (np.array(col) for col in zip(*curve.points))
+    thresholds, far, frr = roc_curve(records).T
     assert np.all(np.diff(thresholds) > 0)
     assert np.all(np.diff(far) <= 1e-12)  # FAR falls as threshold rises
     assert np.all(np.diff(frr) >= -1e-12)

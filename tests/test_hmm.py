@@ -87,6 +87,13 @@ def test_params_require_stochastic_rows():
     for bad in (1.0 + 6e-7, 1.0 - 6e-7, np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="not stochastic"):
             assert_stochastic(np.array([[0.25, 0.75], [bad, 0.0]]), tol=5e-7)
+    # and every entry is >= 0, even where the row still sums to 1
+    assert_stochastic(np.array([[-0.0, 1.0]]))
+    for bad in ([[1.25, -0.25]], [[0.5, 0.5], [2.0, -1.0]], [[1.0 + 1e-12, -1e-12]]):
+        with pytest.raises(ValueError, match="negative entry"):
+            assert_stochastic(np.array(bad))
+    with pytest.raises(ValueError, match="negative entry"):
+        HmmParams(np.array([1.5, -0.5]), np.eye(2), np.full((2, 3), 1 / 3))
 
 
 def test_baum_welch_monotone_and_traced():

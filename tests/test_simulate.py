@@ -138,12 +138,12 @@ def test_genuine_score_thresholds_percentile():
 
 def test_detection_rate_arithmetic():
     rows = [
-        LatencyRow("a", "b", 60, 1),
-        LatencyRow("a", "c", 60, 5),
-        LatencyRow("b", "a", 60, 9),
-        LatencyRow("b", "c", 60, None),
+        LatencyRow("a", "b", 1),
+        LatencyRow("a", "c", 5),
+        LatencyRow("b", "a", 9),
+        LatencyRow("b", "c", None),
     ]
-    study = IntrusionStudy(60, 200, np.zeros(1), rows)
+    study = IntrusionStudy(60, np.zeros(1), rows)
     assert study.detection_rate(within=5) == 0.5
     assert study.detection_rate(within=100) == 0.75
 
@@ -200,6 +200,6 @@ def test_intrusion_study_matches_per_pair_replay(replay_cohort, method):
         study = intrusion_study(models, test, n, thresholds, seed=3, segment=REPLAY_SEGMENT)
         rows, mean_scores = replay_reference(models, test, n, thresholds, 3, REPLAY_SEGMENT)
         assert len(rows) == 20
-        assert [(r.model_owner, r.intruder, r.n, r.latency) for r in study.rows] == rows
+        assert [(r.model_owner, r.intruder, study.n, r.latency) for r in study.rows] == rows
         assert study.mean_scores.shape == (2 * REPLAY_SEGMENT - n + 1,)
         assert study.mean_scores.tobytes() == mean_scores.tobytes()

@@ -1,0 +1,123 @@
+"""Check that two source trees write byte-identical `appauth eval` outputs.
+
+Usage, from the root of a checkout:
+
+    python3 tools/compare_eval_outputs.py PARENT_DIR [CHANGE_DIR]
+
+CHANGE_DIR defaults to the current directory. PARENT_DIR is another
+checkout of the repository, usually the parent commit, made without
+network access by either of
+
+    git worktree add <dir> HEAD~1
+    git archive HEAD~1 | tar -x -C <dir>
+
+The event logs of the eval-p30 and eval-p5 benchmark workloads are built
+for seeds 0 and 1 with PARENT_DIR's `src/` and `perfbench/workloads.py`
+(imported, not modified), next to the config that `perfbench/run.py`
+writes. Each tree then runs `python -m appauth.cli eval` once per input in
+a temporary directory, with PYTHONPATH=<tree>/src, OPENBLAS_NUM_THREADS=1
+and PYTHONDONTWRITEBYTECODE=1. Every output file other than manifest.json,
+which records library versions rather than results, is compared byte for
+byte; one line is printed per (workload, seed). The exit status is 1 if any file differs
+or is missing on either side, or if a run fails.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+WORKLOAD_NAMES = ("eval-p30", "eval-p5")
+SEEDS = (0, 1)
+SKIPPED = {"manifest.json"}
+
+
+def write_inputs(name: str, seed: int, case_dir: Path) -> None:
+    """events.csv and config.json for one workload and seed, as perfbench
+    writes them, generated by the parent tree's code (on sys.path)."""
+    from appauth import ingest, simulate
+    from workloads import METHODS, WORKLOADS, cohort_spec, cut_cohort
+
+    workload = WORKLOADS[name]
+    cohort = cut_cohort(workload, simulate.make_cohort(cohort_spec(workload, seed)))
+    rows = [ev for user in sorted(cohort) for ev in cohort[user]]
+    ingest.write_event_log(rows, case_dir / "events.csv")
+    config = {
+        "data": "../events.csv",
+        "out": "out",
+        "periods": [workload["period"]],
+        "n_values": workload["n_values"],
+        "stride": workload["stride"],
+        "methods": list(METHODS),
+        "seed": 0,
+    }
+    (case_dir / "config.json").write_text(json.dumps(config))
+
+
+def run_eval(tree: Path, run_dir: Path) -> dict[str, bytes] | None:
+    """Output files of one `appauth eval` run by name, or None if it failed."""
+    run_dir.mkdir()
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(tree / "src"),
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+    cmd = [sys.executable, "-m", "appauth.cli", "eval", "--config", "../config.json"]
+    proc = subprocess.run(cmd, cwd=run_dir, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"{tree}: eval exited {proc.returncode}:\n{proc.stderr[-2000:]}", file=sys.stderr)
+        return None
+    out = run_dir / "out"
+    return {
+        str(p.relative_to(out)): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name not in SKIPPED
+    }
+
+
+def main(argv: list[str]) -> int:
+    if not 1 <= len(argv) <= 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent = Path(argv[0]).resolve()
+    change = Path(argv[1] if len(argv) > 1 else ".").resolve()
+    for tree in (parent, change):
+        if not (tree / "src" / "appauth" / "cli.py").is_file():
+            print(f"no src/appauth package under {tree}", file=sys.stderr)
+            return 2
+    if not (parent / "perfbench" / "workloads.py").is_file():
+        print(f"no perfbench/workloads.py under {parent}", file=sys.stderr)
+        return 2
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(parent / "src"), str(parent / "perfbench")]
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="compare-eval-") as tmp:
+        for name in WORKLOAD_NAMES:
+            for seed in SEEDS:
+                case_dir = Path(tmp) / f"{name}-seed{seed}"
+                case_dir.mkdir()
+                write_inputs(name, seed, case_dir)
+                before = run_eval(parent, case_dir / "parent")
+                after = run_eval(change, case_dir / "change")
+                if before is None or after is None:
+                    print(f"{name} seed {seed}: eval failed")
+                    bad += 1
+                    continue
+                missing = sorted(set(before) ^ set(after))
+                differ = sorted(f for f in set(before) & set(after) if before[f] != after[f])
+                same = len(before) - len(differ) - len(set(before) - set(after))
+                print(
+                    f"{name} seed {seed}: {same} identical, {len(differ)} differing"
+                    f" {differ}, {len(missing)} missing {missing}"
+                )
+                bad += len(differ) + len(missing)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
