@@ -27,6 +27,7 @@ from .encode import KIND_APP, read_sequence_csv, write_sequence_csv
 from .evaluation import (
     DEFAULT_MIN_TEST,
     DEFAULT_MIN_TRAIN,
+    DEFAULT_TRAIN_FRACTION,
     PreparedUser,
     accuracy,
     app_similarity_matrix,
@@ -60,15 +61,10 @@ from .ingest import (
     write_csv,
     write_event_log,
 )
-from .models import (
-    DEFAULT_DELTA,
-    METHOD_TAGS,
-    TrainConfig,
-    load_model,
-    save_model,
-)
-from .models.core import DEFAULT_MAX_ITER, DEFAULT_N_STATES, DEFAULT_TOL
+from .models import METHOD_TAGS, TrainConfig, load_model, save_model
 from .simulate import (
+    DEFAULT_SEGMENT,
+    DEFAULT_THRESHOLD_PERCENTILE,
     CohortSpec,
     config_kwargs,
     genuine_score_thresholds,
@@ -89,30 +85,28 @@ DEFAULT_PERIODS = (5, 10, 15, 20, 25, 30)
 DEFAULT_N_VALUES = (20, 30, 40, 50, 60)
 
 
-@dataclass(slots=True)
-class ExperimentConfig:
-    """Everything a run needs; JSON-serializable and hashable."""
+@dataclass(frozen=True, slots=True)
+class ExperimentConfig(TrainConfig):
+    """Everything a run needs; JSON-serializable and hashable. The training
+    fields (delta, n_states, max_iter, tol, seed) are TrainConfig's own."""
 
     data: str | None = None  # event-log CSV path; None -> synthetic
     synthetic: CohortSpec = field(default_factory=CohortSpec)
     periods: tuple[int, ...] = DEFAULT_PERIODS
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
-    train_fraction: float = 0.7
+    train_fraction: float = DEFAULT_TRAIN_FRACTION
     methods: tuple[str, ...] = METHOD_TAGS
-    delta: float = DEFAULT_DELTA
-    n_states: int = DEFAULT_N_STATES
-    max_iter: int = DEFAULT_MAX_ITER
-    tol: float = DEFAULT_TOL
-    seed: int = 0
     stride: int = 1
     out: str = "results"
     idle_gap: float = DEFAULT_IDLE_GAP
     min_train: int = DEFAULT_MIN_TRAIN
     min_test: int = DEFAULT_MIN_TEST
-    segment: int = 200
-    threshold_percentile: float = 5.0
+    segment: int = DEFAULT_SEGMENT
+    threshold_percentile: float = DEFAULT_THRESHOLD_PERCENTILE
 
     def __post_init__(self) -> None:
+        # zero-argument super() fails in a slots dataclass
+        TrainConfig.__post_init__(self)
         if not self.periods or not self.n_values or not self.methods:
             raise ValueError("periods, n_values and methods must be non-empty")
         if not 0.0 < self.train_fraction < 1.0:
@@ -129,16 +123,6 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, payload: Mapping) -> "ExperimentConfig":
         return cls(**config_kwargs(cls, payload, "config"))
-
-    @property
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            delta=self.delta,
-            n_states=self.n_states,
-            max_iter=self.max_iter,
-            tol=self.tol,
-            seed=self.seed,
-        )
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_json(), sort_keys=True)
@@ -263,7 +247,7 @@ def cmd_train(config: ExperimentConfig) -> int:
         return EXIT_DATA
     model_dir = out / "models"
     model_dir.mkdir(exist_ok=True)
-    trained = train_cohort_models(config.methods, prepared, config.train_config)
+    trained = train_cohort_models(config.methods, prepared, config)
     for method, models in trained.items():
         for user, model in models.items():
             save_model(model, model_dir / f"{user}.{method}.npz", owner=user)
@@ -301,7 +285,7 @@ def cmd_eval(config: ExperimentConfig) -> int:
             log.warning("period %ds: fewer than 2 eligible users; skipping column", period)
             continue
         by_key = evaluate_methods(
-            config.methods, prepared, config.n_values, config.train_config, config.stride
+            config.methods, prepared, config.n_values, config, config.stride
         )
         # One sweep per table gives its (EER %, threshold): the grid takes
         # the EER, and the first period also reports metrics and curves.
@@ -380,7 +364,7 @@ def cmd_intrude(config: ExperimentConfig) -> int:
     if len(prepared) < 2:
         print("need at least 2 eligible users for intrusion replay", file=sys.stderr)
         return EXIT_DATA
-    models = train_cohort_models([method], prepared, config.train_config)[method]
+    models = train_cohort_models([method], prepared, config)[method]
     test_obs = {u: p.test_observations for u, p in prepared.items()}
     genuine = {(u, u): models[u].vocab.project(test_obs[u]) for u in models}
     studies = []

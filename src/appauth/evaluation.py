@@ -33,6 +33,7 @@ log = logging.getLogger(__name__)
 
 HMM_METHODS = ("hmm-lap", "mshmm")
 
+DEFAULT_TRAIN_FRACTION = 0.7
 DEFAULT_MIN_TRAIN = 500
 DEFAULT_MIN_TEST = 200
 
@@ -262,12 +263,6 @@ def eer_threshold(table: ScoreTable) -> tuple[float, float]:
 # dataset statistics
 
 
-def _as_app_set(value) -> set[str]:
-    if isinstance(value, Vocabulary):
-        return set(value.apps)
-    return set(value)
-
-
 def overlap_matrix(sets: Mapping[str, Iterable]) -> tuple[list[str], np.ndarray]:
     """Row-normalized percentage overlap: entry (i, j) = 100 |Si ∩ Sj| / |Si|.
 
@@ -288,9 +283,9 @@ def overlap_matrix(sets: Mapping[str, Iterable]) -> tuple[list[str], np.ndarray]
     return users, matrix
 
 
-def app_similarity_matrix(vocabs: Mapping[str, "Vocabulary | Iterable[str]"]):
+def app_similarity_matrix(vocabs: Mapping[str, Vocabulary]):
     """Pairwise app-set overlap between users' training vocabularies."""
-    return overlap_matrix({u: _as_app_set(v) for u, v in vocabs.items()})
+    return overlap_matrix({u: v.apps for u, v in vocabs.items()})
 
 
 def observation_similarity_matrix(symbol_sets: Mapping[str, Iterable[Observation]]):
@@ -305,12 +300,12 @@ def observation_similarity_matrix(symbol_sets: Mapping[str, Iterable[Observation
 
 
 def unknown_app_stats(
-    vocabs: Mapping[str, "Vocabulary | Iterable[str]"],
+    vocabs: Mapping[str, Vocabulary],
     test_apps: Mapping[str, Sequence[str]],
 ) -> UnknownAppStats:
     """Percentage of each user's test app samples outside each model owner's
     app set, summarized separately for genuine and impostor pairs."""
-    app_sets = {u: _as_app_set(v) for u, v in vocabs.items()}
+    app_sets = {u: set(v.apps) for u, v in vocabs.items()}
     pairs: list[tuple[str, str, float]] = []
     genuine: list[float] = []
     impostor: list[float] = []
@@ -397,7 +392,7 @@ def prepare_user(split: SplitDataset) -> PreparedUser:
 def prepare_cohort(
     events_by_user: Mapping[str, Sequence],
     period: int,
-    train_fraction: float = 0.7,
+    train_fraction: float = DEFAULT_TRAIN_FRACTION,
     idle_gap: float = DEFAULT_IDLE_GAP,
     min_train: int = DEFAULT_MIN_TRAIN,
     min_test: int = DEFAULT_MIN_TEST,

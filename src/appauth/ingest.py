@@ -102,7 +102,6 @@ class Session:
     ``[start, end]``.
     """
 
-    user_id: str
     start: int
     end: int
     samples: list[tuple[int, str]] = field(default_factory=list)
@@ -125,9 +124,6 @@ class ParseReport:
 
     rows_total: int = 0
     errors: list[RowError] = field(default_factory=list)
-
-    def add_error(self, line: int, message: str) -> None:
-        self.errors.append(RowError(line, message))
 
 
 @dataclass(slots=True)
@@ -156,7 +152,7 @@ def parse_event_log(source: str | Path | TextIO) -> tuple[list[RawEvent], ParseR
             user_id, ts, kind, app_id = fields
             events.append(RawEvent(user_id, int(ts), kind, app_id))
         except ValueError as exc:
-            report.add_error(lineno, str(exc))
+            report.errors.append(RowError(lineno, str(exc)))
     return events, report
 
 
@@ -206,7 +202,7 @@ def sessionize(events: Sequence[RawEvent], idle_gap: float = DEFAULT_IDLE_GAP) -
             close()  # the implicit session went idle before this event
         if ev.kind == "unlock":
             close()
-            cur = Session(ev.user_id, ev.local_timestamp, ev.local_timestamp)
+            cur = Session(ev.local_timestamp, ev.local_timestamp)
             explicit = True
         elif ev.kind == "lock":
             if cur is None:
@@ -215,7 +211,7 @@ def sessionize(events: Sequence[RawEvent], idle_gap: float = DEFAULT_IDLE_GAP) -
             close(end=ev.local_timestamp)
         else:  # app
             if cur is None:
-                cur = Session(ev.user_id, ev.local_timestamp, ev.local_timestamp)
+                cur = Session(ev.local_timestamp, ev.local_timestamp)
                 explicit = False
             cur.samples.append((ev.local_timestamp, ev.app_id))
     close()
@@ -245,7 +241,7 @@ def resample_sessions(sessions: Sequence[Session], period: int) -> list[Session]
                 i += 1
             resampled.append((t, sess.samples[i][1]))
             t += period
-        out.append(Session(sess.user_id, sess.start, sess.end, resampled))
+        out.append(Session(sess.start, sess.end, resampled))
     return out
 
 
@@ -279,7 +275,7 @@ def split_sessions(sessions: Sequence[Session], train_fraction: float) -> SplitD
         else:
             head = sess.samples[:remaining]
             tail = sess.samples[remaining:]
-            train.append(Session(sess.user_id, sess.start, head[-1][0], head))
-            test.append(Session(sess.user_id, tail[0][0], sess.end, tail))
+            train.append(Session(sess.start, head[-1][0], head))
+            test.append(Session(tail[0][0], sess.end, tail))
             remaining = 0
     return SplitDataset(train, test)

@@ -20,7 +20,7 @@ from .hmm import (
 )
 from .io import load_model, save_model, vocabulary_hash
 from .markov import MarkovChainModel
-from .mshmm import MarginalTables, MsHmmModel, extended_emissions
+from .mshmm import MsHmmModel
 
 UserModel = (
     BinaryUnknownModel
@@ -57,7 +57,6 @@ __all__ = [
     "DEFAULT_DELTA",
     "HmmParams",
     "LaplaceHmmModel",
-    "MarginalTables",
     "MarkovChainModel",
     "MedModel",
     "METHOD_TAGS",
@@ -67,7 +66,6 @@ __all__ = [
     "TrainingTrace",
     "UserModel",
     "baum_welch",
-    "extended_emissions",
     "forward_log_likelihood",
     "laplace_smooth_emissions",
     "load_model",

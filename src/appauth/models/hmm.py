@@ -20,6 +20,7 @@ from .core import (
     as_index_array,
     as_window_matrix,
     assert_stochastic,
+    check_floor,
     check_indices,
     normalize_rows,
     random_simplex,
@@ -373,7 +374,7 @@ class LaplaceHmmModel:
             raise ValueError("emission width does not match vocabulary size")
         self.vocab = vocab
         self.params = params
-        self.delta = float(delta)
+        self.delta = check_floor(float(delta))
         self.trace = trace
 
     @classmethod

@@ -11,6 +11,7 @@ from .core import (
     as_index_array,
     as_window_matrix,
     assert_stochastic,
+    check_floor,
     check_indices,
 )
 
@@ -34,7 +35,7 @@ class MarkovChainModel:
         self.vocab = vocab
         self.prior = np.asarray(prior, dtype=np.float64)
         self.transition = np.asarray(transition, dtype=np.float64)
-        self.delta = float(delta)
+        self.delta = check_floor(float(delta))
         self._log_prior = np.log(self.prior)
         self._log_transition = np.log(self.transition)
 

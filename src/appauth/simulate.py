@@ -26,6 +26,7 @@ from .models import UserModel
 log = logging.getLogger(__name__)
 
 DEFAULT_SEGMENT = 200
+DEFAULT_THRESHOLD_PERCENTILE = 5.0
 
 
 @dataclass(slots=True)
@@ -223,7 +224,9 @@ def detection_latency(
     ]
 
 
-def genuine_score_thresholds(table: ScoreTable, percentile: float = 5.0) -> dict[str, float]:
+def genuine_score_thresholds(
+    table: ScoreTable, percentile: float = DEFAULT_THRESHOLD_PERCENTILE
+) -> dict[str, float]:
     """Per-user decision threshold: a low percentile of the user's own
     genuine window scores."""
     genuine = table.genuine

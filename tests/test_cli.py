@@ -503,6 +503,11 @@ def test_synthetic_key_typo_exits_2(tmp_path, capsys):
         ({"synthetic": 5}, "synthetic"),
         ({"synthetic": {"n_users": "3"}}, "n_users"),
         ([1, 2], "JSON object"),
+        # training values are checked when the config loads
+        ({"delta": 5.0}, "delta"),
+        ({"n_states": 0}, "n_states"),
+        ({"max_iter": 0}, "max_iter"),
+        ({"tol": -1}, "tol"),
     ]:
         cfg.write_text(json.dumps(payload))
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_DATA

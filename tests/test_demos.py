@@ -1,5 +1,6 @@
 """The demo scripts run to completion, the public name lists resolve, and
-the package imports no name it never uses."""
+the package imports no name it never uses and defines no private helper it
+never calls."""
 
 from __future__ import annotations
 
@@ -63,3 +64,31 @@ def test_package_has_no_unused_imports():
         rel = path.relative_to(ROOT)
         unused += [f"{rel}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def _private_definitions(tree: ast.Module):
+    """Module-level functions and classes, and methods of module-level
+    classes, whose names start with `_` and are not dunders."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for defn in [node, *members]:
+            name = getattr(defn, "name", "")
+            dunder = name.startswith("__") and name.endswith("__")
+            if isinstance(defn, kinds) and name.startswith("_") and not dunder:
+                yield defn
+
+
+def test_package_has_no_dead_private_helpers():
+    defined: list[tuple[str, str]] = []
+    referenced: set[str] = set()
+    for path in sorted((ROOT / "src" / "appauth").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        rel = path.relative_to(ROOT)
+        defined += [(d.name, f"{rel}:{d.lineno} {d.name}") for d in _private_definitions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert [where for name, where in defined if name not in referenced] == []

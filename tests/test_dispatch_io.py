@@ -141,16 +141,18 @@ def test_load_rejects_foreign_and_tampered_files(tmp_path):
         with pytest.raises(ValueError, match=message):
             load_model(poisoned)
 
-    # a floor outside (0, 1) would reshape every unseen symbol's emission
-    for delta in (5.0, -0.5, 0.0):
-        tampered_copy(mshmm_path, poisoned, meta=lambda m: {**m, "delta": delta})
-        with pytest.raises(ValueError, match="delta must be in"):
-            load_model(poisoned)
-
-    # hmm-lap: a negative emission entry in rows that still sum to 1
     hmm_path = tmp_path / "model.hmm-lap.npz"
     save_model(train_user_model("hmm-lap", train, vocab, config), hmm_path)
 
+    # a floor outside (0, 1) would reshape every unseen symbol's emission,
+    # and a re-save would write it back next to tables smoothed with another
+    for model_path in (mshmm_path, hmm_path, path):
+        for delta in (5.0, -0.5, 0.0):
+            tampered_copy(model_path, poisoned, meta=lambda m: {**m, "delta": delta})
+            with pytest.raises(ValueError, match="delta must be in"):
+                load_model(poisoned)
+
+    # hmm-lap: a negative emission entry in rows that still sum to 1
     def negative_column(arrays):
         emit = arrays["emit"]
         emit[:, 1:] *= 2.0 / emit[:, 1:].sum(axis=1, keepdims=True)

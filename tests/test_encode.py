@@ -65,8 +65,8 @@ def test_observation_rejects_bad_input():
 
 def test_encode_sessions_markers():
     sessions = [
-        Session("u", 100, 160, [(100, "a"), (130, "a"), (160, "b")]),
-        Session("u", 400, 430, [(400, "b"), (430, "a")]),
+        Session(100, 160, [(100, "a"), (130, "a"), (160, "b")]),
+        Session(400, 430, [(400, "b"), (430, "a")]),
     ]
     encoded = encode_sessions(sessions)
     assert [obs.to_text() for _, obs in encoded] == [
@@ -82,8 +82,8 @@ def test_encode_sessions_markers():
 
 def test_encode_sessions_day_change_before_session_start():
     sessions = [
-        Session("u", 3600, 3630, [(3600, "a"), (3630, "a")]),
-        Session("u", DAY + 60, DAY + 60, [(DAY + 60, "a")]),
+        Session(3600, 3630, [(3600, "a"), (3630, "a")]),
+        Session(DAY + 60, DAY + 60, [(DAY + 60, "a")]),
     ]
     encoded = [obs.to_text() for _, obs in encode_sessions(sessions)]
     assert encoded == ["psi", "app:a:TZ1:WD", "app:a:TZ1:WD", "delta", "psi", "app:a:TZ1:WD"]
@@ -91,7 +91,7 @@ def test_encode_sessions_day_change_before_session_start():
 
 def test_encode_sessions_single_day_change_within_session():
     sessions = [
-        Session("u", DAY - 30, DAY + 30, [(DAY - 30, "a"), (DAY, "a"), (DAY + 30, "b")])
+        Session(DAY - 30, DAY + 30, [(DAY - 30, "a"), (DAY, "a"), (DAY + 30, "b")])
     ]
     encoded = [obs.to_text() for _, obs in encode_sessions(sessions)]
     # the midnight sample still belongs to the old day; the next one flips it
@@ -100,8 +100,8 @@ def test_encode_sessions_single_day_change_within_session():
 
 def test_encode_sessions_one_marker_per_multi_day_jump():
     sessions = [
-        Session("u", 3600, 3600, [(3600, "a")]),
-        Session("u", 5 * DAY, 5 * DAY, [(5 * DAY, "a")]),
+        Session(3600, 3600, [(3600, "a")]),
+        Session(5 * DAY, 5 * DAY, [(5 * DAY, "a")]),
     ]
     encoded = [obs.to_text() for _, obs in encode_sessions(sessions)]
     assert encoded.count("delta") == 1

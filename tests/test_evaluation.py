@@ -21,6 +21,7 @@ from appauth.evaluation import (
     format_number,
     generate_score_records,
     observation_similarity_matrix,
+    overlap_matrix,
     prepare_cohort,
     roc_curve,
     sensitivity,
@@ -147,15 +148,17 @@ def test_boxplot_summary_quartiles():
 
 
 def test_app_similarity_matrix_row_normalized():
-    users, matrix = app_similarity_matrix({"a": {"x", "y"}, "b": {"y", "z", "w"}})
+    users, matrix = app_similarity_matrix(
+        {"a": Vocabulary(["x", "y"]), "b": Vocabulary(["y", "z", "w"])}
+    )
     assert users == ["a", "b"]
     assert matrix[0, 0] == 100.0 and matrix[1, 1] == 100.0
     assert matrix[0, 1] == pytest.approx(50.0)  # |{y}| / |{x,y}|
     assert matrix[1, 0] == pytest.approx(100.0 / 3)
     with pytest.raises(ValueError):
-        app_similarity_matrix({"a": {"x"}})
+        app_similarity_matrix({"a": Vocabulary(["x"])})
     with pytest.raises(ValueError):
-        app_similarity_matrix({"a": {"x"}, "b": set()})
+        overlap_matrix({"a": {"x"}, "b": set()})
 
 
 def test_observation_similarity_uses_full_triples_without_markers():
@@ -170,7 +173,7 @@ def test_observation_similarity_uses_full_triples_without_markers():
 
 
 def test_unknown_app_stats_pairs():
-    vocabs = {"a": {"x", "y"}, "b": {"y", "z"}}
+    vocabs = {"a": Vocabulary(["x", "y"]), "b": Vocabulary(["y", "z"])}
     test_apps = {"a": ["x", "x", "z", "y"], "b": ["z", "z", "q"]}
     stats = unknown_app_stats(vocabs, test_apps)
     by_pair = {(m, t): pct for m, t, pct in stats.pairs}

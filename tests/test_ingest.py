@@ -51,7 +51,7 @@ def test_raw_event_is_the_event_rule():
 
 def test_session_validation():
     with pytest.raises(ValueError):
-        Session("u", 10, 5)
+        Session(10, 5)
 
 
 def test_event_log_round_trip(tmp_path):
@@ -183,13 +183,13 @@ def test_sessionize_orders_events_by_timestamp():
 
 
 def test_resample_anchors_at_first_app_and_carries_forward():
-    sess = Session("u", 0, 100, [(7, "a"), (45, "b")])
+    sess = Session(0, 100, [(7, "a"), (45, "b")])
     out = resample_sessions([sess], period=30)
     assert out[0].samples == [(7, "a"), (37, "a"), (67, "b"), (97, "b")]
 
 
 def test_resample_stops_at_session_end():
-    sess = Session("u", 0, 59, [(0, "a")])
+    sess = Session(0, 59, [(0, "a")])
     out = resample_sessions([sess], period=30)
     assert out[0].samples == [(0, "a"), (30, "a")]
 
@@ -201,15 +201,15 @@ def test_resample_rejects_bad_period():
 
 def test_sample_foreground_flattens_in_time_order():
     sessions = [
-        Session("u", 0, 30, [(0, "a")]),
-        Session("u", 100, 130, [(100, "b")]),
+        Session(0, 30, [(0, "a")]),
+        Session(100, 130, [(100, "b")]),
     ]
     flat = [s for sess in resample_sessions(sessions, period=30) for s in sess.samples]
     assert flat == [(0, "a"), (30, "a"), (100, "b"), (130, "b")]
 
 
 def test_chronological_split_floor_and_clamp():
-    sessions = [Session("u", t, t, [(t, "a")]) for t in range(10)]
+    sessions = [Session(t, t, [(t, "a")]) for t in range(10)]
 
     def sizes(split):
         return sum(len(s.samples) for s in split.train), sum(len(s.samples) for s in split.test)
@@ -225,8 +225,8 @@ def test_chronological_split_floor_and_clamp():
 
 def test_split_sessions_divides_straddling_session():
     sessions = [
-        Session("u", 0, 90, [(0, "a"), (30, "a"), (60, "b"), (90, "b")]),
-        Session("u", 200, 230, [(200, "c"), (230, "c")]),
+        Session(0, 90, [(0, "a"), (30, "a"), (60, "b"), (90, "b")]),
+        Session(200, 230, [(200, "c"), (230, "c")]),
     ]
     split = split_sessions(sessions, 0.5)  # cut after sample 3 of 6
     assert sum(len(s.samples) for s in split.train) == 3
@@ -239,7 +239,7 @@ def test_split_sessions_divides_straddling_session():
 
 
 def test_split_sessions_matches_flat_split_index():
-    sessions = [Session("u", i * 100, i * 100 + 60, [(i * 100, "a"), (i * 100 + 30, "b")]) for i in range(5)]
+    sessions = [Session(i * 100, i * 100 + 60, [(i * 100, "a"), (i * 100 + 30, "b")]) for i in range(5)]
     flat = [s for sess in sessions for s in sess.samples]
     for fraction in (0.3, 0.5, 0.7, 0.9):
         cut = math.floor(fraction * len(flat))

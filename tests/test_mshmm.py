@@ -10,7 +10,7 @@ import pytest
 from conftest import DELTA, PSI, app, forward_one, score_one, unk
 from appauth.encode import Vocabulary
 from appauth.models.core import DEFAULT_DELTA, TrainConfig
-from appauth.models.mshmm import MarginalTables, MsHmmModel
+from appauth.models.mshmm import MsHmmModel, marginal_tables
 
 D = DEFAULT_DELTA
 
@@ -18,45 +18,45 @@ D = DEFAULT_DELTA
 def test_marginals_degenerate_single_app():
     vocab = Vocabulary(["a"])
     train = vocab.project([app("a", 0, 0)] * 5)
-    tables = MarginalTables.fit(train, vocab)
-    assert tables.p_app_tz.tolist() == [[1.0, 0.0, 0.0]]
-    assert tables.p_app_day.tolist() == [[1.0, 0.0]]
+    p_tz, p_day = marginal_tables(train, vocab)
+    assert p_tz.tolist() == [[1.0, 0.0, 0.0]]
+    assert p_day.tolist() == [[1.0, 0.0]]
 
 
 def test_marginals_two_apps_two_blocks_symmetry():
     vocab = Vocabulary(["a", "b"])
     train = vocab.project([app("a", 0, 0), app("a", 1, 0), app("b", 0, 0), app("b", 1, 0)])
-    tables = MarginalTables.fit(train, vocab)
+    p_tz, p_day = marginal_tables(train, vocab)
     for rank in (0, 1):
         for tz in (0, 1):
-            assert tables.p_app_tz[rank, tz] == 0.25
-        assert tables.p_app_day[rank, 0] == 0.5
+            assert p_tz[rank, tz] == 0.25
+        assert p_day[rank, 0] == 0.5
 
 
 def test_marginal_tables_sum_to_one():
     vocab = Vocabulary(["a", "b", "c"])
     rng = np.random.default_rng(2)
     train = rng.integers(0, vocab.unknown_base, size=200)
-    tables = MarginalTables.fit(train, vocab)
-    assert tables.p_app_tz.sum() == pytest.approx(1.0, abs=1e-9)
-    assert tables.p_app_day.sum() == pytest.approx(1.0, abs=1e-9)
+    p_tz, p_day = marginal_tables(train, vocab)
+    assert p_tz.sum() == pytest.approx(1.0, abs=1e-9)
+    assert p_day.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_marginals_ignore_markers_and_reject_marker_only_input():
     vocab = Vocabulary(["a"])
     with_markers = vocab.project([PSI, app("a", 0, 0), PSI, app("a", 1, 0)])
-    tables = MarginalTables.fit(with_markers, vocab)
-    assert tables.p_app_tz[0, 0] == 0.5  # denominator is app samples only
+    p_tz, _ = marginal_tables(with_markers, vocab)
+    assert p_tz[0, 0] == 0.5  # denominator is app samples only
     with pytest.raises(ValueError):
-        MarginalTables.fit(vocab.project([PSI, PSI]), vocab)
+        marginal_tables(vocab.project([PSI, PSI]), vocab)
 
 
 def test_marginals_absent_app_lookup_is_zero():
     vocab = Vocabulary(["a", "ghost"])  # "ghost" never occurs in training
-    tables = MarginalTables.fit(vocab.project([app("a", 0, 0)]), vocab)
+    p_tz, p_day = marginal_tables(vocab.project([app("a", 0, 0)]), vocab)
     ghost = vocab.apps.index("ghost")
-    assert tables.p_app_tz[ghost].tolist() == [0.0, 0.0, 0.0]
-    assert tables.p_app_day[ghost].tolist() == [0.0, 0.0]
+    assert p_tz[ghost].tolist() == [0.0, 0.0, 0.0]
+    assert p_day[ghost].tolist() == [0.0, 0.0]
 
 
 def fit_small(train_obs, apps, seed=0, max_iter=8, n_states=3):

@@ -1,8 +1,9 @@
-"""Check that two source trees write byte-identical `appauth eval` outputs.
+"""Check that two source trees write byte-identical outputs for every data
+command: `ingest`, `train`, `eval`, `stats`, `intrude` and `score`.
 
 Usage, from the root of a checkout:
 
-    python3 tools/compare_eval_outputs.py PARENT_DIR [CHANGE_DIR]
+    python3 tools/compare_outputs.py PARENT_DIR [CHANGE_DIR]
 
 CHANGE_DIR defaults to the current directory. PARENT_DIR is another
 checkout of the repository, usually the parent commit, made without
@@ -14,12 +15,16 @@ network access by either of
 The event logs of the eval-p30 and eval-p5 benchmark workloads are built
 for seeds 0 and 1 with PARENT_DIR's `src/` and `perfbench/workloads.py`
 (imported, not modified), next to the config that `perfbench/run.py`
-writes. Each tree then runs `python -m appauth.cli eval` once per input in
-a temporary directory, with PYTHONPATH=<tree>/src, OPENBLAS_NUM_THREADS=1
-and PYTHONDONTWRITEBYTECODE=1. Every output file other than manifest.json,
-which records library versions rather than results, is compared byte for
-byte; one line is printed per (workload, seed). The exit status is 1 if any file differs
-or is missing on either side, or if a run fails.
+writes. Each tree then runs, per input and in a temporary directory,
+`python -m appauth.cli <command> --config ../config.json --out <command>`
+for `ingest`, `train`, `eval`, `stats` and `intrude`, and finally `score`
+of the first user's `mshmm` model from `train` against the
+`test_period<p>.csv` that `ingest` wrote. Every run has
+PYTHONPATH=<tree>/src, OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1.
+Every output file other than each manifest.json, which records library
+versions rather than results, is compared byte for byte (model `.npz`
+files included); one line is printed per (workload, seed). The exit status
+is 1 if any file differs or is missing on either side, or if a run fails.
 """
 
 from __future__ import annotations
@@ -34,11 +39,13 @@ from pathlib import Path
 WORKLOAD_NAMES = ("eval-p30", "eval-p5")
 SEEDS = (0, 1)
 SKIPPED = {"manifest.json"}
+COMMANDS = ("ingest", "train", "eval", "stats", "intrude")  # then `score`
 
 
-def write_inputs(name: str, seed: int, case_dir: Path) -> None:
+def write_inputs(name: str, seed: int, case_dir: Path) -> int:
     """events.csv and config.json for one workload and seed, as perfbench
-    writes them, generated by the parent tree's code (on sys.path)."""
+    writes them, generated by the parent tree's code (on sys.path); returns
+    the workload's period."""
     from appauth import ingest, simulate
     from workloads import METHODS, WORKLOADS, cohort_spec, cut_cohort
 
@@ -56,26 +63,42 @@ def write_inputs(name: str, seed: int, case_dir: Path) -> None:
         "seed": 0,
     }
     (case_dir / "config.json").write_text(json.dumps(config))
+    return workload["period"]
 
 
-def run_eval(tree: Path, run_dir: Path) -> dict[str, bytes] | None:
-    """Output files of one `appauth eval` run by name, or None if it failed."""
-    run_dir.mkdir()
+def run_command(tree: Path, run_dir: Path, command: str, *extra: str) -> bool:
+    """One appauth command with its outputs under run_dir/<command>;
+    False, with its stderr printed, if it failed."""
     env = {
         **os.environ,
         "PYTHONPATH": str(tree / "src"),
         "OPENBLAS_NUM_THREADS": "1",
         "PYTHONDONTWRITEBYTECODE": "1",
     }
-    cmd = [sys.executable, "-m", "appauth.cli", "eval", "--config", "../config.json"]
+    cmd = [sys.executable, "-m", "appauth.cli", command, "--config", "../config.json"]
+    cmd += ["--out", command, *extra]
     proc = subprocess.run(cmd, cwd=run_dir, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        print(f"{tree}: eval exited {proc.returncode}:\n{proc.stderr[-2000:]}", file=sys.stderr)
+        print(f"{tree}: {command} exited {proc.returncode}:\n{proc.stderr[-2000:]}", file=sys.stderr)
+    return proc.returncode == 0
+
+
+def run_all(tree: Path, run_dir: Path, period: int) -> dict[str, bytes] | None:
+    """Output files of every command by path under run_dir, or None if a
+    command failed."""
+    run_dir.mkdir()
+    if not all(run_command(tree, run_dir, command) for command in COMMANDS):
         return None
-    out = run_dir / "out"
+    models = sorted((run_dir / "train" / "models").glob("*.mshmm.npz"))
+    if not models:
+        print(f"{tree}: train wrote no mshmm model", file=sys.stderr)
+        return None
+    sequence = run_dir / "ingest" / f"test_period{period}.csv"
+    if not run_command(tree, run_dir, "score", "--model", str(models[0]), "--sequence", str(sequence)):
+        return None
     return {
-        str(p.relative_to(out)): p.read_bytes()
-        for p in sorted(out.rglob("*"))
+        str(p.relative_to(run_dir)): p.read_bytes()
+        for p in sorted(run_dir.rglob("*"))
         if p.is_file() and p.name not in SKIPPED
     }
 
@@ -96,16 +119,16 @@ def main(argv: list[str]) -> int:
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(parent / "src"), str(parent / "perfbench")]
     bad = 0
-    with tempfile.TemporaryDirectory(prefix="compare-eval-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         for name in WORKLOAD_NAMES:
             for seed in SEEDS:
                 case_dir = Path(tmp) / f"{name}-seed{seed}"
                 case_dir.mkdir()
-                write_inputs(name, seed, case_dir)
-                before = run_eval(parent, case_dir / "parent")
-                after = run_eval(change, case_dir / "change")
+                period = write_inputs(name, seed, case_dir)
+                before = run_all(parent, case_dir / "parent", period)
+                after = run_all(change, case_dir / "change", period)
                 if before is None or after is None:
-                    print(f"{name} seed {seed}: eval failed")
+                    print(f"{name} seed {seed}: a command failed")
                     bad += 1
                     continue
                 missing = sorted(set(before) ^ set(after))
