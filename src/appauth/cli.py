@@ -146,7 +146,6 @@ def apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Exper
         updates["periods"] = (args.period,)
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
-        updates["synthetic"] = replace(config.synthetic, seed=args.seed)
     if getattr(args, "out", None):
         updates["out"] = args.out
     return replace(config, **updates) if updates else config
@@ -199,6 +198,18 @@ def _prepare(
     )
 
 
+def _first_period_cohort(config: ExperimentConfig, min_users: int) -> dict[str, PreparedUser]:
+    """The cohort prepared at the first sampling period; fewer than
+    `min_users` eligible users is a data error."""
+    period = config.periods[0]
+    prepared = _prepare(config, _load_cohort(config), period)
+    if len(prepared) < min_users:
+        raise ValueError(
+            f"need at least {min_users} eligible user(s) at period {period}s, found {len(prepared)}"
+        )
+    return prepared
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -240,17 +251,13 @@ def cmd_ingest(config: ExperimentConfig) -> int:
 
 def cmd_train(config: ExperimentConfig) -> int:
     out = _out_dir(config)
-    period = config.periods[0]
-    prepared = _prepare(config, _load_cohort(config), period)
-    if not prepared:
-        print("no eligible users to train on", file=sys.stderr)
-        return EXIT_DATA
+    prepared = _first_period_cohort(config, 1)
     model_dir = out / "models"
     model_dir.mkdir(exist_ok=True)
     trained = train_cohort_models(config.methods, prepared, config)
     for method, models in trained.items():
         for user, model in models.items():
-            save_model(model, model_dir / f"{user}.{method}.npz", owner=user)
+            save_model(model, model_dir / f"{user}.{method}.npz", user)
     write_manifest(config, "train", out)
     total = len(prepared) * len(config.methods)
     print(f"trained {total} models ({len(prepared)} users x {len(config.methods)} methods) in {model_dir}")
@@ -259,8 +266,7 @@ def cmd_train(config: ExperimentConfig) -> int:
 
 def cmd_score(config: ExperimentConfig, model_path: str, sequence_path: str) -> int:
     out = _out_dir(config)
-    model = load_model(model_path)
-    owner = getattr(model, "owner", None) or Path(model_path).stem.split(".")[0]
+    model, owner = load_model(model_path)
     rows = read_sequence_csv(sequence_path)
     by_owner: dict[str, list] = {}
     for seq_owner, _, obs in rows:
@@ -329,11 +335,7 @@ def cmd_eval(config: ExperimentConfig) -> int:
 
 def cmd_stats(config: ExperimentConfig) -> int:
     out = _out_dir(config)
-    period = config.periods[0]
-    prepared = _prepare(config, _load_cohort(config), period)
-    if len(prepared) < 2:
-        print("need at least 2 eligible users for statistics", file=sys.stderr)
-        return EXIT_DATA
+    prepared = _first_period_cohort(config, 2)
     vocabs = {u: p.vocab for u, p in prepared.items()}
     users, app_m = app_similarity_matrix(vocabs)
     write_similarity_csv(users, app_m, out / "similarity_app.csv")
@@ -358,12 +360,8 @@ def cmd_stats(config: ExperimentConfig) -> int:
 
 def cmd_intrude(config: ExperimentConfig) -> int:
     out = _out_dir(config)
-    period = config.periods[0]
     method = "mshmm" if "mshmm" in config.methods else config.methods[0]
-    prepared = _prepare(config, _load_cohort(config), period)
-    if len(prepared) < 2:
-        print("need at least 2 eligible users for intrusion replay", file=sys.stderr)
-        return EXIT_DATA
+    prepared = _first_period_cohort(config, 2)
     models = train_cohort_models([method], prepared, config)[method]
     test_obs = {u: p.test_observations for u, p in prepared.items()}
     genuine = {(u, u): models[u].vocab.project(test_obs[u]) for u in models}
@@ -411,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=METHOD_TAGS, help="restrict to one method")
         p.add_argument("--n", type=int, help="restrict to one window length")
         p.add_argument("--period", type=int, help="restrict to one sampling period (s)")
-        p.add_argument("--seed", type=int, help="override the experiment seed")
+        p.add_argument("--seed", type=int, help="override the training seed")
         p.add_argument("--out", help="output directory")
 
     for name, help_text in [
@@ -437,21 +435,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = apply_overrides(load_config(args.config), args)
-        if args.command == "synth":
-            return cmd_synth(config)
-        if args.command == "ingest":
-            return cmd_ingest(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "score":
-            return cmd_score(config, args.model, args.sequence)
-        if args.command == "eval":
-            return cmd_eval(config)
-        if args.command == "stats":
-            return cmd_stats(config)
-        if args.command == "intrude":
-            return cmd_intrude(config)
-        parser.error(f"unknown command {args.command!r}")
+        # built per call: it reads each cmd_* when run, so a wrapper that a
+        # profiler installs on the module after import is the one dispatched
+        commands = {
+            "synth": cmd_synth,
+            "ingest": cmd_ingest,
+            "train": cmd_train,
+            "score": lambda c: cmd_score(c, args.model, args.sequence),
+            "eval": cmd_eval,
+            "stats": cmd_stats,
+            "intrude": cmd_intrude,
+        }
+        return commands[args.command](config)
     except (FormatError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -461,7 +456,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    return EXIT_OK
 
 
 if __name__ == "__main__":

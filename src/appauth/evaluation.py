@@ -1,17 +1,17 @@
 """Verification protocol and reporting.
 
-Every user's model scores every user's test windows (genuine pairs on the
-diagonal, impostor pairs off it) into one columnar `ScoreTable`; the
-confusion metrics, ROC/EER estimation and the intrusion thresholds work on
-its columns with masks and numpy reductions. The dataset-statistics reports
-live here too.
+Every user's model scores every user's test windows into a `ScoreTable`
+of per-pair score arrays (genuine pairs on the diagonal, impostor pairs off
+it); the confusion metrics and ROC/EER estimation work on its two sides with
+numpy reductions, and the reports derive each window's owners and end index
+from its pair and (n, stride). The dataset-statistics reports live here too.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -45,25 +45,26 @@ def format_number(x: float) -> str:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class ScoreTable:
-    """Scored windows as parallel columns, one row per window.
+    """Scored windows, one float64 score array per (model owner, window
+    owner) pair, with the pairs in sorted order.
 
-    `model_owner` and `window_owner` are codes into the sorted `users`
-    tuple; a row is genuine when the two match. `generate_score_records`
-    emits rows in (model owner, window owner, end index) order.
+    Window k of a pair ends at test index `n - 1 + k * stride`; a pair is
+    genuine when its two owners match.
     """
 
-    users: tuple[str, ...]
-    model_owner: np.ndarray  # int64 codes into users
-    window_owner: np.ndarray  # int64 codes into users
-    end_index: np.ndarray  # int64 index of each window's last symbol
-    score: np.ndarray  # float64
+    n: int
+    stride: int
+    scores: dict[tuple[str, str], np.ndarray]
 
     def __len__(self) -> int:
-        return self.score.size
+        return sum(s.size for s in self.scores.values())
 
-    @property
-    def genuine(self) -> np.ndarray:
-        return self.model_owner == self.window_owner
+    def sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """(genuine, impostor) scores: the diagonal pairs' arrays and the
+        off-diagonal pairs' arrays, each concatenated in pair order."""
+        genuine = [np.empty(0)] + [s for (mo, wo), s in self.scores.items() if mo == wo]
+        impostor = [np.empty(0)] + [s for (mo, wo), s in self.scores.items() if mo != wo]
+        return np.concatenate(genuine), np.concatenate(impostor)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,16 +136,13 @@ def generate_score_records(
     into the model owner's vocabulary, so unknown-ness is always relative to
     the verifier. Windows end at indices n-1, n-1+stride, ...; pairs with
     fewer than n test symbols are skipped with a warning. Pairs are walked
-    in sorted order, so the table's rows come out sorted.
+    in sorted order, so the table's pairs come out sorted.
     """
     if n < 1:
         raise ValueError("window length must be >= 1")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    users = tuple(sorted({u for pair in projections for u in pair}))
-    code = {u: i for i, u in enumerate(users)}
-    empty = np.empty(0, dtype=np.int64)
-    columns = [(empty, empty, empty, np.empty(0, dtype=np.float64))]
+    scores: dict[tuple[str, str], np.ndarray] = {}
     for model_owner, window_owner in sorted(projections):
         indices = projections[(model_owner, window_owner)]
         if indices.size < n:
@@ -156,27 +154,17 @@ def generate_score_records(
                 n,
             )
             continue
-        scores = models[model_owner].score_windows(sliding_windows(indices, n)[::stride])
-        ends = np.arange(n - 1, indices.size, stride, dtype=np.int64)
-        columns.append(
-            (
-                np.full(ends.size, code[model_owner], dtype=np.int64),
-                np.full(ends.size, code[window_owner], dtype=np.int64),
-                ends,
-                np.asarray(scores, dtype=np.float64),
-            )
-        )
-    return ScoreTable(users, *(np.concatenate(col) for col in zip(*columns)))
+        windows = sliding_windows(indices, n)[::stride]
+        scores[(model_owner, window_owner)] = models[model_owner].score_windows(windows)
+    return ScoreTable(n, stride, scores)
 
 
 def confusion_counts(table: ScoreTable, threshold: float) -> ConfusionCounts:
     """Accept iff score >= threshold; genuine iff owner matches."""
-    accept = table.score >= threshold
-    genuine = table.genuine
-    tp = int(np.count_nonzero(accept & genuine))
-    fn = int(np.count_nonzero(genuine)) - tp
-    fp = int(np.count_nonzero(accept)) - tp
-    return ConfusionCounts(tp, fp, len(table) - tp - fn - fp, fn)
+    genuine, impostor = table.sides()
+    tp = int(np.count_nonzero(genuine >= threshold))
+    fp = int(np.count_nonzero(impostor >= threshold))
+    return ConfusionCounts(tp, fp, impostor.size - fp, genuine.size - tp)
 
 
 def _ratio(name: str, num: float, den: float) -> float:
@@ -208,11 +196,11 @@ def f1(cc: ConfusionCounts) -> float:
 
 
 def _split_scores(table: ScoreTable) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted genuine and impostor scores; masks keep the row order."""
-    genuine = table.genuine
-    if genuine.all() or not genuine.any():
+    """Sorted genuine and impostor scores."""
+    genuine, impostor = table.sides()
+    if not genuine.size or not impostor.size:
         raise ValueError("need at least one genuine and one impostor row")
-    return np.sort(table.score[genuine]), np.sort(table.score[~genuine])
+    return np.sort(genuine), np.sort(impostor)
 
 
 def _sweep(genuine: np.ndarray, impostor: np.ndarray):
@@ -490,13 +478,11 @@ def evaluate_methods(
 
 
 def write_scores_csv(table: ScoreTable, dest: str | Path | TextIO) -> None:
-    """One row per scored window, in the table's (sorted) row order."""
-    users = np.asarray(table.users, dtype=object)
-    body = zip(
-        users[table.model_owner].tolist(),
-        users[table.window_owner].tolist(),
-        table.end_index.tolist(),
-        map(format_number, table.score.tolist()),
+    """One row per scored window: pairs in the table's order, ends ascending."""
+    body = (
+        (mo, wo, end, format_number(score))
+        for (mo, wo), scores in table.scores.items()
+        for end, score in zip(count(table.n - 1, table.stride), scores.tolist())
     )
     write_csv(dest, chain([["model_owner", "window_owner", "end_index", "score"]], body))
 

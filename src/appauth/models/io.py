@@ -33,8 +33,9 @@ def _model_classes() -> dict:
     return MODEL_CLASSES
 
 
-def save_model(model, path: str | Path, owner: str | None = None) -> None:
-    """Write any of the six trained model kinds to an .npz container."""
+def save_model(model, path: str | Path, owner: str) -> None:
+    """Write any of the six trained model kinds, and the id of the user it
+    verifies, to an .npz container."""
     if _model_classes().get(getattr(model, "method", None)) is not type(model):
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
     extras, arrays = model.to_arrays()
@@ -42,7 +43,7 @@ def save_model(model, path: str | Path, owner: str | None = None) -> None:
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "method": model.method,
-        "owner": owner if owner is not None else getattr(model, "owner", None),
+        "owner": owner,
         "vocab": model.vocab.to_json(),
         "vocab_hash": vocabulary_hash(model.vocab),
         **extras,
@@ -51,8 +52,9 @@ def save_model(model, path: str | Path, owner: str | None = None) -> None:
         np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
 
 
-def load_model(path: str | Path):
-    """Read a model container back into the class its method tag names."""
+def load_model(path: str | Path) -> tuple:
+    """Read a model container back into (model, owner): the model of the
+    class its method tag names, and the id of the user it verifies."""
     with np.load(path, allow_pickle=False) as data:
         try:
             meta = json.loads(str(data["meta"]))
@@ -77,7 +79,7 @@ def load_model(path: str | Path):
             raise FormatError(f"{path}: incomplete {method} container ({exc.args[0]})") from None
         except (TypeError, AttributeError) as exc:
             raise FormatError(f"{path}: malformed {method} metadata ({exc})") from None
-        model.owner = meta.get("owner")
-        if not isinstance(model.owner, (str, type(None))):
-            raise FormatError(f"{path}: model owner {model.owner!r} is not a string")
-        return model
+        owner = meta.get("owner")
+        if not isinstance(owner, str):
+            raise FormatError(f"{path}: model owner {owner!r} is not a string")
+        return model, owner

@@ -229,12 +229,10 @@ def genuine_score_thresholds(
 ) -> dict[str, float]:
     """Per-user decision threshold: a low percentile of the user's own
     genuine window scores."""
-    genuine = table.genuine
-    owners = table.model_owner[genuine]
-    scores = table.score[genuine]
     return {
-        table.users[code]: float(np.percentile(scores[owners == code], percentile))
-        for code in np.unique(owners).tolist()
+        mo: float(np.percentile(scores, percentile))
+        for (mo, wo), scores in table.scores.items()
+        if mo == wo
     }
 
 
@@ -305,10 +303,10 @@ def intrusion_study(
             projections[(genuine_user, intruder)] = models[genuine_user].vocab.project(spliced)
     if not projections:
         raise ValueError("no (genuine, intruder) pair had enough test data")
-    pairs = sorted(projections)  # the table's row order
     table = generate_score_records(models, projections, n)
-    scores = table.score.reshape(len(pairs), -1)
-    ends = table.end_index[: scores.shape[1]]
+    pairs = list(table.scores)
+    scores = np.stack(list(table.scores.values()))
+    ends = np.arange(n - 1, 2 * segment)
     owner_thresholds = np.array([thresholds[genuine_user] for genuine_user, _ in pairs])
     latencies = detection_latency(scores, ends, segment, owner_thresholds)
     # Rows are added one at a time in pair order, which fixes the curve's

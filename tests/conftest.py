@@ -31,20 +31,13 @@ DELTA = Observation("delta")
 
 
 def score_table(rows) -> ScoreTable:
-    """A score table from (model owner, window owner, score[, end index])
-    rows, stably sorted into the (model owner, window owner, end index)
-    order that `generate_score_records` emits."""
-    full = sorted(
-        ((r[0], r[1], r[3] if len(r) > 3 else 0, float(r[2])) for r in rows), key=lambda r: r[:3]
-    )
-    users = tuple(sorted({u for r in full for u in r[:2]}))
-    return ScoreTable(
-        users,
-        np.array([users.index(r[0]) for r in full], dtype=np.int64),
-        np.array([users.index(r[1]) for r in full], dtype=np.int64),
-        np.array([r[2] for r in full], dtype=np.int64),
-        np.array([r[3] for r in full], dtype=np.float64),
-    )
+    """A score table (n = stride = 1) from (model owner, window owner,
+    score) rows: one array per pair holding its scores in row order, with
+    the pairs sorted as `generate_score_records` emits them."""
+    scores: dict[tuple[str, str], list[float]] = {}
+    for mo, wo, score in sorted(rows, key=lambda r: r[:2]):
+        scores.setdefault((mo, wo), []).append(float(score))
+    return ScoreTable(1, 1, {pair: np.array(s, dtype=np.float64) for pair, s in scores.items()})
 
 
 def score_one(model, window) -> float:

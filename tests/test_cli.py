@@ -393,7 +393,7 @@ def test_app_ids_with_commas_pass_ingest_and_score(tmp_path):
         assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
         assert main(["train", "--config", str(cfg)]) == EXIT_OK
         model = out / "models" / "user00.mc.npz"
-        assert all(a.endswith(suffix) for a in load_model(model).vocab.apps)
+        assert all(a.endswith(suffix) for a in load_model(model)[0].vocab.apps)
         sequence = out / "test_period30.csv"
         code = main(["score", "--config", str(cfg), "--model", str(model), "--sequence", str(sequence)])
         assert code == EXIT_OK
@@ -442,7 +442,7 @@ def test_hostile_event_log_passes_every_command(tmp_path, seed):
 def test_train_with_no_eligible_users_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, out=str(tmp_path / "o"), min_train=10**6)
     assert main(["train", "--config", str(cfg)]) == EXIT_DATA
-    assert "no eligible users" in capsys.readouterr().err
+    assert "need at least 1 eligible user(s) at period" in capsys.readouterr().err
 
 
 def test_config_json_round_trip():
@@ -538,7 +538,7 @@ def test_apply_overrides_from_argv():
     assert config.methods == ("mc",)
     assert config.n_values == (40,)
     assert config.periods == (10,)
-    assert config.seed == 9 and config.synthetic.seed == 9
+    assert config.seed == 9 and config.synthetic.seed == ExperimentConfig().synthetic.seed
     assert config.out == "elsewhere"
     plain = ExperimentConfig()
     assert apply_overrides(plain, build_parser().parse_args(["train"])) is plain

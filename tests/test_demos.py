@@ -1,6 +1,6 @@
 """The demo scripts run to completion, the public name lists resolve, and
-the package imports no name it never uses and defines no private helper it
-never calls."""
+the package imports no name it never uses, defines no private helper it
+never calls and no public name that only tests use."""
 
 from __future__ import annotations
 
@@ -66,29 +66,54 @@ def test_package_has_no_unused_imports():
     assert unused == []
 
 
-def _private_definitions(tree: ast.Module):
-    """Module-level functions and classes, and methods of module-level
-    classes, whose names start with `_` and are not dunders."""
+def _definitions(tree: ast.Module, private: bool):
+    """(class name or None, node) for module-level functions and classes, and
+    methods of module-level classes, that are not dunders and whose names do
+    (private) or do not start with `_`."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         members = node.body if isinstance(node, ast.ClassDef) else []
-        for defn in [node, *members]:
+        for owner, defn in [(None, node), *((node.name, m) for m in members)]:
             name = getattr(defn, "name", "")
             dunder = name.startswith("__") and name.endswith("__")
-            if isinstance(defn, kinds) and name.startswith("_") and not dunder:
-                yield defn
+            if isinstance(defn, kinds) and name.startswith("_") == private and not dunder:
+                yield owner, defn
 
 
-def test_package_has_no_dead_private_helpers():
+def _overrides(path: Path, cls: str, name: str) -> bool:
+    """Whether method `name` of class `cls` in `path` overrides a base
+    class's; the base's callers use it."""
+    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    module = importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    return any(name in vars(base) for base in getattr(module, cls).__mro__[1:])
+
+
+def _unreferenced(private: bool, users: list[str]) -> list[str]:
+    """Definitions under src/appauth/ whose name no Name or Attribute node
+    in the .py files under `users` (directories of ROOT) mentions; `__all__`
+    strings and import statements do not count as a use."""
     defined: list[tuple[str, str]] = []
-    referenced: set[str] = set()
     for path in sorted((ROOT / "src" / "appauth").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         rel = path.relative_to(ROOT)
-        defined += [(d.name, f"{rel}:{d.lineno} {d.name}") for d in _private_definitions(tree)]
-        for node in ast.walk(tree):
+        defined += [
+            (d.name, f"{rel}:{d.lineno} {d.name}")
+            for cls, d in _definitions(tree, private)
+            if cls is None or not _overrides(path, cls, d.name)
+        ]
+    referenced: set[str] = set()
+    for path in sorted(p for user in users for p in (ROOT / user).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    assert [where for name, where in defined if name not in referenced] == []
+    return [where for name, where in defined if name not in referenced]
+
+
+def test_package_has_no_dead_private_helpers():
+    assert _unreferenced(private=True, users=["src/appauth"]) == []
+
+
+def test_package_has_no_public_name_only_tests_use():
+    assert _unreferenced(private=False, users=["src", "demos", "perfbench", "tools"]) == []

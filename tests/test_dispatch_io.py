@@ -64,10 +64,10 @@ def test_save_load_round_trip_is_bit_identical(tmp_path):
         model = train_user_model(tag, train, vocab, config)
         before = model.score_windows(windows)
         path = tmp_path / f"model.{tag}.npz"
-        save_model(model, path, owner="user42")
-        loaded = load_model(path)
+        save_model(model, path, "user42")
+        loaded, owner = load_model(path)
         assert loaded.method == tag
-        assert loaded.owner == "user42"
+        assert owner == "user42"
         assert loaded.vocab == vocab
         after = loaded.score_windows(windows)
         np.testing.assert_array_equal(before, after)
@@ -90,7 +90,7 @@ def test_every_model_guards_its_window_batch():
 def test_load_rejects_foreign_and_tampered_files(tmp_path):
     vocab, train, config = make_training()
     path = tmp_path / "model.npz"
-    save_model(train_user_model("mc", train, vocab, config), path)
+    save_model(train_user_model("mc", train, vocab, config), path, "u")
 
     plain = tmp_path / "plain.npz"
     np.savez(plain, data=np.zeros(3))
@@ -125,7 +125,7 @@ def test_load_rejects_foreign_and_tampered_files(tmp_path):
     # mshmm: a NaN marginal would surface only at scoring; a non-boolean
     # seen mask would be silently reinterpreted
     mshmm_path = tmp_path / "model.mshmm.npz"
-    save_model(train_user_model("mshmm", train, vocab, config), mshmm_path)
+    save_model(train_user_model("mshmm", train, vocab, config), mshmm_path, "u")
     for name, value, message in [
         ("p_app_tz", np.nan, "finite and non-negative"),
         ("p_app_day", -0.5, "finite and non-negative"),
@@ -142,7 +142,7 @@ def test_load_rejects_foreign_and_tampered_files(tmp_path):
             load_model(poisoned)
 
     hmm_path = tmp_path / "model.hmm-lap.npz"
-    save_model(train_user_model("hmm-lap", train, vocab, config), hmm_path)
+    save_model(train_user_model("hmm-lap", train, vocab, config), hmm_path, "u")
 
     # a floor outside (0, 1) would reshape every unseen symbol's emission,
     # and a re-save would write it back next to tables smoothed with another
@@ -170,6 +170,7 @@ def test_load_rejects_foreign_and_tampered_files(tmp_path):
         (mshmm_path, lambda m: {**m, "delta": [1]}),
         (hmm_path, lambda m: [m]),
         (hmm_path, lambda m: {**m, "owner": 5}),
+        (hmm_path, lambda m: {**m, "owner": None}),
     ]:
         tampered_copy(path, poisoned, meta=edit)
         with pytest.raises(FormatError):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -17,6 +20,7 @@ from appauth.evaluation import (
     confusion_counts,
     eer_threshold,
     equal_error_rate,
+    evaluate_methods,
     f1,
     format_number,
     generate_score_records,
@@ -28,15 +32,19 @@ from appauth.evaluation import (
     specificity,
     top_apps_report,
     unknown_app_stats,
+    write_scores_csv,
 )
 from appauth.ingest import RawEvent
 from appauth.models import TrainConfig, train_user_model
+from appauth.simulate import CohortSpec, make_cohort
 
 
 def test_genuine_flag():
-    table = score_table([("u", "u", 1.0), ("u", "v", 1.0), ("v", "u", 1.0), ("v", "v", 1.0)])
-    assert table.users == ("u", "v")
-    assert table.genuine.tolist() == [True, False, False, True]
+    table = score_table([("v", "v", 4.0), ("u", "v", 2.0), ("v", "u", 3.0), ("u", "u", 1.0)])
+    assert list(table.scores) == [("u", "u"), ("u", "v"), ("v", "u"), ("v", "v")]
+    genuine, impostor = table.sides()
+    assert genuine.tolist() == [1.0, 4.0]
+    assert impostor.tolist() == [2.0, 3.0]
 
 
 def test_confusion_counts_accept_at_threshold():
@@ -215,22 +223,25 @@ def test_generate_score_records_protocol():
     }
     projections = {(mo, wo): models[mo].vocab.project(test_obs[wo]) for mo in models for wo in test_obs}
     table = generate_score_records(models, projections, n=4, stride=2)
-    assert table.users == ("a", "b")
-
-    def pair(model_owner, window_owner):
-        return (table.model_owner == table.users.index(model_owner)) & (
-            table.window_owner == table.users.index(window_owner)
-        )
-
+    assert (table.n, table.stride) == (4, 2)
     # window ends 3, 5, 7, 9 for a (10 symbols) and 3..11 for b
-    assert np.count_nonzero(pair("a", "a")) == 4
-    assert np.count_nonzero(pair("b", "b")) == 5
-    assert table.end_index[pair("a", "a")].tolist() == [3, 5, 7, 9]
+    assert table.scores[("a", "a")].size == 4
+    assert table.scores[("b", "b")].size == 5
+    assert [end for mo, wo, end, _ in scores_csv_rows(table) if mo == wo == "a"] == [3, 5, 7, 9]
     # cross scoring projects into the model's vocabulary: all-unknown, still scored
-    assert np.count_nonzero(pair("a", "b")) == 5
-    genuine_mean = table.score[pair("a", "a")].mean()
-    impostor_mean = table.score[pair("a", "b")].mean()
-    assert genuine_mean > impostor_mean
+    assert table.scores[("a", "b")].size == 5
+    assert len(table) == 4 + 5 + 5 + 4
+    assert table.scores[("a", "a")].mean() > table.scores[("a", "b")].mean()
+
+
+def scores_csv_rows(table):
+    """`write_scores_csv`'s (model owner, window owner, end index, score)
+    rows, end index as an int."""
+    out = io.StringIO()
+    write_scores_csv(table, out)
+    rows = list(csv.reader(io.StringIO(out.getvalue())))
+    assert rows[0] == ["model_owner", "window_owner", "end_index", "score"]
+    return [(mo, wo, int(end), score) for mo, wo, end, score in rows[1:]]
 
 
 def test_generate_score_records_skips_short_owners(caplog):
@@ -254,17 +265,33 @@ def test_generate_score_records_returns_sorted_rows():
     keys = [("b", "a"), ("a", "b"), ("b", "b"), ("a", "a")]  # unsorted insertion order
     projections = {(mo, wo): vocab.project(test_obs[wo]) for mo, wo in keys}
     table = generate_score_records(models, projections, n=3, stride=2)
-    columns = (table.model_owner, table.window_owner, table.end_index)
-    rows = list(zip(*(c.tolist() for c in columns)))
-    assert table.users == ("a", "b")
+    assert list(table.scores) == [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+    rows = [row[:3] for row in scores_csv_rows(table)]
     assert rows == sorted(rows)
-    assert {(mo, wo) for mo, wo, _ in rows} == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    # rows of one pair hold that pair's scores, in end-index order
-    ba = (table.model_owner == 1) & (table.window_owner == 0)
+    # a pair's array holds that pair's scores, in end-index order
     windows = np.lib.stride_tricks.sliding_window_view(projections[("b", "a")], 3)[::2]
     want = models["b"].score_windows(windows)
-    np.testing.assert_array_equal(table.score[ba], want)
-    assert table.end_index[ba].tolist() == [2, 4, 6]
+    np.testing.assert_array_equal(table.scores[("b", "a")], want)
+    assert [end for mo, wo, end in rows if (mo, wo) == ("b", "a")] == [2, 4, 6]
+
+
+def test_evaluate_methods_memory_is_bounded_by_its_scores():
+    """A table holds one 8-byte score per window and nothing per window
+    besides: scoring a 10-user cohort at every length keeps its traced peak,
+    models and projections included, within twice the scores it returns."""
+    prepared = prepare_cohort(make_cohort(CohortSpec(n_users=10, days=30)), period=30)
+    assert len(prepared) == 10
+    tracemalloc.start()
+    try:
+        tables = evaluate_methods(
+            ("mc", "bin-unk"), prepared, (20, 30, 40, 50, 60), TrainConfig(max_iter=5), stride=1
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    windows = sum(len(table) for table in tables.values())
+    assert windows > 10**6
+    assert peak <= 2 * 8 * windows, f"traced peak {peak} B for {windows} scored windows"
 
 
 def app_run(user, start, count, gap=30):

@@ -19,8 +19,8 @@ DATA = Path(__file__).parent / "data"
 
 @pytest.mark.parametrize("tag", METHOD_TAGS)
 def test_pinned_model_file_scores_exactly(tag):
-    model = load_model(DATA / f"model.{tag}.npz")
-    assert model.method == tag and model.owner == "user42"
+    model, owner = load_model(DATA / f"model.{tag}.npz")
+    assert model.method == tag and owner == "user42"
     with np.load(DATA / "expected_scores.npz", allow_pickle=False) as expected:
         np.testing.assert_array_equal(model.score_windows(expected["windows"]), expected[tag])
 
@@ -31,7 +31,8 @@ def test_resaving_a_pinned_file_keeps_its_layout(tag, tmp_path):
     # keys, array names and dtypes of the format are unchanged
     pinned = DATA / f"model.{tag}.npz"
     resaved = tmp_path / pinned.name
-    save_model(load_model(pinned), resaved)
+    model, owner = load_model(pinned)
+    save_model(model, resaved, owner)
     with zipfile.ZipFile(pinned) as a, zipfile.ZipFile(resaved) as b:
         assert a.namelist() == b.namelist()
         for name in a.namelist():

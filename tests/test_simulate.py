@@ -130,7 +130,7 @@ def test_detection_latency_hand_case():
 
 
 def test_genuine_score_thresholds_percentile():
-    rows = [("u", "u", float(i), i) for i in range(101)]
+    rows = [("u", "u", float(i)) for i in range(101)]
     rows += [("u", "v", -100.0)]  # impostor rows are ignored
     thresholds = genuine_score_thresholds(score_table(rows), percentile=5.0)
     assert thresholds == {"u": 5.0}
