@@ -111,8 +111,12 @@ class ExperimentConfig(TrainConfig):
             raise ValueError("periods, n_values and methods must be non-empty")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
-        if self.segment < 1:
-            raise ValueError("segment must be >= 1")
+        for name in ("periods", "n_values", "methods"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ValueError(f"{name} has a repeated entry")
+        for name in ("periods", "n_values", "stride", "segment"):
+            if np.min(getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1")
         for m in self.methods:
             if m not in METHOD_TAGS:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHOD_TAGS}")
@@ -138,15 +142,15 @@ def load_config(path: str | None) -> ExperimentConfig:
 
 def apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
     updates: dict = {}
-    if getattr(args, "method", None):
+    if getattr(args, "method", None) is not None:
         updates["methods"] = (args.method,)
-    if getattr(args, "n", None):
+    if getattr(args, "n", None) is not None:
         updates["n_values"] = (args.n,)
-    if getattr(args, "period", None):
+    if getattr(args, "period", None) is not None:
         updates["periods"] = (args.period,)
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         updates["out"] = args.out
     return replace(config, **updates) if updates else config
 
@@ -290,37 +294,39 @@ def cmd_eval(config: ExperimentConfig) -> int:
         if len(prepared) < 2:
             log.warning("period %ds: fewer than 2 eligible users; skipping column", period)
             continue
-        by_key = evaluate_methods(
+        # One sweep per table: the grid takes its EER, and the first period
+        # also reports metrics and curves. Each curve is dropped before the
+        # next sweep, and the last table before the next period is scored.
+        for (method, n), table in evaluate_methods(
             config.methods, prepared, config.n_values, config, config.stride
-        )
-        # One sweep per table gives its (EER %, threshold): the grid takes
-        # the EER, and the first period also reports metrics and curves.
-        for method in config.methods:
-            for i, n in enumerate(config.n_values):
-                table = by_key[(method, n)]
-                if not table:
-                    continue
-                eer, thr = eer_threshold(table)
-                grids[method][i, j] = eer
-                if j > 0:
-                    continue
-                if i == 0:
-                    write_scores_csv(table, out / f"scores_{method}.csv")
-                    write_roc_csv(roc_curve(table), out / f"roc_{method}.csv")
-                cc = confusion_counts(table, thr)
-                metric_rows.append(
-                    [
-                        method,
-                        str(n),
-                        str(period),
-                        format_number(thr),
-                        format_number(eer),
-                        format_number(sensitivity(cc)),
-                        format_number(specificity(cc)),
-                        format_number(accuracy(cc)),
-                        format_number(f1(cc)),
-                    ]
-                )
+        ).items():
+            if not table:
+                continue
+            i = config.n_values.index(n)
+            curve = roc_curve(table)
+            eer, thr = eer_threshold(curve)
+            grids[method][i, j] = eer
+            if j == 0 and i == 0:
+                write_scores_csv(table, out / f"scores_{method}.csv")
+                write_roc_csv(curve, out / f"roc_{method}.csv")
+            del curve
+            if j > 0:
+                continue
+            cc = confusion_counts(table, thr)
+            metric_rows.append(
+                [
+                    method,
+                    str(n),
+                    str(period),
+                    format_number(thr),
+                    format_number(eer),
+                    format_number(sensitivity(cc)),
+                    format_number(specificity(cc)),
+                    format_number(accuracy(cc)),
+                    format_number(f1(cc)),
+                ]
+            )
+        del table
         if j == 0:
             write_csv(out / "metrics.csv", metric_rows)
 

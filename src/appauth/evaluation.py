@@ -195,40 +195,33 @@ def f1(cc: ConfusionCounts) -> float:
 # ROC / EER
 
 
-def _split_scores(table: ScoreTable) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted genuine and impostor scores."""
+def roc_curve(table: ScoreTable) -> np.ndarray:
+    """Threshold sweep as (N, 3) rows of (threshold, false-accept rate,
+    false-reject rate), the rates as fractions, sorted by threshold
+    ascending: one row per distinct score plus a top sentinel."""
     genuine, impostor = table.sides()
     if not genuine.size or not impostor.size:
         raise ValueError("need at least one genuine and one impostor row")
-    return np.sort(genuine), np.sort(impostor)
-
-
-def _sweep(genuine: np.ndarray, impostor: np.ndarray):
-    """FAR/FRR (fractions) at every distinct score plus a top sentinel."""
     if not (np.isfinite(genuine).all() and np.isfinite(impostor).all()):
         raise FloatingPointError("non-finite scores cannot be ranked")
+    # sides() concatenates into fresh arrays, so sorting them leaves the table as it is
+    genuine.sort()
+    impostor.sort()
     thresholds = np.unique(np.concatenate([genuine, impostor]))
     thresholds = np.append(thresholds, thresholds[-1] + 1.0)
     far = (impostor.size - np.searchsorted(impostor, thresholds, side="left")) / impostor.size
     frr = np.searchsorted(genuine, thresholds, side="left") / genuine.size
-    return thresholds, far, frr
+    return np.column_stack([thresholds, far, frr])
 
 
-def roc_curve(table: ScoreTable) -> np.ndarray:
-    """Threshold sweep as (N, 3) rows of (threshold, false-accept %,
-    false-reject %), sorted by threshold ascending."""
-    thresholds, far, frr = _sweep(*_split_scores(table))
-    return np.column_stack([thresholds, 100.0 * far, 100.0 * frr])
-
-
-def _crossing(genuine: np.ndarray, impostor: np.ndarray) -> tuple[float, float]:
-    """(EER %, threshold) from sorted scores.
+def eer_threshold(curve: np.ndarray) -> tuple[float, float]:
+    """(EER %, operating threshold) from a `roc_curve` sweep.
 
     The EER is FAR at the FAR/FRR crossing, linearly interpolated between
     adjacent thresholds when they cross between grid points; the threshold
     is the swept one nearest the crossing.
     """
-    thresholds, far, frr = _sweep(genuine, impostor)
+    thresholds, far, frr = curve.T
     diff = frr - far
     above = int(np.argmax(diff > 0.0))  # first strictly positive; exists via sentinel
     k = above - 1
@@ -238,13 +231,7 @@ def _crossing(genuine: np.ndarray, impostor: np.ndarray) -> tuple[float, float]:
 
 
 def equal_error_rate(table: ScoreTable) -> float:
-    return _crossing(*_split_scores(table))[0]
-
-
-def eer_threshold(table: ScoreTable) -> tuple[float, float]:
-    """(EER %, operating threshold): the swept threshold nearest the
-    FAR/FRR crossing."""
-    return _crossing(*_split_scores(table))
+    return eer_threshold(roc_curve(table))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +488,8 @@ def write_eer_grid_csv(
 
 
 def write_roc_csv(curve: np.ndarray, dest: str | Path | TextIO) -> None:
-    columns = (map(format_number, col) for col in curve.T.tolist())
+    """A `roc_curve` sweep with its rates in percent."""
+    columns = (map(format_number, col) for col in (curve * (1.0, 100.0, 100.0)).T.tolist())
     write_csv(dest, chain([["threshold", "far", "frr"]], zip(*columns)))
 
 

@@ -64,8 +64,11 @@ class TrainingTrace:
     """What happened during one Baum-Welch run."""
 
     seed: int
-    iterations: int
     log_likelihoods: list[float] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.log_likelihoods)
 
     @property
     def final_log_likelihood(self) -> float:
@@ -81,11 +84,10 @@ class TrainingTrace:
 
     @classmethod
     def from_json(cls, payload: dict) -> "TrainingTrace":
-        return cls(
-            seed=int(payload["seed"]),
-            iterations=int(payload["iterations"]),
-            log_likelihoods=[float(x) for x in payload["log_likelihoods"]],
-        )
+        trace = cls(int(payload["seed"]), [float(x) for x in payload["log_likelihoods"]])
+        if int(payload["iterations"]) != trace.iterations:
+            raise ValueError("training trace: iterations disagree with its log-likelihoods")
+        return trace
 
 
 def forward_log_likelihood(
@@ -288,7 +290,7 @@ def baum_welch_cohort(
                 emit=random_simplex(rng, (n_states, size)),
             )
         )
-    traces = [TrainingTrace(seed=seed, iterations=0) for _ in seqs]
+    traces = [TrainingTrace(seed=seed) for _ in seqs]
 
     for active in _cohort_batches([seq.size for seq in seqs], n_states):
         work = np.empty(2 * len(active) * seqs[active[-1]].size * n_states)
@@ -304,7 +306,6 @@ def baum_welch_cohort(
                 seq, trace = seqs[u], traces[u]
                 lls = trace.log_likelihoods
                 lls.append(ll)
-                trace.iterations += 1
                 if len(lls) > 1 and tol > 0.0 and (ll - lls[-2]) / seq.size < tol:
                     continue
                 # np.bincount adds each state's gamma in t order from 0.0,

@@ -103,12 +103,11 @@ def reference_baum_welch(seq, n_symbols, n_states, max_iter, tol, seed):
         trans=random_simplex(rng, (n_states, n_states)),
         emit=random_simplex(rng, (n_states, n_symbols)),
     )
-    trace = TrainingTrace(seed=seed, iterations=0)
+    trace = TrainingTrace(seed=seed)
     prev_ll = None
     for _ in range(max_iter):
         ll, gamma, xi_sum = reference_forward_backward(params, seq)
         trace.log_likelihoods.append(ll)
-        trace.iterations += 1
         if prev_ll is not None and tol > 0.0 and (ll - prev_ll) / seq.size < tol:
             break
         prev_ll = ll

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -341,6 +342,13 @@ def test_tampered_model_exits_2(pipeline, tmp_path, capsys):
     code = score_tampered(pipeline, tmp_path, "hmm-lap", None, lambda m: {**m, "training": "x"})
     assert code == EXIT_DATA
     assert "malformed hmm-lap metadata" in capsys.readouterr().err
+    # a trace whose iteration count disagrees with its log-likelihoods
+    def miscounted(meta):
+        training = meta["training"]
+        return {**meta, "training": {**training, "iterations": training["iterations"] + 2}}
+
+    assert score_tampered(pipeline, tmp_path, "hmm-lap", None, miscounted) == EXIT_DATA
+    assert "iterations" in capsys.readouterr().err
 
 
 def test_tampered_mshmm_model_exits_2(pipeline, tmp_path, capsys):
@@ -372,6 +380,25 @@ def test_multi_period_run_loads_input_once(tmp_path, monkeypatch):
         calls.clear()
         assert main([command, "--config", str(cfg)]) == EXIT_OK
         assert len(calls) == 1, command
+
+
+def test_eval_frees_each_period_tables_before_the_next(tmp_path, monkeypatch):
+    real = cli.evaluate_methods
+    refs: list[weakref.ref] = []
+    alive_at_call = []
+
+    def tracking(*args, **kwargs):
+        alive_at_call.append(sum(ref() is not None for ref in refs))
+        tables = real(*args, **kwargs)
+        refs.extend(weakref.ref(s) for t in tables.values() for s in t.scores.values())
+        return tables
+
+    monkeypatch.setattr(cli, "evaluate_methods", tracking)
+    cfg = write_config(
+        tmp_path, out=str(tmp_path / "o"), periods=[30, 60], n_values=[5, 9], methods=["mc", "med"]
+    )
+    assert main(["eval", "--config", str(cfg)]) == EXIT_OK
+    assert alive_at_call == [0, 0]
 
 
 def test_app_ids_with_commas_pass_ingest_and_score(tmp_path):
@@ -508,10 +535,25 @@ def test_synthetic_key_typo_exits_2(tmp_path, capsys):
         ({"n_states": 0}, "n_states"),
         ({"max_iter": 0}, "max_iter"),
         ({"tol": -1}, "tol"),
+        # grid values are checked when the config loads too
+        ({"periods": [0]}, "periods"),
+        ({"n_values": [20, 0]}, "n_values"),
+        ({"stride": 0}, "stride"),
+        ({"periods": [30, 30]}, "periods"),
+        ({"n_values": [20, 20]}, "n_values"),
+        ({"methods": ["mc", "mc"]}, "methods"),
     ]:
         cfg.write_text(json.dumps(payload))
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_DATA
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def test_zero_override_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, out=str(tmp_path / "o"), methods=["mc"])
+    for flag in ("--n", "--period"):
+        assert main(["eval", "--config", str(cfg), flag, "0"]) == EXIT_DATA
+        assert "must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

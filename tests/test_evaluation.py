@@ -122,7 +122,7 @@ def test_equal_error_rate_reads_records():
 
 def test_eer_threshold_sits_at_the_crossing():
     records = score_table([("u", "u", 3.0), ("u", "u", 4.0), ("u", "v", 1.0), ("u", "v", 2.0)])
-    eer, threshold = eer_threshold(records)
+    eer, threshold = eer_threshold(roc_curve(records))
     assert eer == 0.0
     assert 2.0 < threshold <= 3.0
     cc = confusion_counts(records, threshold)
@@ -139,7 +139,13 @@ def test_roc_curve_rates_are_monotone():
     assert np.all(np.diff(thresholds) > 0)
     assert np.all(np.diff(far) <= 1e-12)  # FAR falls as threshold rises
     assert np.all(np.diff(frr) >= -1e-12)
-    assert far.max() <= 100.0 and frr.max() <= 100.0
+    assert far.max() <= 1.0 and frr.max() <= 1.0
+
+
+def test_roc_curve_leaves_the_table_unsorted():
+    table = score_table([("u", "u", 2.0), ("u", "u", 1.0), ("u", "v", 4.0), ("u", "v", 3.0)])
+    roc_curve(table)
+    assert [s.tolist() for s in table.scores.values()] == [[2.0, 1.0], [4.0, 3.0]]
 
 
 def test_format_number_trims_noise():

@@ -15,7 +15,12 @@ network access by either of
 The event logs of the eval-p30 and eval-p5 benchmark workloads are built
 for seeds 0 and 1 with PARENT_DIR's `src/` and `perfbench/workloads.py`
 (imported, not modified), next to the config that `perfbench/run.py`
-writes. Each tree then runs, per input and in a temporary directory,
+writes, except that it lists two periods, the workload's p and 2p. With
+one period, nothing would compare the later columns of the EER grids, or
+check that the reports `eval`, `train`, `stats` and `intrude` take from
+the first period alone stay so. Every user of both inputs is eligible at
+2p for seeds 0 and 1, so the second column is full.
+Each tree then runs, per input and in a temporary directory,
 `python -m appauth.cli <command> --config ../config.json --out <command>`
 for `ingest`, `train`, `eval`, `stats` and `intrude`, and finally `score`
 of the first user's `mshmm` model from `train` against the
@@ -44,8 +49,8 @@ COMMANDS = ("ingest", "train", "eval", "stats", "intrude")  # then `score`
 
 def write_inputs(name: str, seed: int, case_dir: Path) -> int:
     """events.csv and config.json for one workload and seed, as perfbench
-    writes them, generated by the parent tree's code (on sys.path); returns
-    the workload's period."""
+    writes them but with periods [p, 2p], generated by the parent tree's
+    code (on sys.path); returns the workload's period p."""
     from appauth import ingest, simulate
     from workloads import METHODS, WORKLOADS, cohort_spec, cut_cohort
 
@@ -56,7 +61,7 @@ def write_inputs(name: str, seed: int, case_dir: Path) -> int:
     config = {
         "data": "../events.csv",
         "out": "out",
-        "periods": [workload["period"]],
+        "periods": [workload["period"], 2 * workload["period"]],
         "n_values": workload["n_values"],
         "stride": workload["stride"],
         "methods": list(METHODS),
