@@ -120,6 +120,11 @@ class ExperimentConfig(TrainConfig):
         for m in self.methods:
             if m not in METHOD_TAGS:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHOD_TAGS}")
+        # the comparisons fail on NaN, so NaN is rejected too
+        if not 0.0 <= self.threshold_percentile <= 100.0:
+            raise ValueError("threshold_percentile must be in [0, 100]")
+        if not 0.0 < self.idle_gap < float("inf"):
+            raise ValueError("idle_gap must be positive and finite")
 
     def to_json(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}

@@ -98,19 +98,45 @@ def forward_log_likelihood(
 
     emit need not be stochastic: the marginally-smoothed variant scores
     through a patched emission table.
+
+    Each step writes into buffers allocated once per call: a matmul, one
+    np.take of the step's emission rows from the transposed (S, K) table,
+    a multiply, the row sums into row t of the (n, W) scale array, and a
+    divide back into alpha. A window that loses all mass is NaN for the
+    rest of the loop; the one zero-mass check after it raises
+    FloatingPointError, and only then are the logs taken.
     """
     mat = as_window_matrix(windows)
     check_indices(mat, emit.shape[1])
-    alpha = pi[None, :] * emit[:, mat[:, 0]].T
-    totals = np.zeros(mat.shape[0], dtype=np.float64)
-    for t in range(mat.shape[1]):
-        if t:
-            alpha = (alpha @ trans) * emit[:, mat[:, t]].T
-        c = alpha.sum(axis=1)
-        if not np.all(c > 0.0):
-            raise FloatingPointError("forward pass lost all probability mass")
-        totals += np.log(c)
-        alpha = alpha / c[:, None]
+    matmul, take, multiply, add_reduce, divide = (
+        np.matmul, np.take, np.multiply, np.add.reduce, np.divide
+    )
+    table = np.ascontiguousarray(emit.T)  # a symbol's K probabilities in one row
+    steps = np.ascontiguousarray(mat.T)  # (n, W): step t's symbols in one row
+    alpha = np.empty((mat.shape[0], table.shape[1]))
+    unscaled, obs = np.empty_like(alpha), np.empty_like(alpha)
+    scale = np.empty(steps.shape)
+    scale_col = scale[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        take(table, steps[0], 0, obs, "clip")
+        multiply(pi, obs, unscaled)
+        add_reduce(unscaled, 1, None, scale[0])
+        divide(unscaled, scale_col[0], alpha)
+        for sym, c, c_col in zip(steps[1:], scale[1:], scale_col[1:]):
+            matmul(alpha, trans, unscaled)
+            take(table, sym, 0, obs, "clip")
+            multiply(unscaled, obs, unscaled)
+            add_reduce(unscaled, 1, None, c)
+            divide(unscaled, c_col, alpha)
+    if not (scale > 0.0).all():
+        raise FloatingPointError("forward pass lost all probability mass")
+    # The logs are added in step order from the first, as a running total
+    # adds them. np.add.reduce along axis 0 does so only for W >= 2: it
+    # sums a single column pairwise.
+    logs = np.log(scale)
+    totals = logs[0].copy()
+    for step_log in logs[1:]:
+        totals += step_log
     return totals
 
 

@@ -59,6 +59,25 @@ def forward_one(params: HmmParams, window) -> float:
     return float(forward_log_likelihood(params.pi, params.trans, params.emit, [window])[0])
 
 
+def reference_forward_log_likelihood(pi, trans, emit, windows) -> np.ndarray:
+    """Scaled forward log-likelihoods of a (W, n) window batch with fresh
+    arrays at every step and a running total of the logs: the recursion
+    that `forward_log_likelihood` must equal bit for bit."""
+    mat = np.asarray(windows, dtype=np.int64)
+    check_indices(mat, emit.shape[1])
+    alpha = pi[None, :] * emit[:, mat[:, 0]].T
+    totals = np.zeros(mat.shape[0], dtype=np.float64)
+    for t in range(mat.shape[1]):
+        if t:
+            alpha = (alpha @ trans) * emit[:, mat[:, t]].T
+        c = alpha.sum(axis=1)
+        if not np.all(c > 0.0):
+            raise FloatingPointError("forward pass lost all probability mass")
+        totals += np.log(c)
+        alpha = alpha / c[:, None]
+    return totals
+
+
 def reference_forward_backward(params: HmmParams, seq: np.ndarray):
     """Scaled forward/backward pass of one sequence, one step at a time.
 

@@ -511,6 +511,17 @@ def test_config_rejects_unknown_keys_and_bad_values():
         ExperimentConfig(periods=())
     with pytest.raises(ValueError, match="segment"):
         ExperimentConfig(segment=0)
+    nan, inf = float("nan"), float("inf")
+    for key, values in [
+        ("threshold_percentile", (-0.5, 100.5, nan, inf, -inf)),
+        ("idle_gap", (0.0, -5.0, nan, inf)),
+    ]:
+        for value in values:
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig.from_json({key: value})
+    # the bounds of the percentile are valid
+    ExperimentConfig(threshold_percentile=0.0, idle_gap=1e-3)
+    ExperimentConfig(threshold_percentile=100.0)
 
 
 def test_synthetic_key_typo_exits_2(tmp_path, capsys):
@@ -542,6 +553,10 @@ def test_synthetic_key_typo_exits_2(tmp_path, capsys):
         ({"periods": [30, 30]}, "periods"),
         ({"n_values": [20, 20]}, "n_values"),
         ({"methods": ["mc", "mc"]}, "methods"),
+        ({"threshold_percentile": 150}, "threshold_percentile"),
+        ({"threshold_percentile": float("nan")}, "threshold_percentile"),
+        ({"idle_gap": -5}, "idle_gap"),
+        ({"idle_gap": float("inf")}, "idle_gap"),
     ]:
         cfg.write_text(json.dumps(payload))
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_DATA

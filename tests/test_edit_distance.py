@@ -21,7 +21,7 @@ from conftest import (
     unk,
 )
 from appauth.encode import Vocabulary
-from appauth.models.edit_distance import CHUNK_CELLS, MedModel
+from appauth.models.edit_distance import CHUNK_CELLS, INDEL_COST, MedModel
 
 
 def test_substitution_cost_table():
@@ -227,3 +227,23 @@ def test_text_longer_than_a_chunk_matches_reference_kernel():
     got = -model.score_windows(windows)
     assert got[0] == 0
     assert np.array_equal(got, reference_med_distances(model, windows))
+
+
+@pytest.mark.parametrize("n", [20, 60])
+def test_dp_dtype_edge_matches_reference_kernel(n):
+    """The DP runs in int16 while INDEL_COST * (n + T) < 2 ** 15. A text
+    that ends in the window takes E down to -INDEL_COST * (n + T) in the
+    last cell, so texts with that bound just below and just above 2 ** 15
+    check that the narrow dtype ends exactly where the bound no longer
+    fits."""
+    vocab = Vocabulary(LONG_APPS)
+    rng = np.random.default_rng(n)
+    limit = 2**15 // INDEL_COST  # the largest n + T whose bound fits in int16
+    for text_len in (limit - n, limit - n + 1):
+        text = rng.integers(0, vocab.size, size=text_len).astype(np.int64)
+        window = text[-n:]
+        windows = np.stack([window, text[:n], rng.integers(0, vocab.size, size=n)])
+        model = MedModel.fit(text, vocab)
+        got = -model.score_windows(windows)
+        assert got[0] == 0
+        assert np.array_equal(got, reference_med_distances(model, windows)), text_len

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -13,9 +14,10 @@ from conftest import (
     random_hmm,
     reference_baum_welch,
     reference_forward_backward,
+    reference_forward_log_likelihood,
     score_one,
 )
-from appauth.encode import Vocabulary
+from appauth.encode import N_DAY, N_TZ, Vocabulary
 from appauth.models import hmm
 from appauth.models.core import DEFAULT_DELTA, TrainConfig, assert_stochastic
 from appauth.models.hmm import (
@@ -26,6 +28,7 @@ from appauth.models.hmm import (
     forward_log_likelihood,
     laplace_smooth_emissions,
 )
+from appauth.models.mshmm import MsHmmModel
 
 
 def test_forward_matches_path_enumeration():
@@ -70,12 +73,58 @@ def test_batched_forward_matches_singles():
     np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
 
+@pytest.mark.parametrize("method", ["hmm-lap", "mshmm"])
+def test_forward_equals_reference_loop(method):
+    """Both HMM classes score bit for bit like the per-step recursion, on
+    batches of one, a few and many windows, short and long, over
+    vocabularies of up to 500 symbols."""
+    rng = np.random.default_rng(23)
+    for n_apps, n_states in [(1, 1), (20, 4), (82, 20)]:
+        vocab = Vocabulary([f"app{i}" for i in range(n_apps)])
+        assert vocab.size <= 500
+        params = random_hmm(rng, n_states, vocab.size)
+        trace = hmm.TrainingTrace(seed=0)
+        if method == "hmm-lap":
+            model = LaplaceHmmModel(vocab, params, DEFAULT_DELTA, trace)
+            emit = params.emit
+        else:
+            tables = [rng.random((n_apps, k)) / (n_apps * k) for k in (N_TZ, N_DAY)]
+            seen = rng.random(vocab.size) < 0.7
+            model = MsHmmModel(vocab, params, *tables, seen, DEFAULT_DELTA, trace)
+            emit = model.emit_ext
+        for w, n in itertools.product([1, 7, 300], [1, 2, 60]):
+            windows = rng.integers(0, vocab.size, size=(w, n))
+            got = model.score_windows(windows)
+            want = reference_forward_log_likelihood(params.pi, params.trans, emit, windows)
+            assert np.array_equal(got, want), (n_apps, w, n)
+
+
 def test_forward_raises_when_all_mass_vanishes():
+    """Symbol 2 has no mass from any state. The pass raises wherever it
+    first appears, also in one row of a batch, and no numpy warning
+    escapes (the test run turns warnings into errors)."""
     pi = np.array([1.0])
     trans = np.array([[1.0]])
     emit = np.array([[1.0, 0.0]])
     with pytest.raises(FloatingPointError):
         forward_log_likelihood(pi, trans, emit, [[0, 1]])
+    rng = np.random.default_rng(5)
+    params = random_hmm(rng, 3, 3)
+    emit = np.concatenate([params.emit[:, :2], np.zeros((3, 1))], axis=1)
+    at_start = rng.integers(0, 2, size=(1, 50))
+    at_start[0, 0] = 2
+    halfway = rng.integers(0, 2, size=(1, 50))
+    halfway[0, 25] = 2
+    one_row = rng.integers(0, 2, size=(5, 50))
+    one_row[3, 10] = 2
+    for windows in (at_start, halfway, one_row):
+        with pytest.raises(FloatingPointError, match="lost all probability mass"):
+            forward_log_likelihood(params.pi, params.trans, emit, windows)
+        with pytest.raises(FloatingPointError):
+            reference_forward_log_likelihood(params.pi, params.trans, emit, windows)
+    # without the zero-mass symbol the same batch scores finitely
+    one_row[3, 10] = 0
+    assert np.isfinite(forward_log_likelihood(params.pi, params.trans, emit, one_row)).all()
 
 
 def test_params_require_stochastic_rows():
