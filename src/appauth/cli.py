@@ -3,9 +3,10 @@
 Subcommands cover the full pipeline — synthesize a cohort, ingest raw
 events into symbol sequences, train per-user models, score sequences
 against a model, run the EER evaluation grid, emit dataset statistics, and
-replay intrusion splices. Every run writes a manifest capturing the
-configuration hash and library versions, so identical configs reproduce
-identical outputs byte for byte.
+replay intrusion splices. `main` owns the run: it creates the output
+directory, dispatches the command, and after it succeeds writes a manifest
+capturing the configuration hash and library versions, so identical configs
+reproduce identical outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -54,7 +55,6 @@ from .evaluation import (
 )
 from .ingest import (
     DEFAULT_IDLE_GAP,
-    FormatError,
     RawEvent,
     group_by_user,
     parse_event_log,
@@ -179,12 +179,6 @@ def write_manifest(config: ExperimentConfig, command: str, out_dir: Path) -> Non
     _write_json(out_dir / "manifest.json", manifest)
 
 
-def _out_dir(config: ExperimentConfig) -> Path:
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _load_cohort(config: ExperimentConfig) -> dict[str, list[RawEvent]]:
     if config.data is not None:
         events, report = parse_event_log(config.data)
@@ -194,24 +188,25 @@ def _load_cohort(config: ExperimentConfig) -> dict[str, list[RawEvent]]:
     return make_cohort(config.synthetic)
 
 
-def _prepare(
-    config: ExperimentConfig, events_by_user: Mapping[str, Sequence[RawEvent]], period: int
-) -> dict[str, PreparedUser]:
-    return prepare_cohort(
-        events_by_user,
-        period,
-        train_fraction=config.train_fraction,
-        idle_gap=config.idle_gap,
-        min_train=config.min_train,
-        min_test=config.min_test,
-    )
+def _cohorts(config: ExperimentConfig) -> Iterator[tuple[int, dict[str, PreparedUser]]]:
+    """(period, cohort prepared at that period) for each configured period,
+    in order, from one read of the input."""
+    events_by_user = _load_cohort(config)
+    for period in config.periods:
+        yield period, prepare_cohort(
+            events_by_user,
+            period,
+            train_fraction=config.train_fraction,
+            idle_gap=config.idle_gap,
+            min_train=config.min_train,
+            min_test=config.min_test,
+        )
 
 
 def _first_period_cohort(config: ExperimentConfig, min_users: int) -> dict[str, PreparedUser]:
     """The cohort prepared at the first sampling period; fewer than
     `min_users` eligible users is a data error."""
-    period = config.periods[0]
-    prepared = _prepare(config, _load_cohort(config), period)
+    period, prepared = next(_cohorts(config))
     if len(prepared) < min_users:
         raise ValueError(
             f"need at least {min_users} eligible user(s) at period {period}s, found {len(prepared)}"
@@ -223,22 +218,16 @@ def _first_period_cohort(config: ExperimentConfig, min_users: int) -> dict[str, 
 # subcommands
 
 
-def cmd_synth(config: ExperimentConfig) -> int:
-    out = _out_dir(config)
+def cmd_synth(config: ExperimentConfig, out: Path) -> None:
     cohort = make_cohort(config.synthetic)
     rows = [ev for user in sorted(cohort) for ev in cohort[user]]
     write_event_log(rows, out / "events.csv")
-    write_manifest(config, "synth", out)
     print(f"wrote {len(rows)} events for {len(cohort)} users to {out / 'events.csv'}")
-    return EXIT_OK
 
 
-def cmd_ingest(config: ExperimentConfig) -> int:
-    out = _out_dir(config)
+def cmd_ingest(config: ExperimentConfig, out: Path) -> None:
     report: dict = {"periods": {}}
-    events_by_user = _load_cohort(config)
-    for period in config.periods:
-        prepared = _prepare(config, events_by_user, period)
+    for period, prepared in _cohorts(config):
         train_rows = []
         test_rows = []
         for user in sorted(prepared):
@@ -253,13 +242,10 @@ def cmd_ingest(config: ExperimentConfig) -> int:
             "test_symbols": {u: len(prepared[u].test_observations) for u in sorted(prepared)},
         }
     _write_json(out / "ingest_report.json", report)
-    write_manifest(config, "ingest", out)
     print(f"ingested {len(config.periods)} period(s) into {out}")
-    return EXIT_OK
 
 
-def cmd_train(config: ExperimentConfig) -> int:
-    out = _out_dir(config)
+def cmd_train(config: ExperimentConfig, out: Path) -> None:
     prepared = _first_period_cohort(config, 1)
     model_dir = out / "models"
     model_dir.mkdir(exist_ok=True)
@@ -267,14 +253,11 @@ def cmd_train(config: ExperimentConfig) -> int:
     for method, models in trained.items():
         for user, model in models.items():
             save_model(model, model_dir / f"{user}.{method}.npz", user)
-    write_manifest(config, "train", out)
     total = len(prepared) * len(config.methods)
     print(f"trained {total} models ({len(prepared)} users x {len(config.methods)} methods) in {model_dir}")
-    return EXIT_OK
 
 
-def cmd_score(config: ExperimentConfig, model_path: str, sequence_path: str) -> int:
-    out = _out_dir(config)
+def cmd_score(config: ExperimentConfig, out: Path, model_path: str, sequence_path: str) -> None:
     model, owner = load_model(model_path)
     rows = read_sequence_csv(sequence_path)
     by_owner: dict[str, list] = {}
@@ -283,19 +266,14 @@ def cmd_score(config: ExperimentConfig, model_path: str, sequence_path: str) -> 
     projections = {(owner, wo): model.vocab.project(obs) for wo, obs in by_owner.items()}
     table = generate_score_records({owner: model}, projections, config.n_values[0], config.stride)
     write_scores_csv(table, out / "scores.csv")
-    write_manifest(config, "score", out)
     print(f"wrote {len(table)} scores to {out / 'scores.csv'}")
-    return EXIT_OK
 
 
-def cmd_eval(config: ExperimentConfig) -> int:
-    out = _out_dir(config)
+def cmd_eval(config: ExperimentConfig, out: Path) -> None:
     shape = (len(config.n_values), len(config.periods))
     grids = {m: np.full(shape, np.nan) for m in config.methods}
     metric_rows = ["method,n,period,threshold,eer,sensitivity,specificity,accuracy,f1".split(",")]
-    events_by_user = _load_cohort(config)
-    for j, period in enumerate(config.periods):
-        prepared = _prepare(config, events_by_user, period)
+    for j, (period, prepared) in enumerate(_cohorts(config)):
         if len(prepared) < 2:
             log.warning("period %ds: fewer than 2 eligible users; skipping column", period)
             continue
@@ -339,13 +317,10 @@ def cmd_eval(config: ExperimentConfig) -> int:
         write_eer_grid_csv(
             config.n_values, config.periods, grids[method], out / f"eer_grid_{method}.csv"
         )
-    write_manifest(config, "eval", out)
     print(f"wrote EER grids for {len(config.methods)} method(s) to {out}")
-    return EXIT_OK
 
 
-def cmd_stats(config: ExperimentConfig) -> int:
-    out = _out_dir(config)
+def cmd_stats(config: ExperimentConfig, out: Path) -> None:
     prepared = _first_period_cohort(config, 2)
     vocabs = {u: p.vocab for u, p in prepared.items()}
     users, app_m = app_similarity_matrix(vocabs)
@@ -364,13 +339,10 @@ def cmd_stats(config: ExperimentConfig) -> int:
         for u, p in prepared.items()
     }
     write_top_apps_csv(top_apps_report(train_apps), out / "top_apps.csv")
-    write_manifest(config, "stats", out)
     print(f"wrote similarity, unknown-app and top-app reports to {out}")
-    return EXIT_OK
 
 
-def cmd_intrude(config: ExperimentConfig) -> int:
-    out = _out_dir(config)
+def cmd_intrude(config: ExperimentConfig, out: Path) -> None:
     method = "mshmm" if "mshmm" in config.methods else config.methods[0]
     prepared = _first_period_cohort(config, 2)
     models = train_cohort_models([method], prepared, config)[method]
@@ -380,22 +352,18 @@ def cmd_intrude(config: ExperimentConfig) -> int:
     for n in config.n_values:
         genuine_table = generate_score_records(models, genuine, n, config.stride)
         thresholds = genuine_score_thresholds(genuine_table, config.threshold_percentile)
-        studies.append(
-            intrusion_study(models, test_obs, n, thresholds, config.seed, config.segment)
-        )
-    for study in studies:
+        study = intrusion_study(models, test_obs, n, thresholds, config.seed, config.segment)
         if not any(row.detected for row in study.rows):
             print(
-                f"warning: {method} at n={study.n} detected none of the "
+                f"warning: {method} at n={n} detected none of the "
                 f"{len(study.rows)} intrusion pairs",
                 file=sys.stderr,
             )
+        studies.append(study)
     write_intrusion_curve_csv(studies, out / "intrusion_curve.csv")
     write_latency_csv(studies, out / "latency.csv")
-    write_manifest(config, "intrude", out)
-    n_pairs = len(studies[0].rows) if studies else 0
+    n_pairs = len(studies[0].rows)
     print(f"ran {len(studies)} window length(s) x {n_pairs} pairs with {method}; reports in {out}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -452,21 +420,23 @@ def main(argv: Sequence[str] | None = None) -> int:
             "synth": cmd_synth,
             "ingest": cmd_ingest,
             "train": cmd_train,
-            "score": lambda c: cmd_score(c, args.model, args.sequence),
+            "score": lambda c, o: cmd_score(c, o, args.model, args.sequence),
             "eval": cmd_eval,
             "stats": cmd_stats,
             "intrude": cmd_intrude,
         }
-        return commands[args.command](config)
-    except (FormatError, FileNotFoundError) as exc:
+        out = Path(config.out)
+        out.mkdir(parents=True, exist_ok=True)
+        commands[args.command](config, out)
+        # only a run that succeeded gets a manifest
+        write_manifest(config, args.command, out)
+        return EXIT_OK
+    except (ValueError, OSError) as exc:  # FormatError and FileNotFoundError too
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (FloatingPointError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # FloatingPointError too
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -66,9 +66,9 @@ def write_csv(dest: str | Path | TextIO, rows: Iterable[Sequence]) -> None:
 class RawEvent:
     """One log record: a foreground-app change or a screen lock/unlock.
 
-    ``local_timestamp`` is integer seconds since epoch in device-local time;
-    clock-of-day and weekday are derived from it directly, without timezone
-    conversion.
+    ``local_timestamp`` is integer seconds since epoch in device-local time,
+    in [0, 2**63) so that it fits the int64 arrays downstream; clock-of-day
+    and weekday are derived from it directly, without timezone conversion.
     """
 
     user_id: str
@@ -83,8 +83,8 @@ class RawEvent:
         for name, value in (("user_id", self.user_id), ("app_id", self.app_id)):
             if value != value.strip():
                 raise ValueError(f"{name} {value!r} has leading or trailing whitespace")
-        if self.local_timestamp < 0:
-            raise ValueError(f"negative timestamp {self.local_timestamp}")
+        if not 0 <= self.local_timestamp < 2**63:
+            raise ValueError(f"timestamp {self.local_timestamp} outside [0, 2**63)")
         if self.kind == "app":
             if not self.app_id:
                 raise ValueError("app event without app_id")

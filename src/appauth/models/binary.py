@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..encode import Vocabulary
-from .core import TrainConfig, as_index_array, as_window_matrix, check_indices
+from .core import TrainConfig, as_index_array, as_window_matrix
 
 
 class BinaryUnknownModel:
@@ -38,8 +38,7 @@ class BinaryUnknownModel:
         return cls(vocab)
 
     def score_windows(self, windows) -> np.ndarray:
-        mat = as_window_matrix(windows)
-        check_indices(mat, self.vocab.size)
+        mat = as_window_matrix(windows, self.vocab.size)
         lo, hi = self.vocab.unknown_base, self.vocab.session_start_index
         bad = ((mat >= lo) & (mat < hi)).any(axis=1)
         return np.where(bad, 0.0, 1.0)
@@ -68,8 +67,7 @@ class BinaryUnforeseenModel:
     def fit(
         cls, train_indices, vocab: Vocabulary, config: TrainConfig = TrainConfig(), base=None
     ) -> "BinaryUnforeseenModel":
-        arr = as_index_array(train_indices)
-        check_indices(arr, vocab.size)
+        arr = as_index_array(train_indices, vocab.size)
         seen = np.zeros(vocab.size, dtype=np.bool_)
         seen[arr] = True
         return cls(vocab, seen)
@@ -82,7 +80,6 @@ class BinaryUnforeseenModel:
         return cls(vocab, arrays["seen"])
 
     def score_windows(self, windows) -> np.ndarray:
-        mat = as_window_matrix(windows)
-        check_indices(mat, self.vocab.size)
+        mat = as_window_matrix(windows, self.vocab.size)
         bad = (~self.seen[mat]).any(axis=1)
         return np.where(bad, 0.0, 1.0)

@@ -42,23 +42,27 @@ def check_floor(delta: float) -> float:
     return delta
 
 
-def as_index_array(window) -> np.ndarray:
-    """Validate and coerce a symbol-index window to a 1-D int64 array."""
+def as_index_array(window, size: int) -> np.ndarray:
+    """Validate and coerce a symbol-index window to a non-empty 1-D int64
+    array of indices in [0, size)."""
     arr = np.asarray(window, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError(f"window must be 1-D, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("window must be non-empty")
+    check_indices(arr, size)
     return arr
 
 
-def as_window_matrix(windows) -> np.ndarray:
-    """Coerce a batch of equal-length windows to a (W, n) int64 array."""
+def as_window_matrix(windows, size: int) -> np.ndarray:
+    """Coerce a batch of equal-length windows to a (W, n) int64 array of
+    indices in [0, size)."""
     arr = np.asarray(windows, dtype=np.int64)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValueError(f"expected (W, n) window batch, got shape {arr.shape}")
+    check_indices(arr, size)
     return arr
 
 

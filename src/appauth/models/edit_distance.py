@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..encode import Vocabulary
-from .core import TrainConfig, as_index_array, as_window_matrix, check_indices
+from .core import TrainConfig, as_index_array, as_window_matrix
 
 INDEL_COST = 3
 MISMATCH_COST = 3
@@ -31,8 +31,7 @@ class MedModel:
     method = "med"
 
     def __init__(self, vocab: Vocabulary, train_indices: np.ndarray):
-        arr = as_index_array(train_indices)
-        check_indices(arr, vocab.size)
+        arr = as_index_array(train_indices, vocab.size)
         self.vocab = vocab
         self.train_indices = arr.copy()
         tables = (vocab.symbol_app, vocab.symbol_tz, vocab.symbol_day)
@@ -74,7 +73,7 @@ class MedModel:
           cells, more than any row's total shift, so the passes never carry
           a value from one window's row into the next.
         """
-        mat = as_window_matrix(windows)
+        mat = as_window_matrix(windows, self.vocab.size)
         n = mat.shape[1]
         text_len = self.train_indices.size
         if n > text_len:
@@ -92,7 +91,6 @@ class MedModel:
         lead = 1 << n.bit_length()
         width = lead + text_len
         t_app, t_tz, t_day = self._text_attrs
-        check_indices(symbols, self.vocab.size)  # a gather would wrap -1
         tables = (self.vocab.symbol_app, self.vocab.symbol_tz, self.vocab.symbol_day)
         s_app, s_tz, s_day = (a[symbols, None] for a in tables)
         cost = np.zeros((len(symbols), width), dtype=np.int8)

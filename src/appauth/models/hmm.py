@@ -21,7 +21,6 @@ from .core import (
     as_window_matrix,
     assert_stochastic,
     check_floor,
-    check_indices,
     normalize_rows,
     random_simplex,
 )
@@ -106,8 +105,7 @@ def forward_log_likelihood(
     rest of the loop; the one zero-mass check after it raises
     FloatingPointError, and only then are the logs taken.
     """
-    mat = as_window_matrix(windows)
-    check_indices(mat, emit.shape[1])
+    mat = as_window_matrix(windows, emit.shape[1])
     matmul, take, multiply, add_reduce, divide = (
         np.matmul, np.take, np.multiply, np.add.reduce, np.divide
     )
@@ -299,13 +297,11 @@ def baum_welch_cohort(
     log-likelihood sequence is non-decreasing up to floating-point slack —
     that is the EM guarantee and the tests hold it to 1e-8.
     """
-    seqs = [as_index_array(s) for s in sequences]
-    if len(seqs) != len(n_symbols):
+    if len(sequences) != len(n_symbols):
         raise ValueError("one symbol count per training sequence is required")
-    for seq, size in zip(seqs, n_symbols):
-        if seq.size < 2:
-            raise ValueError("training sequence must have at least 2 symbols")
-        check_indices(seq, size)
+    seqs = [as_index_array(s, size) for s, size in zip(sequences, n_symbols)]
+    if any(seq.size < 2 for seq in seqs):
+        raise ValueError("training sequence must have at least 2 symbols")
     params: list[HmmParams] = []
     for size in n_symbols:
         rng = np.random.default_rng(seed)

@@ -12,7 +12,6 @@ from .core import (
     as_window_matrix,
     assert_stochastic,
     check_floor,
-    check_indices,
 )
 
 
@@ -49,9 +48,8 @@ class MarkovChainModel:
         with c_i the outgoing-transition count of state i, so never-visited
         states get a uniform row.
         """
-        seq = as_index_array(train_indices)
         size = vocab.size
-        check_indices(seq, size)
+        seq = as_index_array(train_indices, size)
         d = config.delta
 
         occ = np.bincount(seq, minlength=size).astype(np.float64)
@@ -72,8 +70,7 @@ class MarkovChainModel:
         return cls(vocab, arrays["prior"], arrays["transition"], meta["delta"])
 
     def score_windows(self, windows) -> np.ndarray:
-        mat = as_window_matrix(windows)
-        check_indices(mat, self.vocab.size)
+        mat = as_window_matrix(windows, self.vocab.size)
         scores = self._log_prior[mat[:, 0]]
         if mat.shape[1] > 1:
             scores = scores + self._log_transition[mat[:, :-1], mat[:, 1:]].sum(axis=1)

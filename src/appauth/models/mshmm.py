@@ -14,15 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..encode import N_DAY, N_TZ, Vocabulary
-from .core import TrainConfig, as_index_array, check_floor, check_indices
+from .core import TrainConfig, as_index_array, check_floor
 from .hmm import HmmParams, TrainingTrace, forward_log_likelihood, hmm_meta, train_base
 
 
 def marginal_tables(train_indices, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """Joint frequencies of (app, time-of-day block) and (app, weekday flag)
     over the app symbols of one training sequence."""
-    seq = as_index_array(train_indices)
-    check_indices(seq, vocab.size)
+    seq = as_index_array(train_indices, vocab.size)
     apps = seq[seq < vocab.unknown_base]
     if apps.size == 0:
         raise ValueError("training sequence contains no app symbols")
@@ -97,8 +96,7 @@ class MsHmmModel:
     ) -> "MsHmmModel":
         """Train the unsmoothed base HMM (or reuse one) and attach the
         marginal fallback tables."""
-        seq = as_index_array(train_indices)
-        check_indices(seq, vocab.size)
+        seq = as_index_array(train_indices, vocab.size)
         params, trace = base if base is not None else train_base(seq, vocab, config)
         seen = np.zeros(vocab.size, dtype=np.bool_)
         seen[seq] = True

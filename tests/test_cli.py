@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import shutil
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +29,7 @@ from appauth.cli import (
 )
 from appauth.encode import encode_sessions
 from appauth.ingest import (
+    EVENT_LOG_HEADER,
     parse_event_log,
     resample_sessions,
     sessionize,
@@ -78,8 +80,11 @@ def pipeline(tmp_path_factory) -> tuple[Path, Path]:
     root = tmp_path_factory.mktemp("cli")
     out = root / "run"
     cfg = write_config(root, out=str(out))
+    manifests = root / "manifests"  # a copy of each command's manifest.json
+    manifests.mkdir()
     for command in ["synth", "ingest", "train", "eval", "stats", "intrude"]:
         assert main([command, "--config", str(cfg)]) == EXIT_OK, command
+        shutil.copy(out / "manifest.json", manifests / f"{command}.json")
     code = main(
         [
             "score",
@@ -92,6 +97,7 @@ def pipeline(tmp_path_factory) -> tuple[Path, Path]:
         ]
     )
     assert code == EXIT_OK
+    shutil.copy(out / "manifest.json", manifests / "score.json")
     return out, cfg
 
 
@@ -156,6 +162,19 @@ def test_manifest_has_config_hash_and_no_timestamps(pipeline):
     assert manifest["config_hash"] == config.config_hash()
     assert manifest["config"] == config.to_json()
     assert set(manifest["versions"]) == {"python", "numpy", "appauth"}
+
+
+def test_each_command_writes_its_own_manifest(pipeline, tmp_path):
+    out, cfg = pipeline
+    config_hash = load_config(str(cfg)).config_hash()
+    for command in ["synth", "ingest", "train", "score", "eval", "stats", "intrude"]:
+        path = out.parent / "manifests" / f"{command}.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        assert (manifest["command"], manifest["config_hash"]) == (command, config_hash)
+    # a command that fails writes none, though its output directory exists
+    failing = write_config(tmp_path, out=str(tmp_path / "o"), min_train=10**6)
+    assert main(["train", "--config", str(failing)]) == EXIT_DATA
+    assert (tmp_path / "o").is_dir() and not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_metrics_csv_header_and_rows(pipeline):
@@ -285,6 +304,23 @@ def test_missing_event_log_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, out=str(tmp_path / "o"), data=str(tmp_path / "absent.csv"))
     assert main(["ingest", "--config", str(cfg)]) == EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+def test_unusable_paths_exit_2(pipeline, tmp_path, capsys):
+    out, cfg = pipeline
+    a_file = tmp_path / "a_file"
+    a_file.write_text("", encoding="utf-8")
+    data_is_dir = str(write_config(tmp_path, data=str(tmp_path)))
+    o = str(tmp_path / "o")
+    score = ["--model", str(tmp_path), "--sequence", str(out / "test_period30.csv")]
+    for argv in [
+        ["ingest", "--config", data_is_dir, "--out", o],  # "data" names a directory
+        ["ingest", "--config", str(cfg), "--out", str(a_file)],  # --out names a file
+        ["score", "--config", str(cfg), "--out", o, *score],  # --model names a directory
+    ]:
+        assert main(argv) == EXIT_DATA, argv
+        assert "data error:" in capsys.readouterr().err, argv
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_malformed_sequence_file_exits_2(pipeline, tmp_path, capsys):
@@ -464,6 +500,28 @@ def test_hostile_event_log_passes_every_command(tmp_path, seed):
             with open(score_out / "scores.csv", encoding="utf-8", newline="") as fh:
                 rows = list(csv.reader(fh))
             assert rows == [header] + [r for r in eval_rows if r[0] == user], (method, user)
+
+
+def test_timestamp_beyond_int64_is_a_malformed_row(tmp_path):
+    cohort = make_cohort(CohortSpec.from_json(TINY["synthetic"]))
+    events = [ev for user in sorted(cohort) for ev in cohort[user]]
+    rows = [EVENT_LOG_HEADER] + [[e.user_id, e.local_timestamp, e.kind, e.app_id] for e in events]
+    # user00 is eligible, so its events reach the int64 arrays of encoding
+    app = next(ev.app_id for ev in cohort["user00"] if ev.kind == "app")
+    errors, outputs = [], []
+    for name, extra in [("plain", []), ("huge", [["user00", 10**20, "app", app]])]:
+        run = tmp_path / name
+        run.mkdir()
+        write_csv(run / "events.csv", rows + extra)
+        errors.append(len(parse_event_log(run / "events.csv")[1].errors))
+        cfg = write_config(run, out=str(run / "o"), data=str(run / "events.csv"))
+        assert main(["ingest", "--config", str(cfg)]) == EXIT_OK, name
+        files = sorted((run / "o").iterdir())
+        outputs.append({p.name: p.read_bytes() for p in files if p.name != "manifest.json"})
+    assert errors[1] == errors[0] + 1
+    assert outputs[1] == outputs[0]
+    report = json.loads(outputs[0]["ingest_report.json"])
+    assert "user00" in report["periods"]["30"]["eligible_users"]
 
 
 def test_train_with_no_eligible_users_exits_2(tmp_path, capsys):

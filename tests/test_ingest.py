@@ -32,6 +32,10 @@ def test_raw_event_validation():
         RawEvent("u", 0, "swipe")
     with pytest.raises(ValueError):
         RawEvent("u", 0, "app", "")
+    # timestamps go into int64 arrays
+    with pytest.raises(ValueError, match=r"outside \[0, 2\*\*63\)"):
+        RawEvent("u", 2**63, "lock")
+    assert RawEvent("u", 2**63 - 1, "lock").local_timestamp == 2**63 - 1
 
 
 def test_raw_event_is_the_event_rule():

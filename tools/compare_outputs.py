@@ -26,9 +26,11 @@ for `ingest`, `train`, `eval`, `stats` and `intrude`, and finally `score`
 of the first user's `mshmm` model from `train` against the
 `test_period<p>.csv` that `ingest` wrote. Every run has
 PYTHONPATH=<tree>/src, OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1.
-Every output file other than each manifest.json, which records library
-versions rather than results, is compared byte for byte (model `.npz`
-files included); one line is printed per (workload, seed). The exit status
+Every output file is compared byte for byte (model `.npz` files
+included), except that each manifest.json is compared as JSON without its
+`versions` key, which records library versions rather than results; so a
+manifest that names another command or config, or is missing, differs.
+One line is printed per (workload, seed). The exit status
 is 1 if any file differs or is missing on either side, or if a run fails.
 """
 
@@ -43,7 +45,6 @@ from pathlib import Path
 
 WORKLOAD_NAMES = ("eval-p30", "eval-p5")
 SEEDS = (0, 1)
-SKIPPED = {"manifest.json"}
 COMMANDS = ("ingest", "train", "eval", "stats", "intrude")  # then `score`
 
 
@@ -88,6 +89,16 @@ def run_command(tree: Path, run_dir: Path, command: str, *extra: str) -> bool:
     return proc.returncode == 0
 
 
+def comparable(path: Path) -> bytes:
+    """The bytes compared for one output file: a manifest.json is re-encoded
+    without its `versions`, any other file is read as it is."""
+    if path.name != "manifest.json":
+        return path.read_bytes()
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest.pop("versions", None)
+    return json.dumps(manifest, sort_keys=True).encode("utf-8")
+
+
 def run_all(tree: Path, run_dir: Path, period: int) -> dict[str, bytes] | None:
     """Output files of every command by path under run_dir, or None if a
     command failed."""
@@ -102,9 +113,7 @@ def run_all(tree: Path, run_dir: Path, period: int) -> dict[str, bytes] | None:
     if not run_command(tree, run_dir, "score", "--model", str(models[0]), "--sequence", str(sequence)):
         return None
     return {
-        str(p.relative_to(run_dir)): p.read_bytes()
-        for p in sorted(run_dir.rglob("*"))
-        if p.is_file() and p.name not in SKIPPED
+        str(p.relative_to(run_dir)): comparable(p) for p in sorted(run_dir.rglob("*")) if p.is_file()
     }
 
 
