@@ -83,6 +83,9 @@ class RawEvent:
         for name, value in (("user_id", self.user_id), ("app_id", self.app_id)):
             if value != value.strip():
                 raise ValueError(f"{name} {value!r} has leading or trailing whitespace")
+        # model files are named after the user id, so it must be a plain file name
+        if "/" in self.user_id or "\\" in self.user_id or "\x00" in self.user_id:
+            raise ValueError(f"user_id {self.user_id!r} holds '/', '\\' or NUL")
         if not 0 <= self.local_timestamp < 2**63:
             raise ValueError(f"timestamp {self.local_timestamp} outside [0, 2**63)")
         if self.kind == "app":

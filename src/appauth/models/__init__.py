@@ -8,17 +8,10 @@ from typing import get_args
 
 from ..encode import Vocabulary
 from .binary import BinaryUnforeseenModel, BinaryUnknownModel
-from .core import DEFAULT_DELTA, TrainConfig
+from .core import TrainConfig
 from .edit_distance import MedModel
-from .hmm import (
-    HmmParams,
-    LaplaceHmmModel,
-    TrainingTrace,
-    baum_welch,
-    forward_log_likelihood,
-    laplace_smooth_emissions,
-)
-from .io import load_model, save_model, vocabulary_hash
+from .hmm import HmmParams, LaplaceHmmModel, TrainingTrace, baum_welch
+from .io import load_model, save_model
 from .markov import MarkovChainModel
 from .mshmm import MsHmmModel
 
@@ -54,7 +47,6 @@ def train_user_model(
 __all__ = [
     "BinaryUnforeseenModel",
     "BinaryUnknownModel",
-    "DEFAULT_DELTA",
     "HmmParams",
     "LaplaceHmmModel",
     "MarkovChainModel",
@@ -66,10 +58,7 @@ __all__ = [
     "TrainingTrace",
     "UserModel",
     "baum_welch",
-    "forward_log_likelihood",
-    "laplace_smooth_emissions",
     "load_model",
     "save_model",
     "train_user_model",
-    "vocabulary_hash",
 ]

@@ -31,7 +31,8 @@ class TrainConfig:
             raise ValueError("n_states must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol < 0:
+        # NaN fails the comparison; Infinity stops at the first check
+        if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
 
 

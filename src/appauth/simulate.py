@@ -29,29 +29,6 @@ DEFAULT_SEGMENT = 200
 DEFAULT_THRESHOLD_PERCENTILE = 5.0
 
 
-@dataclass(slots=True)
-class UserProfile:
-    """Behavioral profile driving one synthetic user's event log."""
-
-    user_id: str
-    app_pool: list[str]
-    preference: np.ndarray  # (3 time blocks, 2 day flags, len(app_pool)), rows stochastic
-    session_rate: float = 8.0  # mean sessions per day
-    session_length: float = 420.0  # mean seconds per session
-    dwell: float = 75.0  # mean seconds on an app before switching
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        self.preference = np.asarray(self.preference, dtype=np.float64)
-        if self.preference.shape != (3, 2, len(self.app_pool)):
-            raise ValueError(f"preference shape {self.preference.shape} does not match pool")
-        sums = self.preference.sum(axis=-1)
-        if not np.allclose(sums, 1.0, atol=1e-9):
-            raise ValueError("preference vectors must sum to 1")
-        if min(self.session_rate, self.session_length, self.dwell) <= 0:
-            raise ValueError("rates must be positive")
-
-
 @dataclass(frozen=True, slots=True)
 class CohortSpec:
     """Reproducible recipe for a whole synthetic cohort."""
@@ -60,18 +37,25 @@ class CohortSpec:
     days: int = 30
     overlap: float = 0.5
     apps_per_user: int = 30
-    session_rate: float = 8.0
-    session_length: float = 420.0
-    dwell: float = 75.0
+    session_rate: float = 8.0  # mean sessions per day
+    session_length: float = 420.0  # mean seconds per session
+    dwell: float = 75.0  # mean seconds on an app before switching
     concentration: float = 0.3  # Dirichlet concentration of the base preference
     context_spread: float = 1.0  # lognormal sigma of per-context preference tilts
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_users < 1 or self.days < 0 or self.apps_per_user < 1:
-            raise ValueError("bad cohort dimensions")
+        for name, low in (("n_users", 1), ("days", 0), ("apps_per_user", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        # the comparisons fail on NaN, so NaN is rejected too
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError("overlap must be in [0, 1]")
+        for name in ("session_rate", "session_length", "dwell", "concentration"):
+            if not 0.0 < getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 <= self.context_spread < float("inf"):
+            raise ValueError("context_spread must be non-negative and finite")
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "CohortSpec":
@@ -110,36 +94,39 @@ def config_kwargs(cls, payload, what: str) -> dict:
     return {k: _from_json(v, getattr(default, k), f"{what} key {k!r}") for k, v in payload.items()}
 
 
-def generate_synthetic_user(profile: UserProfile, days: int) -> list[RawEvent]:
-    """Event log for one user over the given horizon.
+def generate_synthetic_user(
+    user_id: str, app_pool: Sequence[str], preference: np.ndarray, spec: CohortSpec, seed: int
+) -> list[RawEvent]:
+    """Event log for one user over `spec.days` days.
 
-    Sessions arrive as a Poisson process at the profile's daily rate, last
+    Sessions arrive as a Poisson process at the spec's daily rate, last
     an exponential time, and contain unlock / app-switch / lock events; the
-    app at each switch is drawn from the preference vector of the current
-    (time block, day flag) context. Deterministic given the profile seed.
+    app at each switch is drawn from `preference[time block, day flag]`, a
+    probability vector over `app_pool` for the current context.
+    Deterministic given the seed.
     """
-    rng = np.random.default_rng(profile.seed)
-    horizon = days * 86400.0
-    mean_gap = 86400.0 / profile.session_rate
-    pool_size = len(profile.app_pool)
+    rng = np.random.default_rng(seed)
+    horizon = spec.days * 86400.0
+    mean_gap = 86400.0 / spec.session_rate
+    pool_size = len(app_pool)
 
     events: list[RawEvent] = []
     t = rng.exponential(mean_gap)
     while t < horizon:
         start = int(round(t))
-        duration = max(30.0, rng.exponential(profile.session_length))
+        duration = max(30.0, rng.exponential(spec.session_length))
         end = min(t + duration, horizon)
-        events.append(RawEvent(profile.user_id, start, "unlock"))
+        events.append(RawEvent(user_id, start, "unlock"))
         app_t = float(start)
         last_ts = start
         while app_t < end:
             ts = int(round(app_t))
-            ctx = profile.preference[timezone_of(ts), day_flag_of(ts)]
-            app = profile.app_pool[int(rng.choice(pool_size, p=ctx))]
-            events.append(RawEvent(profile.user_id, ts, "app", app))
+            ctx = preference[timezone_of(ts), day_flag_of(ts)]
+            app = app_pool[int(rng.choice(pool_size, p=ctx))]
+            events.append(RawEvent(user_id, ts, "app", app))
             last_ts = ts
-            app_t += max(1.0, rng.exponential(profile.dwell))
-        events.append(RawEvent(profile.user_id, max(int(round(end)), last_ts), "lock"))
+            app_t += max(1.0, rng.exponential(spec.dwell))
+        events.append(RawEvent(user_id, max(int(round(end)), last_ts), "lock"))
         t = max(end + 60.0, t + rng.exponential(mean_gap))
     return events
 
@@ -170,16 +157,8 @@ def make_cohort(spec: CohortSpec) -> dict[str, list[RawEvent]]:
         tilts = rng.lognormal(0.0, spec.context_spread, size=(3, 2, len(pool)))
         preference = base[None, None, :] * tilts
         preference /= preference.sum(axis=-1, keepdims=True)
-        profile = UserProfile(
-            user_id=user_id,
-            app_pool=pool,
-            preference=preference,
-            session_rate=spec.session_rate,
-            session_length=spec.session_length,
-            dwell=spec.dwell,
-            seed=int(rng.integers(2**63)),
-        )
-        cohort[user_id] = generate_synthetic_user(profile, spec.days)
+        seed = int(rng.integers(2**63))
+        cohort[user_id] = generate_synthetic_user(user_id, pool, preference, spec, seed)
     return cohort
 
 

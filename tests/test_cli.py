@@ -8,7 +8,7 @@ import json
 import math
 import shutil
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -524,6 +524,22 @@ def test_timestamp_beyond_int64_is_a_malformed_row(tmp_path):
     assert "user00" in report["periods"]["30"]["eligible_users"]
 
 
+def test_user_id_cannot_put_model_files_outside_models(tmp_path):
+    cohort = make_cohort(CohortSpec.from_json(TINY["synthetic"]))
+    events = [ev for user in sorted(cohort) for ev in cohort[user]]
+    rows = [EVENT_LOG_HEADER] + [[e.user_id, e.local_timestamp, e.kind, e.app_id] for e in events]
+    # user00 is eligible, so a copy of its rows would be trained and saved
+    escape = [["../escape", e.local_timestamp, e.kind, e.app_id] for e in cohort["user00"]]
+    write_csv(tmp_path / "plain.csv", rows)
+    write_csv(tmp_path / "events.csv", rows + escape)
+    errors = [len(parse_event_log(tmp_path / name)[1].errors) for name in ("plain.csv", "events.csv")]
+    assert errors[1] > errors[0]
+    cfg = write_config(tmp_path, out=str(tmp_path / "o"), data=str(tmp_path / "events.csv"))
+    assert main(["train", "--config", str(cfg)]) == EXIT_OK
+    written = sorted(tmp_path.rglob("*.npz"))
+    assert written and all(p.parent == tmp_path / "o" / "models" for p in written)
+
+
 def test_train_with_no_eligible_users_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, out=str(tmp_path / "o"), min_train=10**6)
     assert main(["train", "--config", str(cfg)]) == EXIT_DATA
@@ -582,6 +598,19 @@ def test_config_rejects_unknown_keys_and_bad_values():
     ExperimentConfig(threshold_percentile=100.0)
 
 
+def test_every_float_field_rejects_nan():
+    def float_fields(obj) -> list[str]:
+        return [k for k, v in asdict(obj).items() if isinstance(v, float)]
+
+    nan = float("nan")
+    cases = [({name: nan}, name) for name in float_fields(ExperimentConfig())]
+    cases += [({"synthetic": {name: nan}}, name) for name in float_fields(CohortSpec())]
+    assert {"delta", "tol", "idle_gap", "overlap", "session_rate"} <= {k for _, k in cases}
+    for payload, name in cases:
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig.from_json(payload)
+
+
 def test_synthetic_key_typo_exits_2(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"synthetic": {"n_user": 3}, "out": str(tmp_path / "o")}))
@@ -604,6 +633,7 @@ def test_synthetic_key_typo_exits_2(tmp_path, capsys):
         ({"n_states": 0}, "n_states"),
         ({"max_iter": 0}, "max_iter"),
         ({"tol": -1}, "tol"),
+        ({"tol": float("nan")}, "tol"),
         # grid values are checked when the config loads too
         ({"periods": [0]}, "periods"),
         ({"n_values": [20, 0]}, "n_values"),
@@ -615,6 +645,10 @@ def test_synthetic_key_typo_exits_2(tmp_path, capsys):
         ({"threshold_percentile": float("nan")}, "threshold_percentile"),
         ({"idle_gap": -5}, "idle_gap"),
         ({"idle_gap": float("inf")}, "idle_gap"),
+        # and so are synthetic-cohort values, before synth writes anything
+        ({"synthetic": {"session_rate": float("nan")}}, "session_rate"),
+        ({"synthetic": {"concentration": 0}}, "concentration"),
+        ({"synthetic": {"days": -1}}, "days"),
     ]:
         cfg.write_text(json.dumps(payload))
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_DATA

@@ -51,6 +51,11 @@ def test_raw_event_is_the_event_rule():
         with pytest.raises(ValueError, match="whitespace"):
             RawEvent(user_id, 1, "app", app_id)
     assert RawEvent("u 1", 1, "app", "my mail").app_id == "my mail"
+    # model files are named after the user id; app ids may hold these
+    for user_id in ("../u", "a/b", "a\\b", "u\x00"):
+        with pytest.raises(ValueError, match="user_id"):
+            RawEvent(user_id, 1, "lock")
+    assert RawEvent("..", 1, "app", "a/b\\c").user_id == ".."
 
 
 def test_session_validation():

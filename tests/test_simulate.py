@@ -15,7 +15,6 @@ from appauth.simulate import (
     CohortSpec,
     IntrusionStudy,
     LatencyRow,
-    UserProfile,
     detection_latency,
     generate_synthetic_user,
     genuine_score_thresholds,
@@ -32,19 +31,29 @@ def test_cohort_spec_validation_and_json_round_trip():
         CohortSpec(overlap=1.5)
     with pytest.raises(ValueError):
         CohortSpec(n_users=0)
+    nan, inf = float("nan"), float("inf")
+    for name in ("session_rate", "session_length", "dwell", "concentration"):
+        for value in (0.0, -1.0, nan, inf):
+            with pytest.raises(ValueError, match=name):
+                CohortSpec(**{name: value})
+    for value in (-0.5, nan, inf):
+        with pytest.raises(ValueError, match="context_spread"):
+            CohortSpec(context_spread=value)
+    # a spread of 0 gives every context the base preference
+    CohortSpec(context_spread=0.0)
 
 
 def test_profile_rejects_bad_preference():
+    spec = CohortSpec(days=1)
     with pytest.raises(ValueError):
-        UserProfile("u", ["a", "b"], np.full((3, 2, 3), 1 / 3))
+        generate_synthetic_user("u", ["a", "b"], np.full((3, 2, 3), 1 / 3), spec, seed=0)
     with pytest.raises(ValueError):
-        UserProfile("u", ["a", "b"], np.full((3, 2, 2), 0.4))
+        generate_synthetic_user("u", ["a", "b"], np.full((3, 2, 2), 0.4), spec, seed=0)
 
 
 def test_generate_user_event_structure():
     pref = np.full((3, 2, 2), 0.5)
-    profile = UserProfile("u", ["a", "b"], pref, seed=3)
-    events = generate_synthetic_user(profile, days=3)
+    events = generate_synthetic_user("u", ["a", "b"], pref, CohortSpec(days=3), seed=3)
     assert events, "three days should produce sessions"
     assert all(e.user_id == "u" for e in events)
     state = "locked"
@@ -66,12 +75,13 @@ def test_generate_user_event_structure():
 
 def test_generate_user_is_deterministic_and_zero_days_is_empty():
     pref = np.full((3, 2, 2), 0.5)
-    a = generate_synthetic_user(UserProfile("u", ["a", "b"], pref, seed=3), days=2)
-    b = generate_synthetic_user(UserProfile("u", ["a", "b"], pref, seed=3), days=2)
-    c = generate_synthetic_user(UserProfile("u", ["a", "b"], pref, seed=4), days=2)
-    assert a == b
-    assert a != c
-    assert generate_synthetic_user(UserProfile("u", ["a", "b"], pref, seed=3), days=0) == []
+
+    def events(days, seed):
+        return generate_synthetic_user("u", ["a", "b"], pref, CohortSpec(days=days), seed)
+
+    assert events(2, 3) == events(2, 3)
+    assert events(2, 3) != events(2, 4)
+    assert events(0, 3) == []
 
 
 def test_cohort_pools_follow_overlap():

@@ -1,5 +1,6 @@
-"""Check that two source trees write byte-identical outputs for every data
-command: `ingest`, `train`, `eval`, `stats`, `intrude` and `score`.
+"""Check that two source trees write byte-identical outputs for `synth` and
+every data command: `ingest`, `train`, `eval`, `stats`, `intrude` and
+`score`.
 
 Usage, from the root of a checkout:
 
@@ -15,17 +16,21 @@ network access by either of
 The event logs of the eval-p30 and eval-p5 benchmark workloads are built
 for seeds 0 and 1 with PARENT_DIR's `src/` and `perfbench/workloads.py`
 (imported, not modified), next to the config that `perfbench/run.py`
-writes, except that it lists two periods, the workload's p and 2p. With
+writes, except that it lists two periods, the workload's p and 2p, and
+holds the workload's cohort spec and seed as its `synthetic` value. With
 one period, nothing would compare the later columns of the EER grids, or
 check that the reports `eval`, `train`, `stats` and `intrude` take from
 the first period alone stay so. Every user of both inputs is eligible at
 2p for seeds 0 and 1, so the second column is full.
 Each tree then runs, per input and in a temporary directory,
 `python -m appauth.cli <command> --config ../config.json --out <command>`
-for `ingest`, `train`, `eval`, `stats` and `intrude`, and finally `score`
-of the first user's `mshmm` model from `train` against the
-`test_period<p>.csv` that `ingest` wrote. Every run has
-PYTHONPATH=<tree>/src, OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1.
+for `synth`, `ingest`, `train`, `eval`, `stats` and `intrude`, and
+finally `score` of the first user's `mshmm` model from `train` against the
+`test_period<p>.csv` that `ingest` wrote. The data commands all read the
+parent-built events.csv, so each tree's `synth/events.csv` (the whole,
+uncut cohort) is what compares the two trees' cohort generators. Every
+run has PYTHONPATH=<tree>/src, OPENBLAS_NUM_THREADS=1 and
+PYTHONDONTWRITEBYTECODE=1.
 Every output file is compared byte for byte (model `.npz` files
 included), except that each manifest.json is compared as JSON without its
 `versions` key, which records library versions rather than results; so a
@@ -45,13 +50,14 @@ from pathlib import Path
 
 WORKLOAD_NAMES = ("eval-p30", "eval-p5")
 SEEDS = (0, 1)
-COMMANDS = ("ingest", "train", "eval", "stats", "intrude")  # then `score`
+COMMANDS = ("synth", "ingest", "train", "eval", "stats", "intrude")  # then `score`
 
 
 def write_inputs(name: str, seed: int, case_dir: Path) -> int:
     """events.csv and config.json for one workload and seed, as perfbench
-    writes them but with periods [p, 2p], generated by the parent tree's
-    code (on sys.path); returns the workload's period p."""
+    writes them but with periods [p, 2p] and the cohort spec as `synthetic`,
+    generated by the parent tree's code (on sys.path); returns the
+    workload's period p."""
     from appauth import ingest, simulate
     from workloads import METHODS, WORKLOADS, cohort_spec, cut_cohort
 
@@ -61,6 +67,7 @@ def write_inputs(name: str, seed: int, case_dir: Path) -> int:
     ingest.write_event_log(rows, case_dir / "events.csv")
     config = {
         "data": "../events.csv",
+        "synthetic": {**workload["cohort"], "seed": seed},
         "out": "out",
         "periods": [workload["period"], 2 * workload["period"]],
         "n_values": workload["n_values"],
