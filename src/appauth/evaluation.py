@@ -10,10 +10,12 @@ from its pair and (n, stride). The dataset-statistics reports live here too.
 from __future__ import annotations
 
 import logging
+import multiprocessing
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import chain, count
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -401,10 +403,13 @@ def train_cohort_models(
     methods: Sequence[str],
     prepared: Mapping[str, PreparedUser],
     config: TrainConfig = TrainConfig(),
+    bases: Mapping[str, tuple[HmmParams, TrainingTrace]] | None = None,
 ) -> dict[str, dict[str, UserModel]]:
     """One model per (method, user); the two HMM variants share one
-    Baum-Welch fit per user, run for the whole cohort in lock-step."""
-    bases = train_hmm_bases(methods, prepared, config)
+    Baum-Welch fit per user, run for the whole cohort in lock-step, or
+    taken from `bases` (a `train_hmm_bases` result) when it is given."""
+    if bases is None:
+        bases = train_hmm_bases(methods, prepared, config)
     return {
         method: {
             user: train_user_model(method, p.train_indices, p.vocab, config, base=bases.get(user))
@@ -433,6 +438,53 @@ def train_hmm_bases(
     return dict(zip(users, fits))
 
 
+def _send_result(conn, fn: Callable, args: tuple) -> None:
+    """The child's side of `_forked`: send (True, result) or (False, exception)."""
+    try:
+        result = (True, fn(*args))
+    except Exception as exc:
+        result = (False, exc)
+    conn.send(result)
+
+
+@contextmanager
+def _forked(fn: Callable, *args) -> Iterator[Callable[[], object]]:
+    """Run `fn(*args)` in a forked child while the with-block runs.
+
+    The child inherits the arguments through fork, so nothing is pickled on
+    the way in; only the result comes back, through a pipe. The block gets
+    a function that waits for that result and re-raises an exception of the
+    child with its own type. The child is always reaped, and terminated
+    first when the block raises.
+    """
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_result, args=(send, fn, args))
+    child.start()
+    send.close()
+
+    def result():
+        try:
+            ok, value = receive.recv()
+        except EOFError:
+            child.join()
+            raise RuntimeError(
+                f"{fn.__name__} child exited with code {child.exitcode} without a result"
+            ) from None
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        receive.close()
+        child.join()
+
+
 def evaluate_methods(
     methods: Sequence[str],
     prepared: Mapping[str, PreparedUser],
@@ -443,19 +495,38 @@ def evaluate_methods(
     """A score table for every (method, window length) combination.
 
     Projections of each test sequence into each model owner's vocabulary
-    are computed once, and the two HMM variants share one Baum-Welch run
-    per user.
+    are computed once. The two HMM variants share one Baum-Welch fit per
+    user, run in a forked child while this process trains and scores the
+    other methods; every table is scored here.
     """
-    users = sorted(prepared)
-    projections = {
-        (mo, wo): prepared[mo].vocab.project(prepared[wo].test_observations)
-        for mo in users
-        for wo in users
-    }
-    models = train_cohort_models(methods, prepared, config)
+    hmm = [m for m in methods if m in HMM_METHODS]
+    others = [m for m in methods if m not in HMM_METHODS]
+    # with no HMM method there is nothing to fit, and `fits()` returns {}
+    fitting = _forked(train_hmm_bases, hmm, prepared, config) if hmm else nullcontext(dict)
+    with fitting as fits:
+        users = sorted(prepared)
+        projections = {
+            (mo, wo): prepared[mo].vocab.project(prepared[wo].test_observations)
+            for mo in users
+            for wo in users
+        }
+        models = train_cohort_models(others, prepared, config)
+        tables = _score_methods(models, projections, n_values, stride)
+        bases = fits()
+    models = train_cohort_models(hmm, prepared, config, bases)
+    tables |= _score_methods(models, projections, n_values, stride)
+    return {(method, n): tables[(method, n)] for method in methods for n in n_values}
+
+
+def _score_methods(
+    models: Mapping[str, Mapping[str, UserModel]],
+    projections: Mapping[tuple[str, str], np.ndarray],
+    n_values: Sequence[int],
+    stride: int,
+) -> dict[tuple[str, int], ScoreTable]:
     return {
-        (method, n): generate_score_records(models[method], projections, n, stride)
-        for method in methods
+        (method, n): generate_score_records(by_user, projections, n, stride)
+        for method, by_user in models.items()
         for n in n_values
     }
 

@@ -22,6 +22,10 @@ EVENT_KINDS = ("app", "unlock", "lock")
 
 DEFAULT_IDLE_GAP = 300.0
 
+# A model file is named `<user_id>.<method>.npz`; with the longest suffix,
+# ".bin-unfore.npz" (15 bytes), the name fits the usual 255-byte NAME_MAX.
+MAX_USER_ID_BYTES = 240
+
 
 class FormatError(ValueError):
     """Input file does not match the documented schema."""
@@ -86,6 +90,10 @@ class RawEvent:
         # model files are named after the user id, so it must be a plain file name
         if "/" in self.user_id or "\\" in self.user_id or "\x00" in self.user_id:
             raise ValueError(f"user_id {self.user_id!r} holds '/', '\\' or NUL")
+        if len(self.user_id.encode()) > MAX_USER_ID_BYTES:
+            raise ValueError(
+                f"user_id {self.user_id[:20]!r}... is over {MAX_USER_ID_BYTES} UTF-8 bytes"
+            )
         if not 0 <= self.local_timestamp < 2**63:
             raise ValueError(f"timestamp {self.local_timestamp} outside [0, 2**63)")
         if self.kind == "app":

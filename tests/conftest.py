@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
 import random
 from typing import Mapping, Sequence
 
 import numpy as np
+import pytest
 
 from appauth.encode import CONTEXTS_PER_APP, KIND_APP, KIND_UNKNOWN, N_DAY, Observation, Vocabulary
 from appauth.evaluation import ScoreTable
@@ -16,6 +18,14 @@ from appauth.models.edit_distance import INDEL_COST, MISMATCH_COST
 from appauth.models.hmm import HmmParams, TrainingTrace, forward_log_likelihood
 from appauth.models.core import check_indices, normalize_rows, random_simplex
 from appauth.simulate import inject_intrusion
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_the_test():
+    """`eval` forks a Baum-Welch child; whatever a test does, none may be
+    left running after it."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def app(app_id: str, tz: int = 0, day: int = 0) -> Observation:

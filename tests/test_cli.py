@@ -6,7 +6,9 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
+import time
 import weakref
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import hostile_event_log
-from appauth import cli
+from appauth import cli, evaluation
 from appauth.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -402,6 +404,54 @@ def test_non_finite_scores_exit_3(tmp_path, monkeypatch, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "error, code, message",
+    [(FloatingPointError, EXIT_NUMERIC, "numeric failure"), (ValueError, EXIT_DATA, "data error")],
+)
+def test_fit_child_error_keeps_its_exit_code(tmp_path, monkeypatch, capsys, error, code, message):
+    # patched before the fork, so the Baum-Welch child raises it
+    def failing_fit(*args):
+        raise error("fit failed in the child")
+
+    monkeypatch.setattr(evaluation, "baum_welch_cohort", failing_fit)
+    cfg = write_config(tmp_path, out=str(tmp_path / "o"), methods=["mc", "hmm-lap"])
+    assert main(["eval", "--config", str(cfg)]) == code
+    assert f"{message}: fit failed in the child" in capsys.readouterr().err
+
+
+def test_scoring_error_terminates_and_reaps_the_fit_child(tmp_path, monkeypatch):
+    pid_file = tmp_path / "child.pid"
+
+    def endless_fit(*args):
+        (tmp_path / "pid.tmp").write_text(str(os.getpid()))
+        os.replace(tmp_path / "pid.tmp", pid_file)
+        time.sleep(120)
+
+    def failing_scoring(*args):
+        deadline = time.monotonic() + 60
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise ValueError("scoring failed while the child trains")
+
+    monkeypatch.setattr(evaluation, "baum_welch_cohort", endless_fit)
+    monkeypatch.setattr(evaluation, "generate_score_records", failing_scoring)
+    cfg = write_config(tmp_path, out=str(tmp_path / "o"), methods=["mc", "hmm-lap"])
+    start = time.monotonic()
+    assert main(["eval", "--config", str(cfg)]) == EXIT_DATA
+    assert time.monotonic() - start < 60
+    # reaped, not a zombie: the pid is gone
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+
+
+def test_fit_child_that_dies_without_a_result_is_an_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(evaluation, "baum_welch_cohort", lambda *args: os._exit(5))
+    cfg = write_config(tmp_path, out=str(tmp_path / "o"), methods=["mc", "mshmm"])
+    with pytest.raises(RuntimeError, match="exited with code 5 without a result"):
+        main(["eval", "--config", str(cfg)])
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 def test_multi_period_run_loads_input_once(tmp_path, monkeypatch):
     calls = []
     real = cli.make_cohort
@@ -538,6 +588,21 @@ def test_user_id_cannot_put_model_files_outside_models(tmp_path):
     assert main(["train", "--config", str(cfg)]) == EXIT_OK
     written = sorted(tmp_path.rglob("*.npz"))
     assert written and all(p.parent == tmp_path / "o" / "models" for p in written)
+
+
+def test_overlong_user_id_is_a_malformed_row(tmp_path):
+    cohort = make_cohort(CohortSpec.from_json(TINY["synthetic"]))
+    events = [ev for user in sorted(cohort) for ev in cohort[user]]
+    rows = [EVENT_LOG_HEADER] + [[e.user_id, e.local_timestamp, e.kind, e.app_id] for e in events]
+    # a copy of an eligible user's rows: its model file name would exceed NAME_MAX
+    long_id = "u" * 300
+    copy = [[long_id, e.local_timestamp, e.kind, e.app_id] for e in cohort["user00"]]
+    write_csv(tmp_path / "events.csv", rows + copy)
+    assert len(parse_event_log(tmp_path / "events.csv")[1].errors) == len(copy)
+    cfg = write_config(tmp_path, out=str(tmp_path / "o"), data=str(tmp_path / "events.csv"))
+    assert main(["train", "--config", str(cfg)]) == EXIT_OK
+    written = {p.name.split(".")[0] for p in (tmp_path / "o" / "models").iterdir()}
+    assert written == set(USERS)
 
 
 def test_train_with_no_eligible_users_exits_2(tmp_path, capsys):

@@ -31,11 +31,12 @@ from appauth.evaluation import (
     sensitivity,
     specificity,
     top_apps_report,
+    train_cohort_models,
     unknown_app_stats,
     write_scores_csv,
 )
 from appauth.ingest import RawEvent
-from appauth.models import TrainConfig, train_user_model
+from appauth.models import METHOD_TAGS, TrainConfig, train_user_model
 from appauth.simulate import CohortSpec, make_cohort
 
 
@@ -279,6 +280,33 @@ def test_generate_score_records_returns_sorted_rows():
     want = models["b"].score_windows(windows)
     np.testing.assert_array_equal(table.scores[("b", "a")], want)
     assert [end for mo, wo, end in rows if (mo, wo) == ("b", "a")] == [2, 4, 6]
+
+
+def test_forked_fit_scores_equal_the_in_process_ones():
+    """`evaluate_methods` fits the HMMs in a forked child; every table is
+    bit-identical to training all six methods in this process."""
+    spec = CohortSpec(n_users=3, days=6, apps_per_user=8, seed=7)
+    prepared = prepare_cohort(make_cohort(spec), period=30, min_train=50, min_test=30)
+    assert len(prepared) == 3
+    config = TrainConfig(n_states=3, max_iter=6, seed=7)
+    methods = METHOD_TAGS[::-1]  # not in table order, nor with the HMM variants last
+    tables = evaluate_methods(methods, prepared, (5, 9), config, stride=3)
+    models = train_cohort_models(METHOD_TAGS, prepared, config)
+    projections = {
+        (mo, wo): prepared[mo].vocab.project(prepared[wo].test_observations)
+        for mo in prepared
+        for wo in prepared
+    }
+    want = {
+        (m, n): generate_score_records(models[m], projections, n, stride=3)
+        for m in methods
+        for n in (5, 9)
+    }
+    assert list(tables) == list(want)
+    for key, table in want.items():
+        assert list(tables[key].scores) == list(table.scores), key
+        for pair, scores in table.scores.items():
+            assert np.array_equal(tables[key].scores[pair], scores), (key, pair)
 
 
 def test_evaluate_methods_memory_is_bounded_by_its_scores():

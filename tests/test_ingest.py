@@ -9,6 +9,7 @@ import math
 import pytest
 
 from appauth.ingest import (
+    MAX_USER_ID_BYTES,
     FormatError,
     RawEvent,
     Session,
@@ -19,6 +20,7 @@ from appauth.ingest import (
     split_sessions,
     write_event_log,
 )
+from appauth.models import METHOD_TAGS
 
 
 def ev(ts: int, kind: str, app_id: str = "", user: str = "u1") -> RawEvent:
@@ -56,6 +58,13 @@ def test_raw_event_is_the_event_rule():
         with pytest.raises(ValueError, match="user_id"):
             RawEvent(user_id, 1, "lock")
     assert RawEvent("..", 1, "app", "a/b\\c").user_id == ".."
+    # and short enough for `<user_id>.<method>.npz` to fit a 255-byte NAME_MAX
+    assert MAX_USER_ID_BYTES + max(len(f".{m}.npz") for m in METHOD_TAGS) <= 255
+    for user_id in ("u" * 240, "\u00e9" * 120):  # 240 bytes each
+        assert RawEvent(user_id, 1, "lock").user_id == user_id
+    for user_id in ("u" * 241, "\u00e9" * 121, "\U0001f600" * 61):  # 241, 242 and 244 bytes
+        with pytest.raises(ValueError, match="over 240 UTF-8 bytes"):
+            RawEvent(user_id, 1, "lock")
 
 
 def test_session_validation():
