@@ -273,13 +273,14 @@ def cmd_eval(config: ExperimentConfig, out: Path) -> None:
     shape = (len(config.n_values), len(config.periods))
     grids = {m: np.full(shape, np.nan) for m in config.methods}
     metric_rows = ["method,n,period,threshold,eer,sensitivity,specificity,accuracy,f1".split(",")]
+    report = True
     for j, (period, prepared) in enumerate(_cohorts(config)):
         if len(prepared) < 2:
             log.warning("period %ds: fewer than 2 eligible users; skipping column", period)
             continue
-        # One sweep per table: the grid takes its EER, and the first period
-        # also reports metrics and curves. Each curve is dropped before the
-        # next sweep, and the last table before the next period is scored.
+        # One sweep per table: the grid takes its EER, and the first scored
+        # period also reports metrics and curves. Each curve is dropped before
+        # the next sweep, and the last table before the next period is scored.
         for (method, n), table in evaluate_methods(
             config.methods, prepared, config.n_values, config, config.stride
         ).items():
@@ -289,30 +290,18 @@ def cmd_eval(config: ExperimentConfig, out: Path) -> None:
             curve = roc_curve(table)
             eer, thr = eer_threshold(curve)
             grids[method][i, j] = eer
-            if j == 0 and i == 0:
+            if report and i == 0:
                 write_scores_csv(table, out / f"scores_{method}.csv")
                 write_roc_csv(curve, out / f"roc_{method}.csv")
             del curve
-            if j > 0:
-                continue
-            cc = confusion_counts(table, thr)
-            metric_rows.append(
-                [
-                    method,
-                    str(n),
-                    str(period),
-                    format_number(thr),
-                    format_number(eer),
-                    format_number(sensitivity(cc)),
-                    format_number(specificity(cc)),
-                    format_number(accuracy(cc)),
-                    format_number(f1(cc)),
-                ]
-            )
+            if report:
+                cc = confusion_counts(table, thr)
+                values = (thr, eer, sensitivity(cc), specificity(cc), accuracy(cc), f1(cc))
+                metric_rows.append([method, str(n), str(period), *map(format_number, values)])
         del table
-        if j == 0:
-            write_csv(out / "metrics.csv", metric_rows)
+        report = False
 
+    write_csv(out / "metrics.csv", metric_rows)
     for method in config.methods:
         write_eer_grid_csv(
             config.n_values, config.periods, grids[method], out / f"eer_grid_{method}.csv"

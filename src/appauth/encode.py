@@ -230,6 +230,10 @@ class Vocabulary:
     def __repr__(self) -> str:
         return f"Vocabulary({self.n_apps} apps, size={self.size})"
 
+    def __reduce__(self):
+        # pickled as its apps, so an unpickled copy rebuilds read-only tables
+        return Vocabulary, (self.apps,)
+
     def unknown_index(self, tz: int, day: int) -> int:
         return self.unknown_base + tz * N_DAY + day
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, count
 from pathlib import Path
@@ -28,12 +28,12 @@ from .ingest import (
     split_sessions,
     write_csv,
 )
-from .models import TrainConfig, UserModel, train_user_model
+from .models import LaplaceHmmModel, MsHmmModel, TrainConfig, UserModel, train_user_model
 from .models.hmm import HmmParams, TrainingTrace, baum_welch_cohort
 
 log = logging.getLogger(__name__)
 
-HMM_METHODS = ("hmm-lap", "mshmm")
+HMM_METHODS = (LaplaceHmmModel.method, MsHmmModel.method)
 
 DEFAULT_TRAIN_FRACTION = 0.7
 DEFAULT_MIN_TRAIN = 500
@@ -403,13 +403,10 @@ def train_cohort_models(
     methods: Sequence[str],
     prepared: Mapping[str, PreparedUser],
     config: TrainConfig = TrainConfig(),
-    bases: Mapping[str, tuple[HmmParams, TrainingTrace]] | None = None,
 ) -> dict[str, dict[str, UserModel]]:
     """One model per (method, user); the two HMM variants share one
-    Baum-Welch fit per user, run for the whole cohort in lock-step, or
-    taken from `bases` (a `train_hmm_bases` result) when it is given."""
-    if bases is None:
-        bases = train_hmm_bases(methods, prepared, config)
+    Baum-Welch fit per user, run for the whole cohort in lock-step."""
+    bases = train_hmm_bases(methods, prepared, config)
     return {
         method: {
             user: train_user_model(method, p.train_indices, p.vocab, config, base=bases.get(user))
@@ -495,15 +492,13 @@ def evaluate_methods(
     """A score table for every (method, window length) combination.
 
     Projections of each test sequence into each model owner's vocabulary
-    are computed once. The two HMM variants share one Baum-Welch fit per
-    user, run in a forked child while this process trains and scores the
-    other methods; every table is scored here.
+    are computed once. A forked child trains the two HMM variants, which
+    share one Baum-Welch fit per user, while this process trains and scores
+    the other methods; every table is scored here.
     """
     hmm = [m for m in methods if m in HMM_METHODS]
     others = [m for m in methods if m not in HMM_METHODS]
-    # with no HMM method there is nothing to fit, and `fits()` returns {}
-    fitting = _forked(train_hmm_bases, hmm, prepared, config) if hmm else nullcontext(dict)
-    with fitting as fits:
+    with _forked(train_cohort_models, hmm, prepared, config) as hmm_models:
         users = sorted(prepared)
         projections = {
             (mo, wo): prepared[mo].vocab.project(prepared[wo].test_observations)
@@ -512,8 +507,7 @@ def evaluate_methods(
         }
         models = train_cohort_models(others, prepared, config)
         tables = _score_methods(models, projections, n_values, stride)
-        bases = fits()
-    models = train_cohort_models(hmm, prepared, config, bases)
+        models = hmm_models()
     tables |= _score_methods(models, projections, n_values, stride)
     return {(method, n): tables[(method, n)] for method in methods for n in n_values}
 

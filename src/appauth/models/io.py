@@ -11,7 +11,9 @@ owns only the container around them.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +57,14 @@ def save_model(model, path: str | Path, owner: str) -> None:
 def load_model(path: str | Path) -> tuple:
     """Read a model container back into (model, owner): the model of the
     class its method tag names, and the id of the user it verifies."""
-    with np.load(path, allow_pickle=False) as data:
+    try:
+        # read whole: np.load leaks its file handle on a broken .zip archive
+        data = np.load(io.BytesIO(Path(path).read_bytes()), allow_pickle=False)
+    except (EOFError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"{path}: not an .npz container ({exc})") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise FormatError(f"{path}: not an .npz container (a plain array)")
+    with data:
         try:
             meta = json.loads(str(data["meta"]))
         except KeyError:

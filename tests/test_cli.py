@@ -349,7 +349,7 @@ def test_malformed_sequence_file_exits_2(pipeline, tmp_path, capsys):
 def score_tampered(pipeline, tmp_path, method: str, array: str | None, meta=None) -> int:
     """Exit code of `appauth score` on user00's model with one NaN entry in
     `array`, or with its metadata replaced by `meta(metadata)`."""
-    out, cfg = pipeline
+    out, _ = pipeline
     with np.load(out / "models" / f"user00.{method}.npz", allow_pickle=False) as payload:
         arrays = {k: payload[k] for k in payload.files}
     if array is not None:
@@ -358,6 +358,12 @@ def score_tampered(pipeline, tmp_path, method: str, array: str | None, meta=None
         arrays["meta"] = np.array(json.dumps(meta(json.loads(str(arrays["meta"])))))
     tampered = tmp_path / f"user00.{method}.npz"
     np.savez(tampered, **arrays)
+    return score_file(pipeline, tmp_path, tampered)
+
+
+def score_file(pipeline, tmp_path, model: Path) -> int:
+    """Exit code of `appauth score` on the model file `model`."""
+    out, cfg = pipeline
     return main(
         [
             "score",
@@ -366,7 +372,7 @@ def score_tampered(pipeline, tmp_path, method: str, array: str | None, meta=None
             "--out",
             str(tmp_path / "o"),
             "--model",
-            str(tampered),
+            str(model),
             "--sequence",
             str(out / "test_period30.csv"),
         ]
@@ -387,6 +393,17 @@ def test_tampered_model_exits_2(pipeline, tmp_path, capsys):
 
     assert score_tampered(pipeline, tmp_path, "hmm-lap", None, miscounted) == EXIT_DATA
     assert "iterations" in capsys.readouterr().err
+    # files that are not .npz containers at all: empty, cut short, a plain array
+    container = (pipeline[0] / "models" / "user00.mc.npz").read_bytes()
+    np.save(tmp_path / "plain.npy", np.arange(3))
+    for name, payload in (
+        ("empty.npz", b""),
+        ("truncated.npz", container[: len(container) // 2]),
+        ("plain.npy", (tmp_path / "plain.npy").read_bytes()),
+    ):
+        (tmp_path / name).write_bytes(payload)
+        assert score_file(pipeline, tmp_path, tmp_path / name) == EXIT_DATA, name
+        assert f"{name}: not an .npz container" in capsys.readouterr().err
 
 
 def test_tampered_mshmm_model_exits_2(pipeline, tmp_path, capsys):
@@ -417,6 +434,19 @@ def test_fit_child_error_keeps_its_exit_code(tmp_path, monkeypatch, capsys, erro
     cfg = write_config(tmp_path, out=str(tmp_path / "o"), methods=["mc", "hmm-lap"])
     assert main(["eval", "--config", str(cfg)]) == code
     assert f"{message}: fit failed in the child" in capsys.readouterr().err
+    monkeypatch.undo()
+
+    # the child also builds the HMM models; only it raises, the parent trains `mc`
+    parent, real = os.getpid(), evaluation.train_user_model
+
+    def failing_build(*args, **kwargs):
+        if os.getpid() != parent:
+            raise error("model build failed in the child")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "train_user_model", failing_build)
+    assert main(["eval", "--config", str(cfg)]) == code
+    assert f"{message}: model build failed in the child" in capsys.readouterr().err
 
 
 def test_scoring_error_terminates_and_reaps_the_fit_child(tmp_path, monkeypatch):
@@ -485,6 +515,32 @@ def test_eval_frees_each_period_tables_before_the_next(tmp_path, monkeypatch):
     )
     assert main(["eval", "--config", str(cfg)]) == EXIT_OK
     assert alive_at_call == [0, 0]
+
+
+def test_eval_reports_come_from_the_first_scored_period(tmp_path):
+    """With too few eligible users at the first period, the metrics, scores
+    and ROC files come from the next period, as if it were the only one,
+    and a later period does not replace them."""
+    methods = ["mc", "bin-unk"]
+    runs = {"late": [3000, 30, 60], "only": [30], "none": [3000]}
+    for name, periods in runs.items():
+        cfg = write_config(tmp_path, out=str(tmp_path / name), periods=periods, methods=methods)
+        assert main(["eval", "--config", str(cfg)]) == EXIT_OK
+    files = [f"{kind}_{m}.csv" for kind in ("scores", "roc") for m in methods] + ["metrics.csv"]
+    for f in files:
+        assert (tmp_path / "late" / f).read_bytes() == (tmp_path / "only" / f).read_bytes(), f
+    for m in methods:
+        late, only = (
+            list(csv.reader(io.StringIO((tmp_path / run / f"eer_grid_{m}.csv").read_text())))
+            for run in ("late", "only")
+        )
+        assert [[row[0], row[2]] for row in late] == only
+        assert [row[1] for row in late] == ["period_3000", ""]
+    # nothing scored: metrics.csv holds only its header, and no table is written
+    assert (tmp_path / "none" / "metrics.csv").read_text().splitlines() == [
+        "method,n,period,threshold,eer,sensitivity,specificity,accuracy,f1"
+    ]
+    assert not list((tmp_path / "none").glob("scores_*.csv"))
 
 
 def test_app_ids_with_commas_pass_ingest_and_score(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import multiprocessing
 import tracemalloc
 from dataclasses import fields
 
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 from conftest import app, score_table, unk
+from appauth import evaluation
 from appauth.encode import Vocabulary
 from appauth.evaluation import (
+    HMM_METHODS,
     BoxplotSummary,
     ConfusionCounts,
     accuracy,
@@ -282,9 +285,10 @@ def test_generate_score_records_returns_sorted_rows():
     assert [end for mo, wo, end in rows if (mo, wo) == ("b", "a")] == [2, 4, 6]
 
 
-def test_forked_fit_scores_equal_the_in_process_ones():
-    """`evaluate_methods` fits the HMMs in a forked child; every table is
-    bit-identical to training all six methods in this process."""
+def test_forked_fit_scores_equal_the_in_process_ones(monkeypatch):
+    """`evaluate_methods` trains the HMMs in a forked child; every table is
+    bit-identical to training all six methods in this process, and so is
+    every HMM model the child sends back."""
     spec = CohortSpec(n_users=3, days=6, apps_per_user=8, seed=7)
     prepared = prepare_cohort(make_cohort(spec), period=30, min_train=50, min_test=30)
     assert len(prepared) == 3
@@ -307,6 +311,41 @@ def test_forked_fit_scores_equal_the_in_process_ones():
         assert list(tables[key].scores) == list(table.scores), key
         for pair, scores in table.scores.items():
             assert np.array_equal(tables[key].scores[pair], scores), (key, pair)
+
+    with evaluation._forked(train_cohort_models, HMM_METHODS, prepared, config) as result:
+        forked = result()
+    assert list(forked) == list(HMM_METHODS)
+    for method, by_user in forked.items():
+        assert list(by_user) == list(models[method])
+        for user, model in by_user.items():
+            local = models[method][user]
+            params = "params" if method == "hmm-lap" else "base"
+            for name in ("pi", "trans", "emit"):
+                got = getattr(getattr(model, params), name)
+                assert np.array_equal(got, getattr(getattr(local, params), name))
+            if method == "mshmm":
+                assert np.array_equal(model.emit_ext, local.emit_ext)
+            assert model.trace == local.trace
+            # the vocabulary crosses the pipe as its apps and rebuilds its tables
+            assert model.vocab == local.vocab
+            for table in (model.vocab.symbol_app, model.vocab.symbol_tz, model.vocab.symbol_day):
+                assert not table.flags.writeable
+
+    # with no HMM method the child still runs, returns {} and is reaped
+    forked_methods = []
+    real = evaluation._forked
+
+    def recording(fn, *args):
+        forked_methods.append(args[0])
+        return real(fn, *args)
+
+    monkeypatch.setattr(evaluation, "_forked", recording)
+    tables = evaluate_methods(("mc", "bin-unk"), prepared, (5,), config, stride=3)
+    assert forked_methods == [[]]
+    assert not multiprocessing.active_children()
+    for key, table in tables.items():
+        assert list(table.scores) == list(want[key].scores)
+        assert all(np.array_equal(s, want[key].scores[p]) for p, s in table.scores.items())
 
 
 def test_evaluate_methods_memory_is_bounded_by_its_scores():

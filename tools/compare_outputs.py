@@ -35,7 +35,9 @@ Every output file is compared byte for byte (model `.npz` files
 included), except that each manifest.json is compared as JSON without its
 `versions` key, which records library versions rather than results; so a
 manifest that names another command or config, or is missing, differs.
-One line is printed per (workload, seed). The exit status
+One line is printed per (workload, seed), after a first line with the
+number of lines of the Python files under each tree's `src/`, the measure
+of how much code the change adds or removes. The exit status
 is 1 if any file differs or is missing on either side, or if a run fails.
 """
 
@@ -96,6 +98,11 @@ def run_command(tree: Path, run_dir: Path, command: str, *extra: str) -> bool:
     return proc.returncode == 0
 
 
+def src_lines(tree: Path) -> int:
+    """Lines of the Python files under tree/src."""
+    return sum(len(p.read_bytes().splitlines()) for p in (tree / "src").rglob("*.py"))
+
+
 def comparable(path: Path) -> bytes:
     """The bytes compared for one output file: a manifest.json is re-encoded
     without its `versions`, any other file is read as it is."""
@@ -137,6 +144,8 @@ def main(argv: list[str]) -> int:
     if not (parent / "perfbench" / "workloads.py").is_file():
         print(f"no perfbench/workloads.py under {parent}", file=sys.stderr)
         return 2
+    before, after = src_lines(parent), src_lines(change)
+    print(f"src/ lines: {before} in {parent}, {after} in {change} ({after - before:+d})")
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(parent / "src"), str(parent / "perfbench")]
     bad = 0
