@@ -8,9 +8,8 @@ from a different user. Every method scores higher-is-more-genuine, so the
 owner's own windows should outscore the impostor's under each model.
 """
 
-import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from appauth.encode import sliding_windows
 from appauth.evaluation import prepare_cohort, train_cohort_models
 from appauth.models import METHOD_TAGS, TrainConfig
 from appauth.simulate import CohortSpec, make_cohort
@@ -34,8 +33,8 @@ print(f"{'method':<12} {'genuine':>10} {'impostor':>10} {'margin':>10}")
 models = train_cohort_models(METHOD_TAGS, {owner: prepared[owner]}, config)
 for method in METHOD_TAGS:
     model = models[method][owner]
-    own = model.score_windows(sliding_windows(genuine, WINDOW)[::STRIDE]).mean()
-    other = model.score_windows(sliding_windows(foreign, WINDOW)[::STRIDE]).mean()
+    own = model.score_windows(sliding_window_view(genuine, WINDOW)[::STRIDE]).mean()
+    other = model.score_windows(sliding_window_view(foreign, WINDOW)[::STRIDE]).mean()
     print(f"{method:<12} {own:>10.2f} {other:>10.2f} {own - other:>10.2f}")
 
 # The binary rules collapse each window to accept/reject, so their "scores"

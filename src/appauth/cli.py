@@ -31,14 +31,13 @@ from .evaluation import (
     DEFAULT_TRAIN_FRACTION,
     PreparedUser,
     accuracy,
-    app_similarity_matrix,
     confusion_counts,
     eer_threshold,
     evaluate_methods,
     f1,
     format_number,
     generate_score_records,
-    observation_similarity_matrix,
+    overlap_matrix,
     prepare_cohort,
     roc_curve,
     sensitivity,
@@ -312,10 +311,11 @@ def cmd_eval(config: ExperimentConfig, out: Path) -> None:
 def cmd_stats(config: ExperimentConfig, out: Path) -> None:
     prepared = _first_period_cohort(config, 2)
     vocabs = {u: p.vocab for u, p in prepared.items()}
-    users, app_m = app_similarity_matrix(vocabs)
+    users, app_m = overlap_matrix({u: v.apps for u, v in vocabs.items()})
     write_similarity_csv(users, app_m, out / "similarity_app.csv")
-    users, obs_m = observation_similarity_matrix(
-        {u: set(p.train_observations) for u, p in prepared.items()}
+    # markers are left out: they are shared structure, not behaviour
+    users, obs_m = overlap_matrix(
+        {u: {o for o in p.train_observations if o.kind == KIND_APP} for u, p in prepared.items()}
     )
     write_similarity_csv(users, obs_m, out / "similarity_obs.csv")
     test_apps = {

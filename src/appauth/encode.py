@@ -263,13 +263,3 @@ class Vocabulary:
     @classmethod
     def from_json(cls, payload: dict) -> "Vocabulary":
         return cls(payload["apps"])
-
-
-def sliding_windows(indices: np.ndarray, n: int) -> np.ndarray:
-    """All length-n windows of an index array as a (W, n) view."""
-    if n < 1:
-        raise ValueError("window length must be >= 1")
-    arr = np.asarray(indices, dtype=np.int64)
-    if arr.size < n:
-        return np.empty((0, n), dtype=np.int64)
-    return np.lib.stride_tricks.sliding_window_view(arr, n)

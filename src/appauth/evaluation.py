@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .encode import KIND_APP, Observation, Vocabulary, encode_sessions, sliding_windows
+from .encode import Observation, Vocabulary, encode_sessions
 from .ingest import (
     DEFAULT_IDLE_GAP,
     SplitDataset,
@@ -156,7 +156,7 @@ def generate_score_records(
                 n,
             )
             continue
-        windows = sliding_windows(indices, n)[::stride]
+        windows = np.lib.stride_tricks.sliding_window_view(indices, n)[::stride]
         scores[(model_owner, window_owner)] = models[model_owner].score_windows(windows)
     return ScoreTable(n, stride, scores)
 
@@ -258,22 +258,6 @@ def overlap_matrix(sets: Mapping[str, Iterable]) -> tuple[list[str], np.ndarray]
         for j, uj in enumerate(users):
             matrix[i, j] = 100.0 * len(si & materialized[uj]) / len(si)
     return users, matrix
-
-
-def app_similarity_matrix(vocabs: Mapping[str, Vocabulary]):
-    """Pairwise app-set overlap between users' training vocabularies."""
-    return overlap_matrix({u: v.apps for u, v in vocabs.items()})
-
-
-def observation_similarity_matrix(symbol_sets: Mapping[str, Iterable[Observation]]):
-    """Pairwise overlap of contextualized training observations (markers
-    excluded — they are shared structure, not behavior)."""
-    return overlap_matrix(
-        {
-            u: {o.to_text() for o in obs_set if o.kind == KIND_APP}
-            for u, obs_set in symbol_sets.items()
-        }
-    )
 
 
 def unknown_app_stats(
@@ -385,13 +369,9 @@ def prepare_cohort(
     prepared: dict[str, PreparedUser] = {}
     for user in sorted(events_by_user):
         resampled = resample_sessions(sessionize(events_by_user[user], idle_gap=idle_gap), period)
-        total = sum(len(s.samples) for s in resampled)
-        # a single sample cannot be split; it counts as a test sample
-        split = SplitDataset([], resampled)
-        if total > 1:
-            split = split_sessions(resampled, train_fraction)
+        split = split_sessions(resampled, train_fraction)
         n_train = sum(len(s.samples) for s in split.train)
-        n_test = total - n_train
+        n_test = sum(len(s.samples) for s in split.test)
         if n_train < max(1, min_train) or n_test < max(1, min_test):
             log.warning("user %s ineligible: %d train / %d test samples", user, n_train, n_test)
             continue

@@ -36,22 +36,27 @@ def read_csv_rows(source: str | Path | TextIO, header: list[str]) -> Iterator[tu
 
     The line number is the file line on which the row ends (the header is
     line 1), so a quoted field spanning lines does not shift later rows.
+    A path is read as UTF-8 with or without a leading byte-order mark.
     Raises FormatError if the header row is missing or differs from
-    ``header``.
+    ``header``, or if the csv module cannot read a line, such as one with a
+    field over its size limit.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             yield from read_csv_rows(fh, header)
         return
     reader = csv.reader(source)
-    first = next(reader, None)
-    if first is None:
-        raise FormatError("empty file: missing header row")
-    if [h.strip() for h in first] != header:
-        raise FormatError(f"bad header {first!r}, expected {header}")
-    for row in reader:
-        if row:
-            yield reader.line_num, [f.strip() for f in row]
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise FormatError("empty file: missing header row")
+        if [h.strip() for h in first] != header:
+            raise FormatError(f"bad header {first!r}, expected {header}")
+        for row in reader:
+            if row:
+                yield reader.line_num, [f.strip() for f in row]
+    except csv.Error as exc:
+        raise FormatError(f"line {reader.line_num}: {exc}") from None
 
 
 def write_csv(dest: str | Path | TextIO, rows: Iterable[Sequence]) -> None:
@@ -260,14 +265,14 @@ def split_sessions(sessions: Sequence[Session], train_fraction: float) -> SplitD
     """Session-aware chronological split at the sample level.
 
     The earliest floor(train_fraction * total) samples, clamped so each side
-    keeps at least one, go to train; a session straddling the boundary is
-    divided into a train fragment and a test fragment so no sample is lost.
+    keeps at least one when there are two or more, go to train; a session
+    straddling the boundary is divided into a train fragment and a test
+    fragment so no sample is lost. Any sample count splits: a single sample
+    goes to test, and no samples give an empty split.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     total = sum(len(s.samples) for s in sessions)
-    if total < 2:
-        raise ValueError(f"need at least 2 samples to split, got {total}")
     n_train = math.floor(train_fraction * total)
     n_train = min(max(n_train, 1), total - 1)
 

@@ -34,6 +34,8 @@ class TrainConfig:
         # NaN fails the comparison; Infinity stops at the first check
         if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def check_floor(delta: float) -> float:

@@ -45,7 +45,7 @@ class CohortSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, low in (("n_users", 1), ("days", 0), ("apps_per_user", 1)):
+        for name, low in (("n_users", 1), ("days", 0), ("apps_per_user", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}")
         # the comparisons fail on NaN, so NaN is rejected too

@@ -29,7 +29,7 @@ from appauth.cli import (
     load_config,
     main,
 )
-from appauth.encode import encode_sessions
+from appauth.encode import KIND_APP, encode_sessions
 from appauth.ingest import (
     EVENT_LOG_HEADER,
     parse_event_log,
@@ -153,6 +153,21 @@ def test_ingest_csv_carries_encoded_timestamps(pipeline):
             encoded = encode_sessions(sessions)
             assert times == [ts for ts, _ in encoded]
             assert [r["symbol"] for r in rows] == [obs.to_text() for _, obs in encoded]
+
+
+def test_stats_observation_overlap_leaves_out_markers(pipeline):
+    out, _ = pipeline
+    prepared = cli._first_period_cohort(ExperimentConfig.from_json(TINY), 2)
+
+    def similarity_csv(keep) -> str:
+        sets = {u: {o for o in p.train_observations if keep(o)} for u, p in prepared.items()}
+        buf = io.StringIO()
+        evaluation.write_similarity_csv(*evaluation.overlap_matrix(sets), buf)
+        return buf.getvalue()
+
+    written = (out / "similarity_obs.csv").read_text(encoding="utf-8")
+    assert written == similarity_csv(lambda o: o.kind == KIND_APP)
+    assert written != similarity_csv(lambda o: True)
 
 
 def test_manifest_has_config_hash_and_no_timestamps(pipeline):
@@ -344,6 +359,25 @@ def test_malformed_sequence_file_exits_2(pipeline, tmp_path, capsys):
     )
     assert code == EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+def test_oversized_csv_field_exits_2(pipeline, tmp_path, capsys):
+    out, cfg = pipeline
+    huge = "x" * 200_000  # over the csv module's 131 072-character field limit
+    events = tmp_path / "events.csv"
+    rows = f"u1,0,unlock,\nu1,1,app,{huge}\n"
+    events.write_text("user_id,local_timestamp,kind,app_id\n" + rows, encoding="utf-8")
+    sequence = tmp_path / "seq.csv"
+    rows = f"user00,0,psi\nuser00,30,{huge}\n"
+    sequence.write_text("owner,timestamp,symbol\n" + rows, encoding="utf-8")
+    model = str(out / "models" / "user00.mc.npz")
+    o = str(tmp_path / "o")
+    for argv in [
+        ["ingest", "--config", str(write_config(tmp_path, data=str(events))), "--out", o],
+        ["score", "--config", str(cfg), "--out", o, "--model", model, "--sequence", str(sequence)],
+    ]:
+        assert main(argv) == EXIT_DATA, argv
+        assert "line 3: field larger than field limit" in capsys.readouterr().err, argv
 
 
 def score_tampered(pipeline, tmp_path, method: str, array: str | None, meta=None) -> int:
@@ -755,6 +789,7 @@ def test_synthetic_key_typo_exits_2(tmp_path, capsys):
         ({"max_iter": 0}, "max_iter"),
         ({"tol": -1}, "tol"),
         ({"tol": float("nan")}, "tol"),
+        ({"seed": -1}, "seed"),
         # grid values are checked when the config loads too
         ({"periods": [0]}, "periods"),
         ({"n_values": [20, 0]}, "n_values"),
@@ -770,6 +805,7 @@ def test_synthetic_key_typo_exits_2(tmp_path, capsys):
         ({"synthetic": {"session_rate": float("nan")}}, "session_rate"),
         ({"synthetic": {"concentration": 0}}, "concentration"),
         ({"synthetic": {"days": -1}}, "days"),
+        ({"synthetic": {"seed": -1}}, "seed"),
     ]:
         cfg.write_text(json.dumps(payload))
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_DATA

@@ -16,7 +16,6 @@ from appauth.encode import (
     day_ordinal,
     encode_sessions,
     read_sequence_csv,
-    sliding_windows,
     timezone_of,
     write_sequence_csv,
 )
@@ -174,17 +173,6 @@ def test_vocabulary_from_observations_keeps_app_ids_only():
     stream = [app("b"), unk(), PSI, app("a"), app("b")]
     vocab = Vocabulary.from_observations(stream)
     assert vocab.apps == ("a", "b")
-
-
-def test_window_helpers():
-    idx = np.arange(5, dtype=np.int64)
-    assert sliding_windows(idx, 3)[-1].tolist() == [2, 3, 4]  # the trailing window
-    with pytest.raises(ValueError):
-        sliding_windows(idx, 0)
-    mat = sliding_windows(idx, 2)
-    assert mat.shape == (4, 2)
-    assert mat[0].tolist() == [0, 1] and mat[-1].tolist() == [3, 4]
-    assert sliding_windows(idx, 9).shape == (0, 9)
 
 
 def test_sequence_csv_round_trip(tmp_path):

@@ -19,7 +19,6 @@ from appauth.evaluation import (
     BoxplotSummary,
     ConfusionCounts,
     accuracy,
-    app_similarity_matrix,
     confusion_counts,
     eer_threshold,
     equal_error_rate,
@@ -27,7 +26,6 @@ from appauth.evaluation import (
     f1,
     format_number,
     generate_score_records,
-    observation_similarity_matrix,
     overlap_matrix,
     prepare_cohort,
     roc_curve,
@@ -166,28 +164,15 @@ def test_boxplot_summary_quartiles():
 
 
 def test_app_similarity_matrix_row_normalized():
-    users, matrix = app_similarity_matrix(
-        {"a": Vocabulary(["x", "y"]), "b": Vocabulary(["y", "z", "w"])}
-    )
+    users, matrix = overlap_matrix({"a": ("x", "y"), "b": ("y", "z", "w")})
     assert users == ["a", "b"]
     assert matrix[0, 0] == 100.0 and matrix[1, 1] == 100.0
     assert matrix[0, 1] == pytest.approx(50.0)  # |{y}| / |{x,y}|
     assert matrix[1, 0] == pytest.approx(100.0 / 3)
     with pytest.raises(ValueError):
-        app_similarity_matrix({"a": Vocabulary(["x"])})
+        overlap_matrix({"a": ("x",)})
     with pytest.raises(ValueError):
         overlap_matrix({"a": {"x"}, "b": set()})
-
-
-def test_observation_similarity_uses_full_triples_without_markers():
-    from conftest import PSI
-
-    sets = {
-        "a": [app("x", 0, 0), app("x", 1, 0), PSI],
-        "b": [app("x", 0, 0), app("y", 0, 0), PSI],
-    }
-    users, matrix = observation_similarity_matrix(sets)
-    assert matrix[0, 1] == pytest.approx(50.0)  # only (x, tz0, wd) shared
 
 
 def test_unknown_app_stats_pairs():

@@ -126,6 +126,15 @@ def test_parse_rejects_bad_header():
         parse_event_log(io.StringIO(""))
 
 
+def test_parse_reads_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_event_log([ev(1, "unlock"), ev(2, "app", "mail"), ev(3, "lock")], plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    events, report = parse_event_log(marked)
+    assert [e.kind for e in events] == ["unlock", "app", "lock"]
+    assert (events, report) == parse_event_log(plain)
+
+
 def test_parse_collects_malformed_rows():
     text = (
         "user_id,local_timestamp,kind,app_id\n"
@@ -235,8 +244,9 @@ def test_chronological_split_floor_and_clamp():
     assert sizes(split_sessions(sessions, 0.7)) == (7, 3)
     assert sizes(split_sessions(sessions[:2], 0.01)) == (1, 1)
     assert sizes(split_sessions(sessions[:2], 0.99)) == (1, 1)
-    with pytest.raises(ValueError):
-        split_sessions(sessions[:1], 0.5)
+    # fewer than two samples cannot give each side one: they all go to test
+    assert sizes(split_sessions(sessions[:1], 0.5)) == (0, 1)
+    assert sizes(split_sessions([], 0.5)) == (0, 0)
     with pytest.raises(ValueError):
         split_sessions(sessions, 1.0)
 

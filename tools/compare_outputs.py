@@ -25,8 +25,10 @@ the first period alone stay so. Every user of both inputs is eligible at
 Each tree then runs, per input and in a temporary directory,
 `python -m appauth.cli <command> --config ../config.json --out <command>`
 for `synth`, `ingest`, `train`, `eval`, `stats` and `intrude`, and
-finally `score` of the first user's `mshmm` model from `train` against the
-`test_period<p>.csv` that `ingest` wrote. The data commands all read the
+finally `score` of each of the first user's six model files from `train`
+(one per method) against the `test_period<p>.csv` that `ingest` wrote,
+each with `--out score-<method>`, so the load-and-score path of every
+model kind is compared. The data commands all read the
 parent-built events.csv, so each tree's `synth/events.csv` (the whole,
 uncut cohort) is what compares the two trees' cohort generators. Every
 run has PYTHONPATH=<tree>/src, OPENBLAS_NUM_THREADS=1 and
@@ -81,9 +83,9 @@ def write_inputs(name: str, seed: int, case_dir: Path) -> int:
     return workload["period"]
 
 
-def run_command(tree: Path, run_dir: Path, command: str, *extra: str) -> bool:
-    """One appauth command with its outputs under run_dir/<command>;
-    False, with its stderr printed, if it failed."""
+def run_command(tree: Path, run_dir: Path, command: str, *extra: str, out: str = "") -> bool:
+    """One appauth command with its outputs under run_dir/<out>, by default
+    run_dir/<command>; False, with its stderr printed, if it failed."""
     env = {
         **os.environ,
         "PYTHONPATH": str(tree / "src"),
@@ -91,7 +93,7 @@ def run_command(tree: Path, run_dir: Path, command: str, *extra: str) -> bool:
         "PYTHONDONTWRITEBYTECODE": "1",
     }
     cmd = [sys.executable, "-m", "appauth.cli", command, "--config", "../config.json"]
-    cmd += ["--out", command, *extra]
+    cmd += ["--out", out or command, *extra]
     proc = subprocess.run(cmd, cwd=run_dir, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         print(f"{tree}: {command} exited {proc.returncode}:\n{proc.stderr[-2000:]}", file=sys.stderr)
@@ -119,13 +121,19 @@ def run_all(tree: Path, run_dir: Path, period: int) -> dict[str, bytes] | None:
     run_dir.mkdir()
     if not all(run_command(tree, run_dir, command) for command in COMMANDS):
         return None
-    models = sorted((run_dir / "train" / "models").glob("*.mshmm.npz"))
+    # model files are named <user>.<method>.npz, and no method tag holds a "."
+    models = {}
+    for path in sorted((run_dir / "train" / "models").glob("*.npz")):
+        user, method, _ = path.name.rsplit(".", 2)
+        models.setdefault(user, {})[method] = path
     if not models:
-        print(f"{tree}: train wrote no mshmm model", file=sys.stderr)
+        print(f"{tree}: train wrote no model", file=sys.stderr)
         return None
     sequence = run_dir / "ingest" / f"test_period{period}.csv"
-    if not run_command(tree, run_dir, "score", "--model", str(models[0]), "--sequence", str(sequence)):
-        return None
+    for method, path in models[min(models)].items():
+        args = ("--model", str(path), "--sequence", str(sequence))
+        if not run_command(tree, run_dir, "score", *args, out=f"score-{method}"):
+            return None
     return {
         str(p.relative_to(run_dir)): comparable(p) for p in sorted(run_dir.rglob("*")) if p.is_file()
     }
