@@ -113,9 +113,10 @@ class ExperimentConfig(TrainConfig):
         for name in ("periods", "n_values", "methods"):
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ValueError(f"{name} has a repeated entry")
-        for name in ("periods", "n_values", "stride", "segment"):
-            if np.min(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        least = {"periods": 1, "n_values": 1, "stride": 1, "segment": 1, "min_train": 0, "min_test": 0}
+        for name, floor in least.items():
+            if np.min(getattr(self, name)) < floor:
+                raise ValueError(f"{name} must be >= {floor}")
         for m in self.methods:
             if m not in METHOD_TAGS:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHOD_TAGS}")
@@ -140,7 +141,7 @@ class ExperimentConfig(TrainConfig):
 def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # with or without a BOM
         return ExperimentConfig.from_json(json.load(fh))
 
 
@@ -371,29 +372,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="App-usage continuous-authentication experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON experiment config file")
-        p.add_argument("--method", choices=METHOD_TAGS, help="restrict to one method")
-        p.add_argument("--n", type=int, help="restrict to one window length")
-        p.add_argument("--period", type=int, help="restrict to one sampling period (s)")
-        p.add_argument("--seed", type=int, help="override the training seed")
-        p.add_argument("--out", help="output directory")
-
-    for name, help_text in [
-        ("synth", "generate a synthetic cohort event log"),
-        ("ingest", "parse, sessionize and encode an event log"),
-        ("train", "train per-user models"),
-        ("eval", "run the EER evaluation grid"),
-        ("stats", "dataset statistics reports"),
-        ("intrude", "intrusion-splice latency experiment"),
+    overrides = {
+        "method": {"choices": METHOD_TAGS, "help": "restrict to one method"},
+        "n": {"type": int, "help": "restrict to one window length"},
+        "period": {"type": int, "help": "restrict to one sampling period (s)"},
+        "seed": {"type": int, "help": "override the training seed"},
+    }
+    # each command takes only the overrides it reads; any other is a usage error
+    for name, flags, help_text in [
+        ("synth", (), "generate a synthetic cohort event log"),
+        ("ingest", ("period",), "parse, sessionize and encode an event log"),
+        ("train", ("method", "period", "seed"), "train per-user models"),
+        ("eval", tuple(overrides), "run the EER evaluation grid"),
+        ("stats", ("period",), "dataset statistics reports"),
+        ("intrude", tuple(overrides), "intrusion-splice latency experiment"),
+        ("score", ("n",), "score a sequence file against a saved model"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        common(p)
-    p_score = sub.add_parser("score", help="score a sequence file against a saved model")
-    common(p_score)
-    p_score.add_argument("--model", required=True, help="model .npz file")
-    p_score.add_argument("--sequence", required=True, help="sequence CSV to score")
+        p.add_argument("--config", help="JSON experiment config file")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **overrides[flag])
+        p.add_argument("--out", help="output directory")
+        if name == "score":
+            p.add_argument("--model", required=True, help="model .npz file")
+            p.add_argument("--sequence", required=True, help="sequence CSV to score")
     return parser
 
 

@@ -33,7 +33,6 @@ CONTEXTS_PER_APP = N_TZ * N_DAY  # 6
 SEQUENCE_HEADER = ["owner", "timestamp", "symbol"]
 
 KIND_APP = "app"
-KIND_UNKNOWN = "unk"
 KIND_SESSION_START = "psi"
 KIND_DAY_CHANGE = "delta"
 
@@ -61,8 +60,9 @@ def day_flag_of(timestamp: int) -> int:
 class Observation:
     """One symbol of the usage alphabet.
 
-    kind is one of 'app', 'unk', 'psi', 'delta'. app_id is set only for
-    'app'; tz/day only for 'app' and 'unk'.
+    kind is one of 'app', 'psi', 'delta'; app_id and tz/day are set only
+    for 'app'. An app outside a vocabulary has no symbol of its own: the
+    vocabulary projects it to the unknown index of its context.
     """
 
     kind: str
@@ -71,10 +71,10 @@ class Observation:
     day: int = -1
 
     def __post_init__(self) -> None:
-        if self.kind in (KIND_APP, KIND_UNKNOWN):
+        if self.kind == KIND_APP:
             if not 0 <= self.tz < N_TZ or not 0 <= self.day < N_DAY:
                 raise ValueError(f"bad context tz={self.tz} day={self.day}")
-            if self.kind == KIND_APP and not self.app_id:
+            if not self.app_id:
                 raise ValueError("app observation without app_id")
         elif self.kind in (KIND_SESSION_START, KIND_DAY_CHANGE):
             if self.app_id or self.tz != -1 or self.day != -1:
@@ -85,32 +85,18 @@ class Observation:
     def to_text(self) -> str:
         if self.kind == KIND_APP:  # from_text splits off the last two fields only
             return f"app:{self.app_id}:{TZ_NAMES[self.tz]}:{DAY_NAMES[self.day]}"
-        if self.kind == KIND_UNKNOWN:
-            return f"unk:{TZ_NAMES[self.tz]}:{DAY_NAMES[self.day]}"
         return self.kind  # psi / delta
 
     @classmethod
     def from_text(cls, text: str) -> "Observation":
         if text == KIND_SESSION_START or text == KIND_DAY_CHANGE:
             return cls(text)
-        if text.startswith("app:"):
-            body, tz_name, day_name = _split_context(text[4:], text)
-            if not body:
+        parts = text[4:].rsplit(":", 2)
+        if text.startswith("app:") and len(parts) == 3 and parts[1] in TZ_NAMES and parts[2] in DAY_NAMES:
+            if not parts[0]:
                 raise FormatError(f"empty app_id in symbol {text!r}")
-            return cls(KIND_APP, body, TZ_NAMES.index(tz_name), DAY_NAMES.index(day_name))
-        if text.startswith("unk:"):
-            body, tz_name, day_name = _split_context("x:" + text[4:], text)
-            if body != "x":
-                raise FormatError(f"malformed unknown symbol {text!r}")
-            return cls(KIND_UNKNOWN, "", TZ_NAMES.index(tz_name), DAY_NAMES.index(day_name))
+            return cls(KIND_APP, parts[0], TZ_NAMES.index(parts[1]), DAY_NAMES.index(parts[2]))
         raise FormatError(f"unparseable symbol {text!r}")
-
-
-def _split_context(body: str, original: str) -> tuple[str, str, str]:
-    parts = body.rsplit(":", 2)
-    if len(parts) != 3 or parts[1] not in TZ_NAMES or parts[2] not in DAY_NAMES:
-        raise FormatError(f"unparseable symbol {original!r}")
-    return parts[0], parts[1], parts[2]
 
 
 def app_observation(app_id: str, timestamp: int) -> Observation:
@@ -234,19 +220,13 @@ class Vocabulary:
         # pickled as its apps, so an unpickled copy rebuilds read-only tables
         return Vocabulary, (self.apps,)
 
-    def unknown_index(self, tz: int, day: int) -> int:
-        return self.unknown_base + tz * N_DAY + day
-
     def index_of(self, obs: Observation) -> int:
         """Index of an observation, folding out-of-vocabulary apps into the
         unknown symbol with the same context."""
         if obs.kind == KIND_APP:
             rank = self._app_rank.get(obs.app_id)
-            if rank is None:
-                return self.unknown_index(obs.tz, obs.day)
-            return rank * CONTEXTS_PER_APP + obs.tz * N_DAY + obs.day
-        if obs.kind == KIND_UNKNOWN:
-            return self.unknown_index(obs.tz, obs.day)
+            family = self.unknown_base if rank is None else rank * CONTEXTS_PER_APP
+            return family + obs.tz * N_DAY + obs.day
         if obs.kind == KIND_SESSION_START:
             return self.session_start_index
         return self.day_change_index

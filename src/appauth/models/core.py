@@ -59,10 +59,8 @@ def as_index_array(window, size: int) -> np.ndarray:
 
 def as_window_matrix(windows, size: int) -> np.ndarray:
     """Coerce a batch of equal-length windows to a (W, n) int64 array of
-    indices in [0, size)."""
+    indices in [0, size); a single window is a (1, n) batch."""
     arr = np.asarray(windows, dtype=np.int64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValueError(f"expected (W, n) window batch, got shape {arr.shape}")
     check_indices(arr, size)

@@ -93,7 +93,7 @@ def forward_log_likelihood(
     pi: np.ndarray, trans: np.ndarray, emit: np.ndarray, windows
 ) -> np.ndarray:
     """log P(window) of each row of a (W, n) window batch by the scaled
-    forward recursion; a single window is a batch of one.
+    forward recursion; a single window is a (1, n) batch.
 
     emit need not be stochastic: the marginally-smoothed variant scores
     through a patched emission table.

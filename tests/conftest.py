@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import pytest
 
-from appauth.encode import CONTEXTS_PER_APP, KIND_APP, KIND_UNKNOWN, N_DAY, Observation, Vocabulary
+from appauth.encode import CONTEXTS_PER_APP, KIND_APP, N_DAY, Observation, Vocabulary
 from appauth.evaluation import ScoreTable
 from appauth.ingest import EVENT_LOG_HEADER, RawEvent
 from appauth.models.edit_distance import INDEL_COST, MISMATCH_COST
@@ -32,8 +32,14 @@ def app(app_id: str, tz: int = 0, day: int = 0) -> Observation:
     return Observation("app", app_id=app_id, tz=tz, day=day)
 
 
+# an app id that no test vocabulary holds
+UNKNOWN_APP = "<unknown>"
+
+
 def unk(tz: int = 0, day: int = 0) -> Observation:
-    return Observation("unk", tz=tz, day=day)
+    """An app that every test vocabulary projects to its unknown index of
+    context (tz, day)."""
+    return app(UNKNOWN_APP, tz, day)
 
 
 PSI = Observation("psi")
@@ -181,15 +187,16 @@ _APP_DAY_CHANGE = -4
 def substitution_cost(u: Observation, v: Observation) -> int:
     """Cost of substituting one observation for another, in {0, 1, 2, 3}.
 
-    Zero for identical symbols. When both symbols refer to the same app
-    (the unknown-app placeholder counts as one shared app), each mismatched
-    context attribute — time-of-day block, weekday flag — adds one. Anything
-    else, including marker-vs-other, is a full mismatch at 3.
+    Zero for identical symbols. When both symbols refer to the same app,
+    each mismatched context attribute — time-of-day block, weekday flag —
+    adds one. Anything else, including marker-vs-other, is a full mismatch
+    at 3. A vocabulary projects apps it does not hold alike, so the oracles
+    agree with the models only on streams whose unknown apps share one id,
+    as `unk` builds them.
     """
     if u == v:
         return 0
-    contextual = (KIND_APP, KIND_UNKNOWN)
-    if u.kind in contextual and v.kind in contextual and (u.kind, u.app_id) == (v.kind, v.app_id):
+    if u.kind == v.kind == KIND_APP and u.app_id == v.app_id:
         return int(u.tz != v.tz) + int(u.day != v.day)
     return MISMATCH_COST
 

@@ -343,22 +343,28 @@ def test_unusable_paths_exit_2(pipeline, tmp_path, capsys):
 def test_malformed_sequence_file_exits_2(pipeline, tmp_path, capsys):
     out, cfg = pipeline
     bad = tmp_path / "bad.csv"
-    bad.write_text("who,when,what\nuser00,0,psi\n", encoding="utf-8")
-    code = main(
-        [
-            "score",
-            "--config",
-            str(cfg),
-            "--out",
-            str(tmp_path / "o"),
-            "--model",
-            str(out / "models" / "user00.mc.npz"),
-            "--sequence",
-            str(bad),
-        ]
-    )
-    assert code == EXIT_DATA
-    assert "data error" in capsys.readouterr().err
+    # an unknown app is a projected index, never a symbol of the file
+    unknown = "owner,timestamp,symbol\nuser00,0,psi\nuser00,30,unk:TZ1:WD\n"
+    for text, message in [
+        ("who,when,what\nuser00,0,psi\n", "data error"),
+        (unknown, "line 3: unparseable symbol 'unk:TZ1:WD'"),
+    ]:
+        bad.write_text(text, encoding="utf-8")
+        code = main(
+            [
+                "score",
+                "--config",
+                str(cfg),
+                "--out",
+                str(tmp_path / "o"),
+                "--model",
+                str(out / "models" / "user00.mc.npz"),
+                "--sequence",
+                str(bad),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert message in capsys.readouterr().err
 
 
 def test_oversized_csv_field_exits_2(pipeline, tmp_path, capsys):
@@ -748,9 +754,9 @@ def test_config_rejects_unknown_keys_and_bad_values():
         for value in values:
             with pytest.raises(ValueError, match=key):
                 ExperimentConfig.from_json({key: value})
-    # the bounds of the percentile are valid
+    # the bounds of the percentile are valid, and a sample minimum of 0 means 1
     ExperimentConfig(threshold_percentile=0.0, idle_gap=1e-3)
-    ExperimentConfig(threshold_percentile=100.0)
+    ExperimentConfig(threshold_percentile=100.0, min_train=0, min_test=0)
 
 
 def test_every_float_field_rejects_nan():
@@ -790,6 +796,8 @@ def test_synthetic_key_typo_exits_2(tmp_path, capsys):
         ({"tol": -1}, "tol"),
         ({"tol": float("nan")}, "tol"),
         ({"seed": -1}, "seed"),
+        ({"min_train": -5}, "min_train"),
+        ({"min_test": -1}, "min_test"),
         # grid values are checked when the config loads too
         ({"periods": [0]}, "periods"),
         ({"n_values": [20, 0]}, "n_values"),
@@ -837,7 +845,7 @@ def test_config_hash_tracks_content():
 
 def test_apply_overrides_from_argv():
     args = build_parser().parse_args(
-        ["train", "--method", "mc", "--n", "40", "--period", "10",
+        ["eval", "--method", "mc", "--n", "40", "--period", "10",
          "--seed", "9", "--out", "elsewhere"]
     )
     config = apply_overrides(ExperimentConfig(), args)
@@ -848,3 +856,40 @@ def test_apply_overrides_from_argv():
     assert config.out == "elsewhere"
     plain = ExperimentConfig()
     assert apply_overrides(plain, build_parser().parse_args(["train"])) is plain
+
+
+# the overrides each command reads; every other one is a usage error
+OVERRIDES_READ = {
+    "synth": (),
+    "ingest": ("period",),
+    "train": ("method", "period", "seed"),
+    "score": ("n",),
+    "eval": ("method", "n", "period", "seed"),
+    "stats": ("period",),
+    "intrude": ("method", "n", "period", "seed"),
+}
+
+
+def test_each_command_takes_only_the_overrides_it_reads(capsys):
+    values = {"method": "mc", "n": "40", "period": "10", "seed": "9"}
+    fields = {"method": "methods", "n": "n_values", "period": "periods", "seed": "seed"}
+    for command, read in OVERRIDES_READ.items():
+        base = [command, "--model", "m.npz", "--sequence", "s.csv"] if command == "score" else [command]
+        for flag, value in values.items():
+            argv = [*base, f"--{flag}", value]
+            if flag in read:
+                config = apply_overrides(ExperimentConfig(), build_parser().parse_args(argv))
+                assert getattr(config, fields[flag]) != getattr(ExperimentConfig(), fields[flag])
+                continue
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == EXIT_USAGE, argv
+            assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+
+def test_config_with_byte_order_mark_loads(tmp_path):
+    cfg = write_config(tmp_path, out=str(tmp_path / "o"))
+    cfg.write_text(cfg.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_config(str(cfg)) == ExperimentConfig.from_json(dict(TINY, out=str(tmp_path / "o")))
+    assert main(["synth", "--config", str(cfg)]) == EXIT_OK

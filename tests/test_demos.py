@@ -80,6 +80,16 @@ def _definitions(tree: ast.Module, private: bool):
                 yield owner, defn
 
 
+def _constants(tree: ast.Module, private: bool):
+    """Names assigned UPPER_CASE at module level that do (private) or do
+    not start with `_`."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.isupper() and target.id.startswith("_") == private:
+                yield target
+
+
 def _overrides(path: Path, cls: str, name: str) -> bool:
     """Whether method `name` of class `cls` in `path` overrides a base
     class's; the base's callers use it."""
@@ -89,9 +99,10 @@ def _overrides(path: Path, cls: str, name: str) -> bool:
 
 
 def _unreferenced(private: bool, users: list[str]) -> list[str]:
-    """Definitions under src/appauth/ whose name no Name or Attribute node
-    in the .py files under `users` (directories of ROOT) mentions; `__all__`
-    strings and import statements do not count as a use."""
+    """Definitions and UPPER_CASE module constants under src/appauth/ whose
+    name no Name or Attribute node in the .py files under `users`
+    (directories of ROOT) loads; `__all__` strings, import statements and
+    assignments do not count as a use."""
     defined: list[tuple[str, str]] = []
     for path in sorted((ROOT / "src" / "appauth").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -101,12 +112,13 @@ def _unreferenced(private: bool, users: list[str]) -> list[str]:
             for cls, d in _definitions(tree, private)
             if cls is None or not _overrides(path, cls, d.name)
         ]
+        defined += [(t.id, f"{rel}:{t.lineno} {t.id}") for t in _constants(tree, private)]
     referenced: set[str] = set()
     for path in sorted(p for user in users for p in (ROOT / user).rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.attr)
     return [where for name, where in defined if name not in referenced]
 

@@ -75,11 +75,15 @@ def test_save_load_round_trip_is_bit_identical(tmp_path):
 
 def test_every_model_guards_its_window_batch():
     """An empty batch scores to nothing; an out-of-range symbol is an error,
-    never a silently wrapped index."""
+    never a silently wrapped index. A single window is a (1, n) batch: a
+    bare 1-D array is refused."""
     vocab, train, config = make_training()
     for tag in METHOD_TAGS:
         model = train_user_model(tag, train, vocab, config)
         assert model.score_windows(np.zeros((0, 12), dtype=np.int64)).shape == (0,)
+        assert model.score_windows(train[None, :12]).shape == (1,)
+        with pytest.raises(ValueError, match="window batch"):
+            model.score_windows(train[:12])
         for bad in (-1, vocab.size):
             windows = np.zeros((3, 12), dtype=np.int64)
             windows[1, 4] = bad

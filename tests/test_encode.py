@@ -41,11 +41,10 @@ def test_day_flag_epoch_anchor():
 
 
 def test_observation_text_round_trip():
-    cases = [app("mail", 0, 0), app("a.b_c", 2, 1), unk(1, 0), PSI, DELTA]
+    cases = [app("mail", 0, 0), app("a.b_c", 2, 1), PSI, DELTA]
     for obs in cases:
         assert Observation.from_text(obs.to_text()) == obs
     assert app("mail", 0, 0).to_text() == "app:mail:TZ1:WD"
-    assert unk(2, 1).to_text() == "unk:TZ3:WE"
     assert PSI.to_text() == "psi"
     assert DELTA.to_text() == "delta"
 
@@ -57,8 +56,9 @@ def test_observation_rejects_bad_input():
         Observation("app", app_id="", tz=0, day=0)
     with pytest.raises(ValueError):
         Observation("app", app_id="x", tz=3, day=0)
-    for text in ("app:mail", "unk:TZ4:WD", "nonsense", "app:mail:TZ1:XX"):
-        with pytest.raises(ValueError):
+    # an unknown app is a projected index only, never a symbol of its own
+    for text in ("app:mail", "unk:TZ4:WD", "unk:TZ3:WE", "nonsense", "app:mail:TZ1:XX"):
+        with pytest.raises(FormatError):
             Observation.from_text(text)
 
 
@@ -123,7 +123,7 @@ def test_vocabulary_layout():
 
 def test_vocabulary_folds_unknown_apps():
     vocab = Vocabulary(["alpha"])
-    assert vocab.index_of(app("stranger", 2, 0)) == vocab.unknown_index(2, 0)
+    assert vocab.index_of(app("stranger", 2, 0)) == vocab.unknown_base + 4  # tz 2, day 0
     assert "alpha" in vocab.apps and "stranger" not in vocab.apps
 
 
@@ -170,7 +170,7 @@ def test_vocabulary_project_and_json_round_trip():
 
 
 def test_vocabulary_from_observations_keeps_app_ids_only():
-    stream = [app("b"), unk(), PSI, app("a"), app("b")]
+    stream = [app("b"), PSI, app("a"), DELTA, app("b")]
     vocab = Vocabulary.from_observations(stream)
     assert vocab.apps == ("a", "b")
 

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import app, random_observation, replay_reference, score_table
+from conftest import UNKNOWN_APP, app, random_observation, replay_reference, score_table
 from appauth.encode import Vocabulary
 from appauth.evaluation import generate_score_records
 from appauth.models import METHOD_TAGS, TrainConfig, train_user_model
@@ -202,7 +202,8 @@ def test_intrusion_study_matches_per_pair_replay(replay_cohort, method):
     config = TrainConfig(n_states=3, max_iter=4, seed=0)
     models = {}
     for user, stream in train.items():
-        vocab = Vocabulary.from_observations(stream)
+        # `random_observation` draws unknown apps; no vocabulary may hold them
+        vocab = Vocabulary.from_observations(o for o in stream if o.app_id != UNKNOWN_APP)
         models[user] = train_user_model(method, vocab.project(stream), vocab, config)
     genuine = {(u, u): models[u].vocab.project(test[u]) for u in models}
     for n in (1, 5, 20, 2 * REPLAY_SEGMENT):
