@@ -2,9 +2,14 @@
 training (every user of a cohort in lock-step), and Laplace emission
 smoothing.
 
-All likelihood work is done in the scaled domain (per-step normalization
-constants whose logs accumulate into the log-likelihood), which stays exact
-for windows far longer than raw products would allow.
+All likelihood work is done in the scaled domain, where normalization
+constants whose logs accumulate into the log-likelihood keep it exact for
+windows far longer than raw products would allow. Scoring
+(`forward_log_likelihood`) normalizes every step. Training normalizes once
+per block of BLOCK_STEPS steps, which gives the same posteriors in real
+arithmetic with fewer numpy calls per step; it agrees with per-step
+scaling to about 1e-12 and refuses input whose mass within one block
+falls below the smallest normal float.
 """
 
 from __future__ import annotations
@@ -139,9 +144,19 @@ def forward_log_likelihood(
 
 
 # Cells (users x longest sequence x states) of one lock-step Baum-Welch
-# batch. alpha and beta are one float64 array of this many cells each
-# (4 MiB), which bounds training memory like CHUNK_CELLS bounds `med`.
+# batch. The forward and backward recursions share one float64 array of
+# twice this many cells (8 MiB), which bounds training memory like
+# CHUNK_CELLS bounds `med`.
 COHORT_CELLS = 1 << 19
+
+# Steps between two normalizations of the Baum-Welch recursions, and rows
+# per block of its products over time. On the eval-p5 seed-0 fit (2 vCPUs,
+# one BLAS thread, 10 interleaved runs) 8 took about 5% longer than 16 and
+# 32 about 7% less, but 16 keeps the smallest block mass there at 1e-41
+# where 32's was 1e-76; the smallest normal float is 2.2e-308.
+BLOCK_STEPS = 16
+
+_TINY = np.finfo(np.float64).tiny
 
 
 class _BatchLayout:
@@ -149,13 +164,16 @@ class _BatchLayout:
     batch order. The caller builds one when that set changes and reuses it
     every EM iteration until then.
 
-    alpha and beta are time-major (T_max, B, K) views of `work`, a float64
-    scratch array of at least 2 x T_max x B x K cells that the caller
-    allocates once per batch. Every iteration copies each sequence's
-    emission table, transposed so that a symbol's K probabilities are one
-    contiguous row, into `table` below a row of 1.0. `alpha_rows` and
-    `beta_rows` are the (T_max, B) table rows one np.take gathers into alpha
-    and beta, padding included.
+    `steps` is a time-major (T_max, 2B, K) view of `work`, a float64 scratch
+    array of at least 2 x T_max x B x K cells that the caller allocates once
+    per batch: column b < B carries sequence b's forward recursion from its
+    first symbol, and column B + b its backward recursion from its last
+    symbol, so one batched product advances both. Every iteration copies
+    each sequence's emission table, transposed so that a symbol's K
+    probabilities are one contiguous row, into `table` below a row of 1.0,
+    and `rows` names the table row that one np.take gathers into each slot
+    of `steps`: row t holds symbol t of each sequence in its forward column
+    and symbol T-1-t in its backward column, and 1.0 past its end.
     """
 
     def __init__(
@@ -164,42 +182,53 @@ class _BatchLayout:
         self.seqs = seqs
         lengths = [seq.size for seq in seqs]
         t_max, n, k = max(lengths), len(seqs), n_states
-        cells = t_max * n * k
-        self.alpha = work[:cells].reshape(t_max, n, k)
-        self.beta = work[cells : 2 * cells].reshape(t_max, n, k)
+        self.steps = work[: 2 * t_max * n * k].reshape(t_max, 2 * n, k)
         self.offsets = np.cumsum([1, *n_symbols[:-1]])
         self.table = np.empty((1 + sum(n_symbols), k))
         self.table[0] = 1.0
-        # alpha overwrites the emissions it reads: alpha[t] replaces emission
-        # t, padded with 1.0 past each sequence's end. beta is right-aligned,
-        # so each sequence's beta starts at 1.0 at its own end, and slot t
-        # holds emission t + 1 until beta[t] replaces it.
-        self.alpha_rows = np.zeros((t_max, n), dtype=np.intp)
-        self.beta_rows = np.zeros((t_max, n), dtype=np.intp)
+        self.rows = np.zeros((t_max, 2 * n), dtype=np.intp)
         for b, (seq, offset) in enumerate(zip(seqs, self.offsets)):
-            self.alpha_rows[: seq.size, b] = seq + offset
-            self.beta_rows[t_max - seq.size : -1, b] = seq[1:] + offset
-        self.valid = np.arange(t_max)[:, None] < np.array(lengths)
+            self.rows[: seq.size, b] = seq + offset
+            self.rows[: seq.size, n + b] = seq[::-1] + offset
+        self.valid = np.tile(np.arange(t_max)[:, None] < np.array(lengths), 2)
         self.pi = np.empty((n, k))
-        self.trans = np.empty((n, k, k))
-        self.scale = np.empty((t_max, n))
-        self.scale_right = np.ones((t_max, n))
-        self.step = np.empty((n, 1, k))
-        self.col = np.empty((n, k, 1))
-        self.out = np.empty((n, k, 1))
-        self.weighted = np.empty((t_max - 1, k))
+        self.trans = np.empty((2 * n, k, k))  # each transition matrix, then each transposed
+        # The two sums of every L-th row of `steps` before its normalization,
+        # and the sums of all rows, for the checks.
+        self.scale = np.empty(((t_max - 1) // BLOCK_STEPS + 1, 2 * n))
+        self.mass = np.empty((t_max, 2 * n))
+        self.step = np.empty((2 * n, 1, k))
+
+
+def _time_blocks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of x as (n, L, K) blocks of BLOCK_STEPS rows, and the rest."""
+    rows = x.shape[0] - x.shape[0] % BLOCK_STEPS
+    return x[:rows].reshape(-1, BLOCK_STEPS, x.shape[1]), x[rows:]
 
 
 def _expectations(params: Sequence[HmmParams], lay: _BatchLayout):
-    """Scaled forward/backward pass (Rabiner 1989) of every sequence of a
-    batch layout under its own parameters, run for the whole batch at once.
+    """Block-scaled forward/backward pass of every sequence of a batch
+    layout under its own parameters, run for the whole batch at once.
 
-    Time-major (T_max, B, K) arrays carry every sequence, and each step is
-    one batched vector-matrix product. One np.take per pass gathers every
-    sequence's emission rows from the contiguous transposed tables straight
-    into alpha and beta, and one more per sequence into the xi term. The
-    per-step buffers belong to the layout, so the recursions allocate
-    nothing.
+    One loop over the (T_max, 2B, K) `steps` array runs both recursions:
+    step t is one batched product of row t-1 with each sequence's
+    transition matrix (forward column) and its transpose (backward column),
+    and one multiply by the emissions one np.take gathered into row t. The
+    forward column holds alpha_t, the backward column u_s = e_s * beta_s at
+    position s = T-1-t (beta_s = A @ u_(s+1)). The per-step buffers belong
+    to the layout, so the loop allocates nothing.
+
+    Any scale constants give the same posteriors in real arithmetic
+    (Rabiner 1989), so rows are divided by their sums only at t = 0, L, 2L,
+    ... (L = BLOCK_STEPS), every L steps from each sequence's own first
+    symbol forward and its own last symbol backward: no block edge depends
+    on T_max. After the loop each sequence's alpha and u rows are divided
+    by their sums; then beta_t = A @ u_(t+1), G_t = sum(alpha_t * beta_t),
+    gamma_t = alpha_t * beta_t / G_t, and the xi term is the sum over t of
+    alpha_t^T (u_(t+1) / G_t). Both products over time are summed over
+    fixed blocks of L steps in block order, so they are the same at any
+    BLAS thread count. The log-likelihood adds the logs of the forward
+    block sums before T-1 and of the forward mass at T-1.
 
     Yields (log_likelihood, gamma, xi_sum) per sequence, in order:
     gamma[t, i] is the posterior state occupancy, xi_sum[i, j] the
@@ -208,61 +237,70 @@ def _expectations(params: Sequence[HmmParams], lay: _BatchLayout):
     expressions as a single-sequence pass, so they are bit-identical to it;
     the M-step in `baum_welch_cohort` counts emissions from gamma with one
     np.bincount per state.
-    A sequence that loses all forward mass raises FloatingPointError at its
-    first such position; the first such sequence in batch order raises.
+
+    The checks raise FloatingPointError for the first sequence in batch
+    order that fails them, forward before backward. A position whose
+    forward mass is zero one step after a normalized predecessor, as
+    per-step scaling would find it, is named. Any other forward or backward
+    mass below the smallest normal float names its block: per-step scaling
+    would survive such input, while block scaling would lose precision in
+    silence.
     """
     matmul, multiply, add_reduce, divide = np.matmul, np.multiply, np.add.reduce, np.divide
-    alpha, beta, scale, table, trans = lay.alpha, lay.beta, lay.scale, lay.table, lay.trans
-    t_max = alpha.shape[0]
+    steps, table, trans, mass, n = lay.steps, lay.table, lay.trans, lay.mass, len(params)
+    t_max, span = steps.shape[0], BLOCK_STEPS
     np.concatenate([p.emit.T for p in params], out=table[1:])
     np.stack([p.pi for p in params], out=lay.pi)
-    np.stack([p.trans for p in params], out=trans)
+    np.stack([p.trans for p in params] + [p.trans.T for p in params], out=trans)
 
-    np.take(table, lay.alpha_rows, 0, alpha, "clip")
-    scale_col = scale[:, :, None]
+    np.take(table, lay.rows, 0, steps, "clip")
     step = lay.step
     row = step[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        multiply(lay.pi, alpha[0], row)
-        add_reduce(row, 1, None, scale[0])
-        divide(row, scale_col[0], alpha[0])
-        for prev, a, c, c_col in zip(alpha[:, :, None], alpha[1:], scale[1:], scale_col[1:]):
-            matmul(prev, trans, step)
-            multiply(row, a, row)
-            add_reduce(row, 1, None, c)
-            divide(row, c_col, a)
-    bad = lay.valid & ~(scale > 0.0)
+        multiply(lay.pi, steps[0, :n], steps[0, :n])
+        for end, c in zip(range(0, t_max, span), lay.scale):
+            cur = steps[end]
+            add_reduce(cur, 1, None, c)
+            divide(cur, c[:, None], cur)
+            for prev, cur in zip(steps[end : end + span, :, None], steps[end + 1 : end + 1 + span]):
+                matmul(prev, trans, step)
+                multiply(row, cur, cur)
+    add_reduce(steps, 2, None, mass)
+    mass[::span] = lay.scale
+    bad = lay.valid & ~(mass >= _TINY)
     if bad.any():
-        first = bad[:, int(bad.any(axis=0).argmax())]
-        raise FloatingPointError(f"zero forward mass at position {int(first.argmax())}")
+        b = int(bad.any(axis=0).argmax())
+        t, t_len = int(bad[:, b].argmax()), lay.seqs[b % n].size
+        lo = t and t - (t - 1) % span  # the block of steps that holds t
+        hi = min(lo + span - 1, t_len - 1) if lo else 0
+        if b >= n:
+            where = f"{t_len - 1 - hi} to {t_len - 1 - lo}"
+            raise FloatingPointError(f"backward mass underflow in the block of positions {where}")
+        prev = steps[t - 1, b]  # divided only when t > 0
+        per_step = t and (prev / prev.sum()) @ trans[b] @ table[lay.rows[t, b]]
+        if mass[t, b] == 0.0 and not per_step > 0.0:
+            raise FloatingPointError(f"zero forward mass at position {t}")
+        raise FloatingPointError(f"forward mass underflow in the block of positions {lo} to {hi}")
 
-    np.take(table, lay.beta_rows, 0, beta, "clip")
-    scale_right = lay.scale_right
-    for b, seq in enumerate(lay.seqs):
-        scale_right[t_max - seq.size :, b] = scale[: seq.size, b]
-    col, out = lay.col, lay.out
-    col_row, out_row = col[:, :, 0], out[:, :, 0]
-    nxt = beta[-1]
-    for cur, c_col in zip(beta[-2::-1], scale_right[:0:-1, :, None]):
-        multiply(cur, nxt, col_row)
-        matmul(trans, col, out)
-        divide(out_row, c_col, cur)
-        nxt = cur
-
-    # Few temporaries: freed ones stay resident in the malloc heap and add
-    # to later peaks (eval-p5's peak RSS was 4 MB higher with a
-    # per-iteration `work` and two more temporaries per sequence).
-    for b, (p, seq, offset) in enumerate(zip(params, lay.seqs, lay.offsets)):
+    for b, (p, seq) in enumerate(zip(params, lay.seqs)):
         t_len = seq.size
-        al = np.ascontiguousarray(alpha[:t_len, b])
-        be = beta[t_max - t_len :, b]
-        weighted = lay.weighted[: t_len - 1]  # (T-1, K)
-        np.take(table[offset:], seq[1:], 0, weighted, "clip")
-        multiply(weighted, be[1:], weighted)
-        divide(weighted, scale[1:t_len, b, None], weighted)
-        xi_sum = p.trans * (al[:-1].T @ weighted)
-        al *= be  # gamma
-        yield float(np.log(scale[:t_len, b]).sum()), al, xi_sum
+        ll = float(np.log(np.append(mass[: t_len - 1 : span, b], mass[t_len - 1, b])).sum())
+        al = np.ascontiguousarray(steps[:t_len, b])
+        u = np.ascontiguousarray(steps[t_len - 1 :: -1, n + b])  # in position order
+        divide(al, add_reduce(al, 1)[:, None], al)
+        divide(u, add_reduce(u, 1)[:, None], u)
+        gamma = np.empty_like(al)  # beta, then gamma
+        gamma[-1] = 1.0
+        (u_blocks, u_rest), (b_blocks, b_rest) = _time_blocks(u[1:]), _time_blocks(gamma[:-1])
+        matmul(u_blocks, p.trans.T, b_blocks)
+        matmul(u_rest, p.trans.T, b_rest)
+        multiply(al, gamma, gamma)
+        norm = add_reduce(gamma, 1)  # G_t
+        divide(gamma, norm[:, None], gamma)
+        weighted = divide(u[1:], norm[:-1, None], u[1:])
+        (a_blocks, a_rest), (w_blocks, w_rest) = _time_blocks(al[:-1]), _time_blocks(weighted)
+        xi = add_reduce(matmul(a_blocks.transpose(0, 2, 1), w_blocks), 0) + a_rest.T @ w_rest
+        yield ll, gamma, p.trans * xi
 
 
 def _cohort_batches(lengths: Sequence[int], n_states: int):

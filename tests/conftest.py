@@ -15,7 +15,7 @@ from appauth.encode import CONTEXTS_PER_APP, KIND_APP, N_DAY, Observation, Vocab
 from appauth.evaluation import ScoreTable
 from appauth.ingest import EVENT_LOG_HEADER, RawEvent
 from appauth.models.edit_distance import INDEL_COST, MISMATCH_COST
-from appauth.models.hmm import HmmParams, TrainingTrace, forward_log_likelihood
+from appauth.models.hmm import BLOCK_STEPS, HmmParams, TrainingTrace, forward_log_likelihood
 from appauth.models.core import check_indices, normalize_rows, random_simplex
 from appauth.simulate import inject_intrusion
 
@@ -94,8 +94,9 @@ def reference_forward_log_likelihood(pi, trans, emit, windows) -> np.ndarray:
     return totals
 
 
-def reference_forward_backward(params: HmmParams, seq: np.ndarray):
-    """Scaled forward/backward pass of one sequence, one step at a time.
+def per_step_forward_backward(params: HmmParams, seq: np.ndarray):
+    """Scaled forward/backward pass of one sequence that normalizes at
+    every step (Rabiner 1989), with one plain product for the xi term.
 
     Returns (log_likelihood, gamma, xi_sum): gamma[t, i] is the posterior
     state occupancy, xi_sum[i, j] the posterior transition count summed over
@@ -128,9 +129,89 @@ def reference_forward_backward(params: HmmParams, seq: np.ndarray):
     return float(np.log(scale).sum()), gamma, xi_sum
 
 
-def reference_baum_welch(seq, n_symbols, n_states, max_iter, tol, seed):
-    """Baum-Welch on one sequence with the per-step recursion above: the
-    oracle the lock-step cohort trainer must equal bit for bit."""
+def reference_forward_backward(params: HmmParams, seq: np.ndarray):
+    """Block-scaled forward/backward pass of one sequence, one step at a
+    time: the oracle that the lock-step `_expectations` must equal bit for
+    bit.
+
+    alpha is normalized at positions 0, L, 2L, ... (L = BLOCK_STEPS). The
+    backward pass carries u_s = e_s * beta_s, normalized at T-1, T-1-L, ...
+    After the loops the rows of both are divided by their sums, beta_s =
+    A @ u_(s+1) is rebuilt in blocks of L rows, the posteriors are
+    normalized, and the xi product is summed over blocks of L rows in block
+    order. Returns what `per_step_forward_backward` returns, which it equals
+    up to rounding.
+    """
+    span, tiny = BLOCK_STEPS, np.finfo(np.float64).tiny
+    t_len = seq.size
+    k = params.n_states
+    emit_obs = params.emit[:, seq].T  # (T, K)
+
+    alpha = np.empty((t_len, k))
+    log_terms = []
+    lo = 0  # the first position of the current block
+    for t in range(t_len):
+        if t:
+            a = (alpha[t - 1] @ params.trans) * emit_obs[t]
+        else:
+            a = params.pi * emit_obs[0]
+        if (t - 1) % span == 0:
+            lo = t
+        c = a.sum()
+        if not c >= tiny:
+            prev = alpha[t - 1] / alpha[t - 1].sum() if t else None
+            if c == 0.0 and not (t and ((prev @ params.trans) * emit_obs[t]).sum() > 0.0):
+                raise FloatingPointError(f"zero forward mass at position {t}")
+            hi = min(lo + span - 1, t_len - 1) if t else 0
+            raise FloatingPointError(f"forward mass underflow in the block of positions {lo} to {hi}")
+        if t % span == 0 or t == t_len - 1:
+            log_terms.append(c)
+        if t % span == 0:
+            a = a / c
+        alpha[t] = a
+
+    trans_t = np.ascontiguousarray(params.trans.T)
+    u = np.empty((t_len, k))  # u[s] = e_s * beta_s up to its block's scale
+    hi = t_len - 1  # the last position of the current block
+    for s in range(t_len - 1, -1, -1):
+        if s < t_len - 1:
+            v = (u[s + 1] @ trans_t) * emit_obs[s]
+        else:
+            v = emit_obs[s].copy()
+        if (t_len - 2 - s) % span == 0:
+            hi = s
+        d = v.sum()
+        if not d >= tiny:
+            lo = max(hi - span + 1, 0) if s < t_len - 1 else s
+            raise FloatingPointError(f"backward mass underflow in the block of positions {lo} to {hi}")
+        if (t_len - 1 - s) % span == 0:
+            v = v / d
+        u[s] = v
+
+    alpha = alpha / alpha.sum(axis=1)[:, None]
+    u = u / u.sum(axis=1)[:, None]
+    rows = (t_len - 1) // span * span
+    beta = np.empty((t_len, k))
+    beta[-1] = 1.0
+    for s in range(0, rows, span):
+        beta[s : s + span] = u[1 + s : 1 + s + span] @ params.trans.T
+    beta[rows:-1] = u[1 + rows :] @ params.trans.T
+    gamma = alpha * beta
+    norm = gamma.sum(axis=1)  # G_t
+    gamma = gamma / norm[:, None]
+    weighted = u[1:] / norm[:-1, None]  # (T-1, K)
+    blocks = [alpha[s : s + span].T @ weighted[s : s + span] for s in range(0, rows, span)]
+    product = np.add.reduce(np.array(blocks).reshape(-1, k, k), 0)
+    product = product + alpha[rows:-1].T @ weighted[rows:]
+    return float(np.log(np.array(log_terms)).sum()), gamma, params.trans * product
+
+
+def reference_baum_welch(
+    seq, n_symbols, n_states, max_iter, tol, seed, forward_backward=reference_forward_backward
+):
+    """Baum-Welch on one sequence with the step-at-a-time recursion above:
+    the oracle the lock-step cohort trainer must equal bit for bit. With
+    `per_step_forward_backward` it is the fit that normalizes every step."""
     seq = np.asarray(seq, dtype=np.int64)
     rng = np.random.default_rng(seed)
     params = HmmParams(
@@ -141,7 +222,7 @@ def reference_baum_welch(seq, n_symbols, n_states, max_iter, tol, seed):
     trace = TrainingTrace(seed=seed)
     prev_ll = None
     for _ in range(max_iter):
-        ll, gamma, xi_sum = reference_forward_backward(params, seq)
+        ll, gamma, xi_sum = forward_backward(params, seq)
         trace.log_likelihoods.append(ll)
         if prev_ll is not None and tol > 0.0 and (ll - prev_ll) / seq.size < tol:
             break
