@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -133,22 +133,20 @@ def encode_sessions(sessions: Sequence[Session]) -> list[tuple[int, Observation]
     return out
 
 
-def write_sequence_csv(
-    rows: Iterable[tuple[str, int, Observation]], dest: str | Path | TextIO
-) -> None:
+def write_sequence_csv(rows: Iterable[tuple[str, int, Observation]], path: str | Path) -> None:
     """Write an encoded stream as ``owner,timestamp,symbol`` CSV rows."""
     body = ((owner, ts, obs.to_text()) for owner, ts, obs in rows)
-    write_csv(dest, chain([SEQUENCE_HEADER], body))
+    write_csv(path, chain([SEQUENCE_HEADER], body))
 
 
-def read_sequence_csv(source: str | Path | TextIO) -> list[tuple[str, int, Observation]]:
+def read_sequence_csv(path: str | Path) -> list[tuple[str, int, Observation]]:
     """Read a symbol-stream CSV written by write_sequence_csv.
 
     Unlike the raw event-log parser this is strict: any malformed row raises
     FormatError, since these files are produced by the pipeline itself.
     """
     out: list[tuple[str, int, Observation]] = []
-    for lineno, fields in read_csv_rows(source, SEQUENCE_HEADER):
+    for lineno, fields in read_csv_rows(path, SEQUENCE_HEADER):
         try:
             owner, ts, symbol = fields
             out.append((owner, int(ts), Observation.from_text(symbol)))

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, count
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,16 +28,17 @@ from .ingest import (
     split_sessions,
     write_csv,
 )
-from .models import LaplaceHmmModel, MsHmmModel, TrainConfig, UserModel, train_user_model
+from .models import HMM_METHODS, TrainConfig, UserModel, train_user_model
 from .models.hmm import HmmParams, TrainingTrace, baum_welch_cohort
 
 log = logging.getLogger(__name__)
 
-HMM_METHODS = (LaplaceHmmModel.method, MsHmmModel.method)
-
 DEFAULT_TRAIN_FRACTION = 0.7
 DEFAULT_MIN_TRAIN = 500
 DEFAULT_MIN_TEST = 200
+
+# Rows of the top-apps report.
+TOP_APPS = 20
 
 
 def format_number(x: float) -> str:
@@ -285,8 +286,8 @@ def unknown_app_stats(
     )
 
 
-def top_apps_report(samples_by_user: Mapping[str, Sequence[str]], k: int = 20) -> list[TopAppRow]:
-    """Most-used apps across the cohort.
+def top_apps_report(samples_by_user: Mapping[str, Sequence[str]]) -> list[TopAppRow]:
+    """The cohort's TOP_APPS most-used apps.
 
     per_user_usage divides an app's total sample count by the number of
     users who used it; overall_usage divides by the cohort size, so
@@ -302,7 +303,7 @@ def top_apps_report(samples_by_user: Mapping[str, Sequence[str]], k: int = 20) -
             seen_here.add(app)
         for app in seen_here:
             user_counts[app] = user_counts.get(app, 0) + 1
-    ranked = sorted(totals, key=lambda a: (-totals[a], a))[:k]
+    ranked = sorted(totals, key=lambda a: (-totals[a], a))[:TOP_APPS]
     return [
         TopAppRow(
             rank=i + 1,
@@ -509,18 +510,18 @@ def _score_methods(
 # report files
 
 
-def write_scores_csv(table: ScoreTable, dest: str | Path | TextIO) -> None:
+def write_scores_csv(table: ScoreTable, path: str | Path) -> None:
     """One row per scored window: pairs in the table's order, ends ascending."""
     body = (
         (mo, wo, end, format_number(score))
         for (mo, wo), scores in table.scores.items()
         for end, score in zip(count(table.n - 1, table.stride), scores.tolist())
     )
-    write_csv(dest, chain([["model_owner", "window_owner", "end_index", "score"]], body))
+    write_csv(path, chain([["model_owner", "window_owner", "end_index", "score"]], body))
 
 
 def write_eer_grid_csv(
-    n_values: Sequence[int], periods: Sequence[int], grid: np.ndarray, dest: str | Path | TextIO
+    n_values: Sequence[int], periods: Sequence[int], grid: np.ndarray, path: str | Path
 ) -> None:
     """EER (percent) per (window length, sampling period) cell; grid has
     shape (len(n_values), len(periods)) and a NaN cell is left empty."""
@@ -529,23 +530,21 @@ def write_eer_grid_csv(
         [n] + ["" if np.isnan(v) else format_number(v) for v in grid[i]]
         for i, n in enumerate(n_values)
     )
-    write_csv(dest, chain([header], body))
+    write_csv(path, chain([header], body))
 
 
-def write_roc_csv(curve: np.ndarray, dest: str | Path | TextIO) -> None:
+def write_roc_csv(curve: np.ndarray, path: str | Path) -> None:
     """A `roc_curve` sweep with its rates in percent."""
     columns = (map(format_number, col) for col in (curve * (1.0, 100.0, 100.0)).T.tolist())
-    write_csv(dest, chain([["threshold", "far", "frr"]], zip(*columns)))
+    write_csv(path, chain([["threshold", "far", "frr"]], zip(*columns)))
 
 
-def write_similarity_csv(
-    users: Sequence[str], matrix: np.ndarray, dest: str | Path | TextIO
-) -> None:
+def write_similarity_csv(users: Sequence[str], matrix: np.ndarray, path: str | Path) -> None:
     body = ([user] + [format_number(x) for x in matrix[i]] for i, user in enumerate(users))
-    write_csv(dest, chain([["user"] + list(users)], body))
+    write_csv(path, chain([["user"] + list(users)], body))
 
 
-def write_unknown_stats_csv(stats: UnknownAppStats, dest: str | Path | TextIO) -> None:
+def write_unknown_stats_csv(stats: UnknownAppStats, path: str | Path) -> None:
     pairs = (
         [mo, tu, "genuine" if mo == tu else "impostor", format_number(pct)]
         for mo, tu, pct in stats.pairs
@@ -556,14 +555,14 @@ def write_unknown_stats_csv(stats: UnknownAppStats, dest: str | Path | TextIO) -
     )
     header = ["model_owner", "test_user", "kind", "unknown_pct"]
     summary_header = ["summary", "mean", "min", "q1", "median", "q3", "max"]
-    write_csv(dest, chain([header], pairs, [[], summary_header], summary))
+    write_csv(path, chain([header], pairs, [[], summary_header], summary))
 
 
-def write_top_apps_csv(rows: Sequence[TopAppRow], dest: str | Path | TextIO) -> None:
+def write_top_apps_csv(rows: Sequence[TopAppRow], path: str | Path) -> None:
     header = ["rank", "app_id", "user_count", "per_user_usage", "overall_usage"]
     body = (
         [r.rank, r.app_id, r.user_count]
         + [format_number(r.per_user_usage), format_number(r.overall_usage)]
         for r in rows
     )
-    write_csv(dest, chain([header], body))
+    write_csv(path, chain([header], body))

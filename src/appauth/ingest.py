@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -31,44 +31,38 @@ class FormatError(ValueError):
     """Input file does not match the documented schema."""
 
 
-def read_csv_rows(source: str | Path | TextIO, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+def read_csv_rows(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line number, stripped fields)`` for each non-empty data row.
 
     The line number is the file line on which the row ends (the header is
     line 1), so a quoted field spanning lines does not shift later rows.
-    A path is read as UTF-8 with or without a leading byte-order mark.
+    The file is read as UTF-8 with or without a leading byte-order mark.
     Raises FormatError if the header row is missing or differs from
     ``header``, or if the csv module cannot read a line, such as one with a
     field over its size limit.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            yield from read_csv_rows(fh, header)
-        return
-    reader = csv.reader(source)
-    try:
-        first = next(reader, None)
-        if first is None:
-            raise FormatError("empty file: missing header row")
-        if [h.strip() for h in first] != header:
-            raise FormatError(f"bad header {first!r}, expected {header}")
-        for row in reader:
-            if row:
-                yield reader.line_num, [f.strip() for f in row]
-    except csv.Error as exc:
-        raise FormatError(f"line {reader.line_num}: {exc}") from None
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader, None)
+            if first is None:
+                raise FormatError("empty file: missing header row")
+            if [h.strip() for h in first] != header:
+                raise FormatError(f"bad header {first!r}, expected {header}")
+            for row in reader:
+                if row:
+                    yield reader.line_num, [f.strip() for f in row]
+        except csv.Error as exc:
+            raise FormatError(f"line {reader.line_num}: {exc}") from None
 
 
-def write_csv(dest: str | Path | TextIO, rows: Iterable[Sequence]) -> None:
-    """Write CSV rows with "\\n" line ends to a path or an open text stream.
+def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
+    """Write CSV rows with "\\n" line ends to a file.
 
     Fields holding a comma, a quote or a line break are quoted.
     """
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-    else:
-        csv.writer(dest, lineterminator="\n").writerows(rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,7 +144,7 @@ class SplitDataset:
     test: list[Session]
 
 
-def parse_event_log(source: str | Path | TextIO) -> tuple[list[RawEvent], ParseReport]:
+def parse_event_log(path: str | Path) -> tuple[list[RawEvent], ParseReport]:
     """Parse an event-log CSV into events, in file order.
 
     The schema is ``user_id,local_timestamp,kind,app_id`` with kind in
@@ -162,7 +156,7 @@ def parse_event_log(source: str | Path | TextIO) -> tuple[list[RawEvent], ParseR
     """
     events: list[RawEvent] = []
     report = ParseReport()
-    for lineno, fields in read_csv_rows(source, EVENT_LOG_HEADER):
+    for lineno, fields in read_csv_rows(path, EVENT_LOG_HEADER):
         report.rows_total += 1
         try:
             user_id, ts, kind, app_id = fields
@@ -172,10 +166,10 @@ def parse_event_log(source: str | Path | TextIO) -> tuple[list[RawEvent], ParseR
     return events, report
 
 
-def write_event_log(events: Iterable[RawEvent], dest: str | Path | TextIO) -> None:
+def write_event_log(events: Iterable[RawEvent], path: str | Path) -> None:
     """Write events as an event-log CSV (inverse of parse_event_log)."""
     body = ((ev.user_id, ev.local_timestamp, ev.kind, ev.app_id) for ev in events)
-    write_csv(dest, chain([EVENT_LOG_HEADER], body))
+    write_csv(path, chain([EVENT_LOG_HEADER], body))
 
 
 def group_by_user(events: Iterable[RawEvent]) -> dict[str, list[RawEvent]]:

@@ -29,6 +29,9 @@ UserModel = (
 MODEL_CLASSES: dict[str, type[UserModel]] = {cls.method: cls for cls in get_args(UserModel)}
 METHOD_TAGS = tuple(MODEL_CLASSES)
 
+# The methods that build on a Baum-Welch fit of the training sequence.
+HMM_METHODS = (LaplaceHmmModel.method, MsHmmModel.method)
+
 
 def train_user_model(
     method: str,
@@ -37,16 +40,22 @@ def train_user_model(
     config: TrainConfig = TrainConfig(),
     base: tuple[HmmParams, TrainingTrace] | None = None,
 ) -> UserModel:
-    """Train one verification model; `base` lets the two HMM variants share
-    a single Baum-Welch run, and the other methods ignore it."""
+    """Train one verification model. The two HMM variants build on `base`,
+    the Baum-Welch fit of `train_indices` (`baum_welch`), so they can share
+    one; the other methods ignore it."""
     if method not in MODEL_CLASSES:
         raise ValueError(f"unknown method {method!r}; expected one of {METHOD_TAGS}")
+    if method not in HMM_METHODS:
+        return MODEL_CLASSES[method].fit(train_indices, vocab, config)
+    if base is None:
+        raise ValueError(f"{method} builds on a Baum-Welch fit: pass it as base")
     return MODEL_CLASSES[method].fit(train_indices, vocab, config, base)
 
 
 __all__ = [
     "BinaryUnforeseenModel",
     "BinaryUnknownModel",
+    "HMM_METHODS",
     "HmmParams",
     "LaplaceHmmModel",
     "MarkovChainModel",

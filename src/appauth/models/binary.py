@@ -26,7 +26,7 @@ class BinaryUnknownModel:
 
     @classmethod
     def fit(
-        cls, train_indices, vocab: Vocabulary, config: TrainConfig = TrainConfig(), base=None
+        cls, train_indices, vocab: Vocabulary, config: TrainConfig = TrainConfig()
     ) -> "BinaryUnknownModel":
         return cls(vocab)
 
@@ -65,7 +65,7 @@ class BinaryUnforeseenModel:
 
     @classmethod
     def fit(
-        cls, train_indices, vocab: Vocabulary, config: TrainConfig = TrainConfig(), base=None
+        cls, train_indices, vocab: Vocabulary, config: TrainConfig = TrainConfig()
     ) -> "BinaryUnforeseenModel":
         arr = as_index_array(train_indices, vocab.size)
         seen = np.zeros(vocab.size, dtype=np.bool_)

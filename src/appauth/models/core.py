@@ -13,6 +13,9 @@ DEFAULT_N_STATES = 20
 DEFAULT_MAX_ITER = 50
 DEFAULT_TOL = 1e-6
 
+# How far a probability row's sum may stray from 1.
+STOCHASTIC_TOL = 1e-9
+
 
 @dataclass(frozen=True, slots=True)
 class TrainConfig:
@@ -46,30 +49,34 @@ def check_floor(delta: float) -> float:
 
 
 def as_index_array(window, size: int) -> np.ndarray:
-    """Validate and coerce a symbol-index window to a non-empty 1-D int64
-    array of indices in [0, size)."""
-    arr = np.asarray(window, dtype=np.int64)
+    """Validate a symbol-index window: a non-empty 1-D integer array of
+    indices in [0, size), returned as int64."""
+    arr = np.asarray(window)
     if arr.ndim != 1:
         raise ValueError(f"window must be 1-D, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("window must be non-empty")
-    check_indices(arr, size)
-    return arr
+    return check_indices(arr, size)
 
 
 def as_window_matrix(windows, size: int) -> np.ndarray:
-    """Coerce a batch of equal-length windows to a (W, n) int64 array of
-    indices in [0, size); a single window is a (1, n) batch."""
-    arr = np.asarray(windows, dtype=np.int64)
+    """Validate a batch of equal-length windows: a (W, n) integer array of
+    indices in [0, size), returned as int64; a single window is a (1, n)
+    batch."""
+    arr = np.asarray(windows)
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise ValueError(f"expected (W, n) window batch, got shape {arr.shape}")
-    check_indices(arr, size)
-    return arr
+    return check_indices(arr, size)
 
 
-def check_indices(arr: np.ndarray, size: int) -> None:
+def check_indices(arr: np.ndarray, size: int) -> np.ndarray:
+    """arr as int64, or ValueError if its dtype is not an integer one (a
+    float or bool index is never truncated) or an entry is outside [0, size)."""
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"symbol indices must be integers, got dtype {arr.dtype}")
     if arr.size and (arr.min() < 0 or arr.max() >= size):
         raise ValueError(f"symbol index out of range [0, {size})")
+    return arr.astype(np.int64, copy=False)
 
 
 def normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -87,12 +94,12 @@ def random_simplex(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
     return raw / raw.sum(axis=-1, keepdims=True)
 
 
-def assert_stochastic(matrix: np.ndarray, tol: float = 1e-9) -> None:
-    """Raise unless every entry is >= 0 and every row sums to 1 within tol;
-    NaN and inf fail."""
+def assert_stochastic(matrix: np.ndarray) -> None:
+    """Raise unless every entry is >= 0 and every row sums to 1 within
+    STOCHASTIC_TOL; NaN and inf fail."""
     m = np.asarray(matrix, dtype=np.float64)
     worst = np.abs(m.sum(axis=-1) - 1.0).max(initial=0.0)
-    if not worst <= tol:
+    if not worst <= STOCHASTIC_TOL:
         raise ValueError(f"rows not stochastic (max deviation {worst:.3e})")
     if not m.min(initial=0.0) >= 0.0:
         raise ValueError("rows not stochastic (negative entry)")

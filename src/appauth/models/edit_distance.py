@@ -39,9 +39,9 @@ class MedModel:
 
     @classmethod
     def fit(
-        cls, train_indices, vocab: Vocabulary, config: TrainConfig = TrainConfig(), base=None
+        cls, train_indices, vocab: Vocabulary, config: TrainConfig = TrainConfig()
     ) -> "MedModel":
-        return cls(vocab, np.asarray(train_indices, dtype=np.int64))
+        return cls(vocab, train_indices)
 
     def to_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:
         return {}, {"train_indices": self.train_indices}

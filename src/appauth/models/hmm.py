@@ -401,15 +401,6 @@ def baum_welch(
     return baum_welch_cohort([train_indices], [n_symbols], n_states, max_iter, tol, seed)[0]
 
 
-def train_base(
-    train_indices, vocab: Vocabulary, config: TrainConfig
-) -> tuple[HmmParams, TrainingTrace]:
-    """The unsmoothed Baum-Welch fit both HMM variants start from."""
-    return baum_welch(
-        train_indices, vocab.size, config.n_states, config.max_iter, config.tol, config.seed
-    )
-
-
 def hmm_meta(params: HmmParams, delta: float, trace: TrainingTrace) -> dict:
     """Metadata both HMM variants store next to their arrays."""
     return {"delta": delta, "n_states": params.n_states, "training": trace.to_json()}
@@ -443,11 +434,12 @@ class LaplaceHmmModel:
         cls,
         train_indices,
         vocab: Vocabulary,
-        config: TrainConfig = TrainConfig(),
-        base: tuple[HmmParams, TrainingTrace] | None = None,
+        config: TrainConfig,
+        base: tuple[HmmParams, TrainingTrace],
     ) -> "LaplaceHmmModel":
-        """Train (or reuse a pre-trained base) and smooth the emissions."""
-        params, trace = base if base is not None else train_base(train_indices, vocab, config)
+        """Smooth the emissions of `base`, the Baum-Welch fit of
+        `train_indices`."""
+        params, trace = base
         return cls(vocab, laplace_smooth_emissions(params, config.delta), config.delta, trace)
 
     def to_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:

@@ -40,7 +40,7 @@ class MarkovChainModel:
 
     @classmethod
     def fit(
-        cls, train_indices, vocab: Vocabulary, config: TrainConfig = TrainConfig(), base=None
+        cls, train_indices, vocab: Vocabulary, config: TrainConfig = TrainConfig()
     ) -> "MarkovChainModel":
         """Estimate smoothed prior and transition rows from one sequence.
 

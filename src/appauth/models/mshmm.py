@@ -15,7 +15,7 @@ import numpy as np
 
 from ..encode import N_DAY, N_TZ, Vocabulary
 from .core import TrainConfig, as_index_array, check_floor
-from .hmm import HmmParams, TrainingTrace, forward_log_likelihood, hmm_meta, train_base
+from .hmm import HmmParams, TrainingTrace, forward_log_likelihood, hmm_meta
 
 
 def marginal_tables(train_indices, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
@@ -91,13 +91,13 @@ class MsHmmModel:
         cls,
         train_indices,
         vocab: Vocabulary,
-        config: TrainConfig = TrainConfig(),
-        base: tuple[HmmParams, TrainingTrace] | None = None,
+        config: TrainConfig,
+        base: tuple[HmmParams, TrainingTrace],
     ) -> "MsHmmModel":
-        """Train the unsmoothed base HMM (or reuse one) and attach the
-        marginal fallback tables."""
+        """Attach the marginal fallback tables of `train_indices` to
+        `base`, its unsmoothed Baum-Welch fit."""
         seq = as_index_array(train_indices, vocab.size)
-        params, trace = base if base is not None else train_base(seq, vocab, config)
+        params, trace = base
         seen = np.zeros(vocab.size, dtype=np.bool_)
         seen[seq] = True
         return cls(vocab, params, *marginal_tables(seq, vocab), seen, config.delta, trace)

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Mapping, Sequence, TextIO
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -297,22 +297,20 @@ def intrusion_study(
     return IntrusionStudy(n, score_sum / len(pairs), rows)
 
 
-def write_intrusion_curve_csv(
-    studies: Sequence[IntrusionStudy], dest: str | Path | TextIO
-) -> None:
+def write_intrusion_curve_csv(studies: Sequence[IntrusionStudy], path: str | Path) -> None:
     body = (
         [study.n, study.n - 1 + offset, format_number(score)]
         for study in studies
         for offset, score in enumerate(study.mean_scores)
     )
-    write_csv(dest, chain([["n", "window_index", "mean_score"]], body))
+    write_csv(path, chain([["n", "window_index", "mean_score"]], body))
 
 
-def write_latency_csv(studies: Sequence[IntrusionStudy], dest: str | Path | TextIO) -> None:
+def write_latency_csv(studies: Sequence[IntrusionStudy], path: str | Path) -> None:
     body = (
         [r.model_owner, r.intruder, study.n, "" if r.latency is None else r.latency, int(r.detected)]
         for study in studies
         for r in study.rows
     )
     header = ["model_owner", "intruder", "n", "latency_windows", "detected"]
-    write_csv(dest, chain([header], body))
+    write_csv(path, chain([header], body))

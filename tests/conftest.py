@@ -15,8 +15,14 @@ from appauth.encode import CONTEXTS_PER_APP, KIND_APP, N_DAY, Observation, Vocab
 from appauth.evaluation import ScoreTable
 from appauth.ingest import EVENT_LOG_HEADER, RawEvent
 from appauth.models.edit_distance import INDEL_COST, MISMATCH_COST
-from appauth.models.hmm import BLOCK_STEPS, HmmParams, TrainingTrace, forward_log_likelihood
-from appauth.models.core import check_indices, normalize_rows, random_simplex
+from appauth.models.hmm import (
+    BLOCK_STEPS,
+    HmmParams,
+    TrainingTrace,
+    baum_welch,
+    forward_log_likelihood,
+)
+from appauth.models.core import TrainConfig, check_indices, normalize_rows, random_simplex
 from appauth.simulate import inject_intrusion
 
 
@@ -67,6 +73,14 @@ def random_hmm(rng: np.random.Generator, n_states: int, n_symbols: int) -> HmmPa
         pi=random_simplex(rng, (n_states,)),
         trans=random_simplex(rng, (n_states, n_states)),
         emit=random_simplex(rng, (n_states, n_symbols)),
+    )
+
+
+def hmm_base(train_indices, vocab: Vocabulary, config: TrainConfig):
+    """The Baum-Welch fit of one training sequence that both HMM variants
+    build on: the fit `train_cohort_models` gives each user."""
+    return baum_welch(
+        train_indices, vocab.size, config.n_states, config.max_iter, config.tol, config.seed
     )
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from appauth.encode import Vocabulary
-from appauth.models import METHOD_TAGS, TrainConfig, save_model, train_user_model
+from appauth.models import METHOD_TAGS, TrainConfig, baum_welch, save_model, train_user_model
 
 
 def main(out_dir: Path) -> None:
@@ -25,9 +25,10 @@ def main(out_dir: Path) -> None:
     train = np.random.default_rng(0).integers(0, vocab.unknown_base, size=400).astype(np.int64)
     config = TrainConfig(n_states=3, max_iter=6, seed=1)
     windows = np.random.default_rng(42).integers(0, vocab.size, size=(40, 12))
+    base = baum_welch(train, vocab.size, config.n_states, config.max_iter, config.tol, config.seed)
     scores = {}
     for tag in METHOD_TAGS:
-        model = train_user_model(tag, train, vocab, config)
+        model = train_user_model(tag, train, vocab, config, base=base)
         save_model(model, out_dir / f"model.{tag}.npz", owner="user42")
         scores[tag] = model.score_windows(windows)
     np.savez(out_dir / "expected_scores.npz", windows=windows, **scores)

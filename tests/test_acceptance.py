@@ -178,7 +178,7 @@ def test_criterion_05_usage_share_identity_on_26_user_cohort():
         f"user{i:02d}": ["app.popular"] * counts[i] + ["app.other"] * 5 for i in range(25)
     }
     samples["user25"] = ["app.solo"] * 40
-    rows = top_apps_report(samples, k=3)
+    rows = top_apps_report(samples)
     top = rows[0]
     assert top.app_id == "app.popular"
     assert top.user_count == 25

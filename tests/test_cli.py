@@ -155,15 +155,15 @@ def test_ingest_csv_carries_encoded_timestamps(pipeline):
             assert [r["symbol"] for r in rows] == [obs.to_text() for _, obs in encoded]
 
 
-def test_stats_observation_overlap_leaves_out_markers(pipeline):
+def test_stats_observation_overlap_leaves_out_markers(pipeline, tmp_path):
     out, _ = pipeline
     prepared = cli._first_period_cohort(ExperimentConfig.from_json(TINY), 2)
 
     def similarity_csv(keep) -> str:
         sets = {u: {o for o in p.train_observations if keep(o)} for u, p in prepared.items()}
-        buf = io.StringIO()
-        evaluation.write_similarity_csv(*evaluation.overlap_matrix(sets), buf)
-        return buf.getvalue()
+        path = tmp_path / "similarity.csv"
+        evaluation.write_similarity_csv(*evaluation.overlap_matrix(sets), path)
+        return path.read_text(encoding="utf-8")
 
     written = (out / "similarity_obs.csv").read_text(encoding="utf-8")
     assert written == similarity_csv(lambda o: o.kind == KIND_APP)
@@ -618,9 +618,8 @@ def test_hostile_event_log_passes_every_command(tmp_path, seed):
     write_csv(log, rows)
     events, report = parse_event_log(log)
     assert len(report.errors) == n_malformed
-    copy = io.StringIO()
+    copy = tmp_path / "copy.csv"
     write_event_log(events, copy)
-    copy.seek(0)
     assert parse_event_log(copy) == (events, replace(report, rows_total=len(events), errors=[]))
     # period 600 leaves no user eligible, so its grid column is empty
     cfg = write_config(tmp_path, out=str(tmp_path / "o"), data=str(log), periods=[30, 600])

@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import hmm_base
 from appauth.encode import Vocabulary
 from appauth.ingest import FormatError
 from appauth.models import (
+    HMM_METHODS,
     METHOD_TAGS,
     BinaryUnknownModel,
     BinaryUnforeseenModel,
@@ -18,6 +20,7 @@ from appauth.models import (
     MedModel,
     MsHmmModel,
     TrainConfig,
+    baum_welch,
     load_model,
     save_model,
     train_user_model,
@@ -42,12 +45,25 @@ def make_training():
 
 
 def test_dispatch_builds_the_right_model_per_tag():
+    """The call the benchmark's stream workload makes: one Baum-Welch fit
+    passed to every tag. The HMM-free methods score the same without it,
+    and the two HMM methods refuse to build without it."""
     vocab, train, config = make_training()
+    base = baum_welch(train, vocab.size, config.n_states, config.max_iter, config.tol, config.seed)
+    windows = np.random.default_rng(42).integers(0, vocab.size, size=(40, 12))
     for tag in METHOD_TAGS:
-        model = train_user_model(tag, train, vocab, config)
+        model = train_user_model(tag, train, vocab, config, base=base)
         assert isinstance(model, EXPECTED_CLASS[tag])
         assert model.method == tag
         assert model.vocab == vocab
+        if tag in HMM_METHODS:
+            with pytest.raises(ValueError, match=tag):
+                train_user_model(tag, train, vocab, config)
+        else:
+            without = train_user_model(tag, train, vocab, config)
+            np.testing.assert_array_equal(
+                without.score_windows(windows), model.score_windows(windows)
+            )
 
 
 def test_dispatch_rejects_unknown_tag():
@@ -58,10 +74,11 @@ def test_dispatch_rejects_unknown_tag():
 
 def test_save_load_round_trip_is_bit_identical(tmp_path):
     vocab, train, config = make_training()
+    base = hmm_base(train, vocab, config)
     rng = np.random.default_rng(42)
     windows = rng.integers(0, vocab.size, size=(40, 12))
     for tag in METHOD_TAGS:
-        model = train_user_model(tag, train, vocab, config)
+        model = train_user_model(tag, train, vocab, config, base=base)
         before = model.score_windows(windows)
         path = tmp_path / f"model.{tag}.npz"
         save_model(model, path, "user42")
@@ -75,11 +92,13 @@ def test_save_load_round_trip_is_bit_identical(tmp_path):
 
 def test_every_model_guards_its_window_batch():
     """An empty batch scores to nothing; an out-of-range symbol is an error,
-    never a silently wrapped index. A single window is a (1, n) batch: a
-    bare 1-D array is refused."""
+    never a silently wrapped index, and so is a float or bool symbol, never
+    a truncated one. A single window is a (1, n) batch: a bare 1-D array
+    is refused."""
     vocab, train, config = make_training()
+    base = hmm_base(train, vocab, config)
     for tag in METHOD_TAGS:
-        model = train_user_model(tag, train, vocab, config)
+        model = train_user_model(tag, train, vocab, config, base=base)
         assert model.score_windows(np.zeros((0, 12), dtype=np.int64)).shape == (0,)
         assert model.score_windows(train[None, :12]).shape == (1,)
         with pytest.raises(ValueError, match="window batch"):
@@ -89,10 +108,14 @@ def test_every_model_guards_its_window_batch():
             windows[1, 4] = bad
             with pytest.raises(ValueError):
                 model.score_windows(windows)
+        for windows in (np.array([[0.9, 1.9, 2.5]]), np.array([[True, False]])):
+            with pytest.raises(ValueError, match="must be integers"):
+                model.score_windows(windows)
 
 
 def test_load_rejects_foreign_and_tampered_files(tmp_path):
     vocab, train, config = make_training()
+    base = hmm_base(train, vocab, config)
     path = tmp_path / "model.npz"
     save_model(train_user_model("mc", train, vocab, config), path, "u")
 
@@ -129,7 +152,7 @@ def test_load_rejects_foreign_and_tampered_files(tmp_path):
     # mshmm: a NaN marginal would surface only at scoring; a non-boolean
     # seen mask would be silently reinterpreted
     mshmm_path = tmp_path / "model.mshmm.npz"
-    save_model(train_user_model("mshmm", train, vocab, config), mshmm_path, "u")
+    save_model(train_user_model("mshmm", train, vocab, config, base=base), mshmm_path, "u")
     for name, value, message in [
         ("p_app_tz", np.nan, "finite and non-negative"),
         ("p_app_day", -0.5, "finite and non-negative"),
@@ -146,7 +169,7 @@ def test_load_rejects_foreign_and_tampered_files(tmp_path):
             load_model(poisoned)
 
     hmm_path = tmp_path / "model.hmm-lap.npz"
-    save_model(train_user_model("hmm-lap", train, vocab, config), hmm_path, "u")
+    save_model(train_user_model("hmm-lap", train, vocab, config, base=base), hmm_path, "u")
 
     # a floor outside (0, 1) would reshape every unseen symbol's emission,
     # and a re-save would write it back next to tables smoothed with another
@@ -164,6 +187,17 @@ def test_load_rejects_foreign_and_tampered_files(tmp_path):
 
     tampered_copy(hmm_path, poisoned, arrays=negative_column)
     with pytest.raises(ValueError, match="negative entry"):
+        load_model(poisoned)
+
+    # med: training symbols raised by 0.7 must not load as the untouched model
+    med_path = tmp_path / "model.med.npz"
+    save_model(train_user_model("med", train, vocab, config), med_path, "u")
+
+    def raised(arrays):
+        arrays["train_indices"] = arrays["train_indices"] + 0.7
+
+    tampered_copy(med_path, poisoned, arrays=raised)
+    with pytest.raises(ValueError, match="must be integers"):
         load_model(poisoned)
 
     # wrongly typed metadata is a format error, not a TypeError traceback

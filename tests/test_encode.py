@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 import pytest
 
@@ -182,17 +180,20 @@ def test_sequence_csv_round_trip(tmp_path):
     assert read_sequence_csv(path) == rows
 
 
-def test_sequence_csv_round_trips_app_ids_with_commas():
+def test_sequence_csv_round_trips_app_ids_with_commas(tmp_path):
     rows = [("u,1", 0, PSI), ("u,1", 0, app("com.a,b", 0, 0)), ("u,1", 30, app('say "hi"', 2, 1))]
-    buf = io.StringIO()
-    write_sequence_csv(rows, buf)
-    assert read_sequence_csv(io.StringIO(buf.getvalue())) == rows
+    path = tmp_path / "seq.csv"
+    write_sequence_csv(rows, path)
+    assert read_sequence_csv(path) == rows
 
 
-def test_sequence_csv_reader_is_strict():
-    with pytest.raises(FormatError):
-        read_sequence_csv(io.StringIO("owner,timestamp\nu,0\n"))
-    with pytest.raises(FormatError):
-        read_sequence_csv(io.StringIO("owner,timestamp,symbol\nu,xx,psi\n"))
-    with pytest.raises(ValueError):
-        read_sequence_csv(io.StringIO("owner,timestamp,symbol\nu,0,app:only\n"))
+def test_sequence_csv_reader_is_strict(tmp_path):
+    path = tmp_path / "seq.csv"
+    for text, error in [
+        ("owner,timestamp\nu,0\n", FormatError),
+        ("owner,timestamp,symbol\nu,xx,psi\n", FormatError),
+        ("owner,timestamp,symbol\nu,0,app:only\n", ValueError),
+    ]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(error):
+            read_sequence_csv(path)

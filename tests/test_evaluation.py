@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import multiprocessing
 import tracemalloc
 from dataclasses import fields
@@ -15,7 +14,6 @@ from conftest import app, score_table, unk
 from appauth import evaluation
 from appauth.encode import Vocabulary
 from appauth.evaluation import (
-    HMM_METHODS,
     BoxplotSummary,
     ConfusionCounts,
     accuracy,
@@ -37,7 +35,7 @@ from appauth.evaluation import (
     write_scores_csv,
 )
 from appauth.ingest import RawEvent
-from appauth.models import METHOD_TAGS, TrainConfig, train_user_model
+from appauth.models import HMM_METHODS, METHOD_TAGS, TrainConfig, train_user_model
 from appauth.simulate import CohortSpec, make_cohort
 
 
@@ -193,7 +191,7 @@ def test_top_apps_ranking_and_usage_arithmetic():
         "u2": ["chat", "mail", "mail"],
         "u3": ["solo"],
     }
-    rows = top_apps_report(samples, k=10)
+    rows = top_apps_report(samples)
     assert [r.app_id for r in rows] == ["chat", "mail", "solo"]  # tie broken by name
     chat = rows[0]
     assert chat.user_count == 2
@@ -202,7 +200,15 @@ def test_top_apps_ranking_and_usage_arithmetic():
     assert chat.overall_usage == pytest.approx(chat.per_user_usage * chat.user_count / 3)
 
 
-def test_generate_score_records_protocol():
+def test_top_apps_report_keeps_the_top_twenty():
+    # app k is used k + 1 times, so the 20 most used are app24 down to app05
+    samples = {"u1": [f"app{k:02d}" for k in range(25) for _ in range(k + 1)]}
+    rows = top_apps_report(samples)
+    assert [r.app_id for r in rows] == [f"app{k:02d}" for k in range(24, 4, -1)]
+    assert [r.rank for r in rows] == list(range(1, 21))
+
+
+def test_generate_score_records_protocol(tmp_path):
     vocab_a = Vocabulary(["x"])
     vocab_b = Vocabulary(["y"])
     config = TrainConfig(n_states=2, max_iter=3, seed=0)
@@ -222,19 +228,20 @@ def test_generate_score_records_protocol():
     # window ends 3, 5, 7, 9 for a (10 symbols) and 3..11 for b
     assert table.scores[("a", "a")].size == 4
     assert table.scores[("b", "b")].size == 5
-    assert [end for mo, wo, end, _ in scores_csv_rows(table) if mo == wo == "a"] == [3, 5, 7, 9]
+    rows = scores_csv_rows(table, tmp_path / "scores.csv")
+    assert [end for mo, wo, end, _ in rows if mo == wo == "a"] == [3, 5, 7, 9]
     # cross scoring projects into the model's vocabulary: all-unknown, still scored
     assert table.scores[("a", "b")].size == 5
     assert len(table) == 4 + 5 + 5 + 4
     assert table.scores[("a", "a")].mean() > table.scores[("a", "b")].mean()
 
 
-def scores_csv_rows(table):
+def scores_csv_rows(table, path):
     """`write_scores_csv`'s (model owner, window owner, end index, score)
-    rows, end index as an int."""
-    out = io.StringIO()
-    write_scores_csv(table, out)
-    rows = list(csv.reader(io.StringIO(out.getvalue())))
+    rows, written to `path`, end index as an int."""
+    write_scores_csv(table, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["model_owner", "window_owner", "end_index", "score"]
     return [(mo, wo, int(end), score) for mo, wo, end, score in rows[1:]]
 
@@ -251,7 +258,7 @@ def test_generate_score_records_skips_short_owners(caplog):
     assert any("window length" in m for m in caplog.messages)
 
 
-def test_generate_score_records_returns_sorted_rows():
+def test_generate_score_records_returns_sorted_rows(tmp_path):
     vocab = Vocabulary(["x", "y"])
     config = TrainConfig(n_states=2, max_iter=3, seed=0)
     train = vocab.project([app("x", 0, 0), app("y", 1, 0)] * 20)
@@ -261,7 +268,7 @@ def test_generate_score_records_returns_sorted_rows():
     projections = {(mo, wo): vocab.project(test_obs[wo]) for mo, wo in keys}
     table = generate_score_records(models, projections, n=3, stride=2)
     assert list(table.scores) == [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
-    rows = [row[:3] for row in scores_csv_rows(table)]
+    rows = [row[:3] for row in scores_csv_rows(table, tmp_path / "scores.csv")]
     assert rows == sorted(rows)
     # a pair's array holds that pair's scores, in end-index order
     windows = np.lib.stride_tricks.sliding_window_view(projections[("b", "a")], 3)[::2]

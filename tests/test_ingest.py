@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import logging
 import math
 
@@ -88,42 +87,50 @@ def test_event_log_round_trip(tmp_path):
     assert report.errors == []
 
 
-def test_event_log_round_trips_commas_and_quotes():
+def test_event_log_round_trips_commas_and_quotes(tmp_path):
     events = [
         RawEvent("u,2", 1, "unlock"),
         RawEvent("u,2", 2, "app", "com.a,b"),
         RawEvent("u,2", 3, "app", 'say "hi"'),
         RawEvent("u,2", 4, "lock"),
     ]
-    buf = io.StringIO()
-    write_event_log(events, buf)
-    assert buf.getvalue().splitlines()[2:4] == ['"u,2",2,app,"com.a,b"', '"u,2",3,app,"say ""hi"""']
-    parsed, report = parse_event_log(io.StringIO(buf.getvalue()))
+    path = tmp_path / "events.csv"
+    write_event_log(events, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[2:4] == ['"u,2",2,app,"com.a,b"', '"u,2",3,app,"say ""hi"""']
+    parsed, report = parse_event_log(path)
     assert parsed == events
     assert report.errors == []
 
 
-def test_parse_reports_the_raw_event_error():
+def parse_text(tmp_path, text: str):
+    """`parse_event_log` of a file holding `text`."""
+    path = tmp_path / "events.csv"
+    path.write_text(text, encoding="utf-8")
+    return parse_event_log(path)
+
+
+def test_parse_reports_the_raw_event_error(tmp_path):
     text = "user_id,local_timestamp,kind,app_id\nu1,13,lock,mail\n,14,app,mail\n"
-    _, report = parse_event_log(io.StringIO(text))
+    _, report = parse_text(tmp_path, text)
     assert [(e.line, e.message) for e in report.errors] == [
         (2, "lock event carries app_id 'mail'"),
         (3, "empty user_id"),
     ]
 
 
-def test_parse_numbers_rows_by_file_line():
+def test_parse_numbers_rows_by_file_line(tmp_path):
     text = 'user_id,local_timestamp,kind,app_id\nu1,10,app,"two\nlines"\n\nu1,oops,app,mail\n'
-    events, report = parse_event_log(io.StringIO(text))
+    events, report = parse_text(tmp_path, text)
     assert [e.app_id for e in events] == ["two\nlines"]
     assert [e.line for e in report.errors] == [5]
 
 
-def test_parse_rejects_bad_header():
+def test_parse_rejects_bad_header(tmp_path):
     with pytest.raises(FormatError):
-        parse_event_log(io.StringIO("time,user,kind,app\n"))
+        parse_text(tmp_path, "time,user,kind,app\n")
     with pytest.raises(FormatError):
-        parse_event_log(io.StringIO(""))
+        parse_text(tmp_path, "")
 
 
 def test_parse_reads_a_byte_order_mark(tmp_path):
@@ -135,7 +142,7 @@ def test_parse_reads_a_byte_order_mark(tmp_path):
     assert (events, report) == parse_event_log(plain)
 
 
-def test_parse_collects_malformed_rows():
+def test_parse_collects_malformed_rows(tmp_path):
     text = (
         "user_id,local_timestamp,kind,app_id\n"
         "u1,10,app,mail\n"
@@ -148,7 +155,7 @@ def test_parse_collects_malformed_rows():
         "u1,16\n"
         "u1,-3,app,mail\n"
     )
-    events, report = parse_event_log(io.StringIO(text))
+    events, report = parse_text(tmp_path, text)
     assert [e.local_timestamp for e in events] == [10, 15]
     assert report.rows_total == 9
     assert sorted(err.line for err in report.errors) == [3, 4, 5, 6, 7, 9, 10]

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DELTA, PSI, app, forward_one, score_one, unk
+from conftest import DELTA, PSI, app, forward_one, hmm_base, score_one, unk
 from appauth.encode import Vocabulary
 from appauth.models.core import DEFAULT_DELTA, TrainConfig
 from appauth.models.mshmm import MsHmmModel, marginal_tables
@@ -63,7 +63,7 @@ def fit_small(train_obs, apps, seed=0, max_iter=8, n_states=3):
     vocab = Vocabulary(apps)
     train = vocab.project(train_obs)
     config = TrainConfig(n_states=n_states, max_iter=max_iter, seed=seed)
-    model = MsHmmModel.fit(train, vocab, config)
+    model = MsHmmModel.fit(train, vocab, config, hmm_base(train, vocab, config))
     return vocab, model
 
 
@@ -100,7 +100,8 @@ def test_emission_seen_symbols_keep_learned_values():
     rng = np.random.default_rng(3)
     vocab = Vocabulary(["a", "b"])
     train = rng.integers(0, vocab.unknown_base, size=300)
-    model = MsHmmModel.fit(train, vocab, TrainConfig(n_states=4, max_iter=10, seed=1))
+    config = TrainConfig(n_states=4, max_iter=10, seed=1)
+    model = MsHmmModel.fit(train, vocab, config, hmm_base(train, vocab, config))
     seen_cols = sorted(set(train.tolist()))
     for state in range(4):
         for col in seen_cols:
@@ -112,7 +113,8 @@ def test_emission_is_total_and_positive():
     rng = np.random.default_rng(5)
     vocab = Vocabulary(["a", "b", "c"])
     train = rng.integers(0, vocab.unknown_base, size=400)
-    model = MsHmmModel.fit(train, vocab, TrainConfig(n_states=5, max_iter=50, tol=0.0, seed=2))
+    config = TrainConfig(n_states=5, max_iter=50, tol=0.0, seed=2)
+    model = MsHmmModel.fit(train, vocab, config, hmm_base(train, vocab, config))
     for state in range(5):
         for col in range(vocab.size):
             assert model.emit_ext[state, col] > 0.0
@@ -130,7 +132,8 @@ def test_fully_seen_window_matches_base_forward():
     rng = np.random.default_rng(8)
     vocab = Vocabulary(["a", "b"])
     train = rng.integers(0, vocab.unknown_base, size=300)
-    model = MsHmmModel.fit(train, vocab, TrainConfig(n_states=3, max_iter=10, seed=4))
+    config = TrainConfig(n_states=3, max_iter=10, seed=4)
+    model = MsHmmModel.fit(train, vocab, config, hmm_base(train, vocab, config))
     window = train[rng.integers(0, train.size, size=15)]
     base_ll = forward_one(model.base, window)
     assert score_one(model, window) == pytest.approx(base_ll, rel=1e-9)
@@ -140,7 +143,8 @@ def test_appending_unknown_costs_at_least_the_double_floor():
     rng = np.random.default_rng(9)
     vocab = Vocabulary(["a", "b"])
     train = rng.integers(0, vocab.unknown_base, size=300)
-    model = MsHmmModel.fit(train, vocab, TrainConfig(n_states=3, max_iter=10, seed=0))
+    config = TrainConfig(n_states=3, max_iter=10, seed=0)
+    model = MsHmmModel.fit(train, vocab, config, hmm_base(train, vocab, config))
     window = train[:12]
     drop = score_one(model, np.append(window, vocab.unknown_base)) - score_one(model, window)
     assert drop <= 2 * math.log(D) + 1e-9
@@ -159,23 +163,11 @@ def test_batch_scores_match_singles():
     rng = np.random.default_rng(10)
     vocab = Vocabulary(["a", "b"])
     train = rng.integers(0, vocab.unknown_base, size=250)
-    model = MsHmmModel.fit(train, vocab, TrainConfig(n_states=3, max_iter=8, seed=1))
+    config = TrainConfig(n_states=3, max_iter=8, seed=1)
+    model = MsHmmModel.fit(train, vocab, config, hmm_base(train, vocab, config))
     windows = rng.integers(0, vocab.size, size=(20, 10))
     np.testing.assert_allclose(
         model.score_windows(windows),
         [score_one(model, w) for w in windows],
         rtol=1e-12,
     )
-
-
-def test_fit_with_shared_base_matches_fresh_fit():
-    from appauth.models.hmm import baum_welch
-
-    rng = np.random.default_rng(11)
-    vocab = Vocabulary(["a", "b"])
-    train = rng.integers(0, vocab.unknown_base, size=250)
-    base = baum_welch(train, vocab.size, n_states=3, max_iter=8, tol=1e-6, seed=5)
-    reused = MsHmmModel.fit(train, vocab, base=base)
-    fresh = MsHmmModel.fit(train, vocab, TrainConfig(n_states=3, max_iter=8, tol=1e-6, seed=5))
-    windows = rng.integers(0, vocab.size, size=(10, 8))
-    np.testing.assert_array_equal(reused.score_windows(windows), fresh.score_windows(windows))

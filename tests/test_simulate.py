@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import UNKNOWN_APP, app, random_observation, replay_reference, score_table
+from conftest import UNKNOWN_APP, app, hmm_base, random_observation, replay_reference, score_table
 from appauth.encode import Vocabulary
 from appauth.evaluation import generate_score_records
 from appauth.models import METHOD_TAGS, TrainConfig, train_user_model
@@ -204,7 +204,9 @@ def test_intrusion_study_matches_per_pair_replay(replay_cohort, method):
     for user, stream in train.items():
         # `random_observation` draws unknown apps; no vocabulary may hold them
         vocab = Vocabulary.from_observations(o for o in stream if o.app_id != UNKNOWN_APP)
-        models[user] = train_user_model(method, vocab.project(stream), vocab, config)
+        train = vocab.project(stream)
+        base = hmm_base(train, vocab, config)
+        models[user] = train_user_model(method, train, vocab, config, base=base)
     genuine = {(u, u): models[u].vocab.project(test[u]) for u in models}
     for n in (1, 5, 20, 2 * REPLAY_SEGMENT):
         thresholds = genuine_score_thresholds(generate_score_records(models, genuine, n))

@@ -39,18 +39,26 @@ included), except that each manifest.json is compared as JSON without its
 manifest that names another command or config, or is missing, differs.
 One line is printed per (workload, seed), after a first line with the
 number of lines of the Python files under each tree's `src/`, the measure
-of how much code the change adds or removes. The exit status
+of how much code the change adds or removes. Below a case's line, each
+differing file gets a line that says how far it moved: for an `.npz`
+file, the largest absolute and relative difference of each array; for a
+CSV file, both row counts and the largest relative difference of its
+numeric fields. The exit status
 is 1 if any file differs or is missing on either side, or if a run fails.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 WORKLOAD_NAMES = ("eval-p30", "eval-p5")
 SEEDS = (0, 1)
@@ -115,6 +123,71 @@ def comparable(path: Path) -> bytes:
     return json.dumps(manifest, sort_keys=True).encode("utf-8")
 
 
+def differences(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """The largest |a - b| and |a - b| / max(|a|, |b|) over the entries
+    where a and b differ; entries both NaN are equal."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    moved = ~((a == b) | (np.isnan(a) & np.isnan(b)))
+    with np.errstate(invalid="ignore"):
+        diff = np.abs(a - b)[moved]
+        rel = diff / np.maximum(np.abs(a), np.abs(b))[moved]
+    return float(diff.max(initial=0.0)), float(rel.max(initial=0.0))
+
+
+def npz_difference(before: bytes, after: bytes) -> str:
+    """The largest absolute and relative difference of each array of two
+    .npz files, by array name; an array that is not numeric, or whose
+    shape changed, is only said to be the same or to differ."""
+    parts = []
+    with np.load(io.BytesIO(before)) as old, np.load(io.BytesIO(after)) as new:
+        for name in sorted(set(old.files) | set(new.files)):
+            if name not in old.files or name not in new.files:
+                parts.append(f"{name} only in {'change' if name in new.files else 'parent'}")
+                continue
+            a, b = old[name], new[name]
+            if a.shape != b.shape:
+                parts.append(f"{name} shape {a.shape} -> {b.shape}")
+            elif a.dtype.kind in "biuf" and b.dtype.kind in "biuf":
+                parts.append("{} abs {:.3g} rel {:.3g}".format(name, *differences(a, b)))
+            else:
+                parts.append(f"{name} {'same' if np.array_equal(a, b) else 'differs'}")
+    return ", ".join(parts)
+
+
+def as_number(field: str) -> float | None:
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+def csv_difference(before: bytes, after: bytes) -> str:
+    """Both row counts of two CSV files, the largest relative difference of
+    the numeric fields they share by position, and how many other fields
+    differ."""
+    old, new = (list(csv.reader(io.StringIO(b.decode("utf-8")))) for b in (before, after))
+    pairs, other = [], 0
+    for old_row, new_row in zip(old, new):
+        other += abs(len(old_row) - len(new_row))
+        for x, y in zip(old_row, new_row):
+            a, b = as_number(x), as_number(y)
+            if a is None or b is None:
+                other += x != y
+            else:
+                pairs.append((a, b))
+    rel = differences(*np.array(pairs).reshape(-1, 2).T)[1]
+    return f"rows {len(old)} -> {len(new)}, numeric rel {rel:.3g}, {other} other fields differ"
+
+
+def difference_size(name: str, before: bytes, after: bytes) -> str:
+    """How far one differing output file moved, by its kind."""
+    if name.endswith(".npz"):
+        return npz_difference(before, after)
+    if name.endswith(".csv"):
+        return csv_difference(before, after)
+    return "differs"
+
+
 def run_all(tree: Path, run_dir: Path, period: int) -> dict[str, bytes] | None:
     """Output files of every command by path under run_dir, or None if a
     command failed."""
@@ -176,6 +249,8 @@ def main(argv: list[str]) -> int:
                     f"{name} seed {seed}: {same} identical, {len(differ)} differing"
                     f" {differ}, {len(missing)} missing {missing}"
                 )
+                for f in differ:
+                    print(f"  {f}: {difference_size(f, before[f], after[f])}")
                 bad += len(differ) + len(missing)
     return 1 if bad else 0
 
