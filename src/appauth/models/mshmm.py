@@ -79,8 +79,8 @@ class MsHmmModel:
         fallback[apps] = np.maximum(delta, self.p_app_tz[ranks, vocab.symbol_tz[apps]]) * np.maximum(
             delta, self.p_app_day[ranks, vocab.symbol_day[apps]]
         )
-        # Long EM runs underflow some learned emissions to exact zero; floor seen
-        # columns at delta so the lookup stays a total, strictly positive function.
+        # Baum-Welch sets learned emissions below ZERO_BELOW to exact zero; floor
+        # seen columns at delta so the lookup stays a total, strictly positive function.
         # A seen symbol misses at most one factor, so it gets the single-factor
         # floor; the two-factor floor (delta**2) is reserved for unknown symbols.
         learned = np.maximum(base.emit, delta)

@@ -17,6 +17,7 @@ from appauth.ingest import EVENT_LOG_HEADER, RawEvent
 from appauth.models.edit_distance import INDEL_COST, MISMATCH_COST
 from appauth.models.hmm import (
     BLOCK_STEPS,
+    ZERO_BELOW,
     HmmParams,
     TrainingTrace,
     baum_welch,
@@ -220,12 +221,41 @@ def reference_forward_backward(params: HmmParams, seq: np.ndarray):
     return float(np.log(np.array(log_terms)).sum()), gamma, params.trans * product
 
 
+def unfloored_m_step(seq, n_symbols, n_states, gamma, xi_sum) -> HmmParams:
+    """The M-step before it set parameters below ZERO_BELOW to zero: the
+    old rule, which a fit with this step reproduces bit for bit."""
+    emit_counts = np.zeros((n_symbols, n_states))
+    np.add.at(emit_counts, seq, gamma)
+    return HmmParams(
+        pi=gamma[0] / gamma[0].sum(),
+        trans=normalize_rows(xi_sum),
+        emit=normalize_rows(emit_counts.T),
+    )
+
+
+def reference_m_step(seq, n_symbols, n_states, gamma, xi_sum) -> HmmParams:
+    """The M-step of `baum_welch_cohort`: the old rule, then every entry
+    below ZERO_BELOW set to zero."""
+    params = unfloored_m_step(seq, n_symbols, n_states, gamma, xi_sum)
+    for table in (params.pi, params.trans, params.emit):
+        table[table < ZERO_BELOW] = 0.0
+    return params
+
+
 def reference_baum_welch(
-    seq, n_symbols, n_states, max_iter, tol, seed, forward_backward=reference_forward_backward
+    seq,
+    n_symbols,
+    n_states,
+    max_iter,
+    tol,
+    seed,
+    forward_backward=reference_forward_backward,
+    m_step=reference_m_step,
 ):
     """Baum-Welch on one sequence with the step-at-a-time recursion above:
     the oracle the lock-step cohort trainer must equal bit for bit. With
-    `per_step_forward_backward` it is the fit that normalizes every step."""
+    `per_step_forward_backward` it is the fit that normalizes every step,
+    and with `unfloored_m_step` the fit of the old rule."""
     seq = np.asarray(seq, dtype=np.int64)
     rng = np.random.default_rng(seed)
     params = HmmParams(
@@ -241,13 +271,7 @@ def reference_baum_welch(
         if prev_ll is not None and tol > 0.0 and (ll - prev_ll) / seq.size < tol:
             break
         prev_ll = ll
-        emit_counts = np.zeros((n_symbols, n_states))
-        np.add.at(emit_counts, seq, gamma)
-        params = HmmParams(
-            pi=gamma[0] / gamma[0].sum(),
-            trans=normalize_rows(xi_sum),
-            emit=normalize_rows(emit_counts.T),
-        )
+        params = m_step(seq, n_symbols, n_states, gamma, xi_sum)
     return params, trace
 
 

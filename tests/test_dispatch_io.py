@@ -189,6 +189,20 @@ def test_load_rejects_foreign_and_tampered_files(tmp_path):
     with pytest.raises(ValueError, match="negative entry"):
         load_model(poisoned)
 
+    # hmm-lap: a (K, 1) prior of ones passes the row check and would score
+    # silently wrong; a 1-D emission table of K entries summing to 1 would
+    # fail as an IndexError
+    def column_prior(arrays):
+        arrays["pi"] = np.ones((arrays["pi"].size, 1))
+
+    def flat_emit(arrays):
+        arrays["emit"] = arrays["pi"].copy()
+
+    for edit in (column_prior, flat_emit):
+        tampered_copy(hmm_path, poisoned, arrays=edit)
+        with pytest.raises(ValueError, match="pi must be 1-D and emit 2-D"):
+            load_model(poisoned)
+
     # med: training symbols raised by 0.7 must not load as the untouched model
     med_path = tmp_path / "model.med.npz"
     save_model(train_user_model("med", train, vocab, config), med_path, "u")

@@ -17,11 +17,14 @@ from conftest import (
     reference_forward_backward,
     reference_forward_log_likelihood,
     score_one,
+    small_vocab,
+    unfloored_m_step,
 )
 from appauth.encode import N_DAY, N_TZ, Vocabulary
 from appauth.models import hmm
 from appauth.models.core import DEFAULT_DELTA, STOCHASTIC_TOL, TrainConfig, assert_stochastic
 from appauth.models.hmm import (
+    ZERO_BELOW,
     HmmParams,
     LaplaceHmmModel,
     baum_welch,
@@ -197,9 +200,9 @@ def assert_same_fits(got, want):
     assert trace.log_likelihoods == ref_trace.log_likelihoods
 
 
-def test_cohort_training_equals_per_user_reference():
-    """Unequal lengths given in shuffled order, a length-2 sequence, and
-    users that stop early on tol while the rest run to max_iter."""
+def cohort_input():
+    """Unequal lengths in shuffled order and a length-2 sequence, with
+    their symbol counts."""
     rng = np.random.default_rng(11)
     seqs = [
         rng.integers(0, 6, 180),
@@ -208,13 +211,61 @@ def test_cohort_training_equals_per_user_reference():
         np.array([3, 1]),
         rng.integers(0, 4, 120),
     ]
-    sizes = [6, 3, 9, 4, 4]
+    return seqs, [6, 3, 9, 4, 4]
+
+
+def test_cohort_training_equals_per_user_reference():
+    """Unequal lengths given in shuffled order, a length-2 sequence, and
+    users that stop early on tol while the rest run to max_iter."""
+    seqs, sizes = cohort_input()
     fits = baum_welch_cohort(seqs, sizes, n_states=3, max_iter=15, tol=1e-4, seed=5)
     iterations = [trace.iterations for _, trace in fits]
     assert min(iterations) < 15 == max(iterations)
     for seq, size, fit in zip(seqs, sizes, fits):
         assert_same_fits(fit, reference_baum_welch(seq, size, 3, 15, 1e-4, 5))
         assert_same_fits(baum_welch(seq, size, 3, 15, 1e-4, 5), fit)
+
+
+def test_zero_floor_changes_only_entries_below_it():
+    """The old rule's fit of this input leaves a `pi` and an `emit` entry
+    near 1e-151. The M-step now sets every entry below ZERO_BELOW to zero, and within
+    1e-12 relative nothing else moves: no log-likelihood of any iteration,
+    no parameter the old rule left at or above the floor, and no hmm-lap
+    or mshmm window score."""
+    seqs, sizes = cohort_input()
+    fits = baum_welch_cohort(seqs, sizes, n_states=3, max_iter=15, tol=1e-4, seed=5)
+    vocab, config = small_vocab(), TrainConfig(n_states=3)
+    rng = np.random.default_rng(6)
+    windows = rng.integers(0, max(sizes), (40, 12))
+    windows[::4, 5] = rng.integers(0, vocab.size, 10)  # symbols no fit has seen
+
+    def models(seq, params, trace):
+        # both variants cover the whole vocabulary: pad the emissions with
+        # symbols that never occur
+        emit = np.pad(params.emit, ((0, 0), (0, vocab.size - params.n_symbols)))
+        base = HmmParams(params.pi, params.trans, emit), trace
+        return [cls.fit(seq, vocab, config, base) for cls in (LaplaceHmmModel, MsHmmModel)]
+
+    zeroed = 0
+    for seq, size, (params, trace) in zip(seqs, sizes, fits):
+        old_params, old_trace = reference_baum_welch(
+            seq, size, 3, 15, 1e-4, 5, m_step=unfloored_m_step
+        )
+        assert trace.iterations == old_trace.iterations
+        np.testing.assert_allclose(
+            trace.log_likelihoods, old_trace.log_likelihoods, rtol=1e-12, atol=0
+        )
+        for name in ("pi", "trans", "emit"):
+            new, old = getattr(params, name), getattr(old_params, name)
+            assert not ((new > 0.0) & (new < ZERO_BELOW)).any(), name
+            kept = old >= ZERO_BELOW
+            np.testing.assert_allclose(new[kept], old[kept], rtol=1e-12, atol=0)
+            zeroed += int((old[~kept] > 0.0).sum())
+        for got, want in zip(models(seq, params, trace), models(seq, old_params, old_trace)):
+            np.testing.assert_allclose(
+                got.score_windows(windows), want.score_windows(windows), rtol=1e-12, atol=0
+            )
+    assert zeroed > 0
 
 
 def test_cohort_split_by_cell_budget_equals_per_user_reference():
