@@ -11,6 +11,7 @@ measures how quickly windowed scores fall below threshold.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encode import Observation, day_flag_of, timezone_of
+from .encode import N_DAY, N_TZ, Observation, day_flag_of, timezone_of
 from .evaluation import ScoreTable, format_number, generate_score_records
 from .ingest import RawEvent, write_csv
 from .models import UserModel
@@ -102,13 +103,15 @@ def generate_synthetic_user(
     Sessions arrive as a Poisson process at the spec's daily rate, last
     an exponential time, and contain unlock / app-switch / lock events; the
     app at each switch is drawn from `preference[time block, day flag]`, a
-    probability vector over `app_pool` for the current context.
-    Deterministic given the seed.
+    probability vector over `app_pool` for the current context, the way
+    `Generator.choice(len(app_pool), p=...)` draws it. Deterministic given
+    the seed. Raises ValueError on a preference `choice` would refuse, in
+    any context, whether or not the simulated days reach it.
     """
+    tables = _cumulative_tables(preference, len(app_pool))
     rng = np.random.default_rng(seed)
     horizon = spec.days * 86400.0
     mean_gap = 86400.0 / spec.session_rate
-    pool_size = len(app_pool)
 
     events: list[RawEvent] = []
     t = rng.exponential(mean_gap)
@@ -121,14 +124,37 @@ def generate_synthetic_user(
         last_ts = start
         while app_t < end:
             ts = int(round(app_t))
-            ctx = preference[timezone_of(ts), day_flag_of(ts)]
-            app = app_pool[int(rng.choice(pool_size, p=ctx))]
+            cdf = tables[timezone_of(ts)][day_flag_of(ts)]
+            app = app_pool[bisect_right(cdf, rng.random())]
             events.append(RawEvent(user_id, ts, "app", app))
             last_ts = ts
             app_t += max(1.0, rng.exponential(spec.dwell))
         events.append(RawEvent(user_id, max(int(round(end)), last_ts), "lock"))
         t = max(end + 60.0, t + rng.exponential(mean_gap))
     return events
+
+
+def _cumulative_tables(preference: np.ndarray, pool_size: int) -> list[list[list[float]]]:
+    """Per (time block, day flag), the table `Generator.choice` draws from
+    with that context's probability vector: its cumulative sum divided by
+    the last entry. One uniform u then picks the first app whose entry
+    exceeds u, so an app of probability 0 is never drawn. Refuses every
+    vector `choice` refuses, with its tolerance on the sum: sqrt(eps) of
+    float64, or of a coarser float type the preference comes in."""
+    dtype = np.asarray(preference).dtype
+    eps = max(np.finfo(np.float64).eps, np.finfo(dtype).eps if dtype.kind == "f" else 0.0)
+    preference = np.asarray(preference, dtype=np.float64)
+    if preference.shape != (N_TZ, N_DAY, pool_size):
+        raise ValueError(f"preference has shape {preference.shape}, not {(N_TZ, N_DAY, pool_size)}")
+    if np.isnan(preference).any():
+        raise ValueError("preference contains NaN")
+    if (preference < 0).any():
+        raise ValueError("preference has a negative entry")
+    if (np.abs(preference.sum(axis=-1) - 1.0) > np.sqrt(eps)).any():
+        raise ValueError("a preference row does not sum to 1")
+    cdf = preference.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf.tolist()
 
 
 def make_cohort(spec: CohortSpec) -> dict[str, list[RawEvent]]:
@@ -154,9 +180,19 @@ def make_cohort(spec: CohortSpec) -> dict[str, list[RawEvent]]:
         pool = sorted(shared + private)
         rng = np.random.default_rng(seeds[u])
         base = rng.dirichlet(np.full(len(pool), spec.concentration))
-        tilts = rng.lognormal(0.0, spec.context_spread, size=(3, 2, len(pool)))
-        preference = base[None, None, :] * tilts
-        preference /= preference.sum(axis=-1, keepdims=True)
+        tilts = rng.lognormal(0.0, spec.context_spread, size=(N_TZ, N_DAY, len(pool)))
+        # a large spread overflows a tilt, or a context's sum, to inf, or
+        # underflows every tilt of a context to 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            preference = base[None, None, :] * tilts
+            total = preference.sum(axis=-1, keepdims=True)
+        bad = total[~(np.isfinite(total) & (total > 0))]
+        if bad.size:
+            raise ValueError(
+                f"context_spread={spec.context_spread} is too large: "
+                f"a context preference of {user_id} sums to {bad[0]}"
+            )
+        preference /= total
         seed = int(rng.integers(2**63))
         cohort[user_id] = generate_synthetic_user(user_id, pool, preference, spec, seed)
     return cohort

@@ -11,7 +11,15 @@ from typing import Mapping, Sequence
 import numpy as np
 import pytest
 
-from appauth.encode import CONTEXTS_PER_APP, KIND_APP, N_DAY, Observation, Vocabulary
+from appauth.encode import (
+    CONTEXTS_PER_APP,
+    KIND_APP,
+    N_DAY,
+    Observation,
+    Vocabulary,
+    day_flag_of,
+    timezone_of,
+)
 from appauth.evaluation import ScoreTable
 from appauth.ingest import EVENT_LOG_HEADER, RawEvent
 from appauth.models.edit_distance import INDEL_COST, MISMATCH_COST
@@ -24,7 +32,7 @@ from appauth.models.hmm import (
     forward_log_likelihood,
 )
 from appauth.models.core import TrainConfig, check_indices, normalize_rows, random_simplex
-from appauth.simulate import inject_intrusion
+from appauth.simulate import CohortSpec, inject_intrusion
 
 
 @pytest.fixture(autouse=True)
@@ -466,6 +474,38 @@ def replay_reference(models, test_observations, n, thresholds, seed, segment):
                     break
             rows.append((genuine_user, intruder, n, latency))
     return rows, score_sum / len(rows)
+
+
+def reference_synthetic_user(
+    user_id: str, app_pool: Sequence[str], preference: np.ndarray, spec: CohortSpec, seed: int
+) -> list[RawEvent]:
+    """`generate_synthetic_user` with a `Generator.choice` call per app
+    event: the draw it must equal event for event. `choice` checks only the
+    probability vectors of the contexts the simulated days reach."""
+    rng = np.random.default_rng(seed)
+    horizon = spec.days * 86400.0
+    mean_gap = 86400.0 / spec.session_rate
+    pool_size = len(app_pool)
+
+    events: list[RawEvent] = []
+    t = rng.exponential(mean_gap)
+    while t < horizon:
+        start = int(round(t))
+        duration = max(30.0, rng.exponential(spec.session_length))
+        end = min(t + duration, horizon)
+        events.append(RawEvent(user_id, start, "unlock"))
+        app_t = float(start)
+        last_ts = start
+        while app_t < end:
+            ts = int(round(app_t))
+            ctx = preference[timezone_of(ts), day_flag_of(ts)]
+            app = app_pool[int(rng.choice(pool_size, p=ctx))]
+            events.append(RawEvent(user_id, ts, "app", app))
+            last_ts = ts
+            app_t += max(1.0, rng.exponential(spec.dwell))
+        events.append(RawEvent(user_id, max(int(round(end)), last_ts), "lock"))
+        t = max(end + 60.0, t + rng.exponential(mean_gap))
+    return events
 
 
 DAY = 86400

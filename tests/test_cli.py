@@ -9,6 +9,7 @@ import math
 import os
 import shutil
 import time
+import warnings
 import weakref
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -315,6 +316,27 @@ def test_usage_errors_exit_1(capsys):
             main(argv)
         assert info.value.code == EXIT_USAGE
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "synthetic",
+    [
+        {"n_users": 10, "days": 2, "context_spread": 300.0},
+        dict(TINY["synthetic"], context_spread=1000.0),
+        # a base preference of exactly 0 meets an infinite tilt: 0 * inf
+        {"n_users": 10, "days": 2, "concentration": 0.01, "context_spread": 1000.0, "seed": 1},
+        # the one tilt of a one-app pool underflows to 0 in a context
+        {"n_users": 1, "apps_per_user": 1, "context_spread": 400.0, "seed": 1},
+    ],
+)
+def test_too_large_context_spread_exits_2(tmp_path, capsys, synthetic):
+    cfg = write_config(tmp_path, out=str(tmp_path / "o"), synthetic=synthetic)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings included
+        assert main(["synth", "--config", str(cfg)]) == EXIT_DATA
+    spread = synthetic["context_spread"]
+    err = capsys.readouterr().err
+    assert f"data error: context_spread={spread} is too large: a context preference of user" in err
 
 
 def test_missing_event_log_exits_2(tmp_path, capsys):

@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import runpy
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import UNKNOWN_APP, app, hmm_base, random_observation, replay_reference, score_table
-from appauth.encode import Vocabulary
+from conftest import (
+    UNKNOWN_APP,
+    app,
+    hmm_base,
+    random_observation,
+    reference_synthetic_user,
+    replay_reference,
+    score_table,
+)
+from appauth import simulate
+from appauth.encode import Vocabulary, day_flag_of
 from appauth.evaluation import generate_score_records
 from appauth.models import METHOD_TAGS, TrainConfig, train_user_model
 from appauth.simulate import (
@@ -22,6 +33,8 @@ from appauth.simulate import (
     intrusion_study,
     make_cohort,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_cohort_spec_validation_and_json_round_trip():
@@ -49,6 +62,108 @@ def test_profile_rejects_bad_preference():
         generate_synthetic_user("u", ["a", "b"], np.full((3, 2, 3), 1 / 3), spec, seed=0)
     with pytest.raises(ValueError):
         generate_synthetic_user("u", ["a", "b"], np.full((3, 2, 2), 0.4), spec, seed=0)
+
+
+class CoarseUniforms(np.random.Generator):
+    """A generator whose uniforms are rounded down to multiples of 1/8, so
+    that they often fall exactly on an entry of a cumulative table built
+    from eighths: the draws where picking the first entry >= u instead of
+    the first entry > u would pick another app. `Generator.choice` draws
+    its uniform through this method too."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.floor(super().random(size) * 8) / 8
+
+
+@pytest.fixture(params=["real", "coarse"])
+def uniforms(request, monkeypatch):
+    """Both the generator and its reference seed their streams with
+    `np.random.default_rng`; the coarse case swaps its uniforms."""
+    if request.param == "coarse":
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: CoarseUniforms(np.random.PCG64(seed)))
+
+
+def reference_cohort(spec: CohortSpec, monkeypatch) -> dict:
+    """`make_cohort` with every user drawn by `reference_synthetic_user`."""
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "generate_synthetic_user", reference_synthetic_user)
+        return make_cohort(spec)
+
+
+# one probability vector per case, in eighths, given to all six contexts
+EIGHTHS = {
+    "zero-first": [0, 0, 2, 3, 3],
+    "zero-middle": [3, 0, 0, 5],
+    "zero-last": [2, 6, 0, 0],
+    # a one-app pool still takes one uniform per app event, as `choice` does
+    "one-app": [8],
+}
+
+
+@pytest.mark.parametrize("eighths", list(EIGHTHS.values()), ids=list(EIGHTHS))
+def test_app_draw_equals_choice(eighths, uniforms):
+    pool = [f"a{i}" for i in range(len(eighths))]
+    preference = np.broadcast_to(np.array(eighths) / 8, (3, 2, len(pool))).copy()
+    spec = CohortSpec(days=4)
+    for seed in range(3):
+        events = generate_synthetic_user("u", pool, preference, spec, seed)
+        assert events == reference_synthetic_user("u", pool, preference, spec, seed)
+        # an app of probability 0 is never drawn, and four days draw every other one
+        drawn = {e.app_id for e in events if e.kind == "app"}
+        assert drawn == {a for a, k in zip(pool, eighths) if k}
+
+
+def test_cohort_without_context_spread_equals_choice(uniforms, monkeypatch):
+    for seed in range(3):
+        spec = CohortSpec(n_users=3, days=4, context_spread=0.0, seed=seed)
+        assert make_cohort(spec) == reference_cohort(spec, monkeypatch)
+
+
+@pytest.mark.parametrize("workload", ["eval-p30", "eval-p5", "verify-stream"])
+def test_benchmark_cohorts_equal_choice(workload, monkeypatch):
+    cohort = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"][workload]["cohort"]
+    for seed in range(3):
+        # four days from epoch 0, a Thursday, reach the weekend contexts too
+        spec = CohortSpec(**dict(cohort, days=4), seed=seed)
+        assert make_cohort(spec) == reference_cohort(spec, monkeypatch)
+
+
+BAD_ROWS = {
+    "nan": [np.nan, 1.0],
+    "negative": [-0.5, 1.5],
+    "inf": [np.inf, 0.0],
+    "sum-off": [0.5, 0.5 + 2e-6],
+}
+
+
+@pytest.mark.parametrize("row", list(BAD_ROWS.values()), ids=list(BAD_ROWS))
+def test_preference_refused_as_choice_refuses_it(row):
+    preference = np.broadcast_to(row, (3, 2, 2)).copy()
+    spec = CohortSpec(days=1)
+    with pytest.raises(ValueError):
+        reference_synthetic_user("u", ["a", "b"], preference, spec, seed=0)
+    with pytest.raises(ValueError, match="preference"):
+        generate_synthetic_user("u", ["a", "b"], preference, spec, seed=0)
+
+
+def test_float32_preference_has_choice_tolerance():
+    # a float32 row may miss 1 by sqrt(eps) of float32, 3.5e-4, where float64 allows 1.5e-8
+    preference = np.full((3, 2, 2), 0.5 + 1e-6, dtype=np.float32)
+    spec = CohortSpec(days=2)
+    events = generate_synthetic_user("u", ["a", "b"], preference, spec, seed=0)
+    assert events == reference_synthetic_user("u", ["a", "b"], preference, spec, seed=0)
+
+
+def test_bad_row_of_an_unreached_context_is_refused_up_front():
+    """`choice` checked only the rows the simulated days reached; the
+    tables are checked, all six, before the first draw."""
+    preference = np.full((3, 2, 2), 0.5)
+    preference[:, 1] = 0.4  # the weekend rows sum to 0.8
+    spec = CohortSpec(days=1)  # epoch day 0 is a Thursday
+    events = reference_synthetic_user("u", ["a", "b"], preference, spec, seed=0)
+    assert events and all(day_flag_of(e.local_timestamp) == 0 for e in events)
+    with pytest.raises(ValueError, match="does not sum to 1"):
+        generate_synthetic_user("u", ["a", "b"], preference, spec, seed=0)
 
 
 def test_generate_user_event_structure():
