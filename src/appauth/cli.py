@@ -190,10 +190,11 @@ def _load_cohort(config: ExperimentConfig) -> dict[str, list[RawEvent]]:
 
 def _cohorts(config: ExperimentConfig) -> Iterator[tuple[int, dict[str, PreparedUser]]]:
     """(period, cohort prepared at that period) for each configured period,
-    in order, from one read of the input."""
+    in order, from one read of the input. The events are released once the
+    last period is prepared, before it is yielded."""
     events_by_user = _load_cohort(config)
     for period in config.periods:
-        yield period, prepare_cohort(
+        prepared = prepare_cohort(
             events_by_user,
             period,
             train_fraction=config.train_fraction,
@@ -201,6 +202,9 @@ def _cohorts(config: ExperimentConfig) -> Iterator[tuple[int, dict[str, Prepared
             min_train=config.min_train,
             min_test=config.min_test,
         )
+        if period == config.periods[-1]:  # periods are distinct
+            del events_by_user
+        yield period, prepared
 
 
 def _first_period_cohort(config: ExperimentConfig, min_users: int) -> dict[str, PreparedUser]:

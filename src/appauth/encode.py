@@ -113,9 +113,11 @@ def encode_sessions(sessions: Sequence[Session]) -> list[tuple[int, Observation]
     Per session a session-start marker precedes its samples. A single
     day-change marker is emitted whenever the calendar day of the next
     sample differs from the previous sample's day, and at a session boundary
-    it lands before the session-start marker.
+    it lands before the session-start marker. Samples with the same symbol
+    share one Observation, so the stream holds one per distinct symbol.
     """
     out: list[tuple[int, Observation]] = []
+    symbols: dict[tuple[str, int, int], Observation] = {}
     prev_day: int | None = None
     for sess in sessions:
         if not sess.samples:
@@ -129,7 +131,11 @@ def encode_sessions(sessions: Sequence[Session]) -> list[tuple[int, Observation]
             if day_ordinal(ts) != prev_day:
                 out.append((ts, DAY_CHANGE))
                 prev_day = day_ordinal(ts)
-            out.append((ts, app_observation(app_id, ts)))
+            key = (app_id, timezone_of(ts), day_flag_of(ts))
+            obs = symbols.get(key)
+            if obs is None:
+                obs = symbols[key] = app_observation(app_id, ts)
+            out.append((ts, obs))
     return out
 
 

@@ -475,7 +475,8 @@ def evaluate_methods(
     Projections of each test sequence into each model owner's vocabulary
     are computed once. A forked child trains the two HMM variants, which
     share one Baum-Welch fit per user, while this process trains and scores
-    the other methods; every table is scored here.
+    the other methods; every table is scored here. The other methods'
+    models are released once scored, before the child's arrive.
     """
     hmm = [m for m in methods if m in HMM_METHODS]
     others = [m for m in methods if m not in HMM_METHODS]
@@ -488,6 +489,7 @@ def evaluate_methods(
         }
         models = train_cohort_models(others, prepared, config)
         tables = _score_methods(models, projections, n_values, stride)
+        del models
         models = hmm_models()
     tables |= _score_methods(models, projections, n_values, stride)
     return {(method, n): tables[(method, n)] for method in methods for n in n_values}

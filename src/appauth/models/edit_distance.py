@@ -126,8 +126,9 @@ class MedModel:
             costs = np.empty((len(chunk), width), dtype=np.int8)
             flat_costs = costs.ravel()
             for i in range(1, n + 1):
-                # indices are in range; "clip" skips the buffered copy "raise" makes
-                np.take(cost, chunk[:, i - 1], axis=0, out=costs, mode="clip")
+                # indices are in range; "clip" skips the buffered copy "raise"
+                # makes, and the method skips np.take's Python-level dispatch
+                cost.take(chunk[:, i - 1], axis=0, out=costs, mode="clip")
                 np.add(prev[:-1], flat_costs[1:], out=cand[1:])
                 np.minimum(cand, prev, out=cand)
                 cand.reshape(-1, width)[:, :lead] = 0

@@ -108,30 +108,29 @@ def forward_log_likelihood(
     through a patched emission table.
 
     Each step writes into buffers allocated once per call: a matmul, one
-    np.take of the step's emission rows from the transposed (S, K) table,
+    take of the step's emission rows from the transposed (S, K) table,
     a multiply, the row sums into row t of the (n, W) scale array, and a
     divide back into alpha. A window that loses all mass is NaN for the
     rest of the loop; the one zero-mass check after it raises
     FloatingPointError, and only then are the logs taken.
     """
     mat = as_window_matrix(windows, emit.shape[1])
-    matmul, take, multiply, add_reduce, divide = (
-        np.matmul, np.take, np.multiply, np.add.reduce, np.divide
-    )
+    matmul, multiply, add_reduce, divide = np.matmul, np.multiply, np.add.reduce, np.divide
     table = np.ascontiguousarray(emit.T)  # a symbol's K probabilities in one row
+    take = table.take  # the method skips np.take's Python-level dispatch
     steps = np.ascontiguousarray(mat.T)  # (n, W): step t's symbols in one row
     alpha = np.empty((mat.shape[0], table.shape[1]))
     unscaled, obs = np.empty_like(alpha), np.empty_like(alpha)
     scale = np.empty(steps.shape)
     scale_col = scale[:, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        take(table, steps[0], 0, obs, "clip")
+        take(steps[0], 0, obs, "clip")
         multiply(pi, obs, unscaled)
         add_reduce(unscaled, 1, None, scale[0])
         divide(unscaled, scale_col[0], alpha)
         for sym, c, c_col in zip(steps[1:], scale[1:], scale_col[1:]):
             matmul(alpha, trans, unscaled)
-            take(table, sym, 0, obs, "clip")
+            take(sym, 0, obs, "clip")
             multiply(unscaled, obs, unscaled)
             add_reduce(unscaled, 1, None, c)
             divide(unscaled, c_col, alpha)
@@ -238,13 +237,14 @@ def _expectations(params: Sequence[HmmParams], lay: _BatchLayout):
     (Rabiner 1989), so rows are divided by their sums only at t = 0, L, 2L,
     ... (L = BLOCK_STEPS), every L steps from each sequence's own first
     symbol forward and its own last symbol backward: no block edge depends
-    on T_max. After the loop each sequence's alpha and u rows are divided
-    by their sums; then beta_t = A @ u_(t+1), G_t = sum(alpha_t * beta_t),
-    gamma_t = alpha_t * beta_t / G_t, and the xi term is the sum over t of
-    alpha_t^T (u_(t+1) / G_t). Both products over time are summed over
-    fixed blocks of L steps in block order, so they are the same at any
-    BLAS thread count. The log-likelihood adds the logs of the forward
-    block sums before T-1 and of the forward mass at T-1.
+    on T_max. After the loop one call divides every row of `steps`, and so
+    each sequence's alpha and u rows, by its sum; then beta_t = A @ u_(t+1),
+    G_t = sum(alpha_t * beta_t), gamma_t = alpha_t * beta_t / G_t, and the
+    xi term is the sum over t of alpha_t^T (u_(t+1) / G_t). Both products
+    over time are summed over fixed blocks of L steps in block order, so
+    they are the same at any BLAS thread count. The log-likelihood adds the
+    logs of the forward block sums before T-1 and of the forward mass at
+    T-1.
 
     Yields (log_likelihood, gamma, xi_sum) per sequence, in order:
     gamma[t, i] is the posterior state occupancy, xi_sum[i, j] the
@@ -252,7 +252,7 @@ def _expectations(params: Sequence[HmmParams], lay: _BatchLayout):
     xi product come from contiguous arrays of its own, by the same
     expressions as a single-sequence pass, so they are bit-identical to it;
     the M-step in `baum_welch_cohort` counts emissions from gamma with one
-    np.bincount per state.
+    np.bincount.
 
     The checks raise FloatingPointError for the first sequence in batch
     order that fails them, forward before backward. A position whose
@@ -281,7 +281,8 @@ def _expectations(params: Sequence[HmmParams], lay: _BatchLayout):
             for prev, cur in zip(steps[end : end + span, :, None], steps[end + 1 : end + 1 + span]):
                 matmul(prev, trans, step)
                 multiply(row, cur, cur)
-    add_reduce(steps, 2, None, mass)
+        add_reduce(steps, 2, None, mass)
+        divide(steps, mass[:, :, None], steps)
     mass[::span] = lay.scale
     bad = lay.valid & ~(mass >= _TINY)
     if bad.any():
@@ -303,8 +304,6 @@ def _expectations(params: Sequence[HmmParams], lay: _BatchLayout):
         ll = float(np.log(np.append(mass[: t_len - 1 : span, b], mass[t_len - 1, b])).sum())
         al = np.ascontiguousarray(steps[:t_len, b])
         u = np.ascontiguousarray(steps[t_len - 1 :: -1, n + b])  # in position order
-        divide(al, add_reduce(al, 1)[:, None], al)
-        divide(u, add_reduce(u, 1)[:, None], u)
         gamma = np.empty_like(al)  # beta, then gamma
         gamma[-1] = 1.0
         (u_blocks, u_rest), (b_blocks, b_rest) = _time_blocks(u[1:]), _time_blocks(gamma[:-1])
@@ -384,13 +383,14 @@ def baum_welch_cohort(
                 lls.append(ll)
                 if len(lls) > 1 and tol > 0.0 and (ll - lls[-2]) / seq.size < tol:
                     continue
-                # np.bincount adds each state's gamma in t order from 0.0,
-                # like the reference's np.add.at, so the counts are
-                # bit-identical. They fill the columns of an (S, K) array:
+                # np.bincount adds each (symbol, state) cell's gamma in t
+                # order from 0.0, like the reference's np.add.at, so the
+                # counts are bit-identical. They fill an (S, K) array:
                 # normalize_rows must sum the same transposed layout.
-                emit_counts = np.empty((n_symbols[u], n_states))
-                for i, weights in enumerate(gamma.T):
-                    emit_counts[:, i] = np.bincount(seq, weights, n_symbols[u])
+                cells = (seq * n_states)[:, None] + np.arange(n_states)
+                emit_counts = np.bincount(
+                    cells.ravel(), gamma.ravel(), n_symbols[u] * n_states
+                ).reshape(n_symbols[u], n_states)
                 new = (
                     gamma[0] / gamma[0].sum(),
                     normalize_rows(xi_sum),

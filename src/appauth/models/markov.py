@@ -17,7 +17,15 @@ from .core import (
 
 class MarkovChainModel:
     """Smoothed unigram prior + transition matrix; scores are window
-    log-likelihoods under the chain."""
+    log-likelihoods under the chain.
+
+    The S x S transition matrix is held as each row's floor (its minimum)
+    plus the sorted flat indices and values of the entries that differ from
+    it: a fitted row is floored wherever its pair was never seen, and the
+    row of a never-visited state is uniform, so this takes (S + observed
+    pairs) x 16 bytes and rebuilds any matrix exactly. `transition`
+    rebuilds the dense matrix, which model files store.
+    """
 
     method = "mc"
 
@@ -33,10 +41,20 @@ class MarkovChainModel:
         assert_stochastic(transition)
         self.vocab = vocab
         self.prior = np.asarray(prior, dtype=np.float64)
-        self.transition = np.asarray(transition, dtype=np.float64)
         self.delta = check_floor(float(delta))
         self._log_prior = np.log(self.prior)
-        self._log_transition = np.log(self.transition)
+        dense = np.asarray(transition, dtype=np.float64)
+        self._floor = dense.min(axis=1)
+        # a last key past every pair keeps each lookup inside the arrays
+        self._keys = np.append(np.flatnonzero(dense != self._floor[:, None]), size * size)
+        self._values = np.append(dense.ravel()[self._keys[:-1]], 1.0)
+
+    @property
+    def transition(self) -> np.ndarray:
+        """The dense (S, S) transition matrix, rebuilt from its floors."""
+        dense = np.repeat(self._floor, self._floor.size)
+        dense[self._keys[:-1]] = self._values[:-1]
+        return dense.reshape(self._floor.size, -1)
 
     @classmethod
     def fit(
@@ -70,8 +88,15 @@ class MarkovChainModel:
         return cls(vocab, arrays["prior"], arrays["transition"], meta["delta"])
 
     def score_windows(self, windows) -> np.ndarray:
+        """Window log-likelihoods: each step's entry is looked up among the
+        stored ones, or else is its row's floor, and its log taken here; the
+        log of the same float has the same bits as a precomputed log table's."""
         mat = as_window_matrix(windows, self.vocab.size)
         scores = self._log_prior[mat[:, 0]]
         if mat.shape[1] > 1:
-            scores = scores + self._log_transition[mat[:, :-1], mat[:, 1:]].sum(axis=1)
+            src = mat[:, :-1]
+            pairs = src * self.vocab.size + mat[:, 1:]
+            at = np.searchsorted(self._keys, pairs)
+            steps = np.where(self._keys[at] == pairs, self._values[at], self._floor[src])
+            scores = scores + np.log(steps).sum(axis=1)
         return scores

@@ -579,6 +579,24 @@ def test_eval_frees_each_period_tables_before_the_next(tmp_path, monkeypatch):
     assert alive_at_call == [0, 0]
 
 
+def test_cohorts_release_the_events_before_the_last_period(tmp_path, monkeypatch):
+    class Events(dict):  # a plain dict cannot be weakly referenced
+        pass
+
+    real = cli._load_cohort
+    refs: list[weakref.ref] = []
+
+    def loading(config):
+        events = Events(real(config))
+        refs.append(weakref.ref(events))
+        return events
+
+    monkeypatch.setattr(cli, "_load_cohort", loading)
+    config = load_config(write_config(tmp_path, periods=[30, 60, 90]))
+    alive = [(period, refs[0]() is not None) for period, _ in cli._cohorts(config)]
+    assert alive == [(30, True), (60, True), (90, False)]
+
+
 def test_eval_reports_come_from_the_first_scored_period(tmp_path):
     """With too few eligible users at the first period, the metrics, scores
     and ROC files come from the next period, as if it were the only one,

@@ -104,6 +104,19 @@ def test_encode_sessions_one_marker_per_multi_day_jump():
     assert encoded.count("delta") == 1
 
 
+def test_encode_sessions_shares_one_observation_per_symbol():
+    # five symbols: a and b on a weekday morning, a on a weekday evening,
+    # a and b on a weekend morning (epoch day 2 is a Saturday)
+    stamps = [3600, 3630, 4000, 60000, 60030, 2 * DAY + 3600, 2 * DAY + 3630]
+    apps = ["a", "a", "b", "a", "a", "a", "b"]
+    sessions = [Session(ts, ts, [(ts, app_id)]) for ts, app_id in zip(stamps, apps)]
+    apps_out = [obs for _, obs in encode_sessions(sessions) if obs.kind == "app"]
+    assert len(apps_out) == len(stamps)
+    assert len({id(obs) for obs in apps_out}) == len(set(apps_out)) == 5
+    for obs, ts, app_id in zip(apps_out, stamps, apps):
+        assert obs == Observation("app", app_id, timezone_of(ts), day_flag_of(ts))
+
+
 def test_vocabulary_layout():
     vocab = Vocabulary(["zeta", "alpha"])
     assert vocab.apps == ("alpha", "zeta")  # lexicographic ordering

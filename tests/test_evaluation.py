@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import multiprocessing
 import tracemalloc
+import weakref
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -277,12 +279,16 @@ def test_generate_score_records_returns_sorted_rows(tmp_path):
     assert [end for mo, wo, end in rows if (mo, wo) == ("b", "a")] == [2, 4, 6]
 
 
+def tiny_prepared():
+    spec = CohortSpec(n_users=3, days=6, apps_per_user=8, seed=7)
+    return prepare_cohort(make_cohort(spec), period=30, min_train=50, min_test=30)
+
+
 def test_forked_fit_scores_equal_the_in_process_ones(monkeypatch):
     """`evaluate_methods` trains the HMMs in a forked child; every table is
     bit-identical to training all six methods in this process, and so is
     every HMM model the child sends back."""
-    spec = CohortSpec(n_users=3, days=6, apps_per_user=8, seed=7)
-    prepared = prepare_cohort(make_cohort(spec), period=30, min_train=50, min_test=30)
+    prepared = tiny_prepared()
     assert len(prepared) == 3
     config = TrainConfig(n_states=3, max_iter=6, seed=7)
     methods = METHOD_TAGS[::-1]  # not in table order, nor with the HMM variants last
@@ -357,6 +363,66 @@ def test_evaluate_methods_memory_is_bounded_by_its_scores():
     windows = sum(len(table) for table in tables.values())
     assert windows > 10**6
     assert peak <= 2 * 8 * windows, f"traced peak {peak} B for {windows} scored windows"
+
+
+def test_evaluate_methods_releases_the_other_models_before_the_hmm_ones(monkeypatch):
+    """The HMM-free models are unreachable once their tables are scored,
+    before this process waits for and unpickles the child's HMM models."""
+    prepared = tiny_prepared()
+    refs: list[weakref.ref] = []
+    alive_at_receive = []
+    real_train, real_forked = evaluation.train_cohort_models, evaluation._forked
+
+    def tracking_train(methods, *args):
+        models = real_train(methods, *args)
+        refs.extend(weakref.ref(m) for by_user in models.values() for m in by_user.values())
+        return models
+
+    @contextmanager
+    def checking_fork(fn, *args):
+        with real_forked(fn, *args) as result:
+
+            def receive():
+                alive_at_receive.append(sum(ref() is not None for ref in refs))
+                return result()
+
+            yield receive
+
+    monkeypatch.setattr(evaluation, "train_cohort_models", tracking_train)
+    monkeypatch.setattr(evaluation, "_forked", checking_fork)
+    config = TrainConfig(n_states=3, max_iter=3, seed=7)
+    evaluate_methods(METHOD_TAGS, prepared, (5,), config, stride=3)
+    # only this process's call is recorded: the child's list is its own copy
+    assert len(refs) == (len(METHOD_TAGS) - len(HMM_METHODS)) * len(prepared)
+    assert alive_at_receive == [0]
+
+
+def test_every_score_array_owns_its_memory():
+    """A score array that is a view keeps its whole base alive, such as a
+    (n, W) array of step logs, for as long as its table lives."""
+    prepared = tiny_prepared()
+    config = TrainConfig(n_states=3, max_iter=3, seed=7)
+    tables = evaluate_methods(METHOD_TAGS, prepared, (5, 9), config, stride=3)
+    assert {method for method, _ in tables} == set(METHOD_TAGS)
+    for key, table in tables.items():
+        assert table.scores
+        for pair, scores in table.scores.items():
+            assert scores.base is None, (key, pair)
+
+
+def test_prepared_cohort_memory_is_bounded():
+    """The default cohort prepared at period 5 (214 429 encoded symbols)
+    holds each distinct observation once per encoded stream, not once per
+    sample: its traced live memory stays under 6 MiB."""
+    events = make_cohort(CohortSpec())
+    tracemalloc.start()
+    try:
+        prepared = prepare_cohort(events, period=5)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(prepared) == 10
+    assert live <= 6 * 2**20, f"prepared cohort holds {live} B"
 
 
 def app_run(user, start, count, gap=30):

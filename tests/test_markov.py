@@ -94,6 +94,68 @@ def test_batch_scores_match_singles():
     np.testing.assert_array_equal(batch, [score_one(model, w) for w in windows])
 
 
+def fitted_and_loaded(monkeypatch):
+    """(model, the dense matrix it was built from) for a fit, whose rows
+    are floored, observed or uniform, and for a loaded matrix with rows of
+    distinct entries, of tied minima and of one value."""
+    vocab = Vocabulary(["a", "b"])
+    S = vocab.size
+    built = []
+    real_init = MarkovChainModel.__init__
+
+    def recording(self, vocab, prior, transition, delta):
+        built.append(transition.copy())
+        real_init(self, vocab, prior, transition, delta)
+
+    monkeypatch.setattr(MarkovChainModel, "__init__", recording)
+    fitted = MarkovChainModel.fit(np.array([0, 1, 0, 0, 6, 13, 0, 6]), vocab)
+    rng = np.random.default_rng(11)
+    matrix = rng.uniform(0.1, 1.0, (S, S))
+    matrix[1] = 1.0
+    matrix[2, ::2] = 0.1  # a minimum shared by half the row
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    arrays = {"prior": fitted.prior, "transition": matrix}
+    loaded = MarkovChainModel.from_arrays(vocab, {"delta": D}, arrays)
+    return vocab, [(fitted, built[0]), (loaded, matrix)]
+
+
+def test_dense_transition_is_the_matrix_it_was_built_from(monkeypatch):
+    vocab, cases = fitted_and_loaded(monkeypatch)
+    for model, matrix in cases:
+        np.testing.assert_array_equal(model.transition, matrix)
+        meta, arrays = model.to_arrays()
+        np.testing.assert_array_equal(arrays["transition"], matrix)
+    unvisited = cases[0][0].transition[7]
+    assert np.all(unvisited == unvisited[0])
+    assert unvisited[0] == pytest.approx(1 / vocab.size, rel=1e-12)
+
+
+def test_scores_are_the_logs_of_the_dense_entries(monkeypatch):
+    """Bit for bit what gathering from np.log of the dense matrix gives."""
+    vocab, cases = fitted_and_loaded(monkeypatch)
+    windows = np.random.default_rng(4).integers(0, vocab.size, size=(300, 7))
+    windows[:10] = [0, 1, 0, 0, 6, 13, 0]  # the fitted pairs
+    for model, matrix in cases:
+        want = np.log(model.prior)[windows[:, 0]]
+        want = want + np.log(matrix)[windows[:, :-1], windows[:, 1:]].sum(axis=1)
+        np.testing.assert_array_equal(model.score_windows(windows), want)
+        prior_only = model.score_windows(windows[:, :1])
+        np.testing.assert_array_equal(prior_only, np.log(model.prior)[windows[:, 0]])
+
+
+def test_fitted_chain_holds_no_dense_table():
+    """A fitted model holds its floors plus one entry per observed pair:
+    no array of S x S entries."""
+    seq = np.random.default_rng(2).integers(0, 68, size=5000)
+    vocab = Vocabulary([f"app{k:02d}" for k in range(10)])  # S = 68
+    model = MarkovChainModel.fit(seq, vocab)
+    S = vocab.size
+    arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
+    assert max(a.size for a in arrays) < S * S
+    pairs = np.unique(seq[:-1] * S + seq[1:]).size
+    assert sum(a.nbytes for a in arrays) <= 16 * (2 * S + pairs + 1)
+
+
 def test_custom_smoothing_delta_is_used():
     vocab = Vocabulary(["a"])
     seq = np.array([0, 1], dtype=np.int64)
