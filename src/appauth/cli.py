@@ -191,20 +191,20 @@ def _load_cohort(config: ExperimentConfig) -> dict[str, list[RawEvent]]:
 def _cohorts(config: ExperimentConfig) -> Iterator[tuple[int, dict[str, PreparedUser]]]:
     """(period, cohort prepared at that period) for each configured period,
     in order, from one read of the input. The events are released once the
-    last period is prepared, before it is yielded."""
-    events_by_user = _load_cohort(config)
+    last period is prepared, before it is yielded. The generator keeps no
+    cohort it has yielded, so the caller decides how long each one lives."""
+    events = [_load_cohort(config)]
     for period in config.periods:
-        prepared = prepare_cohort(
-            events_by_user,
+        yield period, prepare_cohort(
+            # the last period (periods are distinct) pops the events, so
+            # prepare_cohort holds their last reference
+            events.pop() if period == config.periods[-1] else events[0],
             period,
             train_fraction=config.train_fraction,
             idle_gap=config.idle_gap,
             min_train=config.min_train,
             min_test=config.min_test,
         )
-        if period == config.periods[-1]:  # periods are distinct
-            del events_by_user
-        yield period, prepared
 
 
 def _first_period_cohort(config: ExperimentConfig, min_users: int) -> dict[str, PreparedUser]:
@@ -278,16 +278,19 @@ def cmd_eval(config: ExperimentConfig, out: Path) -> None:
     grids = {m: np.full(shape, np.nan) for m in config.methods}
     metric_rows = ["method,n,period,threshold,eer,sensitivity,specificity,accuracy,f1".split(",")]
     report = True
-    for j, (period, prepared) in enumerate(_cohorts(config)):
+    # No name here holds a cohort while `_cohorts` prepares the next one.
+    for period, prepared in _cohorts(config):
         if len(prepared) < 2:
             log.warning("period %ds: fewer than 2 eligible users; skipping column", period)
+            del prepared
             continue
+        j = config.periods.index(period)
+        tables = evaluate_methods(config.methods, prepared, config.n_values, config, config.stride)
+        del prepared
         # One sweep per table: the grid takes its EER, and the first scored
         # period also reports metrics and curves. Each curve is dropped before
-        # the next sweep, and the last table before the next period is scored.
-        for (method, n), table in evaluate_methods(
-            config.methods, prepared, config.n_values, config, config.stride
-        ).items():
+        # the next sweep, and the tables before the next period is scored.
+        for (method, n), table in tables.items():
             if not table:
                 continue
             i = config.n_values.index(n)
@@ -302,7 +305,7 @@ def cmd_eval(config: ExperimentConfig, out: Path) -> None:
                 cc = confusion_counts(table, thr)
                 values = (thr, eer, sensitivity(cc), specificity(cc), accuracy(cc), f1(cc))
                 metric_rows.append([method, str(n), str(period), *map(format_number, values)])
-        del table
+        del tables, table
         report = False
 
     write_csv(out / "metrics.csv", metric_rows)

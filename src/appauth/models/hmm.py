@@ -98,6 +98,18 @@ class TrainingTrace:
         return trace
 
 
+# Rows per block of the scoring forward recursion. A row's bits from its
+# (W, K) @ (K, K) products depend on the row only while W stays in one BLAS
+# kernel path. On this OpenBLAS 0.3.31 build (Haswell kernels, one or two
+# threads), bisected with random rows at the default K = 20: every W from 2
+# to 2 500 gives each row the same bits, and from W = 2 501, where W * K * K
+# first exceeds 10**6, another path gives other bits. At K <= 16 no W up to
+# 6 000 changed a row. A single row is a gemv with bits of its own. At some
+# state counts (17-19 and 25-27, for example) a row's bits differ between
+# batches of 2 and of 4 already, which no block size cures.
+ROW_BLOCK = 2048
+
+
 def forward_log_likelihood(
     pi: np.ndarray, trans: np.ndarray, emit: np.ndarray, windows
 ) -> np.ndarray:
@@ -107,16 +119,28 @@ def forward_log_likelihood(
     emit need not be stochastic: the marginally-smoothed variant scores
     through a patched emission table.
 
-    Each step writes into buffers allocated once per call: a matmul, one
-    take of the step's emission rows from the transposed (S, K) table,
-    a multiply, the row sums into row t of the (n, W) scale array, and a
-    divide back into alpha. A window that loses all mass is NaN for the
-    rest of the loop; the one zero-mass check after it raises
-    FloatingPointError, and only then are the logs taken.
+    The rows run in near-equal blocks of at most ROW_BLOCK, so a batch of
+    W >= 2 rows has no block of one row, and a window's score does not
+    depend on the batch it is scored in; a batch of one is scored alone.
     """
     mat = as_window_matrix(windows, emit.shape[1])
-    matmul, multiply, add_reduce, divide = np.matmul, np.multiply, np.add.reduce, np.divide
     table = np.ascontiguousarray(emit.T)  # a symbol's K probabilities in one row
+    blocks = np.array_split(mat, max(1, -(-mat.shape[0] // ROW_BLOCK)))
+    return np.concatenate([_forward_block(pi, trans, table, block) for block in blocks])
+
+
+def _forward_block(pi: np.ndarray, trans: np.ndarray, table: np.ndarray, mat: np.ndarray):
+    """`forward_log_likelihood` of one block, with emissions as an (S, K)
+    table.
+
+    Each step writes into buffers allocated once per call: a matmul, one
+    take of the step's emission rows from the table, a multiply, the row
+    sums into row t of the (n, W) scale array, and a divide back into
+    alpha. A window that loses all mass is NaN for the rest of the loop;
+    the one zero-mass check after it raises FloatingPointError, and only
+    then are the logs taken.
+    """
+    matmul, multiply, add_reduce, divide = np.matmul, np.multiply, np.add.reduce, np.divide
     take = table.take  # the method skips np.take's Python-level dispatch
     steps = np.ascontiguousarray(mat.T)  # (n, W): step t's symbols in one row
     alpha = np.empty((mat.shape[0], table.shape[1]))

@@ -45,15 +45,14 @@ class MarkovChainModel:
         self._log_prior = np.log(self.prior)
         dense = np.asarray(transition, dtype=np.float64)
         self._floor = dense.min(axis=1)
-        # a last key past every pair keeps each lookup inside the arrays
-        self._keys = np.append(np.flatnonzero(dense != self._floor[:, None]), size * size)
-        self._values = np.append(dense.ravel()[self._keys[:-1]], 1.0)
+        self._keys = np.flatnonzero(dense != self._floor[:, None])
+        self._values = dense.ravel()[self._keys]
 
     @property
     def transition(self) -> np.ndarray:
         """The dense (S, S) transition matrix, rebuilt from its floors."""
         dense = np.repeat(self._floor, self._floor.size)
-        dense[self._keys[:-1]] = self._values[:-1]
+        dense[self._keys] = self._values
         return dense.reshape(self._floor.size, -1)
 
     @classmethod
@@ -88,15 +87,15 @@ class MarkovChainModel:
         return cls(vocab, arrays["prior"], arrays["transition"], meta["delta"])
 
     def score_windows(self, windows) -> np.ndarray:
-        """Window log-likelihoods: each step's entry is looked up among the
-        stored ones, or else is its row's floor, and its log taken here; the
-        log of the same float has the same bits as a precomputed log table's."""
+        """Window log-likelihoods, looked up in a dense (S, S) log table
+        that the call builds from the logs of the row floors and of the
+        stored entries, and frees when it returns. The log of the same float
+        has the same bits as a dense table's log of it."""
         mat = as_window_matrix(windows, self.vocab.size)
         scores = self._log_prior[mat[:, 0]]
         if mat.shape[1] > 1:
-            src = mat[:, :-1]
-            pairs = src * self.vocab.size + mat[:, 1:]
-            at = np.searchsorted(self._keys, pairs)
-            steps = np.where(self._keys[at] == pairs, self._values[at], self._floor[src])
-            scores = scores + np.log(steps).sum(axis=1)
+            size = self.vocab.size
+            log_table = np.repeat(np.log(self._floor), size)
+            log_table[self._keys] = np.log(self._values)
+            scores = scores + log_table[mat[:, :-1] * size + mat[:, 1:]].sum(axis=1)
         return scores

@@ -18,6 +18,7 @@ from appauth.encode import Vocabulary
 from appauth.evaluation import (
     BoxplotSummary,
     ConfusionCounts,
+    ScoreTable,
     accuracy,
     confusion_counts,
     eer_threshold,
@@ -34,6 +35,7 @@ from appauth.evaluation import (
     top_apps_report,
     train_cohort_models,
     unknown_app_stats,
+    write_roc_csv,
     write_scores_csv,
 )
 from appauth.ingest import RawEvent
@@ -248,6 +250,36 @@ def scores_csv_rows(table, path):
     return [(mo, wo, int(end), score) for mo, wo, end, score in rows[1:]]
 
 
+def test_score_and_roc_files_are_what_the_csv_module_writes(tmp_path):
+    """The writers format each distinct value once and join rows
+    themselves; their bytes equal csv.writer rows of `format_number`
+    fields, with -0.0 kept as "-0" beside 0.0 and owner names quoted."""
+    values = np.array([0.0, -0.0, 2.5, -0.0, np.nan, -np.inf, 1e-300, 2.5, 123456789.0])
+    owners = ["plain", "has,comma", 'has"quote', "has\nbreak"]
+    scores = {(mo, wo): values[::-1].copy() if mo < wo else values for mo in owners for wo in owners}
+    table = ScoreTable(3, 2, scores)
+    curve = np.column_stack([values, values[::-1], values / 7.0])
+
+    def reference(path, rows):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        return path.read_bytes()
+
+    scores_rows = [["model_owner", "window_owner", "end_index", "score"]] + [
+        [mo, wo, 2 + 2 * k, format_number(x)]
+        for (mo, wo), s in table.scores.items()
+        for k, x in enumerate(s)
+    ]
+    roc_rows = [["threshold", "far", "frr"]] + [
+        [format_number(x) for x in row] for row in curve * (1.0, 100.0, 100.0)
+    ]
+    write_scores_csv(table, tmp_path / "scores.csv")
+    write_roc_csv(curve, tmp_path / "roc.csv")
+    for name, rows in (("scores.csv", scores_rows), ("roc.csv", roc_rows)):
+        assert (tmp_path / name).read_bytes() == reference(tmp_path / f"want_{name}", rows)
+    assert b",-0\n" in (tmp_path / "roc.csv").read_bytes()
+
+
 def test_generate_score_records_skips_short_owners(caplog):
     import logging
 
@@ -395,6 +427,28 @@ def test_evaluate_methods_releases_the_other_models_before_the_hmm_ones(monkeypa
     # only this process's call is recorded: the child's list is its own copy
     assert len(refs) == (len(METHOD_TAGS) - len(HMM_METHODS)) * len(prepared)
     assert alive_at_receive == [0]
+
+
+def test_tables_do_not_depend_on_the_batch_size(monkeypatch):
+    """Every table of all six methods is the same with BATCH_CELLS = 100,
+    whose calls span pairs, also a pair of one window, and skip a pair
+    shorter than n."""
+    prepared = tiny_prepared()
+    prepared["user01"].test_observations = prepared["user01"].test_observations[:7]
+    config = TrainConfig(n_states=3, max_iter=3, seed=7)
+    want = evaluate_methods(METHOD_TAGS, prepared, (5, 9), config, stride=3)
+    monkeypatch.setattr(evaluation, "BATCH_CELLS", 100)
+    got = evaluate_methods(METHOD_TAGS, prepared, (5, 9), config, stride=3)
+    # At n = 9 each model owner's list is 69 + 98 windows (user01 is
+    # skipped), scored in 16 calls of 10 or 11, so one call holds windows
+    # 62 to 72; at n = 5 it is 70 + 1 + 99 windows in 9 calls of 18 or 19.
+    assert [len(s) for s in got[("mc", 9)].scores.values()] == [69, 98] * 3
+    assert [len(s) for s in got[("mc", 5)].scores.values()] == [70, 1, 99] * 3
+    assert list(got) == list(want)
+    for key, table in want.items():
+        assert list(got[key].scores) == list(table.scores), key
+        for pair, scores in table.scores.items():
+            assert np.array_equal(got[key].scores[pair], scores), (key, pair)
 
 
 def test_every_score_array_owns_its_memory():

@@ -104,6 +104,31 @@ def test_forward_equals_reference_loop(method):
             assert np.array_equal(got, want), (n_apps, w, n)
 
 
+def test_hmm_window_scores_do_not_depend_on_their_batch():
+    """At the default 20 states, every window's score has the same bits in a
+    batch of 2, at three positions of a 3 000-window batch and in blocks of
+    1 000 windows. A (W, 20) @ (20, 20) product of more than 2 500 rows takes
+    another BLAS kernel path; blocks of at most ROW_BLOCK rows never do."""
+    rng = np.random.default_rng(31)
+    vocab = Vocabulary([f"app{i}" for i in range(32)])
+    assert vocab.size == 200
+    params, trace = random_hmm(rng, 20, vocab.size), hmm.TrainingTrace(seed=0)
+    tables = [rng.random((32, k)) / (32 * k) for k in (N_TZ, N_DAY)]
+    models = (
+        LaplaceHmmModel(vocab, params, DEFAULT_DELTA, trace),
+        MsHmmModel(vocab, params, *tables, rng.random(vocab.size) < 0.7, DEFAULT_DELTA, trace),
+    )
+    windows = rng.integers(0, vocab.size, size=(3000, 60))
+    for model in models:
+        pairs = [model.score_windows(windows[i : i + 2]) for i in range(0, 3000, 2)]
+        blocks = [model.score_windows(windows[i : i + 1000]) for i in range(0, 3000, 1000)]
+        in_pairs = np.concatenate(pairs)
+        assert np.array_equal(np.concatenate(blocks), in_pairs), model.method
+        for shift in (0, 1, 1777):
+            moved = model.score_windows(np.roll(windows, shift, axis=0))
+            assert np.array_equal(moved, np.roll(in_pairs, shift)), (model.method, shift)
+
+
 def test_forward_raises_when_all_mass_vanishes():
     """Symbol 2 has no mass from any state. The pass raises wherever it
     first appears, also in one row of a batch, and no numpy warning
