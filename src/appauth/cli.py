@@ -231,22 +231,31 @@ def cmd_synth(config: ExperimentConfig, out: Path) -> None:
 
 def cmd_ingest(config: ExperimentConfig, out: Path) -> None:
     report: dict = {"periods": {}}
+    # No name here holds a cohort, or a row of one, while `_cohorts`
+    # prepares the next one.
     for period, prepared in _cohorts(config):
-        train_rows = []
-        test_rows = []
-        for user in sorted(prepared):
-            p = prepared[user]
-            train_rows.extend(zip(repeat(user), p.train_timestamps.tolist(), p.train_observations))
-            test_rows.extend(zip(repeat(user), p.test_timestamps.tolist(), p.test_observations))
-        write_sequence_csv(train_rows, out / f"train_period{period}.csv")
-        write_sequence_csv(test_rows, out / f"test_period{period}.csv")
-        report["periods"][str(period)] = {
-            "eligible_users": sorted(prepared),
-            "train_symbols": {u: int(prepared[u].train_indices.size) for u in sorted(prepared)},
-            "test_symbols": {u: len(prepared[u].test_observations) for u in sorted(prepared)},
-        }
+        report["periods"][str(period)] = _ingest_period(prepared, period, out)
+        del prepared
     _write_json(out / "ingest_report.json", report)
     print(f"ingested {len(config.periods)} period(s) into {out}")
+
+
+def _ingest_period(prepared: dict[str, PreparedUser], period: int, out: Path) -> dict:
+    """Write one period's train and test sequence CSVs and return its
+    report entry."""
+    train_rows = []
+    test_rows = []
+    for user in sorted(prepared):
+        p = prepared[user]
+        train_rows.extend(zip(repeat(user), p.train_timestamps.tolist(), p.train_observations))
+        test_rows.extend(zip(repeat(user), p.test_timestamps.tolist(), p.test_observations))
+    write_sequence_csv(train_rows, out / f"train_period{period}.csv")
+    write_sequence_csv(test_rows, out / f"test_period{period}.csv")
+    return {
+        "eligible_users": sorted(prepared),
+        "train_symbols": {u: int(prepared[u].train_indices.size) for u in sorted(prepared)},
+        "test_symbols": {u: len(prepared[u].test_observations) for u in sorted(prepared)},
+    }
 
 
 def cmd_train(config: ExperimentConfig, out: Path) -> None:

@@ -103,10 +103,12 @@ class TrainingTrace:
 # kernel path. On this OpenBLAS 0.3.31 build (Haswell kernels, one or two
 # threads), bisected with random rows at the default K = 20: every W from 2
 # to 2 500 gives each row the same bits, and from W = 2 501, where W * K * K
-# first exceeds 10**6, another path gives other bits. At K <= 16 no W up to
-# 6 000 changed a row. A single row is a gemv with bits of its own. At some
-# state counts (17-19 and 25-27, for example) a row's bits differ between
-# batches of 2 and of 4 already, which no block size cures.
+# first exceeds 10**6, another path gives other bits; at K = 28 the switch
+# comes at W = 1 285. So a block also holds at most 10**6 // K**2 rows (and
+# at least 2), which is ROW_BLOCK up to K = 22. At K <= 16 no W up to 6 000
+# changed a row. A single row is a gemv with bits of its own. At some state
+# counts (17-19 and 25-27, for example) a row's bits differ between batches
+# of 2 and of 4 already, which no block size cures.
 ROW_BLOCK = 2048
 
 
@@ -119,13 +121,15 @@ def forward_log_likelihood(
     emit need not be stochastic: the marginally-smoothed variant scores
     through a patched emission table.
 
-    The rows run in near-equal blocks of at most ROW_BLOCK, so a batch of
-    W >= 2 rows has no block of one row, and a window's score does not
-    depend on the batch it is scored in; a batch of one is scored alone.
+    The rows run in near-equal blocks of at most ROW_BLOCK rows, and of at
+    most 10**6 // K**2 rows at larger K, so a batch of W >= 2 rows has no
+    block of one row, and a window's score does not depend on the batch it
+    is scored in; a batch of one is scored alone.
     """
     mat = as_window_matrix(windows, emit.shape[1])
     table = np.ascontiguousarray(emit.T)  # a symbol's K probabilities in one row
-    blocks = np.array_split(mat, max(1, -(-mat.shape[0] // ROW_BLOCK)))
+    rows = max(2, min(ROW_BLOCK, 10**6 // table.shape[1] ** 2))
+    blocks = np.array_split(mat, max(1, -(-mat.shape[0] // rows)))
     return np.concatenate([_forward_block(pi, trans, table, block) for block in blocks])
 
 
@@ -213,6 +217,16 @@ class _BatchLayout:
     and `rows` names the table row that one np.take gathers into each slot
     of `steps`: row t holds symbol t of each sequence in its forward column
     and symbol T-1-t in its backward column, and 1.0 past its end.
+
+    Everything else an EM iteration reuses is built here once, so that no
+    iteration slices a step or allocates a buffer that the next one needs
+    again: the row views of each block of BLOCK_STEPS steps, paired as the
+    loop reads them; one (2, T_max, K) buffer that takes one sequence's
+    alpha and u rows at a time, and one for its xi products per block; and
+    each sequence's np.bincount cells. Like `steps`, all of it grows with
+    T_max, so COHORT_CELLS bounds it too. The views and pairs are about 215
+    bytes of Python objects per step, two thirds of the 320 bytes `steps`
+    holds per step at B = 1 and K = 20.
     """
 
     def __init__(
@@ -236,7 +250,20 @@ class _BatchLayout:
         # and the sums of all rows, for the checks.
         self.scale = np.empty(((t_max - 1) // BLOCK_STEPS + 1, 2 * n))
         self.mass = np.empty((t_max, 2 * n))
-        self.step = np.empty((2 * n, 1, k))
+        self.step = np.empty((2 * n, k))
+        # Each block of the loop: its first row, that row's sum as a row and
+        # as a column, and the (previous row, current row) pairs of its steps.
+        views, span = list(self.steps), BLOCK_STEPS
+        self.blocks = [
+            (views[t], c, c[:, None], list(zip(views[t : t + span], views[t + 1 : t + 1 + span])))
+            for t, c in zip(range(0, t_max, span), self.scale)
+        ]
+        # One sequence's alpha and u rows at a time, copied out of `steps`,
+        # and its xi product of each full block of steps.
+        self.copies = np.empty((2, t_max, k))
+        self.products = np.empty(((t_max - 1) // span, k, k))
+        # Each sequence's flat (symbol, state) cell of every gamma entry.
+        self.cells = [((seq * k)[:, None] + np.arange(k)).ravel() for seq in seqs]
 
 
 def _time_blocks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,12 +277,15 @@ def _expectations(params: Sequence[HmmParams], lay: _BatchLayout):
     layout under its own parameters, run for the whole batch at once.
 
     One loop over the (T_max, 2B, K) `steps` array runs both recursions:
-    step t is one batched product of row t-1 with each sequence's
-    transition matrix (forward column) and its transpose (backward column),
-    and one multiply by the emissions one np.take gathered into row t. The
-    forward column holds alpha_t, the backward column u_s = e_s * beta_s at
-    position s = T-1-t (beta_s = A @ u_(s+1)). The per-step buffers belong
-    to the layout, so the loop allocates nothing.
+    step t is one np.vecmat of row t-1 with each sequence's transition
+    matrix (forward column) and its transpose (backward column), and one
+    multiply by the emissions one np.take gathered into row t. The forward
+    column holds alpha_t, the backward column u_s = e_s * beta_s at
+    position s = T-1-t (beta_s = A @ u_(s+1)). The row views and the
+    per-step buffer belong to the layout, so the loop allocates nothing.
+    np.vecmat runs each column's product as one BLAS gemv, as the
+    reference's (K,) @ (K, K) does, with less dispatch per call than a
+    batched (2B, 1, K) @ (2B, K, K) matmul.
 
     Any scale constants give the same posteriors in real arithmetic
     (Rabiner 1989), so rows are divided by their sums only at t = 0, L, 2L,
@@ -273,10 +303,11 @@ def _expectations(params: Sequence[HmmParams], lay: _BatchLayout):
     Yields (log_likelihood, gamma, xi_sum) per sequence, in order:
     gamma[t, i] is the posterior state occupancy, xi_sum[i, j] the
     posterior transition count summed over time. Each sequence's gamma and
-    xi product come from contiguous arrays of its own, by the same
-    expressions as a single-sequence pass, so they are bit-identical to it;
-    the M-step in `baum_welch_cohort` counts emissions from gamma with one
-    np.bincount.
+    xi product come from contiguous rows of the layout's copy buffer, by the
+    same expressions as a single-sequence pass, so they are bit-identical to
+    it; each gamma is a new array that its consumer owns. The M-step in
+    `baum_welch_cohort` counts emissions from gamma with one np.bincount
+    over the layout's cells.
 
     The checks raise FloatingPointError for the first sequence in batch
     order that fails them, forward before backward. A position whose
@@ -286,25 +317,23 @@ def _expectations(params: Sequence[HmmParams], lay: _BatchLayout):
     would survive such input, while block scaling would lose precision in
     silence.
     """
-    matmul, multiply, add_reduce, divide = np.matmul, np.multiply, np.add.reduce, np.divide
+    matmul, vecmat, multiply = np.matmul, np.vecmat, np.multiply
+    add_reduce, divide, copyto = np.add.reduce, np.divide, np.copyto
     steps, table, trans, mass, n = lay.steps, lay.table, lay.trans, lay.mass, len(params)
-    t_max, span = steps.shape[0], BLOCK_STEPS
+    span, step = BLOCK_STEPS, lay.step
     np.concatenate([p.emit.T for p in params], out=table[1:])
     np.stack([p.pi for p in params], out=lay.pi)
     np.stack([p.trans for p in params] + [p.trans.T for p in params], out=trans)
 
     np.take(table, lay.rows, 0, steps, "clip")
-    step = lay.step
-    row = step[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         multiply(lay.pi, steps[0, :n], steps[0, :n])
-        for end, c in zip(range(0, t_max, span), lay.scale):
-            cur = steps[end]
-            add_reduce(cur, 1, None, c)
-            divide(cur, c[:, None], cur)
-            for prev, cur in zip(steps[end : end + span, :, None], steps[end + 1 : end + 1 + span]):
-                matmul(prev, trans, step)
-                multiply(row, cur, cur)
+        for first, c, c_col, pairs in lay.blocks:
+            add_reduce(first, 1, None, c)
+            divide(first, c_col, first)
+            for prev, cur in pairs:
+                vecmat(prev, trans, step)
+                multiply(step, cur, cur)
         add_reduce(steps, 2, None, mass)
         divide(steps, mass[:, :, None], steps)
     mass[::span] = lay.scale
@@ -326,8 +355,9 @@ def _expectations(params: Sequence[HmmParams], lay: _BatchLayout):
     for b, (p, seq) in enumerate(zip(params, lay.seqs)):
         t_len = seq.size
         ll = float(np.log(np.append(mass[: t_len - 1 : span, b], mass[t_len - 1, b])).sum())
-        al = np.ascontiguousarray(steps[:t_len, b])
-        u = np.ascontiguousarray(steps[t_len - 1 :: -1, n + b])  # in position order
+        al, u = lay.copies[:, :t_len]
+        copyto(al, steps[:t_len, b])
+        copyto(u, steps[t_len - 1 :: -1, n + b])  # in position order
         gamma = np.empty_like(al)  # beta, then gamma
         gamma[-1] = 1.0
         (u_blocks, u_rest), (b_blocks, b_rest) = _time_blocks(u[1:]), _time_blocks(gamma[:-1])
@@ -336,9 +366,10 @@ def _expectations(params: Sequence[HmmParams], lay: _BatchLayout):
         multiply(al, gamma, gamma)
         norm = add_reduce(gamma, 1)  # G_t
         divide(gamma, norm[:, None], gamma)
-        weighted = divide(u[1:], norm[:-1, None], u[1:])
-        (a_blocks, a_rest), (w_blocks, w_rest) = _time_blocks(al[:-1]), _time_blocks(weighted)
-        xi = add_reduce(matmul(a_blocks.transpose(0, 2, 1), w_blocks), 0) + a_rest.T @ w_rest
+        divide(u[1:], norm[:-1, None], u[1:])  # the weights, in place of u
+        a_blocks, a_rest = _time_blocks(al[:-1])
+        products = matmul(a_blocks.transpose(0, 2, 1), u_blocks, lay.products[: len(a_blocks)])
+        xi = add_reduce(products, 0) + a_rest.T @ u_rest
         yield ll, gamma, p.trans * xi
 
 
@@ -401,7 +432,7 @@ def baum_welch_cohort(
                 )
             stats = _expectations([params[u] for u in active], lay)
             still = []
-            for u, (ll, gamma, xi_sum) in zip(active, stats):
+            for u, cells, (ll, gamma, xi_sum) in zip(active, lay.cells, stats):
                 seq, trace = seqs[u], traces[u]
                 lls = trace.log_likelihoods
                 lls.append(ll)
@@ -411,9 +442,8 @@ def baum_welch_cohort(
                 # order from 0.0, like the reference's np.add.at, so the
                 # counts are bit-identical. They fill an (S, K) array:
                 # normalize_rows must sum the same transposed layout.
-                cells = (seq * n_states)[:, None] + np.arange(n_states)
                 emit_counts = np.bincount(
-                    cells.ravel(), gamma.ravel(), n_symbols[u] * n_states
+                    cells, gamma.ravel(), n_symbols[u] * n_states
                 ).reshape(n_symbols[u], n_states)
                 new = (
                     gamma[0] / gamma[0].sum(),
@@ -425,6 +455,7 @@ def baum_welch_cohort(
                 params[u] = HmmParams(*new)
                 if trace.iterations < max_iter:
                     still.append(u)
+            del gamma  # the last sequence's; the next E-step has no use for it
             if len(still) < len(active):
                 lay = None
             active = still

@@ -621,6 +621,29 @@ def test_eval_releases_each_period_cohort_before_the_next(tmp_path, monkeypatch)
     assert alive_at_call == [0, 0, 0]
 
 
+def test_ingest_releases_each_period_cohort_before_the_next(tmp_path, monkeypatch):
+    """When `prepare_cohort` runs, no earlier period's cohort is reachable
+    from `cmd_ingest`, as in `eval`."""
+
+    class Cohort(dict):  # a plain dict cannot be weakly referenced
+        pass
+
+    real = cli.prepare_cohort
+    refs: list[weakref.ref] = []
+    alive_at_call = []
+
+    def tracking(*args, **kwargs):
+        alive_at_call.append(sum(ref() is not None for ref in refs))
+        cohort = Cohort(real(*args, **kwargs))
+        refs.append(weakref.ref(cohort))
+        return cohort
+
+    monkeypatch.setattr(cli, "prepare_cohort", tracking)
+    cfg = write_config(tmp_path, out=str(tmp_path / "o"), periods=[30, 3000, 60])
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    assert alive_at_call == [0, 0, 0]
+
+
 def test_eval_reports_come_from_the_first_scored_period(tmp_path):
     """With too few eligible users at the first period, the metrics, scores
     and ROC files come from the next period, as if it were the only one,

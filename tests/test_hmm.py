@@ -24,6 +24,7 @@ from appauth.encode import N_DAY, N_TZ, Vocabulary
 from appauth.models import hmm
 from appauth.models.core import DEFAULT_DELTA, STOCHASTIC_TOL, TrainConfig, assert_stochastic
 from appauth.models.hmm import (
+    BLOCK_STEPS,
     ZERO_BELOW,
     HmmParams,
     LaplaceHmmModel,
@@ -127,6 +128,22 @@ def test_hmm_window_scores_do_not_depend_on_their_batch():
         for shift in (0, 1, 1777):
             moved = model.score_windows(np.roll(windows, shift, axis=0))
             assert np.array_equal(moved, np.roll(in_pairs, shift)), (model.method, shift)
+
+
+def test_hmm_window_scores_do_not_depend_on_their_batch_at_28_states():
+    """At K = 28 a (W, 28) @ (28, 28) product takes another BLAS kernel path
+    from W = 1 285 on, below ROW_BLOCK. Blocks of at most 10**6 // K**2 rows
+    keep every score of a 2 000-window batch the same bits as in batches of
+    2; one uncapped block of 2 000 rows changed 199 of them."""
+    rng = np.random.default_rng(28)
+    params = random_hmm(rng, 28, 50)
+    windows = rng.integers(0, 50, size=(2000, 20))
+    whole = forward_log_likelihood(params.pi, params.trans, params.emit, windows)
+    pairs = [
+        forward_log_likelihood(params.pi, params.trans, params.emit, windows[i : i + 2])
+        for i in range(0, 2000, 2)
+    ]
+    assert np.array_equal(whole, np.concatenate(pairs))
 
 
 def test_forward_raises_when_all_mass_vanishes():
@@ -320,16 +337,21 @@ def test_longest_user_leaving_early_shrinks_the_batch():
 
 
 def test_batched_expectations_equal_single_sequence_pass():
+    """At 4 states, and at the benchmarks' 20 states with 3 sequences of
+    unequal lengths, several BLOCK_STEPS long each; each layout runs two
+    passes, so the second reuses everything the first one used."""
     rng = np.random.default_rng(8)
-    seqs = [rng.integers(0, 7, t) for t in (40, 2, 75, 13)]
-    params = [random_hmm(rng, 4, 7) for _ in seqs]
-    work = np.empty(2 * 75 * len(seqs) * 4)
-    lay = hmm._BatchLayout(seqs, [7] * len(seqs), 4, work)
-    for (ll, gamma, xi_sum), p, seq in zip(hmm._expectations(params, lay), params, seqs):
-        ref_ll, ref_gamma, ref_xi = reference_forward_backward(p, seq)
-        assert ll == ref_ll
-        assert np.array_equal(gamma, ref_gamma)
-        assert np.array_equal(xi_sum, ref_xi)
+    cases = [(4, 7, (40, 2, 75, 13)), (20, 40, (7 * BLOCK_STEPS + 5, 11 * BLOCK_STEPS, 90))]
+    for k, s, lengths in cases:
+        seqs = [rng.integers(0, s, t) for t in lengths]
+        lay = hmm._BatchLayout(seqs, [s] * len(seqs), k, np.empty(2 * max(lengths) * len(seqs) * k))
+        for _ in range(2):
+            params = [random_hmm(rng, k, s) for _ in seqs]
+            for (ll, gamma, xi_sum), p, seq in zip(hmm._expectations(params, lay), params, seqs):
+                ref_ll, ref_gamma, ref_xi = reference_forward_backward(p, seq)
+                assert ll == ref_ll, (k, seq.size)
+                assert np.array_equal(gamma, ref_gamma), (k, seq.size)
+                assert np.array_equal(xi_sum, ref_xi), (k, seq.size)
 
 
 def test_zero_forward_mass_raises_at_first_bad_position():

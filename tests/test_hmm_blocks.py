@@ -3,6 +3,9 @@ block edges in a lock-step batch, and its zero-mass and underflow checks."""
 
 from __future__ import annotations
 
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,3 +132,27 @@ def test_backward_underflow_names_its_block():
         reference_forward_backward(params, seq)
     with pytest.raises(FloatingPointError, match=message):
         list(hmm._expectations([params], _layout([seq], 2, 2)))
+
+
+def test_a_second_pass_over_a_layout_allocates_little_but_its_gammas():
+    """The layout owns every view and buffer that an EM iteration reuses,
+    so a pass over it allocates little besides the gammas it yields. Three
+    sequences of up to 1 600 symbols at 20 states, each yield dropped at
+    once: the second pass's traced peak is 2.05 gammas of the longest
+    sequence (526 KB), a new gamma and the one the generator still holds.
+    Copying each sequence's rows into arrays of its own and allocating its
+    xi products in every pass took 5.93 (1 519 KB); the bound is below half
+    of that."""
+    rng = np.random.default_rng(32)
+    seqs = [rng.integers(0, 40, t) for t in (1400, 1600, 1500)]
+    params = [random_hmm(rng, 20, 40) for _ in seqs]
+    lay = _layout(seqs, 40, 20)
+    collections.deque(hmm._expectations(params, lay), maxlen=0)
+    tracemalloc.start()
+    try:
+        collections.deque(hmm._expectations(params, lay), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gamma = 1600 * 20 * 8
+    assert peak < 2.5 * gamma, f"traced peak {peak} B, {peak / gamma:.2f} gammas"
