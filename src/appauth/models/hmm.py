@@ -102,13 +102,15 @@ class TrainingTrace:
 # (W, K) @ (K, K) products depend on the row only while W stays in one BLAS
 # kernel path. On this OpenBLAS 0.3.31 build (Haswell kernels, one or two
 # threads), bisected with random rows at the default K = 20: every W from 2
-# to 2 500 gives each row the same bits, and from W = 2 501, where W * K * K
-# first exceeds 10**6, another path gives other bits; at K = 28 the switch
-# comes at W = 1 285. So a block also holds at most 10**6 // K**2 rows (and
-# at least 2), which is ROW_BLOCK up to K = 22. At K <= 16 no W up to 6 000
-# changed a row. A single row is a gemv with bits of its own. At some state
-# counts (17-19 and 25-27, for example) a row's bits differ between batches
-# of 2 and of 4 already, which no block size cures.
+# to 2 500 gives each row the same bits, and from W = 2 501, where
+# W * K * K first exceeds 10**6, another path gives other bits; at K = 28
+# the switch comes at W = 1 285. So a block also holds at most
+# 10**6 // K**2 rows, rounded down to a multiple of 4 (and at least 4),
+# which is ROW_BLOCK up to K = 22. At some state counts (17-19, 25-27,
+# 33-35, ... 57-59) a row's bits differ between blocks of 2 and of 4 rows,
+# so each block is padded to a multiple of 4 rows; then no K from 1 to 64
+# gave a row bits that depend on its batch. A single row is a gemv with
+# bits of its own.
 ROW_BLOCK = 2048
 
 
@@ -122,13 +124,14 @@ def forward_log_likelihood(
     through a patched emission table.
 
     The rows run in near-equal blocks of at most ROW_BLOCK rows, and of at
-    most 10**6 // K**2 rows at larger K, so a batch of W >= 2 rows has no
-    block of one row, and a window's score does not depend on the batch it
-    is scored in; a batch of one is scored alone.
+    most 10**6 // K**2 rows at larger K, each padded to a multiple of 4 rows
+    with copies of its first rows, whose scores are dropped. So a window's
+    score does not depend on the batch of W >= 2 rows it is scored in; a
+    batch of one is scored alone.
     """
     mat = as_window_matrix(windows, emit.shape[1])
     table = np.ascontiguousarray(emit.T)  # a symbol's K probabilities in one row
-    rows = max(2, min(ROW_BLOCK, 10**6 // table.shape[1] ** 2))
+    rows = max(4, min(ROW_BLOCK, 10**6 // table.shape[1] ** 2) // 4 * 4)
     blocks = np.array_split(mat, max(1, -(-mat.shape[0] // rows)))
     return np.concatenate([_forward_block(pi, trans, table, block) for block in blocks])
 
@@ -146,8 +149,10 @@ def _forward_block(pi: np.ndarray, trans: np.ndarray, table: np.ndarray, mat: np
     """
     matmul, multiply, add_reduce, divide = np.matmul, np.multiply, np.add.reduce, np.divide
     take = table.take  # the method skips np.take's Python-level dispatch
-    steps = np.ascontiguousarray(mat.T)  # (n, W): step t's symbols in one row
-    alpha = np.empty((mat.shape[0], table.shape[1]))
+    w = mat.shape[0]
+    pad = -w % 4 if w > 1 else 0  # copies of the first rows; a single row stays a gemv
+    steps = np.concatenate([mat.T, mat.T[:, :pad]], 1)  # step t's symbols in one row
+    alpha = np.empty((steps.shape[1], table.shape[1]))
     unscaled, obs = np.empty_like(alpha), np.empty_like(alpha)
     scale = np.empty(steps.shape)
     scale_col = scale[:, :, None]
@@ -167,7 +172,7 @@ def _forward_block(pi: np.ndarray, trans: np.ndarray, table: np.ndarray, mat: np
     # The logs are added in step order from the first, as a running total
     # adds them. np.add.reduce along axis 0 does so only for W >= 2: it
     # sums a single column pairwise.
-    logs = np.log(scale)
+    logs = np.log(scale[:, :w])
     totals = logs[0].copy()
     for step_log in logs[1:]:
         totals += step_log
@@ -371,6 +376,7 @@ def _expectations(params: Sequence[HmmParams], lay: _BatchLayout):
         products = matmul(a_blocks.transpose(0, 2, 1), u_blocks, lay.products[: len(a_blocks)])
         xi = add_reduce(products, 0) + a_rest.T @ u_rest
         yield ll, gamma, p.trans * xi
+        del gamma, b_blocks, b_rest  # before the next sequence's gamma is allocated
 
 
 def _cohort_batches(lengths: Sequence[int], n_states: int):
@@ -432,30 +438,30 @@ def baum_welch_cohort(
                 )
             stats = _expectations([params[u] for u in active], lay)
             still = []
-            for u, cells, (ll, gamma, xi_sum) in zip(active, lay.cells, stats):
+            for u, cells in zip(active, lay.cells):
+                ll, gamma, xi_sum = next(stats)  # a zip over `stats` would hold on to gamma
                 seq, trace = seqs[u], traces[u]
                 lls = trace.log_likelihoods
                 lls.append(ll)
-                if len(lls) > 1 and tol > 0.0 and (ll - lls[-2]) / seq.size < tol:
-                    continue
-                # np.bincount adds each (symbol, state) cell's gamma in t
-                # order from 0.0, like the reference's np.add.at, so the
-                # counts are bit-identical. They fill an (S, K) array:
-                # normalize_rows must sum the same transposed layout.
-                emit_counts = np.bincount(
-                    cells, gamma.ravel(), n_symbols[u] * n_states
-                ).reshape(n_symbols[u], n_states)
-                new = (
-                    gamma[0] / gamma[0].sum(),
-                    normalize_rows(xi_sum),
-                    normalize_rows(emit_counts.T),
-                )
-                for table in new:
-                    table[table < ZERO_BELOW] = 0.0
-                params[u] = HmmParams(*new)
-                if trace.iterations < max_iter:
-                    still.append(u)
-            del gamma  # the last sequence's; the next E-step has no use for it
+                if not (len(lls) > 1 and tol > 0.0 and (ll - lls[-2]) / seq.size < tol):
+                    # np.bincount adds each (symbol, state) cell's gamma in t
+                    # order from 0.0, like the reference's np.add.at, so the
+                    # counts are bit-identical. They fill an (S, K) array:
+                    # normalize_rows must sum the same transposed layout.
+                    emit_counts = np.bincount(
+                        cells, gamma.ravel(), n_symbols[u] * n_states
+                    ).reshape(n_symbols[u], n_states)
+                    new = (
+                        gamma[0] / gamma[0].sum(),
+                        normalize_rows(xi_sum),
+                        normalize_rows(emit_counts.T),
+                    )
+                    for table in new:
+                        table[table < ZERO_BELOW] = 0.0
+                    params[u] = HmmParams(*new)
+                    if trace.iterations < max_iter:
+                        still.append(u)
+                del gamma  # before the generator allocates the next sequence's
             if len(still) < len(active):
                 lay = None
             active = still

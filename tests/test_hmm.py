@@ -146,6 +146,26 @@ def test_hmm_window_scores_do_not_depend_on_their_batch_at_28_states():
     assert np.array_equal(whole, np.concatenate(pairs))
 
 
+def test_hmm_window_scores_do_not_depend_on_their_batch_at_18_states():
+    """At K = 18 a row's bits from a (W, 18) @ (18, 18) product differ
+    between blocks of 2 and of 4 rows. Blocks padded to a multiple of 4 rows
+    keep every score of a 2 000-window batch the same bits as in batches of
+    2 and of 3, and wherever the batch is rolled to; unpadded blocks gave 107
+    of them other bits than batches of 2."""
+    rng = np.random.default_rng(18)
+    params = random_hmm(rng, 18, 50)
+    windows = rng.integers(0, 50, size=(2000, 20))
+
+    def score(batch):
+        return forward_log_likelihood(params.pi, params.trans, params.emit, batch)
+
+    whole = score(windows)
+    for size in (2, 3):
+        parts = [score(windows[i : i + size]) for i in range(0, 2000 - 2000 % size, size)]
+        assert np.array_equal(whole[: 2000 - 2000 % size], np.concatenate(parts)), size
+    assert np.array_equal(score(np.roll(windows, 3, axis=0)), np.roll(whole, 3))
+
+
 def test_forward_raises_when_all_mass_vanishes():
     """Symbol 2 has no mass from any state. The pass raises wherever it
     first appears, also in one row of a batch, and no numpy warning

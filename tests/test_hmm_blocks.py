@@ -136,13 +136,14 @@ def test_backward_underflow_names_its_block():
 
 def test_a_second_pass_over_a_layout_allocates_little_but_its_gammas():
     """The layout owns every view and buffer that an EM iteration reuses,
-    so a pass over it allocates little besides the gammas it yields. Three
+    so a pass over it allocates little besides the gammas it yields, and it
+    drops each gamma it has yielded before it allocates the next. Three
     sequences of up to 1 600 symbols at 20 states, each yield dropped at
-    once: the second pass's traced peak is 2.05 gammas of the longest
-    sequence (526 KB), a new gamma and the one the generator still holds.
-    Copying each sequence's rows into arrays of its own and allocating its
-    xi products in every pass took 5.93 (1 519 KB); the bound is below half
-    of that."""
+    once: the second pass's traced peak is 1.38 gammas of the longest
+    sequence (352 KB), one gamma at a time. While the generator still held
+    the gamma it had yielded, the peak was 2.05 (526 KB); copying each
+    sequence's rows into arrays of its own and allocating its xi products in
+    every pass took 5.93 (1 519 KB)."""
     rng = np.random.default_rng(32)
     seqs = [rng.integers(0, 40, t) for t in (1400, 1600, 1500)]
     params = [random_hmm(rng, 20, 40) for _ in seqs]
@@ -155,4 +156,4 @@ def test_a_second_pass_over_a_layout_allocates_little_but_its_gammas():
     finally:
         tracemalloc.stop()
     gamma = 1600 * 20 * 8
-    assert peak < 2.5 * gamma, f"traced peak {peak} B, {peak / gamma:.2f} gammas"
+    assert peak < 1.5 * gamma, f"traced peak {peak} B, {peak / gamma:.2f} gammas"
