@@ -150,12 +150,19 @@ def read_sequence_csv(path: str | Path) -> list[tuple[str, int, Observation]]:
 
     Unlike the raw event-log parser this is strict: any malformed row raises
     FormatError, since these files are produced by the pipeline itself.
+    Rows share one Observation per distinct symbol text and one string per
+    distinct owner, as `encode_sessions` shares its Observations.
     """
     out: list[tuple[str, int, Observation]] = []
+    symbols: dict[str, Observation] = {}
+    share = {}.setdefault
     for lineno, fields in read_csv_rows(path, SEQUENCE_HEADER):
         try:
-            owner, ts, symbol = fields
-            out.append((owner, int(ts), Observation.from_text(symbol)))
+            owner, ts, text = fields
+            obs = symbols.get(text)
+            if obs is None:
+                obs = symbols[text] = Observation.from_text(text)
+            out.append((share(owner, owner), int(ts), obs))
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
     return out

@@ -47,9 +47,10 @@ TOP_APPS = 20
 NUMBER_FORMAT = "%.6g"
 
 # Rows per block of the scores and ROC writers, which fill a block's row
-# templates with one `%`: writing a 670 001-row ROC curve peaks at 2.6 MiB
-# (tracemalloc), where one string per value took 212 MiB.
-WRITE_ROWS = 1 << 14
+# templates with one `%`: writing a 200 000-row ROC curve peaks at 0.65 MiB
+# (tracemalloc), where one string per value took 79 MiB; 2**14 rows per
+# block peaked at 2.6 MiB and was no faster.
+WRITE_ROWS = 1 << 12
 
 
 def format_number(x: float) -> str:

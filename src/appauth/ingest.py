@@ -150,16 +150,19 @@ def parse_event_log(path: str | Path) -> tuple[list[RawEvent], ParseReport]:
     The schema is ``user_id,local_timestamp,kind,app_id`` with kind in
     {app, unlock, lock} and an empty app_id on unlock/lock rows. A row that
     does not make a valid RawEvent is dropped and recorded in the returned
-    report.
+    report. Events share one string per distinct user id, kind and app id.
 
     Raises FormatError if the header row is missing or wrong.
     """
     events: list[RawEvent] = []
     report = ParseReport()
+    # one dict per call, unlike sys.intern, so the strings go with the events
+    share = {}.setdefault
     for lineno, fields in read_csv_rows(path, EVENT_LOG_HEADER):
         report.rows_total += 1
         try:
             user_id, ts, kind, app_id = fields
+            user_id, kind, app_id = share(user_id, user_id), share(kind, kind), share(app_id, app_id)
             events.append(RawEvent(user_id, int(ts), kind, app_id))
         except ValueError as exc:
             report.errors.append(RowError(lineno, str(exc)))

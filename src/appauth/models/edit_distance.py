@@ -78,12 +78,18 @@ class MedModel:
         text_len = self.train_indices.size
         if n > text_len:
             raise ValueError(f"window length {n} exceeds training sequence length {text_len}")
-        # Distinct windows, each compared as one raw-bytes value: equal bytes
-        # are equal windows, and np.unique(axis=0) is ~10x slower here.
-        as_bytes = np.ascontiguousarray(mat).view(np.dtype((np.void, mat.itemsize * n)))
+        # Distinct windows, each compared as one raw-bytes value of int32
+        # symbols: equal bytes are equal windows, and np.unique(axis=0) is
+        # ~10x slower here. Their distinct symbols are a mask over the
+        # vocabulary, and a symbol's cost row is its rank in that mask.
+        narrow = mat.astype(np.int32)
+        as_bytes = narrow.view(np.dtype((np.void, narrow.itemsize * n)))
         unique, inverse = np.unique(as_bytes.ravel(), return_inverse=True)
-        symbols, rows = np.unique(unique.view(np.int64), return_inverse=True)
-        rows = rows.reshape(len(unique), n)
+        unique = unique.view(np.int32).reshape(-1, n)
+        present = np.zeros(self.vocab.size, dtype=bool)
+        present[unique] = True
+        symbols = np.flatnonzero(present)
+        rows = (np.cumsum(present, dtype=np.int32) - 1)[unique]
 
         # A window's DP row is `width` flat cells: `lead` zero cells, the
         # last of them column 0, then text columns 1..T. Row i shifts by at

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import tokenize
 import zipfile
 from pathlib import Path
 
@@ -23,6 +24,12 @@ from ..ingest import FormatError
 
 FORMAT_NAME = "appauth-model"
 FORMAT_VERSION = 1
+
+# What zipfile and numpy raise on a damaged .npz beyond ValueError and
+# OSError: a mangled archive, member header or CRC; a member cut short of its
+# recorded size; a zip version or compression method zipfile lacks; a member
+# flagged as encrypted; an .npy header that numpy cannot tokenize.
+DAMAGED = (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError, tokenize.TokenError)
 
 
 def vocabulary_hash(vocab: Vocabulary) -> str:
@@ -60,35 +67,36 @@ def load_model(path: str | Path) -> tuple:
     try:
         # read whole: np.load leaks its file handle on a broken .zip archive
         data = np.load(io.BytesIO(Path(path).read_bytes()), allow_pickle=False)
-    except (EOFError, zipfile.BadZipFile) as exc:
-        raise FormatError(f"{path}: not an .npz container ({exc})") from None
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise FormatError(f"{path}: not an .npz container (a plain array)")
-    with data:
-        try:
-            meta = json.loads(str(data["meta"]))
-        except KeyError:
-            raise FormatError(f"{path}: not a model container (no metadata)") from None
-        if not isinstance(meta, dict):
-            raise FormatError(f"{path}: model metadata is not a JSON object")
-        if meta.get("format") != FORMAT_NAME:
-            raise FormatError(f"{path}: unrecognized container format")
-        if meta.get("version") != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported container version {meta.get('version')}")
-        method = meta.get("method")
-        cls = _model_classes().get(method) if isinstance(method, str) else None
-        if cls is None:
-            raise FormatError(f"{path}: unknown method tag {method!r}")
-        try:
-            vocab = Vocabulary.from_json(meta["vocab"])
-            if vocabulary_hash(vocab) != meta["vocab_hash"]:
-                raise FormatError(f"{path}: vocabulary hash mismatch (corrupt container)")
-            model = cls.from_arrays(vocab, meta, data)
-        except KeyError as exc:
-            raise FormatError(f"{path}: incomplete {method} container ({exc.args[0]})") from None
-        except (TypeError, AttributeError) as exc:
-            raise FormatError(f"{path}: malformed {method} metadata ({exc})") from None
-        owner = meta.get("owner")
-        if not isinstance(owner, str):
-            raise FormatError(f"{path}: model owner {owner!r} is not a string")
-        return model, owner
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise FormatError(f"{path}: not an .npz container (a plain array)")
+        with data:  # every member is read here, so damage shows here
+            members = {name: data[name] for name in data.files}
+    except DAMAGED as exc:
+        raise FormatError(f"{path}: not an .npz container ({exc!r})") from None
+    try:
+        meta = json.loads(str(members["meta"]))
+    except KeyError:
+        raise FormatError(f"{path}: not a model container (no metadata)") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: model metadata is not a JSON object")
+    if meta.get("format") != FORMAT_NAME:
+        raise FormatError(f"{path}: unrecognized container format")
+    if meta.get("version") != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported container version {meta.get('version')}")
+    method = meta.get("method")
+    cls = _model_classes().get(method) if isinstance(method, str) else None
+    if cls is None:
+        raise FormatError(f"{path}: unknown method tag {method!r}")
+    try:
+        vocab = Vocabulary.from_json(meta["vocab"])
+        if vocabulary_hash(vocab) != meta["vocab_hash"]:
+            raise FormatError(f"{path}: vocabulary hash mismatch (corrupt container)")
+        model = cls.from_arrays(vocab, meta, members)
+    except KeyError as exc:
+        raise FormatError(f"{path}: incomplete {method} container ({exc.args[0]})") from None
+    except (TypeError, AttributeError) as exc:
+        raise FormatError(f"{path}: malformed {method} metadata ({exc})") from None
+    owner = meta.get("owner")
+    if not isinstance(owner, str):
+        raise FormatError(f"{path}: model owner {owner!r} is not a string")
+    return model, owner

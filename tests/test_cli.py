@@ -468,6 +468,18 @@ def test_tampered_model_exits_2(pipeline, tmp_path, capsys):
         assert f"{name}: not an .npz container" in capsys.readouterr().err
 
 
+def test_corrupt_model_file_exits_2(pipeline, tmp_path, capsys):
+    """One flipped byte inside a member of a model file fails that member's
+    CRC when it is read: a data error naming the file, not a traceback."""
+    corrupt = bytearray((Path(__file__).parent / "data" / "model.mc.npz").read_bytes())
+    corrupt[200] ^= 0xFF  # inside meta.npy
+    (tmp_path / "corrupt.npz").write_bytes(corrupt)
+    assert score_file(pipeline, tmp_path, tmp_path / "corrupt.npz") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error" in err and "corrupt.npz: not an .npz container" in err
+    assert "Bad CRC-32 for file 'meta.npy'" in err and "Traceback" not in err
+
+
 def test_tampered_mshmm_model_exits_2(pipeline, tmp_path, capsys):
     assert score_tampered(pipeline, tmp_path, "mshmm", "p_app_tz") == EXIT_DATA
     assert "finite and non-negative" in capsys.readouterr().err

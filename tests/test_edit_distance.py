@@ -150,12 +150,20 @@ def test_repeated_windows_match_exhaustive_oracle():
     vocab = Vocabulary(apps)
     rng = np.random.default_rng(37)
     text_obs = [random_observation(rng, apps) for _ in range(7)]
-    model = MedModel.fit(vocab.project(text_obs), vocab)
-    distinct = [[random_observation(rng, apps) for _ in range(3)] for _ in range(5)]
-    order = [0, 3, 0, 1, 4, 3, 2, 0, 4]
-    windows = np.stack([vocab.project(distinct[k]) for k in order])
-    got = -model.score_windows(windows)
-    assert got.tolist() == [brute_med_distance(distinct[k], text_obs) for k in order]
+    random_windows = [[random_observation(rng, apps) for _ in range(3)] for _ in range(5)]
+    # three of the vocabulary's 20 symbols, its highest index (DELTA) among
+    # them, against a text where DELTA, PSI and app b differ in cost
+    assert vocab.index_of(DELTA) == vocab.size - 1
+    few = [[DELTA, DELTA, app("b", 2, 1)], [app("b", 2, 1), PSI, DELTA], [DELTA] * 3]
+    few_text = [app("b", 2, 0), DELTA, PSI, app("a", 2, 1), DELTA, app("b", 2, 1)]
+    for text, distinct, order in (
+        (text_obs, random_windows, [0, 3, 0, 1, 4, 3, 2, 0, 4]),
+        (few_text, few, [2, 0, 2, 1, 0, 2]),
+    ):
+        model = MedModel.fit(vocab.project(text), vocab)
+        windows = np.stack([vocab.project(distinct[k]) for k in order])
+        got = -model.score_windows(windows)
+        assert got.tolist() == [brute_med_distance(distinct[k], text) for k in order]
 
 
 LONG_APPS = ["a", "b", "c", "d", "e", "f"]

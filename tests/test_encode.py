@@ -186,18 +186,27 @@ def test_vocabulary_from_observations_keeps_app_ids_only():
     assert vocab.apps == ("a", "b")
 
 
+def assert_round_trip_shares_values(rows, path):
+    """The rows read back equal the rows written, and equal owners and
+    equal symbols come back as one object each."""
+    write_sequence_csv(rows, path)
+    back = read_sequence_csv(path)
+    assert back == rows
+    for column in (0, 2):  # owner, observation
+        values = [row[column] for row in back]
+        assert len({id(v) for v in values}) == len(set(values)) < len(values)
+
+
 def test_sequence_csv_round_trip(tmp_path):
     rows = [("u1", 0, PSI), ("u1", 0, app("mail", 0, 0)), ("u1", 30, unk(2, 1))]
-    path = tmp_path / "seq.csv"
-    write_sequence_csv(rows, path)
-    assert read_sequence_csv(path) == rows
+    rows += [("u2", 60, PSI), ("u2", 60, app("mail", 0, 0)), ("u1", 90, unk(2, 1))]
+    assert_round_trip_shares_values(rows, tmp_path / "seq.csv")
 
 
 def test_sequence_csv_round_trips_app_ids_with_commas(tmp_path):
     rows = [("u,1", 0, PSI), ("u,1", 0, app("com.a,b", 0, 0)), ("u,1", 30, app('say "hi"', 2, 1))]
-    path = tmp_path / "seq.csv"
-    write_sequence_csv(rows, path)
-    assert read_sequence_csv(path) == rows
+    rows += [("u,1", 60, app("com.a,b", 0, 0)), ("v", 90, app('say "hi"', 2, 1))]
+    assert_round_trip_shares_values(rows, tmp_path / "seq.csv")
 
 
 def test_sequence_csv_reader_is_strict(tmp_path):
@@ -210,3 +219,7 @@ def test_sequence_csv_reader_is_strict(tmp_path):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(error):
             read_sequence_csv(path)
+    # a bad row after rows whose symbol and owner are shared names its line
+    path.write_text("owner,timestamp,symbol\nu,0,psi\nu,1,psi\nu,2,app:only\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="^line 4: unparseable symbol 'app:only'"):
+        read_sequence_csv(path)

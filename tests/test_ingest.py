@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import logging
 import math
+import tracemalloc
+from itertools import chain
 
 import pytest
 
@@ -20,6 +22,7 @@ from appauth.ingest import (
     write_event_log,
 )
 from appauth.models import METHOD_TAGS
+from appauth.simulate import CohortSpec, make_cohort
 
 
 def ev(ts: int, kind: str, app_id: str = "", user: str = "u1") -> RawEvent:
@@ -101,6 +104,26 @@ def test_event_log_round_trips_commas_and_quotes(tmp_path):
     parsed, report = parse_event_log(path)
     assert parsed == events
     assert report.errors == []
+
+
+def test_parse_holds_each_field_value_once(tmp_path):
+    """Parsed events share one string per distinct user id, kind and app
+    id, so an event holds about 100 traced bytes: itself, its timestamp
+    and its list slot. Three new strings per row took 256."""
+    events = list(chain.from_iterable(make_cohort(CohortSpec(n_users=3, days=30, seed=5)).values()))
+    path = tmp_path / "events.csv"
+    write_event_log(events, path)
+    tracemalloc.start()
+    try:
+        parsed, report = parse_event_log(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert parsed == events and report.errors == []
+    assert held < 120 * len(parsed), f"{held / len(parsed):.0f} traced bytes per event"
+    for name in ("user_id", "kind", "app_id"):
+        values = [getattr(event, name) for event in parsed]
+        assert len({id(v) for v in values}) == len(set(values)) > 1, name
 
 
 def parse_text(tmp_path, text: str):
