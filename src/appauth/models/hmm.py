@@ -108,9 +108,9 @@ class TrainingTrace:
 # 10**6 // K**2 rows, rounded down to a multiple of 4 (and at least 4),
 # which is ROW_BLOCK up to K = 22. At some state counts (17-19, 25-27,
 # 33-35, ... 57-59) a row's bits differ between blocks of 2 and of 4 rows,
-# so each block is padded to a multiple of 4 rows; then no K from 1 to 64
-# gave a row bits that depend on its batch. A single row is a gemv with
-# bits of its own.
+# and a single row is a gemv with bits of its own, so each block, a lone
+# window's included, is padded to a multiple of 4 rows; then no K from 1 to
+# 64 gave a row bits that depend on its batch.
 ROW_BLOCK = 2048
 
 
@@ -126,8 +126,8 @@ def forward_log_likelihood(
     The rows run in near-equal blocks of at most ROW_BLOCK rows, and of at
     most 10**6 // K**2 rows at larger K, each padded to a multiple of 4 rows
     with copies of its first rows, whose scores are dropped. So a window's
-    score does not depend on the batch of W >= 2 rows it is scored in; a
-    batch of one is scored alone.
+    score does not depend on the batch it is scored in, a batch of one
+    included.
     """
     mat = as_window_matrix(windows, emit.shape[1])
     table = np.ascontiguousarray(emit.T)  # a symbol's K probabilities in one row
@@ -145,13 +145,15 @@ def _forward_block(pi: np.ndarray, trans: np.ndarray, table: np.ndarray, mat: np
     sums into row t of the (n, W) scale array, and a divide back into
     alpha. A window that loses all mass is NaN for the rest of the loop;
     the one zero-mass check after it raises FloatingPointError, and only
-    then are the logs taken.
+    then are the logs taken. The padded block has at least 4 columns, and
+    there np.add.reduce along axis 0 adds each window's logs in step
+    order, as a running total does.
     """
     matmul, multiply, add_reduce, divide = np.matmul, np.multiply, np.add.reduce, np.divide
     take = table.take  # the method skips np.take's Python-level dispatch
     w = mat.shape[0]
-    pad = -w % 4 if w > 1 else 0  # copies of the first rows; a single row stays a gemv
-    steps = np.concatenate([mat.T, mat.T[:, :pad]], 1)  # step t's symbols in one row
+    rows = np.arange(-(-w // 4) * 4) % w  # the block's rows, then copies of its first rows
+    steps = mat.take(rows, 0).T  # step t's symbols in one row
     alpha = np.empty((steps.shape[1], table.shape[1]))
     unscaled, obs = np.empty_like(alpha), np.empty_like(alpha)
     scale = np.empty(steps.shape)
@@ -169,14 +171,7 @@ def _forward_block(pi: np.ndarray, trans: np.ndarray, table: np.ndarray, mat: np
             divide(unscaled, c_col, alpha)
     if not (scale > 0.0).all():
         raise FloatingPointError("forward pass lost all probability mass")
-    # The logs are added in step order from the first, as a running total
-    # adds them. np.add.reduce along axis 0 does so only for W >= 2: it
-    # sums a single column pairwise.
-    logs = np.log(scale[:, :w])
-    totals = logs[0].copy()
-    for step_log in logs[1:]:
-        totals += step_log
-    return totals
+    return add_reduce(np.log(scale), 0)[:w]
 
 
 # Cells (users x longest sequence x states) of one lock-step Baum-Welch

@@ -91,11 +91,8 @@ class MarkovChainModel:
         that the call builds from the logs of the row floors and of the
         stored entries, and frees when it returns. The log of the same float
         has the same bits as a dense table's log of it."""
-        mat = as_window_matrix(windows, self.vocab.size)
-        scores = self._log_prior[mat[:, 0]]
-        if mat.shape[1] > 1:
-            size = self.vocab.size
-            log_table = np.repeat(np.log(self._floor), size)
-            log_table[self._keys] = np.log(self._values)
-            scores = scores + log_table[mat[:, :-1] * size + mat[:, 1:]].sum(axis=1)
-        return scores
+        size = self.vocab.size
+        mat = as_window_matrix(windows, size)
+        log_table = np.repeat(np.log(self._floor), size)
+        log_table[self._keys] = np.log(self._values)
+        return self._log_prior[mat[:, 0]] + log_table[mat[:, :-1] * size + mat[:, 1:]].sum(axis=1)
