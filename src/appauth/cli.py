@@ -65,7 +65,6 @@ from .simulate import (
     DEFAULT_SEGMENT,
     DEFAULT_THRESHOLD_PERCENTILE,
     CohortSpec,
-    config_kwargs,
     genuine_score_thresholds,
     intrusion_study,
     make_cohort,
@@ -82,6 +81,42 @@ EXIT_NUMERIC = 3
 
 DEFAULT_PERIODS = (5, 10, 15, 20, 25, 30)
 DEFAULT_N_VALUES = (20, 30, 40, 50, 60)
+
+# JSON type names by Python type; any other value, a bool included, is an object
+_JSON_TYPES = {type(None): "null", int: "integer", float: "number", str: "string"}
+_JSON_TYPES.update({list: "list", tuple: "list"})
+# a float field takes any number, and the None default (`data`) a string too
+_ACCEPTED = {"number": ("integer", "number"), "null": ("null", "string")}
+
+
+def _from_json(value, default, key: str, what: str):
+    """`value`, of the default's JSON type or one `_ACCEPTED` allows, for the
+    field `key`: a list becomes a tuple, and an object the default's
+    dataclass, whose messages call it the "`key` config"."""
+    want = _JSON_TYPES.get(type(default), "object")
+    accepted = _ACCEPTED.get(want, (want,))
+    if _JSON_TYPES.get(type(value), "object") not in accepted:
+        raise ValueError(f"{what} takes {' or '.join(accepted)}, got {value!r}")
+    if want == "list":
+        return tuple(_from_json(v, default[0], key, f"{what} element") for v in value)
+    if want == "object":
+        return type(default)(**config_kwargs(type(default), value, f"{key} config"))
+    return value
+
+
+def config_kwargs(cls, payload, what: str) -> dict:
+    """Constructor keywords for the dataclass `cls`, whose fields all have
+    defaults, from a parsed JSON object. Raises ValueError on an unknown key,
+    and on a value whose JSON type differs from its field default's."""
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {payload!r}")
+    unknown = set(payload) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    default = cls()
+    return {
+        k: _from_json(v, getattr(default, k), k, f"{what} key {k!r}") for k, v in payload.items()
+    }
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,21 +178,6 @@ def load_config(path: str | None) -> ExperimentConfig:
         return ExperimentConfig()
     with open(path, "r", encoding="utf-8-sig") as fh:  # with or without a BOM
         return ExperimentConfig.from_json(json.load(fh))
-
-
-def apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    updates: dict = {}
-    if getattr(args, "method", None) is not None:
-        updates["methods"] = (args.method,)
-    if getattr(args, "n", None) is not None:
-        updates["n_values"] = (args.n,)
-    if getattr(args, "period", None) is not None:
-        updates["periods"] = (args.period,)
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        updates["out"] = args.out
-    return replace(config, **updates) if updates else config
 
 
 def _write_json(path: Path, payload: Mapping) -> None:
@@ -297,18 +317,21 @@ def cmd_eval(config: ExperimentConfig, out: Path) -> None:
         tables = evaluate_methods(config.methods, prepared, config.n_values, config, config.stride)
         del prepared
         # One sweep per table: the grid takes its EER, and the first scored
-        # period also reports metrics and curves. Each curve is dropped before
-        # the next sweep, and the tables before the next period is scored.
+        # period also reports metrics and curves, each method's scores and
+        # ROC at its first window length that scores a window. Each curve is
+        # dropped before the next sweep, and the tables before the next
+        # period is scored.
+        unwritten = set(config.methods) if report else set()
         for (method, n), table in tables.items():
             if not table:
                 continue
-            i = config.n_values.index(n)
             curve = roc_curve(table)
             eer, thr = eer_threshold(curve)
-            grids[method][i, j] = eer
-            if report and i == 0:
+            grids[method][config.n_values.index(n), j] = eer
+            if method in unwritten:
                 write_scores_csv(table, out / f"scores_{method}.csv")
                 write_roc_csv(curve, out / f"roc_{method}.csv")
+                unwritten.remove(method)
             del curve
             if report:
                 cc = confusion_counts(table, thr)
@@ -388,26 +411,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="App-usage continuous-authentication experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    overrides = {
-        "method": {"choices": METHOD_TAGS, "help": "restrict to one method"},
-        "n": {"type": int, "help": "restrict to one window length"},
-        "period": {"type": int, "help": "restrict to one sampling period (s)"},
-        "seed": {"type": int, "help": "override the training seed"},
-    }
-    # each command takes only the overrides it reads; any other is a usage error
-    for name, flags, help_text in [
-        ("synth", (), "generate a synthetic cohort event log"),
-        ("ingest", ("period",), "parse, sessionize and encode an event log"),
-        ("train", ("method", "period", "seed"), "train per-user models"),
-        ("eval", tuple(overrides), "run the EER evaluation grid"),
-        ("stats", ("period",), "dataset statistics reports"),
-        ("intrude", tuple(overrides), "intrusion-splice latency experiment"),
-        ("score", ("n",), "score a sequence file against a saved model"),
+    # the config file holds every value of a run; the command line, only paths
+    for name, help_text in [
+        ("synth", "generate a synthetic cohort event log"),
+        ("ingest", "parse, sessionize and encode an event log"),
+        ("train", "train per-user models"),
+        ("eval", "run the EER evaluation grid"),
+        ("stats", "dataset statistics reports"),
+        ("intrude", "intrusion-splice latency experiment"),
+        ("score", "score a sequence file against a saved model"),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON experiment config file")
-        for flag in flags:
-            p.add_argument(f"--{flag}", **overrides[flag])
         p.add_argument("--out", help="output directory")
         if name == "score":
             p.add_argument("--model", required=True, help="model .npz file")
@@ -420,7 +435,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = apply_overrides(load_config(args.config), args)
+        config = load_config(args.config)
+        if args.out is not None:
+            config = replace(config, out=args.out)
         # built per call: it reads each cmd_* when run, so a wrapper that a
         # profiler installs on the module after import is the one dispatched
         commands = {
@@ -438,8 +455,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # only a run that succeeded gets a manifest
         write_manifest(config, args.command, out)
         return EXIT_OK
-    except (ValueError, OSError) as exc:  # FormatError and FileNotFoundError too
-        print(f"data error: {exc}", file=sys.stderr)
+    # FormatError, FileNotFoundError and a dead fit child's ChildProcessError
+    # too; MemoryError comes from a config value too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"data error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
     except ArithmeticError as exc:  # FloatingPointError too
         print(f"numeric failure: {exc}", file=sys.stderr)

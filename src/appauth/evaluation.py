@@ -491,7 +491,7 @@ def _forked(fn: Callable, *args) -> Iterator[Callable[[], object]]:
             ok, value = receive.recv()
         except EOFError:
             child.join()
-            raise RuntimeError(
+            raise ChildProcessError(
                 f"{fn.__name__} child exited with code {child.exitcode} without a result"
             ) from None
         if not ok:

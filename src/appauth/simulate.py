@@ -58,42 +58,6 @@ class CohortSpec:
         if not 0.0 <= self.context_spread < float("inf"):
             raise ValueError("context_spread must be non-negative and finite")
 
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "CohortSpec":
-        return cls(**config_kwargs(cls, payload, "synthetic config"))
-
-
-# JSON type names by Python type; any other value, a bool included, is an object
-_JSON_TYPES = {type(None): "null", int: "integer", float: "number", str: "string"}
-_JSON_TYPES.update({list: "list", tuple: "list"})
-# a float field takes any number, and the None default (`data`) a string too
-_ACCEPTED = {"number": ("integer", "number"), "null": ("null", "string")}
-
-
-def _from_json(value, default, what: str):
-    """`value`, of the default's JSON type or one `_ACCEPTED` allows, for its
-    field: a list becomes a tuple, an object goes through a `from_json`."""
-    want = _JSON_TYPES.get(type(default), "object")
-    accepted = _ACCEPTED.get(want, (want,))
-    if _JSON_TYPES.get(type(value), "object") not in accepted:
-        raise ValueError(f"{what} takes {' or '.join(accepted)}, got {value!r}")
-    if want == "list":
-        return tuple(_from_json(v, default[0], f"{what} element") for v in value)
-    return type(default).from_json(value) if want == "object" else value
-
-
-def config_kwargs(cls, payload, what: str) -> dict:
-    """Constructor keywords for the dataclass `cls`, whose fields all have
-    defaults, from a parsed JSON object. Raises ValueError on an unknown key,
-    and on a value whose JSON type differs from its field default's."""
-    if not isinstance(payload, Mapping):
-        raise ValueError(f"{what} must be a JSON object, got {payload!r}")
-    unknown = set(payload) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    default = cls()
-    return {k: _from_json(v, getattr(default, k), f"{what} key {k!r}") for k, v in payload.items()}
-
 
 def generate_synthetic_user(
     user_id: str, app_pool: Sequence[str], preference: np.ndarray, spec: CohortSpec, seed: int
@@ -290,9 +254,12 @@ def intrusion_study(
     Each pair's 2 * segment spliced stream, projected into the genuine
     user's vocabulary, is scored at stride 1 by `generate_score_records`.
     Users whose test sequences are shorter than the segment are skipped, as
-    are genuine users without a threshold, with a warning. Slice positions
-    are derived deterministically from the study seed and the pair of user
-    ids.
+    are genuine users without a threshold, with a warning. A pair's slice
+    positions are drawn from `SeedSequence((seed, g, i))`, where g and i are
+    the genuine user's and the intruder's positions among the sorted users
+    that have both a model and test observations (short ones included). So
+    a user added who sorts before others moves the splices, and with them
+    the latencies, of every pair involving a user after it.
     """
     if n > 2 * segment:
         raise ValueError(

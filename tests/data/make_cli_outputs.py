@@ -2,7 +2,7 @@
 
 Usage: PYTHONPATH=src python tests/data/make_cli_outputs.py [out_dir]
 
-Runs `synth`, `ingest`, `train`, `eval`, `intrude` and `score` on the
+Runs `synth`, `ingest`, `train`, `eval`, `stats`, `intrude` and `score` on the
 `test_cli.TINY` config, as the `pipeline` fixture does, and copies the
 report files named by `PINNED` into `out_dir` (default: `cli_tiny/` next to
 this script). Run it only to pin new outputs on purpose: the test checks
@@ -27,6 +27,8 @@ from appauth.models import METHOD_TAGS  # noqa: E402
 PINNED = (
     ["metrics.csv", "latency.csv", "intrusion_curve.csv", "scores.csv"]
     + [f"{kind}_{m}.csv" for m in METHOD_TAGS for kind in ("scores", "eer_grid", "roc")]
+    + ["similarity_app.csv", "similarity_obs.csv", "unknown_stats.csv", "top_apps.csv"]
+    + ["ingest_report.json"]
 )
 
 
@@ -35,7 +37,7 @@ def main(out_dir: Path) -> None:
         run = Path(tmp) / "run"
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps(dict(TINY, out=str(run))), encoding="utf-8")
-        for command in ["synth", "ingest", "train", "eval", "intrude"]:
+        for command in ["synth", "ingest", "train", "eval", "stats", "intrude"]:
             if cli.main([command, "--config", str(cfg)]) != 0:
                 sys.exit(f"appauth {command} failed")
         model = run / "models" / "user00.mshmm.npz"

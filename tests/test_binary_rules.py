@@ -72,3 +72,13 @@ def test_binary_rules_reject_empty_window():
     vocab = Vocabulary(["a"])
     with pytest.raises(ValueError):
         score_one(BinaryUnknownModel(vocab), np.array([], dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "seen",
+    [np.ones(3, dtype=bool), np.ones(Vocabulary(["a", "b"]).size, dtype=np.int64)],
+    ids=["short", "integer"],
+)
+def test_unforeseen_rule_refuses_a_bad_seen_mask(seen):
+    with pytest.raises(ValueError, match="seen must be a boolean mask over the vocabulary"):
+        BinaryUnforeseenModel(Vocabulary(["a", "b"]), seen)

@@ -25,8 +25,6 @@ from appauth.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ExperimentConfig,
-    apply_overrides,
-    build_parser,
     load_config,
     main,
 )
@@ -142,7 +140,7 @@ def test_ingest_report_lists_eligible_users(pipeline):
 
 def test_ingest_csv_carries_encoded_timestamps(pipeline):
     out, _ = pipeline
-    cohort = make_cohort(CohortSpec.from_json(TINY["synthetic"]))
+    cohort = make_cohort(CohortSpec(**TINY["synthetic"]))
     for user in USERS:
         resampled = resample_sessions(sessionize(cohort[user]), TINY["periods"][0])
         split = split_sessions(resampled, ExperimentConfig().train_fraction)
@@ -305,6 +303,8 @@ def test_reports_match_pinned_outputs(pipeline):
     out, _ = pipeline
     names = ["metrics.csv", "latency.csv", "intrusion_curve.csv", "scores.csv"]
     names += [f"{kind}_{m}.csv" for m in METHOD_TAGS for kind in ("scores", "eer_grid", "roc")]
+    names += ["similarity_app.csv", "similarity_obs.csv", "unknown_stats.csv", "top_apps.csv"]
+    names += ["ingest_report.json"]
     assert sorted(p.name for p in PINNED.iterdir()) == sorted(names)
     for name in names:
         assert (out / name).read_bytes() == (PINNED / name).read_bytes(), name
@@ -497,7 +497,12 @@ def test_non_finite_scores_exit_3(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "error, code, message",
-    [(FloatingPointError, EXIT_NUMERIC, "numeric failure"), (ValueError, EXIT_DATA, "data error")],
+    [
+        (FloatingPointError, EXIT_NUMERIC, "numeric failure"),
+        (ValueError, EXIT_DATA, "data error"),
+        # what numpy raises for the arrays of an impossible n_states
+        (MemoryError, EXIT_DATA, "data error"),
+    ],
 )
 def test_fit_child_error_keeps_its_exit_code(tmp_path, monkeypatch, capsys, error, code, message):
     # patched before the fork, so the Baum-Welch child raises it
@@ -548,11 +553,28 @@ def test_scoring_error_terminates_and_reaps_the_fit_child(tmp_path, monkeypatch)
         os.kill(int(pid_file.read_text()), 0)
 
 
-def test_fit_child_that_dies_without_a_result_is_an_error(tmp_path, monkeypatch):
+def test_fit_child_that_dies_without_a_result_is_an_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(evaluation, "baum_welch_cohort", lambda *args: os._exit(5))
     cfg = write_config(tmp_path, out=str(tmp_path / "o"), methods=["mc", "mshmm"])
-    with pytest.raises(RuntimeError, match="exited with code 5 without a result"):
-        main(["eval", "--config", str(cfg)])
+    assert main(["eval", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error: train_cohort_models child exited with code 5 without a result" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_memory_error_in_the_parent_exits_2(tmp_path, monkeypatch, capsys):
+    """`train` fits in its own process: a MemoryError there, as numpy
+    raises it for an impossible n_states, is a data error too."""
+
+    def refused(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+
+    monkeypatch.setattr(evaluation, "baum_welch_cohort", refused)
+    cfg = write_config(tmp_path, out=str(tmp_path / "o"), methods=["hmm-lap"])
+    assert main(["train", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error: Unable to allocate 7.28 TiB" in err and "Traceback" not in err
     assert not (tmp_path / "o" / "manifest.json").exists()
 
 
@@ -682,8 +704,25 @@ def test_eval_reports_come_from_the_first_scored_period(tmp_path):
     assert not list((tmp_path / "none").glob("scores_*.csv"))
 
 
+@pytest.mark.parametrize("n_values", [[100_000, 5], [5, 100_000]])
+def test_eval_reports_come_from_the_first_window_length_with_windows(tmp_path, n_values):
+    """A window length longer than every test sequence scores no window:
+    each method's scores and ROC then come from the next one, as if it
+    were the only one, and its grid cell stays empty."""
+    methods = ["mc", "bin-unk"]
+    for name, ns in (("only", [5]), ("both", n_values)):
+        cfg = write_config(tmp_path, out=str(tmp_path / name), n_values=ns, methods=methods)
+        assert main(["eval", "--config", str(cfg)]) == EXIT_OK
+    files = [f"{kind}_{m}.csv" for kind in ("scores", "roc") for m in methods] + ["metrics.csv"]
+    for f in files:
+        assert (tmp_path / "both" / f).read_bytes() == (tmp_path / "only" / f).read_bytes(), f
+    for m in methods:
+        grid = (tmp_path / "both" / f"eer_grid_{m}.csv").read_text(encoding="utf-8").splitlines()
+        assert "100000," in grid
+
+
 def test_app_ids_with_commas_pass_ingest_and_score(tmp_path):
-    cohort = make_cohort(CohortSpec.from_json(TINY["synthetic"]))
+    cohort = make_cohort(CohortSpec(**TINY["synthetic"]))
     # the CSV field separator, and the one of the symbol text in sequence files
     for name, suffix in (("comma", ",beta"), ("colon", ":beta")):
         run = tmp_path / name
@@ -711,7 +750,7 @@ def test_app_ids_with_commas_pass_ingest_and_score(tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_hostile_event_log_passes_every_command(tmp_path, seed):
-    cohort = make_cohort(CohortSpec.from_json(TINY["synthetic"]))
+    cohort = make_cohort(CohortSpec(**TINY["synthetic"]))
     rows, n_malformed = hostile_event_log(seed, cohort)
     log = tmp_path / "events.csv"
     write_csv(log, rows)
@@ -747,7 +786,7 @@ def test_hostile_event_log_passes_every_command(tmp_path, seed):
 
 
 def test_timestamp_beyond_int64_is_a_malformed_row(tmp_path):
-    cohort = make_cohort(CohortSpec.from_json(TINY["synthetic"]))
+    cohort = make_cohort(CohortSpec(**TINY["synthetic"]))
     events = [ev for user in sorted(cohort) for ev in cohort[user]]
     rows = [EVENT_LOG_HEADER] + [[e.user_id, e.local_timestamp, e.kind, e.app_id] for e in events]
     # user00 is eligible, so its events reach the int64 arrays of encoding
@@ -769,7 +808,7 @@ def test_timestamp_beyond_int64_is_a_malformed_row(tmp_path):
 
 
 def test_user_id_cannot_put_model_files_outside_models(tmp_path):
-    cohort = make_cohort(CohortSpec.from_json(TINY["synthetic"]))
+    cohort = make_cohort(CohortSpec(**TINY["synthetic"]))
     events = [ev for user in sorted(cohort) for ev in cohort[user]]
     rows = [EVENT_LOG_HEADER] + [[e.user_id, e.local_timestamp, e.kind, e.app_id] for e in events]
     # user00 is eligible, so a copy of its rows would be trained and saved
@@ -785,7 +824,7 @@ def test_user_id_cannot_put_model_files_outside_models(tmp_path):
 
 
 def test_overlong_user_id_is_a_malformed_row(tmp_path):
-    cohort = make_cohort(CohortSpec.from_json(TINY["synthetic"]))
+    cohort = make_cohort(CohortSpec(**TINY["synthetic"]))
     events = [ev for user in sorted(cohort) for ev in cohort[user]]
     rows = [EVENT_LOG_HEADER] + [[e.user_id, e.local_timestamp, e.kind, e.app_id] for e in events]
     # a copy of an eligible user's rows: its model file name would exceed NAME_MAX
@@ -919,14 +958,6 @@ def test_synthetic_key_typo_exits_2(tmp_path, capsys):
         assert not (tmp_path / "o").exists()
 
 
-def test_zero_override_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, out=str(tmp_path / "o"), methods=["mc"])
-    for flag in ("--n", "--period"):
-        assert main(["eval", "--config", str(cfg), flag, "0"]) == EXIT_DATA
-        assert "must be >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-
 def test_config_hash_is_stable():
     # manifests written by earlier versions name these hashes
     default = "7a31303c020b4f8256b058827604c258f7e47e232c25bc5121e7fc56e6d43e20"
@@ -941,48 +972,26 @@ def test_config_hash_tracks_content():
     assert base.config_hash() == ExperimentConfig().config_hash()
 
 
-def test_apply_overrides_from_argv():
-    args = build_parser().parse_args(
-        ["eval", "--method", "mc", "--n", "40", "--period", "10",
-         "--seed", "9", "--out", "elsewhere"]
-    )
-    config = apply_overrides(ExperimentConfig(), args)
-    assert config.methods == ("mc",)
-    assert config.n_values == (40,)
-    assert config.periods == (10,)
-    assert config.seed == 9 and config.synthetic.seed == ExperimentConfig().synthetic.seed
-    assert config.out == "elsewhere"
-    plain = ExperimentConfig()
-    assert apply_overrides(plain, build_parser().parse_args(["train"])) is plain
+def test_apply_overrides_from_argv(tmp_path):
+    """`--out` replaces the config's `out`, and the manifest records it."""
+    cfg = write_config(tmp_path, out=str(tmp_path / "o"))
+    elsewhere = str(tmp_path / "elsewhere")
+    assert main(["synth", "--config", str(cfg), "--out", elsewhere]) == EXIT_OK
+    manifest = json.loads((tmp_path / "elsewhere" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["out"] == elsewhere
+    assert not (tmp_path / "o").exists()
 
 
-# the overrides each command reads; every other one is a usage error
-OVERRIDES_READ = {
-    "synth": (),
-    "ingest": ("period",),
-    "train": ("method", "period", "seed"),
-    "score": ("n",),
-    "eval": ("method", "n", "period", "seed"),
-    "stats": ("period",),
-    "intrude": ("method", "n", "period", "seed"),
-}
-
-
-def test_each_command_takes_only_the_overrides_it_reads(capsys):
-    values = {"method": "mc", "n": "40", "period": "10", "seed": "9"}
-    fields = {"method": "methods", "n": "n_values", "period": "periods", "seed": "seed"}
-    for command, read in OVERRIDES_READ.items():
+def test_each_command_takes_only_paths(capsys):
+    """The config file holds every value of a run: no command takes one
+    on the command line."""
+    for command in ["synth", "ingest", "train", "score", "eval", "stats", "intrude"]:
         base = [command, "--model", "m.npz", "--sequence", "s.csv"] if command == "score" else [command]
-        for flag, value in values.items():
-            argv = [*base, f"--{flag}", value]
-            if flag in read:
-                config = apply_overrides(ExperimentConfig(), build_parser().parse_args(argv))
-                assert getattr(config, fields[flag]) != getattr(ExperimentConfig(), fields[flag])
-                continue
+        for flag, value in [("--method", "mc"), ("--n", "20"), ("--period", "30"), ("--seed", "1")]:
             with pytest.raises(SystemExit) as info:
-                main(argv)
-            assert info.value.code == EXIT_USAGE, argv
-            assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+                main([*base, flag, value])
+            assert info.value.code == EXIT_USAGE, command
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err, command
 
 
 def test_config_with_byte_order_mark_loads(tmp_path):

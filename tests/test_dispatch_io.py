@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from conftest import hmm_base
 from appauth.encode import Vocabulary
 from appauth.ingest import FormatError
+from appauth.models.core import as_index_array
 from appauth.models import (
     HMM_METHODS,
     METHOD_TAGS,
@@ -248,3 +250,40 @@ def test_train_config_validation():
         TrainConfig(n_states=0)
     with pytest.raises(ValueError):
         TrainConfig(max_iter=0)
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [(np.zeros((2, 3), dtype=np.int64), "window must be 1-D, got shape (2, 3)"),
+     (np.zeros(0, dtype=np.int64), "window must be non-empty")],
+    ids=["2-D", "empty"],
+)
+def test_index_array_is_one_non_empty_window(window, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        as_index_array(window, 5)
+
+
+def _load_edited(path, edit):
+    """Load a copy of the model file `path` whose metadata is `edit(meta)`."""
+    edited = path.with_name("edited.npz")
+    tampered_copy(path, edited, meta=edit)
+    return load_model(edited)
+
+
+@pytest.mark.parametrize(
+    "act, error, message",
+    [
+        (lambda p: save_model({"method": "mc"}, p, "u"), TypeError, "cannot serialize model of type dict"),
+        (lambda p: _load_edited(p, lambda m: {**m, "format": "x"}), FormatError, "unrecognized container format"),
+        (lambda p: _load_edited(p, lambda m: {**m, "version": 2}), FormatError, "unsupported container version 2"),
+        (lambda p: _load_edited(p, lambda m: {**m, "method": "gru"}), FormatError, "unknown method tag 'gru'"),
+        (lambda p: _load_edited(p, lambda m: {**m, "method": 5}), FormatError, "unknown method tag 5"),
+    ],
+    ids=["foreign-type", "format", "version", "method", "method-type"],
+)
+def test_container_holds_only_known_models(tmp_path, act, error, message):
+    vocab, train, config = make_training()
+    path = tmp_path / "model.mc.npz"
+    save_model(train_user_model("mc", train, vocab, config), path, "u")
+    with pytest.raises(error, match=re.escape(message)):
+        act(path)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -223,3 +225,19 @@ def test_sequence_csv_reader_is_strict(tmp_path):
     path.write_text("owner,timestamp,symbol\nu,0,psi\nu,1,psi\nu,2,app:only\n", encoding="utf-8")
     with pytest.raises(FormatError, match="^line 4: unparseable symbol 'app:only'"):
         read_sequence_csv(path)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Observation("psi", app_id="mail"), ValueError, "psi observation carries context fields"),
+        (lambda: Observation("delta", tz=0, day=0), ValueError, "delta observation carries context fields"),
+        (lambda: Observation("unk", tz=0, day=0), ValueError, "unknown observation kind 'unk'"),
+        (lambda: Observation.from_text("app::TZ1:WD"), FormatError, "empty app_id in symbol 'app::TZ1:WD'"),
+        (lambda: Vocabulary([]), ValueError, "vocabulary needs at least one app"),
+    ],
+    ids=["marker-with-context", "marker-with-tz", "unknown-kind", "empty-app-text", "empty-vocabulary"],
+)
+def test_encode_refuses_malformed_values(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()

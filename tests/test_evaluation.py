@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import multiprocessing
+import re
 import tracemalloc
 import weakref
 from contextlib import contextmanager
@@ -549,3 +550,18 @@ def test_prepare_cohort_counts_app_samples_not_markers():
     assert list(prepare_cohort(events, 30, min_train=14, min_test=6)) == ["u"]
     assert prepare_cohort(events, 30, min_train=15, min_test=6) == {}
     assert prepare_cohort(events, 30, min_train=14, min_test=7) == {}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ConfusionCounts(tp=1, fp=-1, tn=0, fn=0), "confusion counts must be non-negative"),
+        (lambda: BoxplotSummary.of([]), "cannot summarize an empty sample"),
+        (lambda: generate_score_records({}, {}, 0), "window length must be >= 1"),
+        (lambda: generate_score_records({}, {}, 5, stride=0), "stride must be >= 1"),
+    ],
+    ids=["negative-count", "empty-sample", "zero-window", "zero-stride"],
+)
+def test_evaluation_refuses_impossible_arguments(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

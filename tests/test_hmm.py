@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -473,3 +474,34 @@ def test_smoothed_model_never_scores_minus_infinity():
     assert score < score_one(model, np.zeros(4, dtype=np.int64))
     # each never-seen symbol costs roughly the log of the smoothing floor
     assert score < 3 * (math.log(DEFAULT_DELTA) + 1)
+
+
+def _shape_mismatched_params() -> HmmParams:
+    return HmmParams(pi=np.full(2, 0.5), trans=np.full((3, 3), 1 / 3), emit=np.full((2, 4), 0.25))
+
+
+def _wide_laplace_model() -> LaplaceHmmModel:
+    vocab = small_vocab()
+    params = random_hmm(np.random.default_rng(0), 2, vocab.size + 1)
+    return LaplaceHmmModel(vocab, params, DEFAULT_DELTA, hmm.TrainingTrace(seed=0))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (_shape_mismatched_params, "inconsistent parameter shapes"),
+        (
+            lambda: baum_welch_cohort([np.array([0, 1, 2])], [3, 3], 2, 3, 0.0, 0),
+            "one symbol count per training sequence is required",
+        ),
+        (
+            lambda: baum_welch_cohort([np.array([0, 1]), np.array([2])], [3, 3], 2, 3, 0.0, 0),
+            "training sequence must have at least 2 symbols",
+        ),
+        (_wide_laplace_model, "emission width does not match vocabulary size"),
+    ],
+    ids=["param-shapes", "count-mismatch", "one-symbol", "emission-width"],
+)
+def test_hmm_refuses_inconsistent_inputs(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

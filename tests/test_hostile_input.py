@@ -1,5 +1,6 @@
 """Hostile input, generated: byte-patched model files load or fail as data
-errors, never with another exception type."""
+errors, never with another exception type, and so do config objects of
+mixed JSON values."""
 
 from __future__ import annotations
 
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from appauth.cli import ExperimentConfig
 from appauth.ingest import FormatError
-from appauth.models import load_model
+from appauth.models import METHOD_TAGS, load_model
+from appauth.simulate import CohortSpec
 
 MODEL_FILES = sorted((Path(__file__).parent / "data").glob("model.*.npz"))
 
@@ -81,3 +84,61 @@ def test_a_damaged_model_file_is_a_format_error(damage, tmp_path):
     path.write_bytes(data)
     with pytest.raises(FormatError, match=f"^{path}: not an .npz container"):
         load_model(path)
+
+
+# Values of every JSON type: null, bools, huge ints, NaN, infinities,
+# strings, lists and objects, nested.
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.sampled_from([2**63, -(2**63) - 1, 10**400]),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=6),
+    ),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def plausible(default) -> st.SearchStrategy:
+    """Values of the default's JSON type that every field of that type
+    takes, so that some configs load."""
+    if isinstance(default, CohortSpec):
+        return config_objects(CohortSpec)
+    if isinstance(default, tuple):
+        return st.lists(plausible(default[0]), min_size=1, max_size=3, unique=True)
+    if isinstance(default, str):
+        return st.sampled_from(METHOD_TAGS) | st.text(max_size=6)
+    if isinstance(default, int):
+        return st.integers(1, 100)
+    if isinstance(default, float):
+        return st.floats(0.001, 0.999)
+    return st.none() | st.text(max_size=6)
+
+
+def config_objects(cls) -> st.SearchStrategy:
+    """JSON objects over some of the real keys of the dataclass `cls`, each
+    value plausible or of any JSON type."""
+    default = cls()
+    keys = st.lists(st.sampled_from(list(cls.__dataclass_fields__)), max_size=5, unique=True)
+    return keys.flatmap(
+        lambda ks: st.fixed_dictionaries({k: plausible(getattr(default, k)) | JSON_VALUES for k in ks})
+    )
+
+
+def test_a_config_object_loads_and_round_trips_or_is_a_value_error():
+    """Only configs are loaded and no command runs, so a huge `n_states`
+    allocates nothing."""
+
+    @settings(GENERATED, max_examples=200)
+    @given(config_objects(ExperimentConfig))
+    def loads_and_round_trips_or_refuses(payload):
+        try:
+            config = ExperimentConfig.from_json(payload)
+        except ValueError:
+            return
+        assert ExperimentConfig.from_json(config.to_json()) == config
+
+    loads_and_round_trips_or_refuses()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -184,3 +185,18 @@ def test_fit_rejects_out_of_range_indices():
     vocab = Vocabulary(["a"])
     with pytest.raises(ValueError):
         MarkovChainModel.fit(np.array([0, vocab.size]), vocab)
+
+
+@pytest.mark.parametrize(
+    "prior_extra, transition_extra",
+    [(1, 0), (0, 1)],
+    ids=["prior", "transition"],
+)
+def test_markov_refuses_parameters_of_another_width(prior_extra, transition_extra):
+    vocab = Vocabulary(["a", "b"])
+    size = vocab.size
+    prior = np.full(size + prior_extra, 1 / (size + prior_extra))
+    transition = np.full((size, size + transition_extra), 1 / (size + transition_extra))
+    message = "parameter shapes do not match vocabulary size"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MarkovChainModel(vocab, prior, transition, DEFAULT_DELTA)

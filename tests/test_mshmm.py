@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import DELTA, PSI, app, forward_one, hmm_base, score_one, unk
-from appauth.encode import Vocabulary
+from conftest import DELTA, PSI, app, forward_one, hmm_base, random_hmm, score_one, unk
+from appauth.encode import N_DAY, N_TZ, Vocabulary
 from appauth.models.core import DEFAULT_DELTA, TrainConfig
+from appauth.models.hmm import TrainingTrace
 from appauth.models.mshmm import MsHmmModel, marginal_tables
 
 D = DEFAULT_DELTA
@@ -171,3 +173,21 @@ def test_batch_scores_match_singles():
         [score_one(model, w) for w in windows],
         rtol=1e-12,
     )
+
+
+@pytest.mark.parametrize(
+    "extra_symbols, extra_apps, message",
+    [
+        (1, 0, "emission width does not match vocabulary size"),
+        (0, 1, "marginal table shapes do not match vocabulary"),
+    ],
+    ids=["emission-width", "marginal-shape"],
+)
+def test_mshmm_refuses_tables_of_another_shape(extra_symbols, extra_apps, message):
+    vocab = Vocabulary(["a", "b"])
+    base = random_hmm(np.random.default_rng(0), 2, vocab.size + extra_symbols)
+    apps = vocab.n_apps + extra_apps
+    tz, day = np.full((apps, N_TZ), 1 / (apps * N_TZ)), np.full((apps, N_DAY), 1 / (apps * N_DAY))
+    seen = np.ones(vocab.size, dtype=bool)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MsHmmModel(vocab, base, tz, day, seen, DEFAULT_DELTA, TrainingTrace(seed=0))

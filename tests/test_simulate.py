@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import runpy
 from dataclasses import asdict
 from pathlib import Path
@@ -19,6 +20,7 @@ from conftest import (
     score_table,
 )
 from appauth import simulate
+from appauth.cli import ExperimentConfig
 from appauth.encode import Vocabulary, day_flag_of
 from appauth.evaluation import generate_score_records
 from appauth.models import METHOD_TAGS, TrainConfig, train_user_model
@@ -39,7 +41,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_cohort_spec_validation_and_json_round_trip():
     spec = CohortSpec(n_users=3, days=5, overlap=0.25, seed=9)
-    assert CohortSpec.from_json(asdict(spec)) == spec
+    assert ExperimentConfig.from_json({"synthetic": asdict(spec)}).synthetic == spec
     with pytest.raises(ValueError):
         CohortSpec(overlap=1.5)
     with pytest.raises(ValueError):
@@ -331,3 +333,24 @@ def test_intrusion_study_matches_per_pair_replay(replay_cohort, method):
         assert [(r.model_owner, r.intruder, study.n, r.latency) for r in study.rows] == rows
         assert study.mean_scores.shape == (2 * REPLAY_SEGMENT - n + 1,)
         assert study.mean_scores.tobytes() == mean_scores.tobytes()
+
+
+def _too_short_cohort_study():
+    vocab = Vocabulary(["a"])
+    stream = obs_stream(["a"] * 30)
+    model = train_user_model("mc", vocab.project(stream), vocab, TrainConfig())
+    short = {u: stream for u in ("u0", "u1")}
+    return intrusion_study({u: model for u in short}, short, n=5, thresholds={}, segment=40)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: IntrusionStudy(20, np.zeros(1), []).detection_rate(5), "no intrusion pairs were run"),
+        (_too_short_cohort_study, "no (genuine, intruder) pair had enough test data"),
+    ],
+    ids=["no-rows", "no-eligible-pair"],
+)
+def test_intrusion_study_needs_a_pair(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
