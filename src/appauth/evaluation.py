@@ -194,9 +194,10 @@ def _score_owner(
     The windows of all sequences, in order, go to `score_windows` in
     near-equal consecutive calls of at most BATCH_CELLS // n windows, so a
     call may span sequences, and it holds a single window only when there
-    is one in all.
+    is one in all. A stride past a sequence's end, one beyond int64 too,
+    takes its first window alone.
     """
-    firsts = [np.arange(0, seq.size - n + 1, stride) for seq in sequences]
+    firsts = [np.arange(0, seq.size - n + 1, min(stride, seq.size)) for seq in sequences]
     offsets = np.cumsum([0] + [seq.size for seq in sequences[:-1]])
     starts = np.concatenate([f + offset for f, offset in zip(firsts, offsets)])
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate(sequences), n)

@@ -11,6 +11,7 @@ measures how quickly windowed scores fall below threshold.
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
@@ -255,33 +256,32 @@ def intrusion_study(
     user's vocabulary, is scored at stride 1 by `generate_score_records`.
     Users whose test sequences are shorter than the segment are skipped, as
     are genuine users without a threshold, with a warning. A pair's slice
-    positions are drawn from `SeedSequence((seed, g, i))`, where g and i are
-    the genuine user's and the intruder's positions among the sorted users
-    that have both a model and test observations (short ones included). So
-    a user added who sorts before others moves the splices, and with them
-    the latencies, of every pair involving a user after it.
+    positions are drawn from `SeedSequence((seed, g, i))`, where g and i
+    are the lengths of the genuine user's and the intruder's test
+    sequences, and the mean curve is each window's correctly rounded sum
+    over the pairs divided by their number: a pair's splice and latency
+    depend on that pair alone.
     """
     if n > 2 * segment:
         raise ValueError(
             f"window length n={n} exceeds the 2 x segment={segment} symbols of a spliced stream"
         )
     users = sorted(u for u in models if u in test_observations)
-    long_enough = [len(test_observations[u]) >= segment for u in users]
     projections: dict[tuple[str, str], np.ndarray] = {}
-    for g_pos, genuine_user in enumerate(users):
-        if not long_enough[g_pos]:
+    for genuine_user in users:
+        genuine_test = test_observations[genuine_user]
+        if len(genuine_test) < segment:
             log.warning("skipping %s as genuine: test sequence too short", genuine_user)
             continue
         if genuine_user not in thresholds:
             log.warning("skipping %s as genuine: no decision threshold", genuine_user)
             continue
-        for i_pos, intruder in enumerate(users):
-            if intruder == genuine_user or not long_enough[i_pos]:
+        for intruder in users:
+            intruder_test = test_observations[intruder]
+            if intruder == genuine_user or len(intruder_test) < segment:
                 continue
-            pair_seed = np.random.SeedSequence(entropy=(seed, g_pos, i_pos))
-            spliced = inject_intrusion(
-                test_observations[genuine_user], test_observations[intruder], pair_seed, segment
-            )
+            pair_seed = np.random.SeedSequence((seed, len(genuine_test), len(intruder_test)))
+            spliced = inject_intrusion(genuine_test, intruder_test, pair_seed, segment)
             projections[(genuine_user, intruder)] = models[genuine_user].vocab.project(spliced)
     if not projections:
         raise ValueError("no (genuine, intruder) pair had enough test data")
@@ -291,13 +291,8 @@ def intrusion_study(
     ends = np.arange(n - 1, 2 * segment)
     owner_thresholds = np.array([thresholds[genuine_user] for genuine_user, _ in pairs])
     latencies = detection_latency(scores, ends, segment, owner_thresholds)
-    # Rows are added one at a time in pair order, which fixes the curve's
-    # bits; scores.sum(axis=0) sums pairwise when each pair has one window.
-    score_sum = np.zeros(scores.shape[1])
-    for row in scores:
-        score_sum += row
     rows = [LatencyRow(g, i, latency) for (g, i), latency in zip(pairs, latencies)]
-    return IntrusionStudy(n, score_sum / len(pairs), rows)
+    return IntrusionStudy(n, np.array([math.fsum(col) for col in scores.T]) / len(pairs), rows)
 
 
 def write_intrusion_curve_csv(studies: Sequence[IntrusionStudy], path: str | Path) -> None:

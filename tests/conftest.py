@@ -446,34 +446,35 @@ def small_vocab() -> Vocabulary:
 def replay_reference(models, test_observations, n, thresholds, seed, segment):
     """The intrusion replay one pair at a time: (latency rows, mean curve).
 
-    Each ordered (genuine, intruder) pair is spliced, projected and scored
-    at every window end on its own; its latency is the first window ending
-    at or after the splice whose score is below the owner's threshold, and
-    the curve adds the pairs' scores in pair order."""
+    Each ordered (genuine, intruder) pair is spliced from the seed and the
+    two users' test lengths, projected and scored at every window end on
+    its own; its latency is the first window ending at or after the splice
+    whose score is below the owner's threshold, and the curve is each
+    window's exact sum over the pairs divided by their number."""
     users = sorted(u for u in models if u in test_observations)
-    score_sum = np.zeros(2 * segment - n + 1)
+    curves = []
     rows = []
-    for g_pos, genuine_user in enumerate(users):
-        if len(test_observations[genuine_user]) < segment:
+    for genuine_user in users:
+        genuine_test = test_observations[genuine_user]
+        if len(genuine_test) < segment:
             continue
-        for i_pos, intruder in enumerate(users):
-            if intruder == genuine_user or len(test_observations[intruder]) < segment:
+        for intruder in users:
+            intruder_test = test_observations[intruder]
+            if intruder == genuine_user or len(intruder_test) < segment:
                 continue
-            pair_seed = np.random.SeedSequence(entropy=(seed, g_pos, i_pos))
-            spliced = inject_intrusion(
-                test_observations[genuine_user], test_observations[intruder], pair_seed, segment
-            )
+            pair_seed = np.random.SeedSequence((seed, len(genuine_test), len(intruder_test)))
+            spliced = inject_intrusion(genuine_test, intruder_test, pair_seed, segment)
             indices = models[genuine_user].vocab.project(spliced)
             windows = np.lib.stride_tricks.sliding_window_view(indices, n)
             scores = models[genuine_user].score_windows(windows)
-            score_sum += scores
+            curves.append(scores)
             latency = None
             for end, score in zip(range(n - 1, 2 * segment), scores):
                 if end >= segment and score < thresholds[genuine_user]:
                     latency = end - segment + 1
                     break
             rows.append((genuine_user, intruder, n, latency))
-    return rows, score_sum / len(rows)
+    return rows, np.array([math.fsum(window) for window in zip(*curves)]) / len(rows)
 
 
 def reference_synthetic_user(

@@ -721,6 +721,25 @@ def test_eval_reports_come_from_the_first_window_length_with_windows(tmp_path, n
         assert "100000," in grid
 
 
+@pytest.mark.parametrize("command", ["eval", "intrude", "score"])
+def test_stride_beyond_int64_scores_the_first_window_of_each_pair(pipeline, tmp_path, command):
+    """A stride longer than every sequence scores each pair's first window,
+    so 2^64 writes what 2^63 - 1, the largest int64, does."""
+    out, _ = pipeline
+    paths = ["--model", str(out / "models" / "user00.mc.npz")]
+    paths += ["--sequence", str(out / "test_period30.csv")]
+    written = []
+    for stride in (2**63 - 1, 2**64):
+        run = tmp_path / str(stride)
+        run.mkdir()
+        cfg = write_config(run, out=str(run / "o"), stride=stride, methods=["mc", "bin-unk"])
+        argv = [command, "--config", str(cfg)] + (paths if command == "score" else [])
+        assert main(argv) == EXIT_OK, stride
+        files = sorted((run / "o").iterdir())
+        written.append({f.name: f.read_bytes() for f in files if f.name != "manifest.json"})
+    assert written[0] and written[0] == written[1]
+
+
 def test_app_ids_with_commas_pass_ingest_and_score(tmp_path):
     cohort = make_cohort(CohortSpec(**TINY["synthetic"]))
     # the CSV field separator, and the one of the symbol text in sequence files

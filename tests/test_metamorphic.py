@@ -104,17 +104,15 @@ def test_user_names_in_reversed_order_change_no_score(cohort, tables):
 
 
 def test_user_names_in_the_same_order_change_no_intrusion_latency(cohort):
-    """`intrusion_study` seeds each pair's splice by the two users'
-    positions in the sorted cohort, so only names that keep their order
-    are expected to keep every latency row and the mean score curve."""
-
-    def name(u):
-        return "id-" + u
-
+    """Names that keep the users' order and names that reverse it both keep
+    every latency row, under the name map, and the mean score curve: a
+    pair's splice is seeded by the two users' test lengths, not by their
+    names or places, and the curve's sums are exact in any order."""
     rows, curve = latencies(cohort)
-    moved_rows, moved_curve = latencies(rename_users(cohort, name))
-    assert moved_rows == [(name(g), name(i), latency) for g, i, latency in rows]
-    assert np.array_equal(moved_curve, curve)
+    for name in ["id-{}".format, reversed_names(cohort, "user").get]:
+        moved_rows, moved_curve = latencies(rename_users(cohort, name))
+        assert sorted(moved_rows) == sorted((name(g), name(i), lat) for g, i, lat in rows)
+        assert np.array_equal(moved_curve, curve)
 
 
 def test_a_week_later_no_score_changes(cohort, tables):
@@ -125,16 +123,29 @@ def test_a_week_later_no_score_changes(cohort, tables):
     assert_same_scores(evaluate(shifted), tables)
 
 
-def test_an_added_user_changes_no_score_of_the_others(cohort, tables):
+@pytest.fixture(scope="module")
+def grown(cohort):
+    """The cohort and a user "new00", whose log is twice as long as any."""
+    extra = make_cohort(replace(SPEC, n_users=SPEC.n_users + 1, days=2 * SPEC.days))
+    return dict(cohort, new00=[replace(ev, user_id="new00") for ev in extra[max(extra)]])
+
+
+def test_an_added_user_changes_no_score_of_the_others(cohort, tables, grown):
     """The added user sorts first, so every other user's position in the
     cohort moves; its log is twice as long, so it becomes every other
     user's longest Baum-Welch batch mate; and its windows share every model
     owner's scoring calls."""
-    extra = make_cohort(replace(SPEC, n_users=SPEC.n_users + 1, days=2 * SPEC.days))
-    grown = dict(cohort, new00=[replace(ev, user_id="new00") for ev in extra[max(extra)]])
     assert sorted(grown)[0] == "new00"
     assert len(grown["new00"]) > max(len(evs) for evs in cohort.values())
     assert_same_scores(evaluate(grown), tables, every_pair=False)
+
+
+def test_an_added_user_changes_no_intrusion_latency_of_the_others(cohort, grown):
+    """Every existing pair keeps its latency row, though the added user
+    sorts first."""
+    rows, _ = latencies(cohort)
+    grown_rows, _ = latencies(grown)
+    assert [row for row in grown_rows if "new00" not in row[:2]] == rows
 
 
 def test_app_names_in_the_same_order_change_no_score(cohort, tables):
