@@ -1,10 +1,10 @@
 """The two all-or-nothing rules: unknown-app and unforeseen-observation.
 
-Both give a window score of 1.0 or 0.0. The unknown-app rule rejects a
-window containing any app outside the training app set; the unforeseen rule
-is stricter and rejects any contextualized symbol that never occurred in
-training. Session and day markers carry no user information and are skipped
-by both.
+Both give a window score of 1.0 or 0.0, rejecting a window iff it holds a
+symbol outside a boolean mask over the vocabulary. The unknown-app rule's
+mask holds every symbol but the unknown-app ones; the unforeseen rule is
+stricter and its mask holds only the symbols that occurred in training.
+Session and day markers carry no user information and are in both masks.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ class BinaryUnknownModel:
 
     def __init__(self, vocab: Vocabulary):
         self.vocab = vocab
+        self.known = vocab.symbol_app != -1
 
     @classmethod
     def fit(
@@ -39,8 +40,7 @@ class BinaryUnknownModel:
 
     def score_windows(self, windows) -> np.ndarray:
         mat = as_window_matrix(windows, self.vocab.size)
-        lo, hi = self.vocab.unknown_base, self.vocab.session_start_index
-        bad = ((mat >= lo) & (mat < hi)).any(axis=1)
+        bad = (~self.known[mat]).any(axis=1)
         return np.where(bad, 0.0, 1.0)
 
 
@@ -58,19 +58,15 @@ class BinaryUnforeseenModel:
         if seen.shape != (vocab.size,) or seen.dtype != np.bool_:
             raise ValueError("seen must be a boolean mask over the vocabulary")
         self.vocab = vocab
-        self.seen = seen.copy()
         # markers are structural, not behavioral: never treated as unforeseen
-        self.seen[vocab.session_start_index] = True
-        self.seen[vocab.day_change_index] = True
+        self.seen = seen | (vocab.symbol_app < -1)
 
     @classmethod
     def fit(
         cls, train_indices, vocab: Vocabulary, config: TrainConfig = TrainConfig()
     ) -> "BinaryUnforeseenModel":
         arr = as_index_array(train_indices, vocab.size)
-        seen = np.zeros(vocab.size, dtype=np.bool_)
-        seen[arr] = True
-        return cls(vocab, seen)
+        return cls(vocab, np.bincount(arr, minlength=vocab.size) > 0)
 
     def to_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:
         return {}, {"seen": self.seen}

@@ -86,8 +86,7 @@ class MedModel:
         as_bytes = narrow.view(np.dtype((np.void, narrow.itemsize * n)))
         unique, inverse = np.unique(as_bytes.ravel(), return_inverse=True)
         unique = unique.view(np.int32).reshape(-1, n)
-        present = np.zeros(self.vocab.size, dtype=bool)
-        present[unique] = True
+        present = np.bincount(unique.ravel(), minlength=self.vocab.size) > 0
         symbols = np.flatnonzero(present)
         rows = (np.cumsum(present, dtype=np.int32) - 1)[unique]
 

@@ -72,9 +72,8 @@ class MarkovChainModel:
         occ = np.bincount(seq, minlength=size).astype(np.float64)
         prior = (occ + d) / (seq.size + d * size)
 
-        pair_counts = np.zeros((size, size), dtype=np.float64)
-        if seq.size > 1:
-            np.add.at(pair_counts, (seq[:-1], seq[1:]), 1.0)
+        pairs = seq[:-1] * size + seq[1:]
+        pair_counts = np.bincount(pairs, minlength=size * size).reshape(size, size)
         out_counts = pair_counts.sum(axis=1, keepdims=True)
         transition = (pair_counts + d) / (out_counts + d * size)
         return cls(vocab, prior, transition, d)

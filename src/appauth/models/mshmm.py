@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..encode import N_DAY, N_TZ, Vocabulary
-from .core import TrainConfig, as_index_array, check_floor
+from .core import STOCHASTIC_TOL, TrainConfig, as_index_array, check_floor
 from .hmm import HmmParams, TrainingTrace, forward_log_likelihood, hmm_meta
 
 
@@ -22,15 +22,13 @@ def marginal_tables(train_indices, vocab: Vocabulary) -> tuple[np.ndarray, np.nd
     """Joint frequencies of (app, time-of-day block) and (app, weekday flag)
     over the app symbols of one training sequence."""
     seq = as_index_array(train_indices, vocab.size)
-    apps = seq[seq < vocab.unknown_base]
+    apps = seq[vocab.symbol_app[seq] >= 0]
     if apps.size == 0:
         raise ValueError("training sequence contains no app symbols")
     ranks = vocab.symbol_app[apps]
-    tz_counts = np.zeros((vocab.n_apps, N_TZ))
-    day_counts = np.zeros((vocab.n_apps, N_DAY))
-    np.add.at(tz_counts, (ranks, vocab.symbol_tz[apps]), 1.0)
-    np.add.at(day_counts, (ranks, vocab.symbol_day[apps]), 1.0)
-    return tz_counts / apps.size, day_counts / apps.size
+    tz_counts = np.bincount(ranks * N_TZ + vocab.symbol_tz[apps], minlength=vocab.n_apps * N_TZ)
+    day_counts = np.bincount(ranks * N_DAY + vocab.symbol_day[apps], minlength=vocab.n_apps * N_DAY)
+    return (tz_counts / apps.size).reshape(-1, N_TZ), (day_counts / apps.size).reshape(-1, N_DAY)
 
 
 class MsHmmModel:
@@ -60,11 +58,13 @@ class MsHmmModel:
             raise ValueError("seen must be a boolean mask over the vocabulary")
         if p_app_tz.shape != (vocab.n_apps, N_TZ) or p_app_day.shape != (vocab.n_apps, N_DAY):
             raise ValueError("marginal table shapes do not match vocabulary")
-        # The tables become emission probabilities: a NaN or negative entry
-        # would surface only when a window holds an unseen app symbol.
+        # The tables become emission probabilities: a NaN, negative or huge
+        # entry would surface only when a window holds an unseen app symbol.
+        # Entries in [0, 1] (NaN fails both bounds) sum without overflow.
         for table in (p_app_tz, p_app_day):
-            if not (np.all(np.isfinite(table)) and np.all(table >= 0.0)):
-                raise ValueError("marginal table entries must be finite and non-negative")
+            in_unit = np.all((table >= 0.0) & (table <= 1.0))
+            if not (in_unit and abs(table.sum() - 1.0) <= STOCHASTIC_TOL):
+                raise ValueError("marginal table entries must be finite and non-negative and sum to 1")
         self.vocab = vocab
         self.base = base
         self.p_app_tz = np.asarray(p_app_tz, dtype=np.float64)
@@ -74,7 +74,7 @@ class MsHmmModel:
         self.trace = trace
 
         fallback = np.full(vocab.size, delta * delta)
-        apps = slice(0, vocab.unknown_base)
+        apps = vocab.symbol_app >= 0
         ranks = vocab.symbol_app[apps]
         fallback[apps] = np.maximum(delta, self.p_app_tz[ranks, vocab.symbol_tz[apps]]) * np.maximum(
             delta, self.p_app_day[ranks, vocab.symbol_day[apps]]
@@ -98,8 +98,7 @@ class MsHmmModel:
         `base`, its unsmoothed Baum-Welch fit."""
         seq = as_index_array(train_indices, vocab.size)
         params, trace = base
-        seen = np.zeros(vocab.size, dtype=np.bool_)
-        seen[seq] = True
+        seen = np.bincount(seq, minlength=vocab.size) > 0
         return cls(vocab, params, *marginal_tables(seq, vocab), seen, config.delta, trace)
 
     def to_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:

@@ -485,6 +485,22 @@ def test_tampered_mshmm_model_exits_2(pipeline, tmp_path, capsys):
     assert "finite and non-negative" in capsys.readouterr().err
 
 
+def test_mshmm_tables_that_are_not_probability_tables_exit_2(pipeline, tmp_path, capsys):
+    """A marginal table with a finite but huge entry, or doubled, holds no
+    probabilities: the pinned model so changed loads as a data error."""
+    with np.load(Path(__file__).parent / "data" / "model.mshmm.npz", allow_pickle=False) as payload:
+        arrays = {k: payload[k] for k in payload.files}
+    huge = arrays["p_app_tz"].copy()
+    huge[0, 0] = 1e308
+    for name, table in (("p_app_tz", huge), ("p_app_day", 2.0 * arrays["p_app_day"])):
+        model = tmp_path / f"{name}.npz"
+        np.savez(model, **dict(arrays, **{name: table}))
+        assert score_file(pipeline, tmp_path, model) == EXIT_DATA, name
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert "finite and non-negative and sum to 1" in err, err
+
+
 def test_non_finite_scores_exit_3(tmp_path, monkeypatch, capsys):
     def nan_scores(self, windows):
         return np.full(len(windows), np.nan)

@@ -1,4 +1,5 @@
-"""`tools/compare_outputs.py` says how far each differing output file moved."""
+"""`tools/compare_outputs.py` says how far each differing output file
+moved, and counts the lines and the code lines of a tree's `src/`."""
 
 from __future__ import annotations
 
@@ -44,3 +45,29 @@ def test_csv_difference_counts_rows_and_sizes_numbers():
     assert size == f"rows 3 -> 4, numeric rel {0.01 / 1.01:.3g}, 0 other fields differ"
     size = compare_outputs.difference_size("scores.csv", b"owner,score\na,1\n", b"owner,score\nb,1\n")
     assert size == "rows 2 -> 2, numeric rel 0, 1 other fields differ"
+
+
+def test_src_lines_counts_every_line_and_the_code_lines(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text('"""Package docstring."""\n')
+    (package / "mod.py").write_text(
+        '"""Module docstring,\n'
+        "\n"
+        'on three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # a trailing comment\n"
+        "\n"
+        "\n"
+        "class A:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        "        '''Method docstring.'''\n"
+        "        return '''not a\n"
+        "docstring'''\n"
+    )
+    (tmp_path / "src" / "notes.txt").write_text("not python\n")
+    # 1 + 15 lines; the code is `import`, `class`, `def` and both lines of `return`
+    assert compare_outputs.src_lines(tmp_path) == (16, 5)

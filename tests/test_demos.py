@@ -1,6 +1,7 @@
 """The demo scripts run to completion, the public name lists resolve, and
 the package imports no name it never uses, defines no private helper it
-never calls and no public name that only tests use."""
+never calls and no public name that only tests use; the models learn what
+a symbol is from `Vocabulary`'s decoded tables only."""
 
 from __future__ import annotations
 
@@ -129,3 +130,23 @@ def test_package_has_no_dead_private_helpers():
 
 def test_package_has_no_public_name_only_tests_use():
     assert _unreferenced(private=False, users=["src", "demos", "perfbench", "tools"]) == []
+
+
+# the symbol layout's index ranges, which only `encode.Vocabulary` decodes
+LAYOUT_INDICES = {"unknown_base", "session_start_index", "day_change_index"}
+
+
+def test_models_read_symbols_through_the_decoded_tables():
+    """No module under src/appauth/models/ reads an index of the symbol
+    layout; each learns what a symbol is from `symbol_app`, `symbol_tz` and
+    `symbol_day`, and counts symbols with np.bincount, never np.add.at."""
+    found = []
+    for path in sorted((ROOT / "src" / "appauth" / "models").rglob("*.py")):
+        rel = path.relative_to(ROOT)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = node.value.attr if isinstance(node.value, ast.Attribute) else None
+            if node.attr in LAYOUT_INDICES or (owner, node.attr) == ("add", "at"):
+                found.append(f"{rel}:{node.lineno} {ast.unparse(node)}")
+    assert found == []

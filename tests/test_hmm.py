@@ -97,7 +97,7 @@ def test_forward_equals_reference_loop(method):
             model = LaplaceHmmModel(vocab, params, DEFAULT_DELTA, trace)
             emit = params.emit
         else:
-            tables = [rng.random((n_apps, k)) / (n_apps * k) for k in (N_TZ, N_DAY)]
+            tables = [t / t.sum() for t in (rng.random((n_apps, k)) for k in (N_TZ, N_DAY))]
             seen = rng.random(vocab.size) < 0.7
             model = MsHmmModel(vocab, params, *tables, seen, DEFAULT_DELTA, trace)
             emit = model.emit_ext
@@ -120,7 +120,7 @@ def test_hmm_window_scores_do_not_depend_on_their_batch():
     vocab = Vocabulary([f"app{i}" for i in range(32)])
     assert vocab.size == 200
     params, trace = random_hmm(rng, 20, vocab.size), hmm.TrainingTrace(seed=0)
-    tables = [rng.random((32, k)) / (32 * k) for k in (N_TZ, N_DAY)]
+    tables = [t / t.sum() for t in (rng.random((32, k)) for k in (N_TZ, N_DAY))]
     models = (
         LaplaceHmmModel(vocab, params, DEFAULT_DELTA, trace),
         MsHmmModel(vocab, params, *tables, rng.random(vocab.size) < 0.7, DEFAULT_DELTA, trace),

@@ -1,7 +1,8 @@
 """Hostile input, generated: byte-patched model files load or fail as data
 errors, never with another exception type, and so do config objects of
 mixed JSON values; event logs, sequence files and model arrays with
-hostile cells and values run through `cli.main` to a documented exit code."""
+hostile cells and values run through `cli.main` to a documented exit code,
+and `eval` leaves an EER cell empty only where it scored no window."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import io
 import json
 import math
 import zipfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,8 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from appauth.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, ExperimentConfig, main
 from appauth.encode import SEQUENCE_HEADER
-from appauth.ingest import EVENT_LOG_HEADER, FormatError, write_csv
+from appauth.evaluation import prepare_cohort
+from appauth.ingest import EVENT_LOG_HEADER, FormatError, group_by_user, parse_event_log, write_csv
 from appauth.models import METHOD_TAGS, load_model
 from appauth.simulate import CohortSpec
 
@@ -187,6 +190,30 @@ def event_rows(n_users: int) -> st.SearchStrategy:
     )
 
 
+def session_rows(n_users: int) -> st.SearchStrategy:
+    """Event rows of one to four unlock/lock pairs per user, each around one
+    to four app rows and locked 30 s to 15 min after the last, followed by
+    the loose rows of `event_rows`. At period 30 most users resample to at
+    least 2 samples, which makes them eligible when `min_train` and
+    `min_test` are 1."""
+    apps = st.lists(st.tuples(st.integers(0, 900), st.sampled_from(APPS)), min_size=1, max_size=4)
+    session = st.tuples(st.integers(0, 4 * DAY), apps, st.integers(30, 900))
+
+    def rows(user, drawn):
+        start, used, tail = drawn
+        end = start + max(offset for offset, _ in used) + tail
+        middle = [[user, str(start + offset), "app", app] for offset, app in used]
+        return [[user, str(start), "unlock", ""], *middle, [user, str(end), "lock", ""]]
+
+    def flat(drawn):
+        *by_user, loose = drawn
+        return [row for sessions in by_user for session in sessions for row in session] + loose
+
+    users = [session.map(partial(rows, f"u{k}")) for k in range(n_users)]
+    by_user = [st.lists(user, min_size=1, max_size=4) for user in users]
+    return st.tuples(*by_user, event_rows(n_users)).map(flat)
+
+
 def sequence_rows() -> st.SearchStrategy:
     owners = st.sampled_from(["u0", "u1"])
     row = st.tuples(owners, st.integers(0, 4 * DAY), st.sampled_from(SYMBOLS))
@@ -218,6 +245,49 @@ def test_an_event_log_with_hostile_cells_exits_0_2_or_3(tmp_path):
             run(command, "--config", str(config))
 
     exits_0_2_or_3()
+
+
+def test_eval_writes_an_empty_eer_cell_only_where_no_window_is_scored(tmp_path):
+    """`eval` of all six methods on event logs of 2 or 3 users exits 0, 2 or
+    3. On exit 0, a cell of an EER grid is empty iff its period has fewer
+    than 2 eligible users or no eligible user's test sequence holds n
+    symbols, as `prepare_cohort` counts them, and otherwise a number in
+    [0, 100]: the grid file writes a NaN EER as an empty cell too, so
+    only this tells one from a cell with no windows."""
+    log = tmp_path / "events.csv"
+    config = tmp_path / "config.json"
+    out = tmp_path / "o"
+    periods, n_values = [30, 120], [2, 6]
+    payload = {"data": str(log), "out": str(out), "periods": periods, "n_values": n_values}
+    payload.update(min_train=1, min_test=1, n_states=2, max_iter=3)
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    scored = []
+
+    @settings(GENERATED, max_examples=50)
+    @given(st.integers(2, 3).flatmap(session_rows))
+    def empty_only_without_windows(rows):
+        write_csv(log, [EVENT_LOG_HEADER, *rows])
+        if run("eval", "--config", str(config)) != EXIT_OK:
+            return
+        by_user = group_by_user(parse_event_log(log)[0])
+        grids = {}
+        for method in METHOD_TAGS:
+            with open(out / f"eer_grid_{method}.csv", encoding="utf-8", newline="") as fh:
+                grids[method] = [row[1:] for row in list(csv.reader(fh))[1:]]
+        for j, period in enumerate(periods):
+            prepared = prepare_cohort(by_user, period, min_train=1, min_test=1)
+            longest = max((len(p.test_observations) for p in prepared.values()), default=0)
+            for i, n in enumerate(n_values):
+                empty = len(prepared) < 2 or longest < n
+                for method, grid in grids.items():
+                    cell = grid[i][j]
+                    assert (cell == "") == empty, (method, n, period, cell)
+                    assert empty or 0.0 <= float(cell) <= 100.0, (method, n, period, cell)
+        scored.append(any(cell for grid in grids.values() for row in grid for cell in row))
+
+    empty_only_without_windows()
+    # the strategy reaches scored cells, so the property is not vacuous
+    assert sum(scored) >= 20, sum(scored)
 
 
 @pytest.mark.parametrize("model", MODEL_FILES, ids=lambda p: p.name)

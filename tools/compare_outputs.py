@@ -39,7 +39,10 @@ included), except that each manifest.json is compared as JSON without its
 manifest that names another command or config, or is missing, differs.
 One line is printed per (workload, seed), after a first line with the
 number of lines of the Python files under each tree's `src/`, the measure
-of how much code the change adds or removes. Below a case's line, each
+of how much code the change adds or removes, and the number of those
+lines that hold code: not blank, not comment-only and not inside a
+docstring, so that reformatting or deleting comments is told apart from
+removing code. Below a case's line, each
 differing file gets a line that says how far it moved: for an `.npz`
 file, the largest absolute and relative difference of each array; for a
 CSV file, both row counts and the largest relative difference of its
@@ -49,6 +52,7 @@ is 1 if any file differs or is missing on either side, or if a run fails.
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json
@@ -56,6 +60,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -108,9 +113,39 @@ def run_command(tree: Path, run_dir: Path, command: str, *extra: str, out: str =
     return proc.returncode == 0
 
 
-def src_lines(tree: Path) -> int:
-    """Lines of the Python files under tree/src."""
-    return sum(len(p.read_bytes().splitlines()) for p in (tree / "src").rglob("*.py"))
+# tokens that hold no code: a line with only these is blank or comment-only
+NON_CODE_TOKENS = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
+
+
+def code_lines(source: str) -> int:
+    """Lines of Python source that some code token covers, outside the
+    docstrings of the module, its classes and its functions; each line of a
+    multi-line string other than a docstring counts."""
+    documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings: set[int] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, documented) and ast.get_docstring(node, clean=False) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    code: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NON_CODE_TOKENS:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstrings)
+
+
+def src_lines(tree: Path) -> tuple[int, int]:
+    """Lines of the Python files under tree/src: all of them, and those
+    that hold code."""
+    paths = sorted((tree / "src").rglob("*.py"))
+    total = sum(len(p.read_bytes().splitlines()) for p in paths)
+    return total, sum(code_lines(p.read_text(encoding="utf-8")) for p in paths)
 
 
 def comparable(path: Path) -> bytes:
@@ -225,8 +260,11 @@ def main(argv: list[str]) -> int:
     if not (parent / "perfbench" / "workloads.py").is_file():
         print(f"no perfbench/workloads.py under {parent}", file=sys.stderr)
         return 2
-    before, after = src_lines(parent), src_lines(change)
-    print(f"src/ lines: {before} in {parent}, {after} in {change} ({after - before:+d})")
+    (before, code_before), (after, code_after) = src_lines(parent), src_lines(change)
+    print(
+        f"src/ lines: {before} in {parent}, {after} in {change} ({after - before:+d});"
+        f" code lines: {code_before}, {code_after} ({code_after - code_before:+d})"
+    )
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(parent / "src"), str(parent / "perfbench")]
     bad = 0
