@@ -306,7 +306,7 @@ def cmd_eval(config: ExperimentConfig, out: Path) -> None:
     shape = (len(config.n_values), len(config.periods))
     grids = {m: np.full(shape, np.nan) for m in config.methods}
     metric_rows = ["method,n,period,threshold,eer,sensitivity,specificity,accuracy,f1".split(",")]
-    report = True
+    report = None  # the first (period, n) that scores a window
     # No name here holds a cohort while `_cohorts` prepares the next one.
     for period, prepared in _cohorts(config):
         if len(prepared) < 2:
@@ -316,29 +316,28 @@ def cmd_eval(config: ExperimentConfig, out: Path) -> None:
         j = config.periods.index(period)
         tables = evaluate_methods(config.methods, prepared, config.n_values, config, config.stride)
         del prepared
-        # One sweep per table: the grid takes its EER, and the first scored
-        # period also reports metrics and curves, each method's scores and
-        # ROC at its first window length that scores a window. Each curve is
-        # dropped before the next sweep, and the tables before the next
-        # period is scored.
-        unwritten = set(config.methods) if report else set()
+        # One sweep per table: the grid takes its EER, the report's period
+        # its metrics, and the report's (period, n) each method's scores and
+        # ROC. A table's windows depend only on the test sequences, n and
+        # the stride, so every method scores a window at the same (period,
+        # n). Each curve is dropped before the next sweep, and the tables
+        # before the next period is scored.
         for (method, n), table in tables.items():
             if not table:
                 continue
+            report = report or (period, n)
             curve = roc_curve(table)
             eer, thr = eer_threshold(curve)
             grids[method][config.n_values.index(n), j] = eer
-            if method in unwritten:
+            if (period, n) == report:
                 write_scores_csv(table, out / f"scores_{method}.csv")
                 write_roc_csv(curve, out / f"roc_{method}.csv")
-                unwritten.remove(method)
             del curve
-            if report:
+            if period == report[0]:
                 cc = confusion_counts(table, thr)
                 values = (thr, eer, sensitivity(cc), specificity(cc), accuracy(cc), f1(cc))
                 metric_rows.append([method, str(n), str(period), *map(format_number, values)])
         del tables, table
-        report = False
 
     write_csv(out / "metrics.csv", metric_rows)
     for method in config.methods:

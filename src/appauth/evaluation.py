@@ -13,6 +13,7 @@ import csv
 import io
 import logging
 import multiprocessing
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, groupby
@@ -340,15 +341,8 @@ def top_apps_report(samples_by_user: Mapping[str, Sequence[str]]) -> list[TopApp
     overall = per_user * user_count / total_users.
     """
     n_users = len(samples_by_user)
-    totals: dict[str, int] = {}
-    user_counts: dict[str, int] = {}
-    for user in samples_by_user:
-        seen_here: set[str] = set()
-        for app in samples_by_user[user]:
-            totals[app] = totals.get(app, 0) + 1
-            seen_here.add(app)
-        for app in seen_here:
-            user_counts[app] = user_counts.get(app, 0) + 1
+    totals = Counter(chain.from_iterable(samples_by_user.values()))
+    user_counts = Counter(chain.from_iterable(map(set, samples_by_user.values())))
     ranked = sorted(totals, key=lambda a: (-totals[a], a))[:TOP_APPS]
     return [
         TopAppRow(

@@ -76,8 +76,6 @@ class MedModel:
         mat = as_window_matrix(windows, self.vocab.size)
         n = mat.shape[1]
         text_len = self.train_indices.size
-        if n > text_len:
-            raise ValueError(f"window length {n} exceeds training sequence length {text_len}")
         # Distinct windows, each compared as one raw-bytes value of int32
         # symbols: equal bytes are equal windows, and np.unique(axis=0) is
         # ~10x slower here. Their distinct symbols are a mask over the

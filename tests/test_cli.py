@@ -28,7 +28,7 @@ from appauth.cli import (
     load_config,
     main,
 )
-from appauth.encode import KIND_APP, encode_sessions
+from appauth.encode import KIND_APP, SEQUENCE_HEADER, encode_sessions
 from appauth.ingest import (
     EVENT_LOG_HEADER,
     parse_event_log,
@@ -39,6 +39,7 @@ from appauth.ingest import (
     write_event_log,
 )
 from appauth.models import METHOD_TAGS, MarkovChainModel, load_model
+from appauth.models.edit_distance import INDEL_COST
 from appauth.simulate import CohortSpec, make_cohort
 
 TINY = {
@@ -695,29 +696,66 @@ def test_ingest_releases_each_period_cohort_before_the_next(tmp_path, monkeypatc
 
 
 def test_eval_reports_come_from_the_first_scored_period(tmp_path):
-    """With too few eligible users at the first period, the metrics, scores
-    and ROC files come from the next period, as if it were the only one,
-    and a later period does not replace them."""
+    """The metrics, scores and ROC files come from the first period that
+    scores a window, as if it were the only one, and a later period does
+    not replace them. At n = 100 only user00's period-30 test sequence (135
+    symbols) holds a window: period 3000 has too few eligible users, and
+    period 60 has two whose test sequences hold 76 and 54 symbols."""
     methods = ["mc", "bin-unk"]
-    runs = {"late": [3000, 30, 60], "only": [30], "none": [3000]}
+    runs = {"late": [3000, 30, 60], "unscored": [60, 30], "only": [30], "none": [3000]}
     for name, periods in runs.items():
-        cfg = write_config(tmp_path, out=str(tmp_path / name), periods=periods, methods=methods)
+        cfg = write_config(
+            tmp_path, out=str(tmp_path / name), periods=periods, n_values=[100], methods=methods
+        )
         assert main(["eval", "--config", str(cfg)]) == EXIT_OK
     files = [f"{kind}_{m}.csv" for kind in ("scores", "roc") for m in methods] + ["metrics.csv"]
-    for f in files:
-        assert (tmp_path / "late" / f).read_bytes() == (tmp_path / "only" / f).read_bytes(), f
+    for run in ("late", "unscored"):
+        for f in files:
+            assert (tmp_path / run / f).read_bytes() == (tmp_path / "only" / f).read_bytes(), f
     for m in methods:
-        late, only = (
+        late, unscored, only = (
             list(csv.reader(io.StringIO((tmp_path / run / f"eer_grid_{m}.csv").read_text())))
-            for run in ("late", "only")
+            for run in ("late", "unscored", "only")
         )
         assert [[row[0], row[2]] for row in late] == only
         assert [row[1] for row in late] == ["period_3000", ""]
+        assert [[row[0], row[2]] for row in unscored] == only
+        assert [row[1] for row in unscored] == ["period_60", ""]
     # nothing scored: metrics.csv holds only its header, and no table is written
     assert (tmp_path / "none" / "metrics.csv").read_text().splitlines() == [
         "method,n,period,threshold,eer,sensitivity,specificity,accuracy,f1"
     ]
     assert not list((tmp_path / "none").glob("scores_*.csv"))
+
+
+@pytest.mark.parametrize("command", ["eval", "score", "intrude"])
+def test_med_scores_windows_longer_than_the_training_sequence(tmp_path, command):
+    """A `med` model whose text is shorter than n scores like any other.
+    With a training fraction of 0.4, user02 trains on 74 symbols at period
+    30 and tests on 104, so n = 80 scores its own windows and the other
+    users' against it; the pinned model holds 400 symbols, and n = 401."""
+    if command == "score":
+        sequence = tmp_path / "sequence.csv"
+        symbols = [f"app:{a}:TZ{tz}:{day}" for a in "abz" for tz in (1, 3) for day in ("WD", "WE")]
+        rows = [["u0", str(ts), symbols[ts * 7 % len(symbols)]] for ts in range(410)]
+        write_csv(sequence, [SEQUENCE_HEADER, *rows])
+        model = Path(__file__).parent / "data" / "model.med.npz"
+        cfg = write_config(tmp_path, out=str(tmp_path / "o"), n_values=[401], stride=1)
+        argv = ["--model", str(model), "--sequence", str(sequence)]
+    else:
+        cfg = write_config(
+            tmp_path, out=str(tmp_path / "o"), n_values=[80], methods=["med"], train_fraction=0.4
+        )
+        argv = []
+    assert main([command, "--config", str(cfg), *argv]) == EXIT_OK
+    if command == "eval":
+        grid = list(csv.reader(io.StringIO((tmp_path / "o" / "eer_grid_med.csv").read_text())))
+        assert 0.0 <= float(grid[1][1]) <= 100.0
+    if command == "score":
+        scores = list(csv.reader(io.StringIO((tmp_path / "o" / "scores.csv").read_text())))
+        # ten windows, each with at least one symbol more than the text
+        assert [row[2] for row in scores[1:]] == [str(end) for end in range(400, 410)]
+        assert all(float(row[3]) <= -INDEL_COST for row in scores[1:])
 
 
 @pytest.mark.parametrize("n_values", [[100_000, 5], [5, 100_000]])

@@ -85,15 +85,6 @@ def test_context_drift_costs_one_per_attribute():
     assert med_distance(model, vocab.project([app("a", 1, 1)] * 2)) == 4
 
 
-def test_window_longer_than_text_is_rejected():
-    vocab = Vocabulary(["a"])
-    train = vocab.project([app("a", 0, 0)] * 3)
-    model = MedModel.fit(train, vocab)
-    with pytest.raises(ValueError):
-        med_distance(model, np.zeros(4, dtype=np.int64))
-    assert med_distance(model, np.zeros(3, dtype=np.int64)) == 0
-
-
 def test_batch_distances_match_singles():
     vocab = Vocabulary(["a", "b", "c"])
     rng = np.random.default_rng(11)
@@ -111,7 +102,7 @@ def test_matcher_agrees_with_exhaustive_oracle():
     rng = np.random.default_rng(23)
     for _ in range(150):
         text_len = int(rng.integers(1, 9))
-        win_len = int(rng.integers(1, min(text_len, 4) + 1))
+        win_len = int(rng.integers(1, 5))  # longer than the text at times
         text_obs = [random_observation(rng, apps) for _ in range(text_len)]
         win_obs = [random_observation(rng, apps) for _ in range(win_len)]
         model = MedModel.fit(vocab.project(text_obs), vocab)
@@ -215,6 +206,30 @@ def test_long_windows_match_reference_kernel_and_plain_dp(n):
         got = -model.score_windows(batch)
         assert got.tolist() == [semi_global_distance(w, text) for w in windows], (n, text_len)
         assert np.array_equal(got, reference_med_distances(model, batch))
+
+
+@pytest.mark.parametrize("text_len", [1, 5, 9])
+def test_windows_longer_than_the_text_match_reference_kernel_and_plain_dp(text_len):
+    """A window longer than the text is scored like any other, its surplus
+    symbols costing an indel each at least. Window lengths from 1 to past
+    3T, so that T = 1, T < n < 2T and n > 3T each take a batch, and each
+    batch holds the text cycled, marker- and unknown-heavy windows and a
+    repeat."""
+    vocab = Vocabulary(LONG_APPS)
+    rng = np.random.default_rng(text_len)
+    text = [mixed_observation(rng, 0.1, 0.1) for _ in range(text_len)]
+    model = MedModel.fit(vocab.project(text), vocab)
+    for n in sorted({1, text_len, text_len + 1, 2 * text_len - 1, 3 * text_len + 1, 40}):
+        cycled = (text * n)[:n]
+        windows = [cycled, cycled[::-1]]
+        windows += [[mixed_observation(rng, 0.6, 0.1) for _ in range(n)] for _ in range(3)]
+        windows += [[mixed_observation(rng, 0.1, 0.6) for _ in range(n)] for _ in range(3)]
+        windows.append(windows[-1])
+        batch = np.stack([vocab.project(w) for w in windows])
+        got = -model.score_windows(batch)
+        assert got.tolist() == [semi_global_distance(w, text) for w in windows], n
+        assert np.array_equal(got, reference_med_distances(model, batch)), n
+        assert got.min() >= INDEL_COST * max(0, n - text_len), n
 
 
 def test_text_longer_than_a_chunk_matches_reference_kernel():

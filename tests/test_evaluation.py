@@ -460,7 +460,8 @@ def test_evaluate_methods_releases_the_other_models_before_the_hmm_ones(monkeypa
 def test_tables_do_not_depend_on_the_batch_size(monkeypatch):
     """Every table of all six methods is the same with BATCH_CELLS = 100,
     whose calls span pairs, also a pair of one window, and skip a pair
-    shorter than n."""
+    shorter than n. At each n the six tables hold the same pairs with the
+    same window counts, so either all of them score a window or none does."""
     prepared = tiny_prepared()
     prepared["user01"].test_observations = prepared["user01"].test_observations[:7]
     config = TrainConfig(n_states=3, max_iter=3, seed=7)
@@ -472,6 +473,9 @@ def test_tables_do_not_depend_on_the_batch_size(monkeypatch):
     # 62 to 72; at n = 5 it is 70 + 1 + 99 windows in 9 calls of 18 or 19.
     assert [len(s) for s in got[("mc", 9)].scores.values()] == [69, 98] * 3
     assert [len(s) for s in got[("mc", 5)].scores.values()] == [70, 1, 99] * 3
+    for (method, n), table in got.items():
+        windows = [(pair, len(s)) for pair, s in table.scores.items()]
+        assert windows == [(pair, len(s)) for pair, s in got[("mc", n)].scores.items()], method
     assert list(got) == list(want)
     for key, table in want.items():
         assert list(got[key].scores) == list(table.scores), key

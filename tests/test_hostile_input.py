@@ -248,12 +248,13 @@ def test_an_event_log_with_hostile_cells_exits_0_2_or_3(tmp_path):
 
 
 def test_eval_writes_an_empty_eer_cell_only_where_no_window_is_scored(tmp_path):
-    """`eval` of all six methods on event logs of 2 or 3 users exits 0, 2 or
-    3. On exit 0, a cell of an EER grid is empty iff its period has fewer
-    than 2 eligible users or no eligible user's test sequence holds n
-    symbols, as `prepare_cohort` counts them, and otherwise a number in
-    [0, 100]: the grid file writes a NaN EER as an empty cell too, so
-    only this tells one from a cell with no windows."""
+    """`eval` of all six methods on event logs of 2 or 3 users exits 0. A
+    cell of an EER grid is empty iff its period has fewer than 2 eligible
+    users or no eligible user's test sequence holds n symbols, as
+    `prepare_cohort` counts them, and otherwise a number in [0, 100]: the
+    grid file writes a NaN EER as an empty cell too, so only this tells one
+    from a cell with no windows. `metrics.csv` has rows iff some cell is
+    non-empty, each from the first period that holds one."""
     log = tmp_path / "events.csv"
     config = tmp_path / "config.json"
     out = tmp_path / "o"
@@ -267,8 +268,7 @@ def test_eval_writes_an_empty_eer_cell_only_where_no_window_is_scored(tmp_path):
     @given(st.integers(2, 3).flatmap(session_rows))
     def empty_only_without_windows(rows):
         write_csv(log, [EVENT_LOG_HEADER, *rows])
-        if run("eval", "--config", str(config)) != EXIT_OK:
-            return
+        assert main(["eval", "--config", str(config)]) == EXIT_OK
         by_user = group_by_user(parse_event_log(log)[0])
         grids = {}
         for method in METHOD_TAGS:
@@ -283,7 +283,15 @@ def test_eval_writes_an_empty_eer_cell_only_where_no_window_is_scored(tmp_path):
                     cell = grid[i][j]
                     assert (cell == "") == empty, (method, n, period, cell)
                     assert empty or 0.0 <= float(cell) <= 100.0, (method, n, period, cell)
-        scored.append(any(cell for grid in grids.values() for row in grid for cell in row))
+        with open(out / "metrics.csv", encoding="utf-8", newline="") as fh:
+            metric_periods = {row[2] for row in list(csv.reader(fh))[1:]}
+        scored_periods = [
+            period
+            for j, period in enumerate(periods)
+            if any(row[j] for grid in grids.values() for row in grid)
+        ]
+        assert metric_periods == {str(p) for p in scored_periods[:1]}, metric_periods
+        scored.append(bool(scored_periods))
 
     empty_only_without_windows()
     # the strategy reaches scored cells, so the property is not vacuous
