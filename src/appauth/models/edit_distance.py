@@ -66,8 +66,9 @@ class MedModel:
 
         - D[i, j] <= INDEL_COST * i (delete the whole prefix), and a text
           gap of length L costs INDEL_COST * L. So in DP row i no gap longer
-          than i wins, and passes with shifts 1, 2, 4, ... up to a total
-          reach of at least i cover every gap that can.
+          than i wins, nor can one be longer than T, and passes with shifts
+          1, 2, 4, ... up to a total reach of at least min(i, T) cover every
+          gap that can.
         - E = D - INDEL_COST * (i + j) is <= 0, so a zero cell never lowers
           a minimum. Each window's row is padded in front with `lead` zero
           cells, more than any row's total shift, so the passes never carry
@@ -90,8 +91,9 @@ class MedModel:
 
         # A window's DP row is `width` flat cells: `lead` zero cells, the
         # last of them column 0, then text columns 1..T. Row i shifts by at
-        # most 2 ** i.bit_length() - 1 <= lead - 1 cells in total.
-        lead = 1 << n.bit_length()
+        # most 2 ** reach.bit_length() - 1 <= lead - 1 cells in total, where
+        # reach = min(i, T): a window longer than its text costs O(n x T log T).
+        lead = 1 << min(n, text_len).bit_length()
         width = lead + text_len
         t_app, t_tz, t_day = self._text_attrs
         tables = (self.vocab.symbol_app, self.vocab.symbol_tz, self.vocab.symbol_day)
@@ -136,7 +138,7 @@ class MedModel:
                 np.minimum(cand, prev, out=cand)
                 cand.reshape(-1, width)[:, :lead] = 0
                 src, dst = cand, prev
-                for k in range(i.bit_length()):
+                for k in range(min(i, text_len).bit_length()):
                     shift = 1 << k
                     np.minimum(src[shift:], src[:-shift], out=dst[shift:])
                     src, dst = dst, src

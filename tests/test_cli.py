@@ -697,29 +697,38 @@ def test_ingest_releases_each_period_cohort_before_the_next(tmp_path, monkeypatc
 
 def test_eval_reports_come_from_the_first_scored_period(tmp_path):
     """The metrics, scores and ROC files come from the first period that
-    scores a window, as if it were the only one, and a later period does
-    not replace them. At n = 100 only user00's period-30 test sequence (135
-    symbols) holds a window: period 3000 has too few eligible users, and
-    period 60 has two whose test sequences hold 76 and 54 symbols."""
+    scores a window, as if it were the only one, and a later period that
+    scores does not replace them. A period with too few eligible users
+    scores nothing; so does one whose eligible users' test sequences are
+    all shorter than n: at n = 100 period 60's hold 76 and 54 symbols,
+    while user00's period-30 test sequence holds 135."""
     methods = ["mc", "bin-unk"]
-    runs = {"late": [3000, 30, 60], "unscored": [60, 30], "only": [30], "none": [3000]}
-    for name, periods in runs.items():
+    runs = {
+        "late": ([3000, 30, 60], TINY["n_values"]),
+        "only": ([30], TINY["n_values"]),
+        "none": ([3000], TINY["n_values"]),
+        "unscored": ([60, 30], [100]),
+        "only100": ([30], [100]),
+    }
+    for name, (periods, n_values) in runs.items():
         cfg = write_config(
-            tmp_path, out=str(tmp_path / name), periods=periods, n_values=[100], methods=methods
+            tmp_path, out=str(tmp_path / name), periods=periods, n_values=n_values, methods=methods
         )
         assert main(["eval", "--config", str(cfg)]) == EXIT_OK
     files = [f"{kind}_{m}.csv" for kind in ("scores", "roc") for m in methods] + ["metrics.csv"]
-    for run in ("late", "unscored"):
+    for run, alone in (("late", "only"), ("unscored", "only100")):
         for f in files:
-            assert (tmp_path / run / f).read_bytes() == (tmp_path / "only" / f).read_bytes(), f
+            assert (tmp_path / run / f).read_bytes() == (tmp_path / alone / f).read_bytes(), f
     for m in methods:
-        late, unscored, only = (
+        late, only, unscored, only100 = (
             list(csv.reader(io.StringIO((tmp_path / run / f"eer_grid_{m}.csv").read_text())))
-            for run in ("late", "unscored", "only")
+            for run in ("late", "only", "unscored", "only100")
         )
         assert [[row[0], row[2]] for row in late] == only
         assert [row[1] for row in late] == ["period_3000", ""]
-        assert [[row[0], row[2]] for row in unscored] == only
+        # period 60 scores at TINY's n, after period 30 has written the report
+        assert 0.0 <= float(late[1][3]) <= 100.0
+        assert [[row[0], row[2]] for row in unscored] == only100
         assert [row[1] for row in unscored] == ["period_60", ""]
     # nothing scored: metrics.csv holds only its header, and no table is written
     assert (tmp_path / "none" / "metrics.csv").read_text().splitlines() == [
