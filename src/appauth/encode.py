@@ -120,8 +120,6 @@ def encode_sessions(sessions: Sequence[Session]) -> list[tuple[int, Observation]
     symbols: dict[tuple[str, int, int], Observation] = {}
     prev_day: int | None = None
     for sess in sessions:
-        if not sess.samples:
-            continue
         first_ts = sess.samples[0][0]
         if prev_day is not None and day_ordinal(first_ts) != prev_day:
             out.append((first_ts, DAY_CHANGE))

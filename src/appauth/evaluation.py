@@ -274,8 +274,8 @@ def eer_threshold(curve: np.ndarray) -> tuple[float, float]:
     thresholds, far, frr = curve.T
     diff = frr - far
     above = int(np.argmax(diff > 0.0))  # first strictly positive; exists via sentinel
-    k = above - 1
-    lam = -diff[k] / (diff[above] - diff[k]) if diff[above] != diff[k] else 0.0
+    k = above - 1  # row 0, FRR 0 against FAR 1, is below: diff[k] <= 0 < diff[above]
+    lam = -diff[k] / (diff[above] - diff[k])
     pick = k if abs(diff[k]) <= abs(diff[above]) else above
     return float(100.0 * (far[k] + lam * (far[above] - far[k]))), float(thresholds[pick])
 

@@ -108,17 +108,19 @@ class RawEvent:
 class Session:
     """One unlock-to-lock usage session with its app samples.
 
-    ``samples`` are ordered ``(timestamp, app_id)`` pairs, all within
-    ``[start, end]``.
+    ``samples`` are ordered ``(timestamp, app_id)`` pairs, at least one,
+    all within ``[start, end]``.
     """
 
     start: int
     end: int
-    samples: list[tuple[int, str]] = field(default_factory=list)
+    samples: list[tuple[int, str]]
 
     def __post_init__(self) -> None:
         if self.end < self.start:
             raise ValueError("session end precedes start")
+        if not self.samples:
+            raise ValueError("session holds no sample")
 
 
 @dataclass(slots=True)
@@ -199,23 +201,22 @@ def sessionize(events: Sequence[RawEvent], idle_gap: float = DEFAULT_IDLE_GAP) -
     ordered = sorted(events, key=lambda ev: ev.local_timestamp)  # stable tie-break
 
     sessions: list[Session] = []
-    cur: Session | None = None
+    cur: tuple[int, list[tuple[int, str]]] | None = None  # the open session's start and samples
     explicit = False  # cur was opened by an unlock event
 
     def close(end: int | None = None) -> None:
         nonlocal cur
-        if cur is not None and cur.samples:
-            last = cur.samples[-1][0]
-            cur.end = last if end is None else max(last, end)
-            sessions.append(cur)
+        if cur is not None and cur[1]:
+            last = cur[1][-1][0]
+            sessions.append(Session(cur[0], last if end is None else max(last, end), cur[1]))
         cur = None
 
     for ev in ordered:
-        if cur is not None and not explicit and ev.local_timestamp - cur.samples[-1][0] > idle_gap:
+        if cur is not None and not explicit and ev.local_timestamp - cur[1][-1][0] > idle_gap:
             close()  # the implicit session went idle before this event
         if ev.kind == "unlock":
             close()
-            cur = Session(ev.local_timestamp, ev.local_timestamp)
+            cur = (ev.local_timestamp, [])
             explicit = True
         elif ev.kind == "lock":
             if cur is None:
@@ -224,9 +225,9 @@ def sessionize(events: Sequence[RawEvent], idle_gap: float = DEFAULT_IDLE_GAP) -
             close(end=ev.local_timestamp)
         else:  # app
             if cur is None:
-                cur = Session(ev.local_timestamp, ev.local_timestamp)
+                cur = (ev.local_timestamp, [])
                 explicit = False
-            cur.samples.append((ev.local_timestamp, ev.app_id))
+            cur[1].append((ev.local_timestamp, ev.app_id))
     close()
     return sessions
 
@@ -243,8 +244,6 @@ def resample_sessions(sessions: Sequence[Session], period: int) -> list[Session]
         raise ValueError("period must be positive")
     out: list[Session] = []
     for sess in sessions:
-        if not sess.samples:
-            continue
         anchor = sess.samples[0][0]
         resampled: list[tuple[int, str]] = []
         i = 0
@@ -277,8 +276,6 @@ def split_sessions(sessions: Sequence[Session], train_fraction: float) -> SplitD
     test: list[Session] = []
     remaining = n_train
     for sess in sessions:
-        if not sess.samples:
-            continue
         k = len(sess.samples)
         if remaining >= k:
             train.append(sess)

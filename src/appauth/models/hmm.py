@@ -98,20 +98,18 @@ class TrainingTrace:
         return trace
 
 
-# Rows per block of the scoring forward recursion. A row's bits from its
+# Row blocks of the scoring forward recursion. A row's bits from its
 # (W, K) @ (K, K) products depend on the row only while W stays in one BLAS
 # kernel path. On this OpenBLAS 0.3.31 build (Haswell kernels, one or two
 # threads), bisected with random rows at the default K = 20: every W from 2
 # to 2 500 gives each row the same bits, and from W = 2 501, where
 # W * K * K first exceeds 10**6, another path gives other bits; at K = 28
-# the switch comes at W = 1 285. So a block also holds at most
-# 10**6 // K**2 rows, rounded down to a multiple of 4 (and at least 4),
-# which is ROW_BLOCK up to K = 22. At some state counts (17-19, 25-27,
-# 33-35, ... 57-59) a row's bits differ between blocks of 2 and of 4 rows,
-# and a single row is a gemv with bits of its own, so each block, a lone
-# window's included, is padded to a multiple of 4 rows; then no K from 1 to
-# 64 gave a row bits that depend on its batch.
-ROW_BLOCK = 2048
+# the switch comes at W = 1 285. So a block holds at most 10**6 // K**2
+# rows, rounded down to a multiple of 4 (and at least 4). At some state
+# counts (17-19, 25-27, 33-35, ... 57-59) a row's bits differ between
+# blocks of 2 and of 4 rows, and a single row is a gemv with bits of its
+# own, so each block, a lone window's included, is padded to a multiple of
+# 4 rows; then no K from 1 to 64 gave a row bits that depend on its batch.
 
 
 def forward_log_likelihood(
@@ -123,15 +121,14 @@ def forward_log_likelihood(
     emit need not be stochastic: the marginally-smoothed variant scores
     through a patched emission table.
 
-    The rows run in near-equal blocks of at most ROW_BLOCK rows, and of at
-    most 10**6 // K**2 rows at larger K, each padded to a multiple of 4 rows
-    with copies of its first rows, whose scores are dropped. So a window's
-    score does not depend on the batch it is scored in, a batch of one
-    included.
+    The rows run in near-equal blocks of at most 10**6 // K**2 rows at K
+    states, each padded to a multiple of 4 rows with copies of its first
+    rows, whose scores are dropped. So a window's score does not depend on
+    the batch it is scored in, a batch of one included.
     """
     mat = as_window_matrix(windows, emit.shape[1])
     table = np.ascontiguousarray(emit.T)  # a symbol's K probabilities in one row
-    rows = max(4, min(ROW_BLOCK, 10**6 // table.shape[1] ** 2) // 4 * 4)
+    rows = max(4, 10**6 // table.shape[1] ** 2 // 4 * 4)
     blocks = np.array_split(mat, max(1, -(-mat.shape[0] // rows)))
     return np.concatenate([_forward_block(pi, trans, table, block) for block in blocks])
 

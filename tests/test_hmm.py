@@ -114,8 +114,10 @@ def test_hmm_window_scores_do_not_depend_on_their_batch():
     batch of 2, at three positions of a 3 000-window batch, in blocks of
     1 000 windows and, for the first 500, alone. A (W, 20) @ (20, 20) product
     of more than 2 500 rows takes another BLAS kernel path; blocks of at most
-    ROW_BLOCK rows never do. Lone windows scored as a gemv gave 50 (hmm-lap)
-    and 36 (mshmm) of the 500 other bits."""
+    10**6 // K**2 rows never do. Lone windows scored as a gemv gave 50
+    (hmm-lap) and 36 (mshmm) of the 500 other bits. A 4 500-window batch,
+    one block at K = 3 and two of 2 250 rows at K = 20, scores the bits of
+    the same windows in pairs."""
     rng = np.random.default_rng(31)
     vocab = Vocabulary([f"app{i}" for i in range(32)])
     assert vocab.size == 200
@@ -136,13 +138,23 @@ def test_hmm_window_scores_do_not_depend_on_their_batch():
             assert np.array_equal(moved, np.roll(in_pairs, shift)), (model.method, shift)
         alone = [score_one(model, window) for window in windows[:500]]
         assert np.array_equal(alone, in_pairs[:500]), model.method
+    for k in (3, 20):
+        params = random_hmm(rng, k, 50)
+        windows = rng.integers(0, 50, size=(4500, 20))
+        whole = forward_log_likelihood(params.pi, params.trans, params.emit, windows)
+        pairs = [
+            forward_log_likelihood(params.pi, params.trans, params.emit, windows[i : i + 2])
+            for i in range(0, 4500, 2)
+        ]
+        assert np.array_equal(whole, np.concatenate(pairs)), k
 
 
 def test_hmm_window_scores_do_not_depend_on_their_batch_at_28_states():
     """At K = 28 a (W, 28) @ (28, 28) product takes another BLAS kernel path
-    from W = 1 285 on, below ROW_BLOCK. Blocks of at most 10**6 // K**2 rows
-    keep every score of a 2 000-window batch the same bits as in batches of
-    2; one uncapped block of 2 000 rows changed 199 of them."""
+    from W = 1 285 on, where K = 20 takes it from W = 2 501. Blocks of at
+    most 10**6 // K**2 rows keep every score of a 2 000-window batch the
+    same bits as in batches of 2; one uncapped block of 2 000 rows changed
+    199 of them."""
     rng = np.random.default_rng(28)
     params = random_hmm(rng, 28, 50)
     windows = rng.integers(0, 50, size=(2000, 20))

@@ -1,8 +1,9 @@
 """Hostile input, generated: byte-patched model files load or fail as data
 errors, never with another exception type, and so do config objects of
-mixed JSON values; event logs, sequence files and model arrays with
-hostile cells and values run through `cli.main` to a documented exit code,
-and `eval` leaves an EER cell empty only where it scored no window."""
+mixed JSON values; configs with hostile values, event logs, sequence files
+and model arrays with hostile cells and values run through `cli.main` to a
+documented exit code, and `eval` leaves an EER cell empty only where it
+scored no window."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import csv
 import io
 import json
 import math
+import shutil
 import zipfile
 from functools import partial
 from pathlib import Path
@@ -18,6 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
+
+from test_cli import TINY
 
 from appauth.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, ExperimentConfig, main
 from appauth.encode import SEQUENCE_HEADER
@@ -151,6 +155,81 @@ def test_a_config_object_loads_and_round_trips_or_is_a_value_error():
         assert ExperimentConfig.from_json(config.to_json()) == config
 
     loads_and_round_trips_or_refuses()
+
+
+# Small hostile sets of values for the real keys of a config: edges of
+# each range, huge and tiny numbers, a cohort of one user or of no day,
+# and windows, periods and segments far longer than the cohort's sequences.
+HOSTILE_CONFIG_VALUES = {
+    "synthetic": [
+        dict(TINY["synthetic"], **change)
+        for change in ({"n_users": 1}, {"days": 0}, {"days": 1}, {"seed": 2**63}, {"overlap": 1.0})
+    ],
+    "periods": [[7, 3000], [86400]],
+    "n_values": [[1], [80, 1], [400]],
+    "methods": [["med"], ["mc", "mshmm"], ["bin-unk", "hmm-lap"]],
+    "n_states": [1, 2],
+    "stride": [1, 2**64],
+    "segment": [1, 10**6],
+    "min_train": [0, 10**6],
+    "min_test": [0, 10**6],
+    "delta": [5e-324],
+    "tol": [0.0, 1e300],
+    "idle_gap": [1e-9, 1e300],
+    "train_fraction": [1e-9, 0.999999],
+    "seed": [2**63],
+    "threshold_percentile": [0.0, 100.0],
+}
+
+
+def hostile_configs() -> st.SearchStrategy:
+    """The config of `tests/test_cli.py`, which runs every command on a
+    3-user, 6-day synthetic cohort with a 3-state fit, with up to four of
+    its keys, or of the other keys of `ExperimentConfig`, set to a value of
+    `HOSTILE_CONFIG_VALUES`."""
+    keys = st.lists(st.sampled_from(sorted(HOSTILE_CONFIG_VALUES)), max_size=4, unique=True)
+    return keys.flatmap(
+        lambda ks: st.fixed_dictionaries({k: st.sampled_from(HOSTILE_CONFIG_VALUES[k]) for k in ks})
+    ).map(lambda hostile: {**TINY, **hostile})
+
+
+def csv_numbers_are_finite(out: Path) -> bool:
+    """Whether every field of every CSV file under `out` that parses as a
+    float is finite."""
+    for path in out.rglob("*.csv"):
+        with open(path, encoding="utf-8", newline="") as fh:
+            for row in csv.reader(fh):
+                for field in row:
+                    try:
+                        if not math.isfinite(float(field)):
+                            return False
+                    except ValueError:
+                        pass
+    return True
+
+
+def test_a_generated_config_runs_each_command_to_a_documented_exit(tmp_path, capsys):
+    """`eval`, `intrude`, `train`, `stats` and `ingest` run in-process on
+    each generated config: each returns 0, 2 or 3 with no traceback on
+    stderr, and on 0 every number in the CSV files it wrote is finite."""
+    config = tmp_path / "config.json"
+    codes = set()
+
+    @settings(GENERATED, max_examples=25)
+    @given(hostile_configs())
+    def exits_0_2_or_3(payload):
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        for command in ("eval", "intrude", "train", "stats", "ingest"):
+            out = tmp_path / "o" / command
+            shutil.rmtree(out, ignore_errors=True)
+            code = run(command, "--config", str(config), "--out", str(out))
+            assert "Traceback" not in capsys.readouterr().err, (command, payload)
+            assert code != EXIT_OK or csv_numbers_are_finite(out), (command, payload)
+            codes.add(code)
+
+    exits_0_2_or_3()
+    # the sets reach runs that succeed as well as ones that are refused
+    assert EXIT_OK in codes and EXIT_DATA in codes, codes
 
 
 # Cells that a hand-edited or foreign CSV may hold: empty, non-numbers, a

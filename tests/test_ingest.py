@@ -70,8 +70,10 @@ def test_raw_event_is_the_event_rule():
 
 
 def test_session_validation():
-    with pytest.raises(ValueError):
-        Session(10, 5)
+    with pytest.raises(ValueError, match="end precedes start"):
+        Session(10, 5, [(10, "a")])
+    with pytest.raises(ValueError, match="no sample"):
+        Session(5, 10, [])
 
 
 def test_event_log_round_trip(tmp_path):

@@ -21,7 +21,12 @@ holds the workload's cohort spec and seed as its `synthetic` value. With
 one period, nothing would compare the later columns of the EER grids, or
 check that the reports `eval`, `train`, `stats` and `intrude` take from
 the first period alone stay so. Every user of both inputs is eligible at
-2p for seeds 0 and 1, so the second column is full.
+2p for seeds 0 and 1, so the second column is full. The eval-p5 cases
+also list n = 5 before the workload's n = 20: there each model owner's
+4 454 (seed 0) or 4 482 (seed 1) windows go to one `score_windows` call,
+the only call of any case long enough for the HMM forward pass to cut it
+into more than one row block, and `eval`'s scores and ROC files and
+`score` come from n = 5.
 Each tree then runs, per input and in a temporary directory,
 `python -m appauth.cli <command> --config ../config.json --out <command>`
 for `synth`, `ingest`, `train`, `eval`, `stats` and `intrude`, and
@@ -72,9 +77,9 @@ COMMANDS = ("synth", "ingest", "train", "eval", "stats", "intrude")  # then `sco
 
 def write_inputs(name: str, seed: int, case_dir: Path) -> int:
     """events.csv and config.json for one workload and seed, as perfbench
-    writes them but with periods [p, 2p] and the cohort spec as `synthetic`,
-    generated by the parent tree's code (on sys.path); returns the
-    workload's period p."""
+    writes them but with periods [p, 2p], n = 5 first at eval-p5, and the
+    cohort spec as `synthetic`, generated by the parent tree's code (on
+    sys.path); returns the workload's period p."""
     from appauth import ingest, simulate
     from workloads import METHODS, WORKLOADS, cohort_spec, cut_cohort
 
@@ -87,7 +92,7 @@ def write_inputs(name: str, seed: int, case_dir: Path) -> int:
         "synthetic": {**workload["cohort"], "seed": seed},
         "out": "out",
         "periods": [workload["period"], 2 * workload["period"]],
-        "n_values": workload["n_values"],
+        "n_values": [5, *workload["n_values"]] if name == "eval-p5" else workload["n_values"],
         "stride": workload["stride"],
         "methods": list(METHODS),
         "seed": 0,
